@@ -30,15 +30,8 @@ from .env import (
     EnvSpec,
     Exponential,
     Gamma,
-    RatePath,
     ScalingRegime,
-    cumulative_rate,
     env_from_json,
-    essential_sup,
-    log_mgf,
-    mgf,
-    sample_rate_path,
-    sample_twisted,
     spawn_streams,
 )
 from .errors import (
@@ -57,8 +50,8 @@ from .ldp import (
     RateQuery,
     RateResult,
     classify_regime,
+    estimate_log_tail,
     integrated_log_mgf,
-    is_estimate_tail,
     rate_fast,
     rate_intermediate,
     rate_multivariate,

@@ -39,7 +39,6 @@ __all__ = [
     "scaled_variance",
     "clt_sigma2",
     "fluid_limit",
-    "fluid_from_empty",
     "fclt_covariance",
     "stationary_correlation",
     "scaled_covariance",
@@ -233,10 +232,6 @@ def fluid_limit(rho0: float, env: EnvSpec, mu: float, t: float) -> float:
         raise ValueError("t must be non-negative")
     p = math.exp(-mu * t)
     return rho0 * p + (env.mean / mu) * (1.0 - p)
-
-
-def fluid_from_empty(env: EnvSpec, mu: float, t: float) -> float:
-    return fluid_limit(0.0, env, mu, t)
 
 
 def fclt_covariance(

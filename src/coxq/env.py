@@ -8,11 +8,11 @@ an exponentially twisted sampler (density reweighted by exp(eta x) / M(eta)),
 and its essential supremum.  Downstream modules need exact transforms, which
 is why the families are closed rather than user-pluggable; the interface
 contract for an extension is: mean, variance, mgf, log_mgf, log_mgf_prime,
-sample, sample_block_sums, sample_twisted, essential_sup, theta_max.
+sample, sample_block_sums, sample_block_sums_twisted, essential_sup, theta_max.
 
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
-delta * N^(-alpha).  The factor N is applied by consumers; sampled paths store
+delta * N^(-alpha).  The factor N is applied by consumers; samplers return
 the un-inflated slot rates.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 
 __all__ = [
     "EnvSpec",
@@ -33,14 +33,7 @@ __all__ = [
     "Exponential",
     "DiscreteFinite",
     "ScalingRegime",
-    "RatePath",
     "env_from_json",
-    "mgf",
-    "log_mgf",
-    "essential_sup",
-    "sample_rate_path",
-    "sample_twisted",
-    "cumulative_rate",
     "spawn_streams",
 ]
 
@@ -106,9 +99,6 @@ class EnvSpec:
         """Draw sums of ``counts[b]`` i.i.d. copies, one sum per block, exactly."""
         raise NotImplementedError
 
-    def sample_twisted(self, eta: float, rng: np.random.Generator, size: int):
-        raise NotImplementedError
-
     def sample_block_sums_twisted(
         self, etas: np.ndarray, rng: np.random.Generator, counts: np.ndarray, size: int
     ) -> np.ndarray:
@@ -159,10 +149,6 @@ class Deterministic(EnvSpec):
 
     def sample_block_sums(self, rng, counts):
         return self.value * np.asarray(counts, dtype=float)
-
-    def sample_twisted(self, eta, rng, size):
-        # A point mass is invariant under tilting.
-        return np.full(size, self.value)
 
     def sample_block_sums_twisted(self, etas, rng, counts, size):
         return np.broadcast_to(
@@ -217,10 +203,6 @@ class Exponential(EnvSpec):
     def sample_block_sums(self, rng, counts):
         counts = np.asarray(counts)
         return rng.gamma(shape=counts.astype(float), scale=1.0 / self.rate)
-
-    def sample_twisted(self, eta, rng, size):
-        self._check_theta(eta)
-        return rng.exponential(scale=1.0 / (self.rate - eta), size=size)
 
     def sample_block_sums_twisted(self, etas, rng, counts, size):
         etas = np.asarray(etas, dtype=float)
@@ -278,11 +260,6 @@ class Gamma(EnvSpec):
     def sample_block_sums(self, rng, counts):
         counts = np.asarray(counts)
         return rng.gamma(shape=self.shape * counts.astype(float), scale=self.scale)
-
-    def sample_twisted(self, eta, rng, size):
-        # Tilting rescales: Gamma(k, s) -> Gamma(k, s / (1 - s*eta)).
-        self._check_theta(eta)
-        return rng.gamma(shape=self.shape, scale=self.scale / (1.0 - self.scale * eta), size=size)
 
     def sample_block_sums_twisted(self, etas, rng, counts, size):
         etas = np.asarray(etas, dtype=float)
@@ -366,11 +343,6 @@ class DiscreteFinite(EnvSpec):
         occ = rng.multinomial(counts, self.probs)
         return occ @ self.values
 
-    def sample_twisted(self, eta, rng, size):
-        w = self._tilted_probs(eta)
-        idx = rng.choice(self.values.size, size=size, p=w)
-        return self.values[idx]
-
     def sample_block_sums_twisted(self, etas, rng, counts, size):
         out = np.empty((size, len(counts)))
         for b, (eta, n) in enumerate(zip(etas, counts)):
@@ -430,75 +402,3 @@ class ScalingRegime:
     @property
     def beta(self) -> float:
         return min(1.0, self.alpha)
-
-
-@dataclass
-class RatePath:
-    """Realized piecewise-constant rate path on [0, horizon).
-
-    ``rates[j]`` holds over [j*slot_length, (j+1)*slot_length); the queue-facing
-    intensity is N * rates[j], with N applied by the consumer.
-    """
-
-    slot_length: float
-    rates: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        self.rates = np.asarray(self.rates, dtype=float)
-        expected = math.ceil(self.horizon / self.slot_length)
-        if self.rates.shape != (expected,):
-            raise ValueError(f"need {expected} slot rates for horizon {self.horizon}")
-
-    def rate_at(self, t: float) -> float:
-        if not 0 <= t < self.horizon:
-            raise RangeError(f"t={t} outside [0, {self.horizon})")
-        return float(self.rates[int(t // self.slot_length)])
-
-    def cumulative(self, t: float) -> float:
-        """Exact integral of the step path over [0, t]."""
-        if t < 0 or t > self.horizon:
-            raise RangeError(f"t={t} outside [0, {self.horizon}]")
-        j = min(int(t // self.slot_length), self.rates.size - 1)
-        full = self.slot_length * float(self.rates[:j].sum())
-        return full + (t - j * self.slot_length) * float(self.rates[j])
-
-    def cumulative_between(self, t0: float, t1: float) -> float:
-        """Integral over [t0, t1]; exactly additive with adjacent segments."""
-        if t0 > t1:
-            raise RangeError("t0 must not exceed t1")
-        return self.cumulative(t1) - self.cumulative(t0)
-
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers (thin aliases over the family methods).
-
-
-def mgf(env: EnvSpec, theta: float) -> float:
-    return env.mgf(theta)
-
-
-def log_mgf(env: EnvSpec, theta: float) -> float:
-    return env.log_mgf(theta)
-
-
-def essential_sup(env: EnvSpec) -> float:
-    return env.essential_sup()
-
-
-def sample_rate_path(
-    env: EnvSpec, scaling: ScalingRegime, horizon: float, rng: np.random.Generator
-) -> RatePath:
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    slot = scaling.delta_n
-    n = math.ceil(horizon / slot)
-    return RatePath(slot_length=slot, rates=env.sample(rng, n), horizon=horizon)
-
-
-def sample_twisted(env: EnvSpec, eta: float, rng: np.random.Generator, size: int = 1):
-    return env.sample_twisted(eta, rng, size)
-
-
-def cumulative_rate(path: RatePath, t: float) -> float:
-    return path.cumulative(t)

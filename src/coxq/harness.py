@@ -3,7 +3,9 @@
 Each runner builds its Monte Carlo instances from one ExperimentConfig,
 records every estimate with an uncertainty, and derives pass/fail criteria
 only from the recorded numbers, with thresholds from the config's tolerance
-table (defaults merged).  Reports serialize to a versioned JSON schema; the
+table (defaults merged).  Every runner has the signature
+``run_*(config, out_dir)`` and returns (results, criteria); ``run`` times it
+and builds the Report.  Reports serialize to a versioned JSON schema; the
 wall clock is kept out of the file so reruns with one seed are byte-stable.
 
 Checks:
@@ -29,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, poisson
+from scipy.stats import norm
 
 from . import __version__
 from .analytic import (
@@ -48,6 +50,7 @@ from .errors import ConfigError, DomainError
 from .ldp import (
     RateQuery,
     classify_regime,
+    estimate_log_tail,
     integrated_log_mgf,
     rate_fast,
     rate_intermediate,
@@ -301,8 +304,7 @@ def _wls_slope(x, y, se) -> tuple[float, float]:
 # analytic
 
 
-def run_analytic(config: ExperimentConfig) -> Report:
-    t0 = time.perf_counter()
+def run_analytic(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha = config.env, config.delta, config.alpha
     mu = config.queues.mu[0]
     results: list = []
@@ -350,14 +352,7 @@ def run_analytic(config: ExperimentConfig) -> Report:
             Criterion("trichotomy_ratio_converges", monotone and gaps[-1] <= tol, gaps[-1], 0.0, tol)
         )
 
-    return Report(
-        kind=config.kind,
-        config=config.to_json(),
-        seed=config.seed,
-        results=results,
-        criteria=criteria,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return results, criteria
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +377,11 @@ def _sim_config(config: ExperimentConfig, N: int, seed: int) -> SimConfig:
     )
 
 
-def run_simulate(config: ExperimentConfig, out_dir=None) -> Report:
+def run_simulate(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     import os
 
     from .sim import trajectory_to_csv
 
-    t0 = time.perf_counter()
     seeds = _per_n_seeds(config.seed, 1)
     traj = simulate(_sim_config(config, config.N_grid[0], int(seeds[0])))
     moments = estimate_moments(traj)
@@ -402,22 +396,14 @@ def run_simulate(config: ExperimentConfig, out_dir=None) -> Report:
             json.dump(moments.to_json(), f, indent=1, sort_keys=True)
         files = {"trajectories": "trajectories.csv", "moments": "moments.json"}
     results.append({"files": files})
-    return Report(
-        kind=config.kind,
-        config=config.to_json(),
-        seed=config.seed,
-        results=results,
-        criteria=[],
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return results, []
 
 
 # ---------------------------------------------------------------------------
 # clt-check
 
 
-def run_clt_check(config: ExperimentConfig) -> Report:
-    t0 = time.perf_counter()
+def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha = config.env, config.delta, config.alpha
     mu = config.queues.mu[0]
     sigma2 = clt_sigma2(env, mu, delta, alpha)
@@ -467,22 +453,14 @@ def run_clt_check(config: ExperimentConfig) -> Report:
         Criterion("clt_variance_ratio", abs(last["ratio"] - 1.0) <= vtol, last["ratio"], 1.0, vtol),
         Criterion("clt_normality_pvalue", last["ad_pvalue"] > pmin, last["ad_pvalue"], pmin, pmin),
     ]
-    return Report(
-        kind=config.kind,
-        config=config.to_json(),
-        seed=config.seed,
-        results=results,
-        criteria=criteria,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return results, criteria
 
 
 # ---------------------------------------------------------------------------
 # fclt-check
 
 
-def run_fclt_check(config: ExperimentConfig) -> Report:
-    t0 = time.perf_counter()
+def run_fclt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha, t = config.env, config.delta, config.alpha, float(config.t)
     queues = config.queues
     seeds = _per_n_seeds(config.seed, len(config.N_grid))
@@ -525,22 +503,14 @@ def run_fclt_check(config: ExperimentConfig) -> Report:
     criteria = [
         Criterion("fclt_covariance_entries", last["max_rel_error"] <= tol, last["max_rel_error"], 0.0, tol)
     ]
-    return Report(
-        kind=config.kind,
-        config=config.to_json(),
-        seed=config.seed,
-        results=results,
-        criteria=criteria,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return results, criteria
 
 
 # ---------------------------------------------------------------------------
 # corr-check
 
 
-def run_corr_check(config: ExperimentConfig) -> Report:
-    t0 = time.perf_counter()
+def run_corr_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha = config.env, config.delta, config.alpha
     mu_i, mu_k = config.queues.mu[0], config.queues.mu[1]
     target, c_const = stationary_correlation(env, mu_i, mu_k, delta, alpha)
@@ -584,113 +554,14 @@ def run_corr_check(config: ExperimentConfig) -> Report:
             tol,
         )
     ]
-    return Report(
-        kind=config.kind,
-        config=config.to_json(),
-        seed=config.seed,
-        results=results,
-        criteria=criteria,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return results, criteria
 
 
 # ---------------------------------------------------------------------------
 # ldp-check
 
 
-def _kappa_cells(mu: float, t: float, h: float, block_tol: float):
-    """Whole-slot cells partitioning [0, t) with exact survival-to-t weights.
-
-    Returns (slot counts per cell, integral of e^(-mu (t - s)) over each cell).
-    The final partial slot (if any) forms its own single-draw cell.
-    """
-    J = int(math.floor(t / h + 1e-12))
-    blocked = block_tol > 0 and h < block_tol / mu
-    L = max(1, int(block_tol / (mu * h))) if blocked else 1
-    edges = list(range(0, J, L)) + [J]
-    counts, weights = [], []
-    for e0, e1 in zip(edges, edges[1:]):
-        counts.append(e1 - e0)
-        weights.append((math.exp(-mu * (t - e1 * h)) - math.exp(-mu * (t - e0 * h))) / mu)
-    tau = t - J * h
-    if tau > 1e-12 * h:
-        counts.append(1)
-        weights.append(-math.expm1(-mu * tau) / mu)
-    return np.asarray(counts, dtype=np.int64), np.asarray(weights, dtype=float)
-
-
-def _aggregate_logw(logw: np.ndarray, reps: int) -> tuple[float, float]:
-    """(log mean, relative SE) of a non-negative IS estimator given log weights."""
-    finite = logw[np.isfinite(logw)]
-    if finite.size == 0:
-        return -math.inf, math.inf
-    from scipy.special import logsumexp
-
-    log_mean = float(logsumexp(finite)) - math.log(reps)
-    log_sq = float(logsumexp(2.0 * finite)) - math.log(reps)
-    rel_var = math.expm1(min(log_sq - 2.0 * log_mean, 700.0))
-    return log_mean, math.sqrt(max(rel_var, 0.0) / reps)
-
-
-def _estimate_log_tail(
-    config: ExperimentConfig, regime: str, theta: float, N: int, seed: int
-) -> tuple[float, float]:
-    """log P(M^(N)(t) >= N a) estimate and its relative SE, by regime-tuned IS.
-
-    The rate layer kappa is sampled per (blocked) slot cell with the exact
-    transient survival weights; the Poisson layer is handled by an exact
-    conditional tail (slow regime) or by exponential tilting (fast,
-    intermediate).  Likelihood ratios are accumulated in log space.
-    """
-    env, mu = config.env, config.queues.mu[0]
-    t, a, delta = float(config.t), float(config.a), config.delta
-    scaling = ScalingRegime(N, config.alpha, delta)
-    h = scaling.delta_n
-    counts, weights = _kappa_cells(mu, t, h, config.block_tol)
-    wk = weights / counts  # per-draw weight within each cell
-    m = math.ceil(N * a - 1e-9)
-    reps = config.replications
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    if regime == "fast":
-        etas = np.zeros_like(weights)
-        log_norm = 0.0
-    elif regime == "slow_unbounded":
-        r_full = -math.expm1(-mu * h) / mu
-        etas = theta * weights / (counts * r_full)
-        log_norm = float(np.sum(counts * np.array([env.log_mgf(e) for e in etas])))
-    elif regime == "intermediate":
-        scale = math.expm1(theta / delta)
-        etas = N * wk * scale
-        log_norm = float(np.sum(counts * np.array([env.log_mgf(e) for e in etas])))
-    else:
-        raise ConfigError(f"unsupported ldp-check regime {regime!r}")
-
-    chunk = max(1, int(4_000_000 / max(len(counts), 1)))
-    logw_parts = []
-    done = 0
-    while done < reps:
-        n = min(chunk, reps - done)
-        s = env.sample_block_sums_twisted(etas, rng, counts, n)
-        kappa = s @ wk
-        if regime == "slow_unbounded":
-            log_lr = log_norm - s @ etas
-            logw = poisson.logsf(m - 1, N * kappa) + log_lr
-        else:
-            tilt = theta if regime == "fast" else theta / delta
-            x = rng.poisson(N * kappa * math.exp(tilt), size=n)
-            if regime == "fast":
-                log_lr = N * kappa * math.expm1(tilt) - tilt * x
-            else:
-                log_lr = log_norm - tilt * x
-            logw = np.where(x >= m, log_lr, -np.inf)
-        logw_parts.append(logw)
-        done += n
-    return _aggregate_logw(np.concatenate(logw_parts), reps)
-
-
-def run_ldp_check(config: ExperimentConfig, out_dir=None) -> Report:
-    t0 = time.perf_counter()
+def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     query = _ldp_query(config)
     regime = classify_regime(query)
     if regime == "fast":
@@ -721,7 +592,9 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> Report:
     xs, ys, ses = [], [], []
     warn = config.tol("rel_err_warn")
     for idx, N in enumerate(config.N_grid):
-        log_p, rel_err = _estimate_log_tail(config, regime, rate_res.theta_star, N, int(seeds[2 * idx]))
+        log_p, rel_err = estimate_log_tail(
+            query, N, config.replications, int(seeds[2 * idx]), rate_res.theta_star, config.block_tol
+        )
         scaling = ScalingRegime(N, config.alpha, config.delta)
         x = speed_value(rate_res.speed, scaling)
         row = {
@@ -759,14 +632,7 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> Report:
         with open(os.path.join(out_dir, "rates.json"), "w") as f:
             json.dump(rate_res.to_json(), f, indent=1, sort_keys=True)
             f.write("\n")
-    return Report(
-        kind=config.kind,
-        config=config.to_json(),
-        seed=config.seed,
-        results=results,
-        criteria=criteria,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return results, criteria
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +640,7 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> Report:
 
 _RUNNERS = {
     "analytic": run_analytic,
+    "simulate": run_simulate,
     "clt-check": run_clt_check,
     "fclt-check": run_fclt_check,
     "corr-check": run_corr_check,
@@ -782,13 +649,18 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir=None) -> Report:
-    """Validate and dispatch; DomainError from modules surfaces as ConfigError."""
+    """Validate, dispatch and time one runner; DomainError surfaces as ConfigError."""
     _validate(config)
+    t0 = time.perf_counter()
     try:
-        if config.kind == "simulate":
-            return run_simulate(config, out_dir)
-        if config.kind == "ldp-check":
-            return run_ldp_check(config, out_dir)
-        return _RUNNERS[config.kind](config)
+        results, criteria = _RUNNERS[config.kind](config, out_dir)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    return Report(
+        kind=config.kind,
+        config=config.to_json(),
+        seed=config.seed,
+        results=results,
+        criteria=criteria,
+        wall_clock_s=time.perf_counter() - t0,
+    )

@@ -18,10 +18,16 @@ located by bracketed root finding on the derivative (strict concavity), with
 the stationarity residual reported.  Multivariate rectangle queries use the
 limiting log-MGFs of the coupled model and a projected quasi-Newton search.
 
-The importance-sampling estimator draws slot rates from the exponentially
-twisted law with per-slot tilt theta* e^(-mu j Delta_N) and weighs the
-indicator of the discretized parameter k_t by the likelihood ratio
-prod_j M(eta_j) e^(-eta_j L_j), accumulated in log space.
+The importance-sampling estimator ``estimate_log_tail`` targets
+P(M^(N)(t) >= N a) itself.  It draws the rate layer on the simulator's cell
+table, each cell's slot sum from the law tilted by its own eta_c, and
+accumulates the likelihood ratio prod_c M(eta_c)^(n_c) e^(-eta_c S_c) in log
+space.  Per regime: fast (eta = 0, the Poisson count tilted by theta*);
+slow (eta_c = theta* w_c / (n_c r) with w_c the cell's survival weight,
+n_c its slot count and r = (1 - e^(-mu Delta_N))/mu, and the Poisson layer
+integrated out by its exact conditional tail); intermediate
+(eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1), the Poisson count tilted by
+theta*/Delta).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize
 from scipy.special import logsumexp
+from scipy.stats import poisson
 
 from .env import EnvSpec, ScalingRegime
 from .errors import (
@@ -42,6 +49,7 @@ from .errors import (
     RegimeError,
     UnsupportedFamily,
 )
+from .sim import cell_table
 
 __all__ = [
     "RateQuery",
@@ -52,7 +60,7 @@ __all__ = [
     "rate_slow_bounded",
     "rate_intermediate",
     "classify_regime",
-    "is_estimate_tail",
+    "estimate_log_tail",
     "rate_multivariate",
     "speed_value",
 ]
@@ -360,65 +368,86 @@ def classify_regime(query: RateQuery) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Importance sampling for the slow branch.
+# Importance sampling.
 
 
-def is_estimate_tail(
+def estimate_log_tail(
     query: RateQuery,
-    scaling: ScalingRegime,
+    N: int,
     replications: int,
-    rng: np.random.Generator,
-    theta_star: float | None = None,
+    seed: int,
+    theta_star: float,
+    block_tol: float,
 ) -> tuple[float, float]:
-    """Estimate P(k_t(L^(N)) >= a) by exponential twisting, slow branch.
+    """log P(M^(N)(t) >= N a) from an empty queue, and its relative SE, by IS.
 
-    Each replication draws slot rates under the measure Q with per-slot tilt
-    eta_j = theta* e^(-mu j Delta_N), evaluates the discretized parameter
-    k_t = Delta_N sum_j L_j e^(-mu j Delta_N), and weighs the indicator
-    {k_t >= a} by prod_j M(eta_j) e^(-eta_j L_j) (log-space accumulation).
-    Returns (estimate, relative standard error).
+    The rate layer is drawn per cell of ``sim.cell_table`` (d = 1, grid (t,)),
+    each cell's slot sum tilted by its own eta; the Poisson layer is handled
+    by an exact conditional tail (slow regime) or by exponential tilting of
+    the count (fast, intermediate).  ``theta_star`` is the optimizer of the
+    query's rate function.  Likelihood ratios are accumulated in log space;
+    the estimate is -inf when no replication hits the event.
     """
-    if scaling.alpha != query.alpha or scaling.delta != query.delta:
-        raise ValueError("scaling must match the query's (alpha, delta)")
-    a, mu, env = query._scalar_a, query._scalar_mu, query.env
+    env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
     if a <= query.rho_t:
         raise DegenerateQuery(
             f"a = {a} <= rho(t) = {query.rho_t}: not a rare event, use plain Monte Carlo"
         )
-    if theta_star is None:
-        theta_star = rate_slow(query).theta_star
-    h = scaling.delta_n
-    J = int(math.floor(query.t / h))
-    if J == 0:
-        raise ValueError("no full slots before t; increase t or the sampling frequency")
-    decay = np.exp(-mu * h * np.arange(J))
-    eta = theta_star * decay
-    log_norm = sum(env.log_mgf(e) for e in eta)
+    regime = classify_regime(query)
+    h = ScalingRegime(N, query.alpha, delta).delta_n
+    table = cell_table((mu,), h, (t,), block_tol)
+    counts, weights = table.slots, table.weights[0][:, 0]
+    wk = weights / counts  # per-draw weight within each cell
+    m = math.ceil(N * a - 1e-9)
+    rng = np.random.Generator(np.random.PCG64(seed))
 
-    # chunk replications to bound the (chunk x J) draw matrix
-    chunk = max(1, int(4_000_000 / J))
+    if regime == "fast":
+        etas = np.zeros_like(weights)
+        log_norm = 0.0
+    elif regime == "slow_unbounded":
+        r_full = -math.expm1(-mu * h) / mu
+        etas = theta_star * weights / (counts * r_full)
+        log_norm = float(np.sum(counts * np.array([env.log_mgf(e) for e in etas])))
+    elif regime == "intermediate":
+        scale = math.expm1(theta_star / delta)
+        etas = N * wk * scale
+        log_norm = float(np.sum(counts * np.array([env.log_mgf(e) for e in etas])))
+    else:
+        raise RegimeError(
+            "no importance sampler for the bounded slow branch; "
+            "rate_slow_bounded gives the closed-form rate"
+        )
+
+    chunk = max(1, int(4_000_000 / max(len(counts), 1)))
     logw_parts = []
     done = 0
     while done < replications:
         n = min(chunk, replications - done)
-        lam = np.empty((n, J))
-        for j in range(J):
-            lam[:, j] = env.sample_twisted(eta[j], rng, n)
-        k_t = h * (lam @ decay)
-        log_lr = log_norm - lam @ eta
-        logw_parts.append(np.where(k_t >= a, log_lr, -np.inf))
+        s = env.sample_block_sums_twisted(etas, rng, counts, n)
+        kappa = s @ wk
+        if regime == "slow_unbounded":
+            log_lr = log_norm - s @ etas
+            logw = poisson.logsf(m - 1, N * kappa) + log_lr
+        else:
+            tilt = theta_star if regime == "fast" else theta_star / delta
+            x = rng.poisson(N * kappa * math.exp(tilt), size=n)
+            if regime == "fast":
+                log_lr = N * kappa * math.expm1(tilt) - tilt * x
+            else:
+                log_lr = log_norm - tilt * x
+            logw = np.where(x >= m, log_lr, -np.inf)
+        logw_parts.append(logw)
         done += n
+
     logw = np.concatenate(logw_parts)
-    logw = logw[np.isfinite(logw)]
-    if logw.size == 0:
-        return 0.0, math.inf
-    log_mean = logsumexp(logw) - math.log(replications)
-    log_sq = logsumexp(2.0 * logw) - math.log(replications)
-    prob = math.exp(log_mean)
-    # Var(W)/R / prob^2, with E[W^2] and E[W]^2 kept in log space
+    finite = logw[np.isfinite(logw)]
+    if finite.size == 0:
+        return -math.inf, math.inf
+    log_mean = float(logsumexp(finite)) - math.log(replications)
+    log_sq = float(logsumexp(2.0 * finite)) - math.log(replications)
+    # Var(W)/R / P^2, with E[W^2] and E[W]^2 kept in log space
     rel_var = math.expm1(min(log_sq - 2.0 * log_mean, 700.0))
-    rel_err = math.sqrt(max(rel_var, 0.0) / replications)
-    return prob, rel_err
+    return log_mean, math.sqrt(max(rel_var, 0.0) / replications)
 
 
 # ---------------------------------------------------------------------------

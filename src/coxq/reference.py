@@ -71,7 +71,5 @@ def simulate_events(config: SimConfig, keep_logs: bool = False):
         if keep_logs:
             logs.append(EventLog(epochs=epochs, departures=departures, initial_departures=init_dep))
 
-    traj = Trajectory(
-        times=grid, counts=counts, initial_counts=config.initial_counts, realized_paths=None
-    )
+    traj = Trajectory(times=grid, counts=counts, initial_counts=config.initial_counts)
     return traj, logs

@@ -15,13 +15,18 @@ by sequential per-queue binomials (memorylessness makes the joint evolution
 depend on the category only).  Initial jobs are queue-specific populations
 thinned the same way.
 
-When the scaled slot length is far below 1/sum(mu), per-slot rate draws are
-replaced by whole-slot blocks: the block's rate mass keeps its exact
-distribution (gamma sums, multinomial counts), and only the pairing of rates
-to survival weights inside a block is averaged.  The block length is capped
-at block_tol/sum(mu), which keeps the relative distortion of second moments
-of order block_tol^2 (about 1e-5 at the default block_tol = 0.01; means are
-exact).  Set block_tol=0 to force exact per-slot sampling.
+Rates are drawn per cell of ``cell_table``, a time-ordered list of cells of
+whole slots shared by every replication (and by ``ldp.estimate_log_tail``).
+When the scaled slot length h is below block_tol/sum(mu), the slots between
+two grid times form blocks of L = max(1, int(block_tol/(sum(mu) h))) slots,
+restarting at every grid time; otherwise (and always at block_tol = 0) every
+cell is one slot and is drawn exactly.  A slot that straddles a grid time is
+a single-slot cell shared by the intervals on both sides, so the cells tile
+every interval and means are exact.  A block's rate mass keeps its exact
+distribution (gamma sums, multinomial counts); only the pairing of rates to
+survival weights inside a block is averaged, which keeps the relative
+distortion of second moments of order block_tol^2 (about 1e-5 at the
+default block_tol = 0.01).
 
 Replication r consumes only the r-th stream spawned from the seed, so
 results are bit-identical across runs and across any replication-level
@@ -40,6 +45,8 @@ from .env import EnvSpec, ScalingRegime, spawn_streams
 from .errors import InsufficientData, RangeError, ResourceError
 
 __all__ = [
+    "CellTable",
+    "cell_table",
     "SimConfig",
     "Trajectory",
     "MomentReport",
@@ -69,7 +76,6 @@ class SimConfig:
     warmup: float = 0.0
     block_tol: float = 0.01
     event_budget: float = 1e9
-    store_paths: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
@@ -96,12 +102,11 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Queue counts per replication on the grid; optionally the realized rate paths."""
+    """Queue counts per replication on the grid."""
 
     times: np.ndarray  # (G,)
     counts: np.ndarray  # (R, G, d) non-negative integers
     initial_counts: tuple[int, ...]
-    realized_paths: list | None = None
 
     @property
     def replications(self) -> int:
@@ -141,13 +146,23 @@ class MomentReport:
 # Cell table: the deterministic skeleton shared by every replication.
 
 
-@dataclass
-class _Interval:
-    t_end: float
-    dt: float  # gap from the previous checkpoint
-    slot_idx: np.ndarray  # exact mode: slot index per cell (empty in blocked mode)
-    n_slots: np.ndarray  # blocked mode: whole slots per cell (empty in exact mode)
-    cat_w: np.ndarray  # (n_cells, n_cats) survival-pattern weights
+@dataclass(frozen=True)
+class CellTable:
+    """Whole-slot cells in time order, and the cells that tile each grid interval.
+
+    ``slots[c]`` is the number of whole slots in cell c.  ``cells[g]`` is the
+    contiguous range of cells tiling [t_(g-1), t_g) (with t_(-1) = 0), and
+    ``weights[g]`` holds their survival-pattern weights at t_g, one column per
+    non-empty alive pattern (bitmask - 1).  A cell that straddles a grid time
+    belongs to the ranges on both sides, each with the weight of its own piece.
+    ``blocked`` says whether cells were sized by block_tol (sampled as block
+    sums) or are single slots (sampled slot by slot).
+    """
+
+    slots: np.ndarray
+    cells: tuple[slice, ...]
+    weights: tuple[np.ndarray, ...]
+    blocked: bool
 
 
 def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> np.ndarray:
@@ -179,62 +194,52 @@ def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> 
     return w
 
 
-def _build_intervals(config: SimConfig) -> tuple[list[_Interval], bool, int]:
-    """Returns (intervals, blocked_mode, total exact slots)."""
-    h = config.scaling.delta_n
-    mu = config.queues.mu
+def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellTable:
+    """Cells of whole slots of length h covering [0, grid[-1]), cut at every grid time.
+
+    With h < block_tol/sum(mu) the slots between grid times are grouped into
+    blocks of L = max(1, int(block_tol/(sum(mu) h))) slots, restarting at every
+    grid time; otherwise every cell is one slot.  A slot that straddles a grid
+    time is a single-slot cell shared by both intervals, so the pieces tile
+    each interval exactly.  Grid times within 1e-12 max(h, 1) of a slot
+    boundary count as on the boundary.
+    """
     mu_tot = sum(mu)
-    blocked = config.block_tol > 0 and h < config.block_tol / mu_tot
-    if not blocked and config.horizon > 0 and math.ceil(config.horizon / h) > _MAX_EXACT_SLOTS:
+    blocked = block_tol > 0 and h < block_tol / mu_tot
+    L = max(1, int(block_tol / (mu_tot * h))) if blocked else 1
+    if not blocked and math.ceil(grid[-1] / h) > _MAX_EXACT_SLOTS:
         raise ResourceError(
-            f"{math.ceil(config.horizon / h)} per-replication slots in exact mode; "
+            f"{math.ceil(grid[-1] / h)} per-replication slots in exact mode; "
             "increase block_tol or reduce the horizon"
         )
     tiny = 1e-12 * max(h, 1.0)
-    intervals: list[_Interval] = []
+    starts: list[int] = []  # first slot of each cell
+    end = 0  # slot after the last cell
+    cells, weights = [], []
     prev = 0.0
-    n_slots_total = 0
-    for t_end in config.grid:
-        a_list: list[float] = []
-        b_list: list[float] = []
-        slot_idx: list[int] = []
-        n_slots: list[int] = []
+    for t_end in grid:
+        first = len(starts)
         if t_end > prev + tiny:
-            if blocked:
-                s0 = int(round(prev / h))
-                s1 = int(round(t_end / h))
-                L = max(1, int(config.block_tol / (mu_tot * h)))
-                e = s0
-                while e < s1:
-                    e2 = min(e + L, s1)
-                    a_list.append(e * h)
-                    b_list.append(min(e2 * h, t_end))
-                    n_slots.append(e2 - e)
-                    e = e2
-            else:
-                j = int(math.floor(prev / h))
-                while j * h < t_end - tiny:
-                    a = max(prev, j * h)
-                    b = min(t_end, (j + 1) * h)
-                    if b - a > tiny:
-                        a_list.append(a)
-                        b_list.append(b)
-                        slot_idx.append(j)
-                    j += 1
-        cat_w = _category_weights(a_list, b_list, t_end, mu)
-        intervals.append(
-            _Interval(
-                t_end=t_end,
-                dt=t_end - prev,
-                slot_idx=np.asarray(slot_idx, dtype=np.int64),
-                n_slots=np.asarray(n_slots, dtype=np.int64),
-                cat_w=cat_w,
-            )
-        )
+            if end * h - prev > tiny:  # prev cuts the last cell, a single slot
+                first -= 1
+            j1 = math.ceil((t_end - tiny) / h)  # slots up to j1 - 1 reach into the interval
+            while (j1 - 1) * h >= t_end - tiny:
+                j1 -= 1
+            while j1 * h < t_end - tiny:
+                j1 += 1
+            whole = j1 if j1 * h - t_end <= tiny else j1 - 1
+            starts.extend(range(end, whole, L))
+            if max(end, whole) < j1:  # t_end straddles slot j1 - 1
+                starts.append(j1 - 1)
+            end = max(end, j1)
+        bounds = np.array(starts[first:] + [end], dtype=float) * h
+        a = np.maximum(bounds[:-1], prev)
+        b = np.minimum(bounds[1:], t_end)
+        cells.append(slice(first, len(starts)))
+        weights.append(_category_weights(a, b, t_end, mu))
         prev = t_end
-    if not blocked and config.horizon > 0:
-        n_slots_total = max((int(iv.slot_idx.max()) + 1 for iv in intervals if iv.slot_idx.size), default=0)
-    return intervals, blocked, n_slots_total
+    slots = np.diff(np.array(starts + [end], dtype=np.int64))
+    return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights), blocked=blocked)
 
 
 def _check_budget(config: SimConfig) -> None:
@@ -251,57 +256,33 @@ def _check_budget(config: SimConfig) -> None:
 def simulate(config: SimConfig) -> Trajectory:
     """Simulate the coupled queues; exact in law given the documented blocking."""
     _check_budget(config)
-    intervals, blocked, n_slots_total = _build_intervals(config)
-    if config.store_paths and blocked:
-        raise ResourceError("store_paths requires exact per-slot mode (block_tol=0)")
+    mu = config.queues.mu
+    table = cell_table(mu, config.scaling.delta_n, config.grid, config.block_tol)
 
     d = config.queues.d
     N = config.scaling.N
     n_cats = 2**d - 1
     G = len(config.grid)
-    mu = config.queues.mu
     # survival probabilities over each inter-grid gap, per queue
-    p_step = np.array([[math.exp(-m * iv.dt) for m in mu] for iv in intervals])
+    dts = [t - s for s, t in zip((0.0,) + config.grid, config.grid)]
+    p_step = np.array([[math.exp(-m * dt) for m in mu] for dt in dts])
     masks_by_queue = [[mask for mask in range(1, 2**d) if mask >> i & 1] for i in range(d)]
 
-    blocked_counts = (
-        np.concatenate([iv.n_slots for iv in intervals]) if blocked else None
-    )
     counts = np.zeros((config.replications, G, d), dtype=np.int64)
-    paths = [] if config.store_paths else None
     streams = spawn_streams(config.seed, config.replications)
 
-    from .env import RatePath  # local import to avoid cycle at module load
-
     for r, rng in enumerate(streams):
-        # 1. realized environment
-        if blocked:
-            sums = config.env.sample_block_sums(rng, blocked_counts)
-            ravg_all = np.divide(
-                sums,
-                blocked_counts,
-                out=np.zeros_like(np.asarray(sums, dtype=float)),
-                where=blocked_counts > 0,
-            )
-            offsets = np.cumsum([0] + [iv.n_slots.size for iv in intervals])
+        # 1. realized environment: the average slot rate of every cell
+        if table.blocked:
+            ravg = config.env.sample_block_sums(rng, table.slots) / table.slots
         else:
-            rates = (
-                config.env.sample(rng, n_slots_total) if n_slots_total else np.empty(0)
-            )
-            if config.store_paths:
-                paths.append(
-                    RatePath(
-                        slot_length=config.scaling.delta_n,
-                        rates=rates,
-                        horizon=n_slots_total * config.scaling.delta_n,
-                    )
-                )
+            ravg = config.env.sample(rng, table.slots.size) if table.slots.size else np.empty(0)
 
         state = np.zeros(n_cats + 1, dtype=np.int64)  # index = category bitmask
         init = np.array(config.initial_counts, dtype=np.int64)
-        for g, iv in enumerate(intervals):
+        for g, (cells, cat_w) in enumerate(zip(table.cells, table.weights)):
             # thin initial populations and alive categories over the gap
-            if iv.dt > 0:
+            if dts[g] > 0:
                 for i in range(d):
                     if init[i]:
                         init[i] = rng.binomial(init[i], p_step[g, i])
@@ -313,13 +294,9 @@ def simulate(config: SimConfig) -> Trajectory:
                             state[mask] = surv
                             state[mask & ~(1 << i)] += c - surv
                 state[0] = 0
-            # new arrivals alive at t_end, by category
-            if iv.cat_w.shape[0]:
-                if blocked:
-                    ravg = ravg_all[offsets[g] : offsets[g + 1]]
-                else:
-                    ravg = rates[iv.slot_idx]
-                nu = N * (ravg @ iv.cat_w)
+            # new arrivals alive at t_g, by category
+            if cat_w.shape[0]:
+                nu = N * (ravg[cells] @ cat_w)
                 for cat in range(n_cats):
                     state[cat + 1] += rng.poisson(nu[cat])
             for i in range(d):
@@ -332,7 +309,6 @@ def simulate(config: SimConfig) -> Trajectory:
         times=np.asarray(config.grid),
         counts=counts,
         initial_counts=config.initial_counts,
-        realized_paths=paths,
     )
 
 
@@ -354,7 +330,6 @@ def sample_stationary(config: SimConfig) -> Trajectory:
         grid=(warm,),
         warmup=warm,
         initial_counts=(0,) * config.queues.d,
-        store_paths=False,
     )
     return simulate(cfg)
 

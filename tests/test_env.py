@@ -1,11 +1,9 @@
-"""Rate-distribution families, scaling regime, and rate-path sampling."""
+"""Rate-distribution families, scaling regime, and (twisted) sampling."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from coxq.env import (
@@ -13,15 +11,11 @@ from coxq.env import (
     DiscreteFinite,
     Exponential,
     Gamma,
-    RatePath,
     ScalingRegime,
-    cumulative_rate,
     env_from_json,
-    sample_rate_path,
-    sample_twisted,
     spawn_streams,
 )
-from coxq.errors import DomainError, RangeError
+from coxq.errors import DomainError
 
 FAMILIES = [
     Deterministic(2.0),
@@ -32,10 +26,6 @@ FAMILIES = [
     DiscreteFinite([1.0, 3.0], [0.5, 0.5]),
     DiscreteFinite([0.0, 2.0, 5.0], [0.2, 0.5, 0.3]),
 ]
-
-
-def family_strategy():
-    return st.sampled_from(FAMILIES)
 
 
 # -- MGF and log-MGF ---------------------------------------------------------
@@ -135,51 +125,28 @@ def test_scaling_regime_exponents():
         ScalingRegime(N=10, alpha=1.0, delta=0.0)
 
 
-# -- rate-path sampling ------------------------------------------------------
-
-
-def test_rate_path_deterministic():
-    rng = spawn_streams(0, 1)[0]
-    path = sample_rate_path(Deterministic(2.0), ScalingRegime(5, 1.0, 1.0), 1.0, rng)
-    assert np.all(path.rates == 2.0)
-
-
-def test_rate_path_slot_count():
-    rng = spawn_streams(0, 1)[0]
-    path = sample_rate_path(Exponential(1.0), ScalingRegime(1, 0.0, 1.0), 3.5, rng)
-    assert path.rates.size == 4
-
-
-def test_rate_path_law_of_large_numbers():
-    rng = spawn_streams(42, 1)[0]
-    path = sample_rate_path(Exponential(1.0), ScalingRegime(1, 0.0, 1e-5), 1.0, rng)
-    assert path.rates.size == 100_000
-    assert path.rates.mean() == pytest.approx(1.0, abs=0.01)
-
-
-def test_rate_path_seeded_reproducibility():
-    a = sample_rate_path(Gamma(2.0, 0.5), ScalingRegime(10, 1.0, 1.0), 5.0, spawn_streams(7, 1)[0])
-    b = sample_rate_path(Gamma(2.0, 0.5), ScalingRegime(10, 1.0, 1.0), 5.0, spawn_streams(7, 1)[0])
-    assert np.array_equal(a.rates, b.rates)
-
-
 # -- twisted sampling --------------------------------------------------------
+
+
+def twisted_draws(env, eta, rng, size):
+    """``size`` single-slot draws from the law tilted by eta."""
+    return env.sample_block_sums_twisted(np.array([eta]), rng, np.array([1]), size)[:, 0]
 
 
 def test_twisted_deterministic_invariant():
     rng = spawn_streams(0, 1)[0]
-    assert np.all(sample_twisted(Deterministic(1.5), 3.0, rng, 10) == 1.5)
+    assert np.all(twisted_draws(Deterministic(1.5), 3.0, rng, 10) == 1.5)
 
 
 def test_twisted_exponential_mean():
     rng = spawn_streams(3, 1)[0]
-    x = sample_twisted(Exponential(1.0), 0.5, rng, 100_000)
+    x = twisted_draws(Exponential(1.0), 0.5, rng, 100_000)
     assert x.mean() == pytest.approx(2.0, abs=0.02)
 
 
 def test_twisted_discrete_concentrates_on_max():
     rng = spawn_streams(4, 1)[0]
-    x = sample_twisted(DiscreteFinite([1.0, 3.0], [0.5, 0.5]), 200.0, rng, 1000)
+    x = twisted_draws(DiscreteFinite([1.0, 3.0], [0.5, 0.5]), 200.0, rng, 1000)
     assert np.all(x == 3.0)
 
 
@@ -187,22 +154,34 @@ def test_twisted_discrete_concentrates_on_max():
 def test_twisted_mean_matches_log_mgf_prime(env):
     eta = min(0.4, 0.5 * env.theta_max)
     rng = spawn_streams(11, 1)[0]
-    x = sample_twisted(env, eta, rng, 200_000)
+    x = twisted_draws(env, eta, rng, 200_000)
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - env.log_mgf_prime(eta)) < 4 * se + 1e-12
+
+
+@pytest.mark.parametrize("env", FAMILIES)
+def test_twisted_block_sums_mean_matches_log_mgf_prime(env):
+    # a sum of n tilted draws has mean n (log M)'(eta), in every cell of a table
+    etas = np.array([0.0, min(0.3, 0.5 * env.theta_max), min(0.4, 0.5 * env.theta_max)])
+    counts = np.array([3, 7, 40])
+    x = env.sample_block_sums_twisted(etas, spawn_streams(12, 1)[0], counts, 100_000)
+    assert x.shape == (100_000, 3)
+    for b in range(3):
+        se = x[:, b].std(ddof=1) / math.sqrt(x.shape[0])
+        assert abs(x[:, b].mean() - counts[b] * env.log_mgf_prime(etas[b])) < 4 * se + 1e-12
 
 
 @pytest.mark.parametrize("env", [Exponential(1.0), Gamma(2.0, 0.5), DiscreteFinite([1.0, 3.0], [0.5, 0.5])])
 def test_twisted_eta_zero_matches_plain(env):
     r1, r2 = spawn_streams(5, 2)
     plain = env.sample(r1, 10_000)
-    tilted = sample_twisted(env, 0.0, r2, 10_000)
+    tilted = twisted_draws(env, 0.0, r2, 10_000)
     assert ks_2samp(plain, tilted).pvalue > 0.01
 
 
 def test_twisted_domain_error():
     with pytest.raises(DomainError):
-        sample_twisted(Exponential(1.0), 1.0, spawn_streams(0, 1)[0], 10)
+        twisted_draws(Exponential(1.0), 1.0, spawn_streams(0, 1)[0], 10)
 
 
 def test_block_sums_match_plain_sums():
@@ -217,47 +196,6 @@ def test_block_sums_match_plain_sums():
     assert s.shape == (3,)
     assert s[1] == 0.0
     assert Deterministic(2.0).sample_block_sums(rng, np.array([4]))[0] == 8.0
-
-
-# -- cumulative rate ---------------------------------------------------------
-
-
-def test_cumulative_rate_examples():
-    const = RatePath(slot_length=1.0, rates=np.full(3, 2.0), horizon=3.0)
-    assert cumulative_rate(const, 3.0) == pytest.approx(6.0)
-    assert cumulative_rate(const, 0.0) == 0.0
-    two = RatePath(slot_length=1.0, rates=np.array([1.0, 3.0]), horizon=2.0)
-    assert cumulative_rate(two, 1.5) == pytest.approx(2.5)
-    with pytest.raises(RangeError):
-        cumulative_rate(two, 2.5)
-
-
-def test_rate_at_piecewise_constant():
-    path = RatePath(slot_length=0.5, rates=np.array([1.0, 3.0, 2.0]), horizon=1.5)
-    assert path.rate_at(0.0) == 1.0
-    assert path.rate_at(0.49) == 1.0
-    assert path.rate_at(0.5) == 3.0
-    assert path.rate_at(1.25) == 2.0
-    with pytest.raises(RangeError):
-        path.rate_at(1.5)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-)
-def test_cumulative_rate_additivity(rates, u1, u2):
-    rates = np.asarray(rates)
-    horizon = float(rates.size)
-    path = RatePath(slot_length=1.0, rates=rates, horizon=horizon)
-    t1 = u1 * horizon
-    t2 = t1 + u2 * (horizon - t1)
-    total = path.cumulative(t2)
-    recombined = path.cumulative(t1) + path.cumulative_between(t1, t2)
-    # additive by construction, up to one re-addition rounding (ulp scale)
-    assert abs(recombined - total) <= 4 * math.ulp(max(total, 1.0))
 
 
 # -- serialization -----------------------------------------------------------

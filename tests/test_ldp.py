@@ -12,8 +12,8 @@ from coxq.errors import DegenerateQuery, DomainError, RegimeError, UnsupportedFa
 from coxq.ldp import (
     RateQuery,
     classify_regime,
+    estimate_log_tail,
     integrated_log_mgf,
-    is_estimate_tail,
     rate_fast,
     rate_intermediate,
     rate_multivariate,
@@ -307,24 +307,6 @@ def test_multivariate_domain_error():
 # -- importance sampling --------------------------------------------------------------
 
 
-def test_is_estimator_matches_plain_monte_carlo():
-    query = q(t=3.0, a=1.6)
-    scaling = ScalingRegime(50, 0.5, 1.0)
-    rng_is, rng_plain = spawn_streams(77, 2)
-    prob, rel_err = is_estimate_tail(query, scaling, 50_000, rng_is)
-    # plain Monte Carlo of the same functional
-    h = scaling.delta_n
-    J = int(3.0 / h)
-    decay = np.exp(-np.arange(J) * h)
-    lam = rng_plain.exponential(1.0, size=(200_000, J))
-    k = h * (lam @ decay)
-    p_hat = (k >= 1.6).mean()
-    se_plain = math.sqrt(p_hat * (1 - p_hat) / 200_000)
-    combined = math.sqrt(se_plain**2 + (prob * rel_err) ** 2)
-    assert abs(prob - p_hat) < 3 * combined
-    assert rel_err < 0.05
-
-
 def test_is_q_mean_property():
     # under Q the drift of k_t targets a: E_Q k_t -> a as N grows
     query = q(t=5.0, a=1.5)
@@ -344,56 +326,20 @@ def test_is_q_mean_property():
     h = scaling.delta_n
     J = int(5.0 / h)
     decay = np.exp(-np.arange(J) * h)
-    lam = np.empty((20_000, J))
-    for jj in range(J):
-        lam[:, jj] = env.sample_twisted(theta * decay[jj], rng, 20_000)
+    lam = env.sample_block_sums_twisted(theta * decay, rng, np.ones(J, dtype=np.int64), 20_000)
     k = h * (lam @ decay)
     se = k.std(ddof=1) / math.sqrt(k.size)
     assert abs(k.mean() - tilted_mean(400)) < 4 * se
 
 
-def test_is_deterministic_env_degenerate_indicator():
-    # point-mass rates: LR is identically 1, the indicator is deterministic
-    env = Deterministic(1.0)
-    scaling = ScalingRegime(100, 0.5, 1.0)
-    rng = spawn_streams(1, 1)[0]
-    base = q(env=env, t=5.0, a=1.02)
-    prob, rel_err = is_estimate_tail(base, scaling, 100, rng, theta_star=2.0)
-    # k_t (left Riemann sum) sits just above a; LR is identically 1
-    assert prob == pytest.approx(1.0, rel=1e-12)
-    assert rel_err == pytest.approx(0.0, abs=1e-6)
-    prob, rel_err = is_estimate_tail(q(env=env, t=5.0, a=1.5), scaling, 100, rng, theta_star=2.0)
-    assert prob == 0.0
-
-
-def test_is_slope_recovers_rate():
-    # log P(k_t >= a) ~ rate * N^alpha/Delta; WLS slope (with the 1/2 log x
-    # prefactor removed) recovers the Legendre rate within 10%
-    query = q(t=5.0, a=1.5)
-    res = rate_slow(query)
-    rngs = spawn_streams(404, 4)
-    xs, ys, ws = [], [], []
-    for rng, N in zip(rngs, (200, 400, 800, 1600)):
-        scaling = ScalingRegime(N, 0.5, 1.0)
-        prob, rel_err = is_estimate_tail(query, scaling, 30_000, rng, theta_star=res.theta_star)
-        x = scaling.N**0.5 / 1.0
-        xs.append(x)
-        ys.append(math.log(prob) + 0.5 * math.log(x))
-        ws.append(1.0 / rel_err**2)
-    xs, ys, ws = map(np.asarray, (xs, ys, ws))
-    xb, yb = (ws * xs).sum() / ws.sum(), (ws * ys).sum() / ws.sum()
-    slope = (ws * (xs - xb) * (ys - yb)).sum() / (ws * (xs - xb) ** 2).sum()
-    assert slope == pytest.approx(res.rate, rel=0.10)
-
-
 def test_is_degenerate_query():
     with pytest.raises(DegenerateQuery):
-        is_estimate_tail(q(t=5.0, a=0.5), ScalingRegime(100, 0.5, 1.0), 10, spawn_streams(0, 1)[0])
+        estimate_log_tail(q(t=5.0, a=0.5), 100, 10, 0, 1.0, 0.01)
 
 
-def test_is_scaling_mismatch():
-    with pytest.raises(ValueError):
-        is_estimate_tail(q(t=5.0, a=1.5), ScalingRegime(100, 0.7, 1.0), 10, spawn_streams(0, 1)[0])
+def test_is_rejects_bounded_slow_branch():
+    with pytest.raises(RegimeError):
+        estimate_log_tail(q(env=Deterministic(1.0), t=5.0, a=1.5), 100, 10, 0, 1.0, 0.01)
 
 
 def test_rate_result_json():

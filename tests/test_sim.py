@@ -19,6 +19,7 @@ from coxq.errors import InsufficientData, RangeError, ResourceError
 from coxq.reference import simulate_events
 from coxq.sim import (
     SimConfig,
+    cell_table,
     estimate_moments,
     normalized_endpoint,
     sample_stationary,
@@ -244,16 +245,56 @@ def test_csv_export_deterministic(tmp_path):
     assert lines[1].startswith("0,1.0,0,")
 
 
-def test_store_paths():
-    cfg = make_config(replications=2, store_paths=True)
-    traj = simulate(cfg)
-    assert len(traj.realized_paths) == 2
-    assert traj.realized_paths[0].rates.size == 2
-    blocked_cfg = make_config(
-        scaling=ScalingRegime(4000, 1.0, 1.0), replications=2, store_paths=True
-    )
+# -- cell table: deterministic mean oracle ----------------------------------------
+
+
+@pytest.mark.parametrize("mu", [(1.0,), (1.0, 2.0)])
+@pytest.mark.parametrize(
+    "h, block_tol, grid",
+    [
+        (0.1, 0.01, (0.0, 0.5, 1.0, 1.0, 2.0)),  # exact, on the slot lattice
+        (0.1, 0.0, (0.1234567, 0.14, 0.1455, 1.05)),  # exact, three reads in one slot
+        (1e-3, 0.01, (0.25, 0.5, 0.5, 1.0)),  # blocked, on the lattice
+        (1e-3, 0.01, (1.4e-3, 0.1234567, 0.1236, 0.6)),  # blocked, off the lattice
+        (2.5e-5, 0.01, (0.1234567, 0.3)),  # blocked, 400-slot blocks for d = 1
+    ],
+)
+def test_cell_table_tiles_grid_and_reproduces_transient_mean(mu, h, block_tol, grid):
+    table = cell_table(mu, h, grid, block_tol)
+    blocked = block_tol > 0 and h < block_tol / sum(mu)
+    assert table.blocked == blocked
+    assert table.slots.min() >= 1
+    assert table.slots.max() <= (max(1, int(block_tol / (sum(mu) * h))) if blocked else 1)
+    edges = np.concatenate([[0], np.cumsum(table.slots)]) * h
+    tiny = 1e-12
+    prev = 0.0
+    for cells, t in zip(table.cells, grid):
+        if t == prev:
+            assert cells.start == cells.stop
+            continue
+        lo, hi = edges[cells.start : cells.stop], edges[cells.start + 1 : cells.stop + 1]
+        # consecutive cells, the first reaching past t_(g-1), the last past t_g
+        assert lo[0] <= prev + tiny < hi[0]
+        assert lo[-1] < t - tiny <= hi[-1]
+        # a cell cut by a grid time is a single slot
+        cut = (lo < prev - tiny) | (hi > t + tiny)
+        assert np.all(table.slots[cells][cut] == 1)
+        prev = t
+
+    # N E[L] sum_g' sum_{S containing i} w e^(-mu_i (t_g - t_g')) is the exact mean
+    env, N = Exponential(1.0), 200
+    for i, m in enumerate(mu):
+        cols = [s - 1 for s in range(1, 2 ** len(mu)) if s >> i & 1]
+        for g, t in enumerate(grid):
+            implied = N * env.mean * sum(
+                table.weights[k][:, cols].sum() * math.exp(-m * (t - grid[k])) for k in range(g + 1)
+            )
+            assert implied == pytest.approx(N * transient_moments(env, m, h, t)[0], rel=1e-12)
+
+
+def test_cell_table_exact_mode_slot_guard():
     with pytest.raises(ResourceError):
-        simulate(blocked_cfg)
+        cell_table((1.0,), 1e-7, (1.0,), 0.0)
 
 
 # -- engine law vs independent routes ---------------------------------------------
