@@ -16,9 +16,9 @@ from .analytic import (
     clt_sigma2,
     fclt_covariance,
     fluid_limit,
-    scaled_covariance,
     scaled_variance,
     stationary_correlation,
+    stationary_covariance,
     stationary_mean,
     stationary_pgf,
     stationary_variance,

@@ -41,7 +41,7 @@ __all__ = [
     "fluid_limit",
     "fclt_covariance",
     "stationary_correlation",
-    "scaled_covariance",
+    "stationary_covariance",
 ]
 
 
@@ -65,15 +65,14 @@ class QueueParams:
 class SurvivalConstants:
     """Survival quantities of one slot of length t for service rate mu.
 
-    p = exp(-mu t): survival over a full slot; q = (1-p)/(mu t): survival of
-    a uniformly placed arrival to the slot end; r = t q = (1-p)/mu;
-    c_ratio = (1-p)/(1+p), the variance inflation factor.
+    p = exp(-mu t): survival over a full slot; r = (1-p)/mu: survival to the
+    slot end integrated over the arrival time in the slot; c_ratio =
+    (1-p)/(1+p), the variance inflation factor.
     """
 
     mu: float
     t: float
     p: float = field(init=False)
-    q: float = field(init=False)
     r: float = field(init=False)
     c_ratio: float = field(init=False)
 
@@ -84,7 +83,6 @@ class SurvivalConstants:
         one_minus_p = -math.expm1(-self.mu * self.t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", one_minus_p / self.mu)
-        object.__setattr__(self, "q", one_minus_p / (self.mu * self.t))
         object.__setattr__(self, "c_ratio", one_minus_p / (1.0 + p))
 
     @property
@@ -98,16 +96,6 @@ class LimitCovariance:
 
     matrix: np.ndarray
     regime: str  # "fast" (alpha>1), "slow" (alpha<1), "intermediate" (alpha=1)
-
-    def is_symmetric_psd(self, tol: float = 1e-10) -> bool:
-        m = self.matrix
-        if not np.allclose(m, m.T, atol=tol):
-            return False
-        try:
-            np.linalg.cholesky(m + tol * np.eye(m.shape[0]))
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
 
 def _regime_label(alpha: float) -> str:
@@ -290,14 +278,15 @@ def stationary_correlation(
     return c * math.sqrt(mu_i * mu_k) / (mu_i + mu_k), c
 
 
-def scaled_covariance(env: EnvSpec, mu_i: float, mu_k: float, scaling: ScalingRegime) -> float:
-    """Large-N covariance of two coupled stationary queue lengths.
+def stationary_covariance(env: EnvSpec, mu_i: float, mu_k: float, scaling: ScalingRegime) -> float:
+    """Exact stationary covariance of two distinct coupled queues at slot boundaries.
 
-    (E[L] delta N^(1-alpha) + Var[L] delta^2 N^(2-2alpha))
-      / (1 - exp(-(mu_i+mu_k) delta N^-alpha)).
-    Asymptotically exact (not a finite-N identity).
+    N E[L]/(mu_i + mu_k) + N^2 Var[L] r_i r_k / (1 - p_i p_k) with
+    p = exp(-mu delta_N) and r = (1 - p)/mu.  The first term counts shared
+    arrivals alive in both queues, the second the common rate of each slot.
+    For mu_i = mu_k this is not the variance, whose Poisson term is N E[L]/mu.
     """
-    N, alpha, delta = scaling.N, scaling.alpha, scaling.delta
-    num = env.mean * delta * N ** (1 - alpha) + env.variance * delta**2 * N ** (2 - 2 * alpha)
-    den = -math.expm1(-(mu_i + mu_k) * scaling.delta_n)
-    return num / den
+    N, h = scaling.N, scaling.delta_n
+    si, sk = SurvivalConstants(mu_i, h), SurvivalConstants(mu_k, h)
+    shared = -math.expm1(-(mu_i + mu_k) * h)
+    return N * env.mean / (mu_i + mu_k) + N**2 * env.variance * si.r * sk.r / shared

@@ -3,12 +3,13 @@
 The arrival intensity is a piecewise-constant process: every slot of length
 ``delta`` an i.i.d. copy of a non-negative random variable with finite first
 two moments is drawn and held.  Four closed-form families are supported;
-each provides its moments, moment generating function M(theta) = E exp(theta L),
-an exponentially twisted sampler (density reweighted by exp(eta x) / M(eta)),
-and its essential supremum.  Downstream modules need exact transforms, which
-is why the families are closed rather than user-pluggable; the interface
-contract for an extension is: mean, variance, mgf, log_mgf, log_mgf_prime,
-sample, sample_block_sums, sample_block_sums_twisted, essential_sup, theta_max.
+each provides its moments, the log moment generating function
+log M(theta) = log E exp(theta L) and its derivative, an exponentially twisted
+block-sum sampler (density reweighted by exp(eta x) / M(eta)), and its
+essential supremum.  Downstream modules need exact transforms, which is why
+the families are closed rather than user-pluggable; the interface contract
+for an extension is: mean, variance, log_mgf, log_mgf_prime, sample,
+sample_block_sums, sample_block_sums_twisted, essential_sup, theta_max.
 
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
@@ -78,9 +79,6 @@ class EnvSpec:
             )
 
     # -- transforms --------------------------------------------------------
-    def mgf(self, theta: float) -> float:
-        raise NotImplementedError
-
     def log_mgf(self, theta: float) -> float:
         raise NotImplementedError
 
@@ -132,9 +130,6 @@ class Deterministic(EnvSpec):
     def theta_max(self) -> float:
         return math.inf
 
-    def mgf(self, theta: float) -> float:
-        return math.exp(theta * self.value)
-
     def log_mgf(self, theta: float) -> float:
         return theta * self.value
 
@@ -181,10 +176,6 @@ class Exponential(EnvSpec):
     @property
     def theta_max(self) -> float:
         return self.rate
-
-    def mgf(self, theta: float) -> float:
-        self._check_theta(theta)
-        return self.rate / (self.rate - theta)
 
     def log_mgf(self, theta: float) -> float:
         self._check_theta(theta)
@@ -238,10 +229,6 @@ class Gamma(EnvSpec):
     @property
     def theta_max(self) -> float:
         return 1.0 / self.scale
-
-    def mgf(self, theta: float) -> float:
-        self._check_theta(theta)
-        return (1.0 - self.scale * theta) ** (-self.shape)
 
     def log_mgf(self, theta: float) -> float:
         self._check_theta(theta)
@@ -311,9 +298,6 @@ class DiscreteFinite(EnvSpec):
     @property
     def theta_max(self) -> float:
         return math.inf
-
-    def mgf(self, theta: float) -> float:
-        return math.exp(self.log_mgf(theta))
 
     def log_mgf(self, theta: float) -> float:
         # Log-space summation: large theta*values must not overflow.

@@ -143,21 +143,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        def number(name):  # optional scalar: a JSON number, never a string
+            value = doc.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            return None if value is None else float(value)
+
+        def array(obj, name):  # sequence: a JSON array, never a string
+            if not isinstance(obj[name], list):
+                raise TypeError(f"{name} must be an array, got {obj[name]!r}")
+            return tuple(obj[name])
+
         try:
             return cls(
                 kind=doc["kind"],
                 env=env_from_json(doc["env"]),
-                queues=QueueParams(tuple(doc["queues"]["mu"])),
+                queues=QueueParams(array(doc["queues"], "mu")),
                 delta=float(doc["delta"]),
                 alpha=float(doc["alpha"]),
-                N_grid=tuple(doc["N_grid"]),
+                N_grid=array(doc, "N_grid"),
                 replications=int(doc["replications"]),
                 seed=int(doc["seed"]),
-                t=doc.get("t"),
-                a=doc.get("a"),
-                horizon=doc.get("horizon"),
-                grid=tuple(doc["grid"]) if "grid" in doc else None,
-                initial_counts=tuple(doc["initial_counts"]) if "initial_counts" in doc else None,
+                t=number("t"),
+                a=number("a"),
+                horizon=number("horizon"),
+                grid=array(doc, "grid") if "grid" in doc else None,
+                initial_counts=array(doc, "initial_counts") if "initial_counts" in doc else None,
                 block_tol=float(doc.get("block_tol", 0.01)),
                 tolerances=dict(doc.get("tolerances", {})),
             )
@@ -196,8 +207,8 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.criteria)
 
-    def to_json(self, include_wall_clock: bool = False) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "schema": "coxq-report/1",
             "version": __version__,
             "kind": self.kind,
@@ -207,9 +218,6 @@ class Report:
             "criteria": [c.to_json() for c in self.criteria],
             "passed": self.passed,
         }
-        if include_wall_clock:
-            doc["wall_clock_s"] = self.wall_clock_s
-        return doc
 
 
 def _validate(config: ExperimentConfig) -> None:
@@ -228,8 +236,11 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"{config.kind} needs at least two coupled queues")
     if config.kind == "fclt-check" and config.t is None:
         raise ConfigError("fclt-check needs the observation time t")
-    if config.kind == "simulate" and (config.horizon is None or config.grid is None):
-        raise ConfigError("simulate needs horizon and grid")
+    if config.kind == "simulate":
+        if config.horizon is None or config.grid is None:
+            raise ConfigError("simulate needs horizon and grid")
+        if config.grid and (min(config.grid) < 0 or max(config.grid) > config.horizon):
+            raise ConfigError("grid times must lie in [0, horizon]")
     if config.kind == "ldp-check":
         if config.t is None or config.a is None:
             raise ConfigError("ldp-check needs t and a")
@@ -256,9 +267,35 @@ def _ldp_query(config: ExperimentConfig) -> RateQuery:
     )
 
 
-def _per_n_seeds(seed: int, n: int, lanes: int = 2) -> np.ndarray:
-    """Deterministic 64-bit child seeds, ``lanes`` per grid point."""
-    return np.random.SeedSequence(seed).generate_state(max(n, 1) * lanes, dtype=np.uint64)
+def _per_n(config: ExperimentConfig):
+    """Yield (N, scaling, seed, spare_seed) for every point of N_grid.
+
+    The two 64-bit seeds of point k are words 2k and 2k + 1 of one
+    SeedSequence(config.seed) state, whose prefix does not depend on its
+    length: a run on a prefix of N_grid repeats that prefix's numbers.
+    """
+    words = np.random.SeedSequence(config.seed).generate_state(
+        2 * len(config.N_grid), dtype=np.uint64
+    )
+    for k, N in enumerate(config.N_grid):
+        scaling = ScalingRegime(N, config.alpha, config.delta)
+        yield N, scaling, int(words[2 * k]), int(words[2 * k + 1])
+
+
+def _sim_config(
+    config: ExperimentConfig, scaling: ScalingRegime, seed: int, grid=(0.0,), initial_counts=None
+) -> SimConfig:
+    """The simulator input for one N_grid point; no initial counts means an empty start."""
+    return SimConfig(
+        env=config.env,
+        queues=config.queues,
+        scaling=scaling,
+        grid=grid,
+        initial_counts=(0,) * config.queues.d if initial_counts is None else initial_counts,
+        replications=config.replications,
+        seed=seed,
+        block_tol=config.block_tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +396,13 @@ def run_analytic(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 # simulate
 
 
-def _sim_config(config: ExperimentConfig, N: int, seed: int) -> SimConfig:
-    if config.initial_counts is not None:
-        init = config.initial_counts
-    else:
-        init = (0,) * config.queues.d
-    return SimConfig(
-        env=config.env,
-        queues=config.queues,
-        scaling=ScalingRegime(N, config.alpha, config.delta),
-        horizon=float(config.horizon),
-        grid=config.grid,
-        initial_counts=init,
-        replications=config.replications,
-        seed=seed,
-        block_tol=config.block_tol,
-    )
-
-
 def run_simulate(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     import os
 
     from .sim import trajectory_to_csv
 
-    seeds = _per_n_seeds(config.seed, 1)
-    traj = simulate(_sim_config(config, config.N_grid[0], int(seeds[0])))
+    _, scaling, seed, _ = next(_per_n(config))
+    traj = simulate(_sim_config(config, scaling, seed, config.grid, config.initial_counts))
     moments = estimate_moments(traj)
     results = [moments.to_json()]
     files = {}
@@ -408,22 +427,9 @@ def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     mu = config.queues.mu[0]
     sigma2 = clt_sigma2(env, mu, delta, alpha)
     center = stationary_mean(env, mu)
-    seeds = _per_n_seeds(config.seed, len(config.N_grid), lanes=2)
     results = []
-    for idx, N in enumerate(config.N_grid):
-        scaling = ScalingRegime(N, alpha, delta)
-        cfg = SimConfig(
-            env=env,
-            queues=config.queues,
-            scaling=scaling,
-            horizon=0.0,
-            grid=(0.0,),
-            initial_counts=(0,),
-            replications=config.replications,
-            seed=int(seeds[2 * idx]),
-            block_tol=config.block_tol,
-        )
-        traj = sample_stationary(cfg)
+    for N, scaling, seed, dither_seed in _per_n(config):
+        traj = sample_stationary(_sim_config(config, scaling, seed))
         u = normalized_endpoint(traj, scaling, [center], traj.times[0])[:, 0]
         var = float(u.var(ddof=1))
         R = u.size
@@ -431,7 +437,7 @@ def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
         se_var = math.sqrt(max(m4 - (R - 3) / (R - 1) * var**2, 0.0) / R)
         # uniform half-job dither removes the integer lattice before the
         # continuity-based normality test; the variance uses raw counts
-        drng = np.random.Generator(np.random.PCG64(int(seeds[2 * idx + 1])))
+        drng = np.random.Generator(np.random.PCG64(dither_seed))
         dither = drng.uniform(-0.5, 0.5, size=traj.counts.shape[0])
         u_d = u + N ** (scaling.beta / 2.0) * dither / N
         a2, pval = anderson_darling_normal(u_d)
@@ -463,24 +469,11 @@ def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 def run_fclt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha, t = config.env, config.delta, config.alpha, float(config.t)
     queues = config.queues
-    seeds = _per_n_seeds(config.seed, len(config.N_grid))
     results = []
-    for idx, N in enumerate(config.N_grid):
-        scaling = ScalingRegime(N, alpha, delta)
+    for N, scaling, seed, _ in _per_n(config):
         init = tuple(int(round(N * stationary_mean(env, m))) for m in queues.mu)
         rho0 = np.array(init, dtype=float) / N
-        cfg = SimConfig(
-            env=env,
-            queues=queues,
-            scaling=scaling,
-            horizon=t,
-            grid=(t,),
-            initial_counts=init,
-            replications=config.replications,
-            seed=int(seeds[2 * idx]),
-            block_tol=config.block_tol,
-        )
-        traj = simulate(cfg)
+        traj = simulate(_sim_config(config, scaling, seed, (t,), init))
         center = [fluid_limit(rho0[i], env, queues.mu[i], t) for i in range(queues.d)]
         u = normalized_endpoint(traj, scaling, center, t)
         emp = np.cov(u.T, ddof=1)
@@ -514,22 +507,9 @@ def run_corr_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha = config.env, config.delta, config.alpha
     mu_i, mu_k = config.queues.mu[0], config.queues.mu[1]
     target, c_const = stationary_correlation(env, mu_i, mu_k, delta, alpha)
-    seeds = _per_n_seeds(config.seed, len(config.N_grid))
     results = []
-    for idx, N in enumerate(config.N_grid):
-        scaling = ScalingRegime(N, alpha, delta)
-        cfg = SimConfig(
-            env=env,
-            queues=config.queues,
-            scaling=scaling,
-            horizon=0.0,
-            grid=(0.0,),
-            initial_counts=(0,) * config.queues.d,
-            replications=config.replications,
-            seed=int(seeds[2 * idx]),
-            block_tol=config.block_tol,
-        )
-        mom = estimate_moments(sample_stationary(cfg))
+    for N, scaling, seed, _ in _per_n(config):
+        mom = estimate_moments(sample_stationary(_sim_config(config, scaling, seed)))
         corr = float(
             mom.covariance[0, 0, 1] / math.sqrt(mom.variance[0, 0] * mom.variance[0, 1])
         )
@@ -588,14 +568,12 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
         )
         criteria.append(Criterion("quadrature_dual_route", gap <= qtol, gap, 0.0, qtol))
 
-    seeds = _per_n_seeds(config.seed, len(config.N_grid))
     xs, ys, ses = [], [], []
     warn = config.tol("rel_err_warn")
-    for idx, N in enumerate(config.N_grid):
+    for N, scaling, seed, _ in _per_n(config):
         log_p, rel_err = estimate_log_tail(
-            query, N, config.replications, int(seeds[2 * idx]), rate_res.theta_star, config.block_tol
+            query, N, config.replications, seed, rate_res.theta_star, config.block_tol
         )
-        scaling = ScalingRegime(N, config.alpha, config.delta)
         x = speed_value(rate_res.speed, scaling)
         row = {
             "N": N,

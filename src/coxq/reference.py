@@ -35,7 +35,8 @@ class EventLog:
 
 def simulate_events(config: SimConfig, keep_logs: bool = False):
     """Simulate by explicit event construction; returns (Trajectory, logs | None)."""
-    expected = config.scaling.N * config.env.mean * config.horizon * config.replications
+    t_end = config.grid[-1]
+    expected = config.scaling.N * config.env.mean * t_end * config.replications
     if expected > _MAX_EXPECTED_EVENTS:
         raise ResourceError(
             f"reference simulator asked for {expected:.2e} expected events; "
@@ -45,14 +46,14 @@ def simulate_events(config: SimConfig, keep_logs: bool = False):
     N = config.scaling.N
     d = config.queues.d
     mu = np.asarray(config.queues.mu)
-    n_slots = math.ceil(config.horizon / h) if config.horizon > 0 else 0
+    n_slots = math.ceil(t_end / h) if t_end > 0 else 0
     grid = np.asarray(config.grid)
     counts = np.zeros((config.replications, grid.size, d), dtype=np.int64)
     logs = [] if keep_logs else None
 
     for r, rng in enumerate(spawn_streams(config.seed, config.replications)):
         rates = config.env.sample(rng, n_slots)
-        widths = np.minimum((np.arange(n_slots) + 1) * h, config.horizon) - np.arange(n_slots) * h
+        widths = np.minimum((np.arange(n_slots) + 1) * h, t_end) - np.arange(n_slots) * h
         batch = rng.poisson(N * rates * widths)
         epochs = np.concatenate(
             [j * h + rng.uniform(0.0, widths[j], size=batch[j]) for j in range(n_slots)]
@@ -71,5 +72,4 @@ def simulate_events(config: SimConfig, keep_logs: bool = False):
         if keep_logs:
             logs.append(EventLog(epochs=epochs, departures=departures, initial_departures=init_dep))
 
-    traj = Trajectory(times=grid, counts=counts, initial_counts=config.initial_counts)
-    return traj, logs
+    return Trajectory(times=grid, counts=counts), logs

@@ -3,7 +3,7 @@
 One shared arrival stream drives all queues: the rate is resampled every
 scaled slot (length delta N^-alpha), every arrival enters all d queues, and
 queue i serves with an independent Exp(mu_i) clock.  Counts are read on a
-grid of absolute times in [0, horizon].
+sorted grid of absolute times t >= 0; the run ends at the last grid time.
 
 The engine realizes the exact joint law without materializing individual
 arrivals.  Conditionally on the rate path, the jobs from one inter-grid
@@ -61,6 +61,8 @@ __all__ = [
 # far below Monte Carlo noise at any feasible replication count.
 _WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
+# Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
+_EVENT_BUDGET = 1e9
 
 
 @dataclass(frozen=True)
@@ -68,32 +70,25 @@ class SimConfig:
     env: EnvSpec
     queues: QueueParams
     scaling: ScalingRegime
-    horizon: float
     grid: tuple[float, ...]
     initial_counts: tuple[int, ...]
     replications: int
     seed: int
-    warmup: float = 0.0
     block_tol: float = 0.01
-    event_budget: float = 1e9
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
         object.__setattr__(self, "initial_counts", tuple(int(c) for c in self.initial_counts))
-        if self.horizon < 0:
-            raise ValueError("horizon must be non-negative")
         if len(self.grid) == 0:
             raise ValueError("grid must be non-empty")
         if any(t0 > t1 for t0, t1 in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be sorted")
-        if self.grid[0] < 0 or self.grid[-1] > self.horizon:
-            raise ValueError("grid times must lie in [0, horizon]")
+        if self.grid[0] < 0:
+            raise ValueError("grid times must be non-negative")
         if len(self.initial_counts) != self.queues.d:
             raise ValueError("initial_counts must have one entry per queue")
         if any(c < 0 for c in self.initial_counts):
             raise ValueError("initial_counts must be non-negative")
-        if not 0 <= self.warmup <= self.horizon:
-            raise ValueError("warmup must lie in [0, horizon]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if self.block_tol < 0:
@@ -106,7 +101,6 @@ class Trajectory:
 
     times: np.ndarray  # (G,)
     counts: np.ndarray  # (R, G, d) non-negative integers
-    initial_counts: tuple[int, ...]
 
     @property
     def replications(self) -> int:
@@ -242,20 +236,14 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights), blocked=blocked)
 
 
-def _check_budget(config: SimConfig) -> None:
-    expected = (
-        config.scaling.N * config.env.mean * config.horizon * config.replications
-    )
-    if expected > config.event_budget:
-        raise ResourceError(
-            f"expected {expected:.3e} arrival events exceeds the budget "
-            f"{config.event_budget:.3e}; raise event_budget or shrink the run"
-        )
-
-
 def simulate(config: SimConfig) -> Trajectory:
     """Simulate the coupled queues; exact in law given the documented blocking."""
-    _check_budget(config)
+    expected = config.scaling.N * config.env.mean * config.grid[-1] * config.replications
+    if expected > _EVENT_BUDGET:
+        raise ResourceError(
+            f"expected {expected:.3e} arrival events exceeds the budget "
+            f"{_EVENT_BUDGET:.3e}; shrink N, the last grid time or the replications"
+        )
     mu = config.queues.mu
     table = cell_table(mu, config.scaling.delta_n, config.grid, config.block_tol)
 
@@ -305,11 +293,7 @@ def simulate(config: SimConfig) -> Trajectory:
                     total += state[mask]
                 counts[r, g, i] = total
 
-    return Trajectory(
-        times=np.asarray(config.grid),
-        counts=counts,
-        initial_counts=config.initial_counts,
-    )
+    return Trajectory(times=np.asarray(config.grid), counts=counts)
 
 
 def sample_stationary(config: SimConfig) -> Trajectory:
@@ -317,21 +301,14 @@ def sample_stationary(config: SimConfig) -> Trajectory:
 
     The warm horizon covers 40/min(mu) rounded up to a whole number of slots:
     the truncation bias is below e^-40, and reading on a slot boundary matches
-    the phase at which the stationary formulas hold.  For d = 1 the engine
-    collapses to a single mixed-Poisson draw of the truncated stationary
-    parameter; for d >= 2 it is the warm-up method.
+    the phase at which the stationary formulas hold.  The config's grid and
+    initial counts are replaced by that one read time and an empty start.
+    For d = 1 the engine collapses to a single mixed-Poisson draw of the
+    truncated stationary parameter; for d >= 2 it is the warm-up method.
     """
     h = config.scaling.delta_n
-    warm_span = max(_WARM_DECADES / min(config.queues.mu), config.warmup)
-    warm = math.ceil(warm_span / h - 1e-9) * h
-    cfg = replace(
-        config,
-        horizon=warm,
-        grid=(warm,),
-        warmup=warm,
-        initial_counts=(0,) * config.queues.d,
-    )
-    return simulate(cfg)
+    warm = math.ceil(_WARM_DECADES / min(config.queues.mu) / h - 1e-9) * h
+    return simulate(replace(config, grid=(warm,), initial_counts=(0,) * config.queues.d))
 
 
 def estimate_moments(traj: Trajectory) -> MomentReport:

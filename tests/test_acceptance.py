@@ -45,7 +45,6 @@ def test_criterion_1_poisson_degeneration():
         env=Deterministic(1.0),
         queues=QueueParams((1.0,)),
         scaling=ScalingRegime(100, 1.0, 1.0),
-        horizon=0.0,
         grid=(0.0,),
         initial_counts=(0,),
         replications=10_000,
@@ -80,7 +79,6 @@ def test_criterion_2_variance_formula():
         env=env,
         queues=QueueParams((1.0,)),
         scaling=ScalingRegime(1, 0.0, 1.0),
-        horizon=0.0,
         grid=(0.0,),
         initial_counts=(0,),
         replications=1_000_000,

@@ -13,9 +13,9 @@ from coxq.analytic import (
     clt_sigma2,
     fclt_covariance,
     fluid_limit,
-    scaled_covariance,
     scaled_variance,
     stationary_correlation,
+    stationary_covariance,
     stationary_mean,
     stationary_pgf,
     stationary_variance,
@@ -36,7 +36,6 @@ def test_survival_constants_identities():
     sc = SurvivalConstants(mu=0.7, t=1.3)
     assert sc.p == pytest.approx(math.exp(-0.91))
     assert sc.r == pytest.approx((1 - sc.p) / 0.7)
-    assert sc.q * 0.7 * 1.3 == pytest.approx(1 - sc.p)
     assert sc.c_ratio == pytest.approx((1 - sc.p) / (1 + sc.p))
 
 
@@ -254,7 +253,9 @@ def test_fclt_symmetric_psd(alpha, t):
     lc = fclt_covariance(
         Gamma(2.0, 0.5), QueueParams((0.5, 1.0, 2.0)), 1.5, alpha, [1.0, 0.7, 0.2], t
     )
-    assert lc.is_symmetric_psd()
+    m = lc.matrix
+    assert np.array_equal(m, m.T)
+    assert np.linalg.eigvalsh(m).min() >= -1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -289,18 +290,36 @@ def test_correlation_degenerate_raises():
         stationary_correlation(Deterministic(1.0), 1.0, 2.0, 1.0, 0.5)
 
 
-# -- scaled covariance ------------------------------------------------------------
+# -- exact stationary covariance of coupled queues ---------------------------------
 
 
-def test_scaled_covariance_fast_branch():
-    env = Deterministic(1.0)
-    mu_i, mu_k = 1.0, 2.0
-    got = scaled_covariance(env, mu_i, mu_k, ScalingRegime(100_000, 2.0, 1.0))
-    assert got / (100_000 * env.mean / (mu_i + mu_k)) == pytest.approx(1.0, rel=1e-3)
+@pytest.mark.parametrize("N, alpha", [(1, 0.0), (50, 1.0), (100_000, 2.0)])
+def test_stationary_covariance_deterministic_is_shared_poisson(N, alpha):
+    # no rate variance: only arrivals alive in both queues, N E[L]/(mu_i + mu_k)
+    env = Deterministic(1.5)
+    got = stationary_covariance(env, 1.0, 2.0, ScalingRegime(N, alpha, 1.0))
+    assert got == pytest.approx(N * 1.5 / 3.0, rel=1e-12)
 
 
-def test_scaled_covariance_plugin():
+def test_stationary_covariance_single_slot_value():
+    # N = 1, Exp(1), delta = 1, mu = (1, 2): 1/3 + (1 - e^-1)(1 - e^-2)/2 / (1 - e^-3);
+    # Monte Carlo gives 0.6178 +- 0.0026
     env = Exponential(1.0)
-    got = scaled_covariance(env, 1.0, 2.0, ScalingRegime(1, 0.0, 1.0))
-    expected = (1.0 * 1.0 + 1.0 * 1.0) / (1 - math.exp(-3.0))
-    assert got == pytest.approx(expected, rel=1e-12)
+    got = stationary_covariance(env, 1.0, 2.0, ScalingRegime(1, 0.0, 1.0))
+    expected = 1 / 3 + (1 - math.exp(-1)) * (1 - math.exp(-2)) / 2 / (1 - math.exp(-3))
+    assert got == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(0.6209385, abs=1e-7)
+
+
+def test_stationary_covariance_tends_to_fclt_off_diagonal():
+    # alpha = 1: N^-gamma Cov -> (E[L] + delta Var[L])/(mu_i + mu_k), the t -> inf limit
+    env, delta, mu = Exponential(1.0), 1.0, (1.0, 2.0)
+    limit = fclt_covariance(env, QueueParams(mu), delta, 1.0, [0.0, 0.0], 80.0).matrix[0, 1]
+    assert limit == pytest.approx(2.0 / 3.0, rel=1e-12)
+    gaps = []
+    for N in (10**2, 10**4, 10**6):
+        scaling = ScalingRegime(N, 1.0, delta)
+        scaled = N ** (-scaling.gamma) * stationary_covariance(env, *mu, scaling)
+        gaps.append(abs(scaled - limit))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-5 * limit

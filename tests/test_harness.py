@@ -283,7 +283,6 @@ def test_tail_estimators_unbiased_vs_plain_simulation():
             env=env,
             queues=QueueParams((1.0,)),
             scaling=ScalingRegime(N, alpha, 1.0),
-            horizon=t,
             grid=(t,),
             initial_counts=(0,),
             replications=200_000,
@@ -372,7 +371,7 @@ def test_cli_missing_config_file(tmp_path):
     assert cli_main(["analytic", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_cli_simulate_writes_deterministic_outputs(tmp_path):
+def simulate_doc(**kw):
     doc = {
         "kind": "simulate",
         "env": {"family": "exponential", "rate": 1.0},
@@ -386,7 +385,39 @@ def test_cli_simulate_writes_deterministic_outputs(tmp_path):
         "grid": [1.0, 2.0],
         "initial_counts": [2, 0],
     }
+    doc.update(kw)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        analytic_doc(kind="ldp-check", t=5.0, a="1.5"),
+        analytic_doc(kind="fclt-check", queues={"mu": [1.0, 2.0]}, t=[1.0]),
+        simulate_doc(horizon=[1.0]),
+        simulate_doc(queues={"mu": "12"}),
+        simulate_doc(N_grid="5"),
+        simulate_doc(grid="12"),
+        simulate_doc(initial_counts="20"),
+    ],
+)
+def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
+    # strings where numbers or arrays belong exit 2, never a traceback or a silent run
     cfg = write_config(tmp_path, doc)
+    assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid experiment config")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", [[1.0, 2.5], [-0.5, 1.0]])
+def test_cli_simulate_grid_outside_horizon(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, simulate_doc(grid=grid))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "grid times must lie in [0, horizon]" in capsys.readouterr().err
+
+
+def test_cli_simulate_writes_deterministic_outputs(tmp_path):
+    cfg = write_config(tmp_path, simulate_doc())
     outs = []
     for d in ("o1", "o2"):
         code = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / d)])
