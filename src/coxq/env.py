@@ -9,7 +9,22 @@ block-sum sampler (density reweighted by exp(eta x) / M(eta)), and its
 essential supremum.  Downstream modules need exact transforms, which is why
 the families are closed rather than user-pluggable; the interface contract
 for an extension is: mean, variance, log_mgf, log_mgf_prime, sample,
-sample_block_sums, sample_block_sums_twisted, essential_sup, theta_max.
+sample_block_sums, sample_block_sums_twisted, twisted_log_norm (a loop over
+log_mgf unless overridden), essential_sup, theta_max.
+
+Each twisted sampler draws from the cheapest sampler with the exact tilted
+law, into one (size, cells) float64 result and temporaries that are small
+next to it:
+
+* Deterministic: no draw; the constant block sums, repeated per row.
+* Exponential and Gamma: the tilted law is Gamma(shape n_c, scale
+  1/(rate - eta_c)) (Exponential) or Gamma(k n_c, s/(1 - s eta_c)) (Gamma);
+  when every shape is 1 it is one standard exponential draw per cell, scaled
+  in place, otherwise one gamma draw per cell.
+* DiscreteFinite: with one slot per cell, one uniform per cell whose count of
+  cumulative tilted probabilities at or below it is the atom index; with
+  more, the occupation counts of the multinomial drawn as a chain of binomial
+  draws, one per atom, vectorised over all cells in blocks of rows.
 
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
@@ -42,6 +57,10 @@ __all__ = [
 # returning an overflow-contaminated value.
 _BOUNDARY_PAD = 1e-12
 
+# A twisted discrete draw fills its rows in blocks of about this many cells,
+# so its index and count temporaries stay small next to the float64 result.
+_BLOCK_CELLS = 1 << 16
+
 
 def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     """``n`` independent generators derived from ``seed`` by counter-based spawning.
@@ -50,6 +69,15 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     order or concurrently and still reproduce bit-identically.
     """
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _gamma_draws(rng, shapes, scales, size) -> np.ndarray:
+    """(size, cells) Gamma(shapes[c], scales[c]) draws; exponential draws when every shape is 1."""
+    if np.all(shapes == 1.0):
+        out = rng.standard_exponential((size, len(shapes)))
+        out *= scales
+        return out
+    return rng.gamma(shape=shapes, scale=scales, size=(size, len(shapes)))
 
 
 class EnvSpec:
@@ -102,6 +130,10 @@ class EnvSpec:
     ) -> np.ndarray:
         """(size, len(counts)) sums of counts[b] i.i.d. draws tilted by etas[b]."""
         raise NotImplementedError
+
+    def twisted_log_norm(self, etas: np.ndarray, counts: np.ndarray) -> float:
+        """sum_b counts[b] log M(etas[b]), the log normalizer of those twisted sums."""
+        return float(np.sum(counts * np.array([self.log_mgf(e) for e in etas])))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -199,8 +231,7 @@ class Exponential(EnvSpec):
         etas = np.asarray(etas, dtype=float)
         if etas.size and etas.max() >= self.theta_max - _BOUNDARY_PAD:
             raise DomainError("tilt at or beyond the MGF domain boundary")
-        counts = np.asarray(counts, dtype=float)
-        return rng.gamma(shape=counts, scale=1.0 / (self.rate - etas), size=(size, len(etas)))
+        return _gamma_draws(rng, np.asarray(counts, dtype=float), 1.0 / (self.rate - etas), size)
 
     def to_json(self):
         return {"family": "exponential", "rate": self.rate}
@@ -252,9 +283,8 @@ class Gamma(EnvSpec):
         etas = np.asarray(etas, dtype=float)
         if etas.size and etas.max() >= self.theta_max - _BOUNDARY_PAD:
             raise DomainError("tilt at or beyond the MGF domain boundary")
-        counts = np.asarray(counts, dtype=float)
-        scales = self.scale / (1.0 - self.scale * etas)
-        return rng.gamma(shape=self.shape * counts, scale=scales, size=(size, len(etas)))
+        shapes = self.shape * np.asarray(counts, dtype=float)
+        return _gamma_draws(rng, shapes, self.scale / (1.0 - self.scale * etas), size)
 
     def to_json(self):
         return {"family": "gamma", "shape": self.shape, "scale": self.scale}
@@ -301,19 +331,26 @@ class DiscreteFinite(EnvSpec):
 
     def log_mgf(self, theta: float) -> float:
         # Log-space summation: large theta*values must not overflow.
-        with np.errstate(divide="ignore"):
-            return float(logsumexp(theta * self.values + np.log(self.probs)))
+        return float(logsumexp(self._log_weights(theta)))
 
     def log_mgf_prime(self, theta: float) -> float:
         w = self._tilted_probs(theta)
         return float(self.values @ w)
 
-    def _tilted_probs(self, eta: float) -> np.ndarray:
+    def _log_weights(self, eta) -> np.ndarray:
+        """eta v_j + log p_j per atom; an array of etas gives one row each."""
         with np.errstate(divide="ignore"):
-            logw = eta * self.values + np.log(self.probs)
-        logw -= logw.max()
+            return np.multiply.outer(eta, self.values) + np.log(self.probs)
+
+    def _tilted_probs(self, eta) -> np.ndarray:
+        logw = self._log_weights(eta)
+        logw -= logw.max(axis=-1, keepdims=True)
         w = np.exp(logw)
-        return w / w.sum()
+        return w / w.sum(axis=-1, keepdims=True)
+
+    def twisted_log_norm(self, etas, counts):
+        log_mgfs = logsumexp(self._log_weights(np.asarray(etas, dtype=float)), axis=-1)
+        return float(np.sum(counts * log_mgfs))
 
     def essential_sup(self) -> float:
         return float(self.values[self.probs > 0].max())
@@ -328,10 +365,33 @@ class DiscreteFinite(EnvSpec):
         return occ @ self.values
 
     def sample_block_sums_twisted(self, etas, rng, counts, size):
+        w = self._tilted_probs(np.asarray(etas, dtype=float))  # (cells, atoms)
+        counts = np.asarray(counts, dtype=np.int64)
         out = np.empty((size, len(counts)))
-        for b, (eta, n) in enumerate(zip(etas, counts)):
-            occ = rng.multinomial(int(n), self._tilted_probs(eta), size=size)
-            out[:, b] = occ @ self.values
+        rows = max(1, _BLOCK_CELLS // max(len(counts), 1))
+        blocks = (out[r0 : r0 + rows] for r0 in range(0, size, rows))
+        if np.all(counts == 1):
+            # the atom index is the number of cumulative tilted probabilities
+            # at or below one uniform
+            cum = np.cumsum(w[:, :-1], axis=1).T
+            for block in blocks:
+                rng.random(out=block)
+                idx = np.zeros(block.shape, np.intp)
+                for c in cum:
+                    idx += block >= c
+                np.take(self.values, idx, out=block, mode="clip")
+            return out
+        # atom j's probability given the draw is none of atoms 0..j-1
+        rest = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+        cond = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
+        for block in blocks:
+            left = np.broadcast_to(counts, block.shape)
+            block[:] = 0.0
+            for j, value in enumerate(self.values[:-1]):
+                n_j = rng.binomial(left, cond[:, j])
+                block += value * n_j
+                left = left - n_j
+            block += self.values[-1] * left
         return out
 
     def to_json(self):

@@ -27,6 +27,7 @@ Checks:
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -110,11 +111,14 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "N_grid", tuple(int(n) for n in self.N_grid))
+        # operator.index takes integers only: 5.7 raises instead of running N=5
+        object.__setattr__(self, "N_grid", tuple(operator.index(n) for n in self.N_grid))
         if self.grid is not None:
             object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
         if self.initial_counts is not None:
-            object.__setattr__(self, "initial_counts", tuple(int(c) for c in self.initial_counts))
+            object.__setattr__(
+                self, "initial_counts", tuple(operator.index(c) for c in self.initial_counts)
+            )
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -143,34 +147,49 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        def number(name):  # optional scalar: a JSON number, never a string
-            value = doc.get(name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        def number(value, name):  # a JSON number, never a string or a bool
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-            return None if value is None else float(value)
+            return float(value)
 
-        def array(obj, name):  # sequence: a JSON array, never a string
+        def integer(value, name):  # a JSON integer, never a float, a string or a bool
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            return value
+
+        def optional(name):  # optional scalar: absent or null means None
+            return None if doc.get(name) is None else number(doc[name], name)
+
+        def array(obj, name, item=None):  # sequence: a JSON array, never a string
             if not isinstance(obj[name], list):
                 raise TypeError(f"{name} must be an array, got {obj[name]!r}")
-            return tuple(obj[name])
+            return tuple(obj[name] if item is None else (item(x, name) for x in obj[name]))
+
+        def tolerance(name, value):  # a known tolerance name with a JSON number
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {name!r}")
+            number(value, name)
+            return value
 
         try:
             return cls(
                 kind=doc["kind"],
                 env=env_from_json(doc["env"]),
-                queues=QueueParams(array(doc["queues"], "mu")),
-                delta=float(doc["delta"]),
-                alpha=float(doc["alpha"]),
-                N_grid=array(doc, "N_grid"),
-                replications=int(doc["replications"]),
-                seed=int(doc["seed"]),
-                t=number("t"),
-                a=number("a"),
-                horizon=number("horizon"),
-                grid=array(doc, "grid") if "grid" in doc else None,
-                initial_counts=array(doc, "initial_counts") if "initial_counts" in doc else None,
-                block_tol=float(doc.get("block_tol", 0.01)),
-                tolerances=dict(doc.get("tolerances", {})),
+                queues=QueueParams(array(doc["queues"], "mu", number)),
+                delta=number(doc["delta"], "delta"),
+                alpha=number(doc["alpha"], "alpha"),
+                N_grid=array(doc, "N_grid", integer),
+                replications=integer(doc["replications"], "replications"),
+                seed=integer(doc["seed"], "seed"),
+                t=optional("t"),
+                a=optional("a"),
+                horizon=optional("horizon"),
+                grid=array(doc, "grid", number) if "grid" in doc else None,
+                initial_counts=(
+                    array(doc, "initial_counts", integer) if "initial_counts" in doc else None
+                ),
+                block_tol=number(doc.get("block_tol", 0.01), "block_tol"),
+                tolerances={k: tolerance(k, v) for k, v in doc.get("tolerances", {}).items()},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
@@ -237,6 +256,8 @@ def _validate(config: ExperimentConfig) -> None:
     if config.kind == "fclt-check" and config.t is None:
         raise ConfigError("fclt-check needs the observation time t")
     if config.kind == "simulate":
+        if len(config.N_grid) != 1:
+            raise ConfigError("simulate runs one system size: N_grid must have exactly one entry")
         if config.horizon is None or config.grid is None:
             raise ConfigError("simulate needs horizon and grid")
         if config.grid and (min(config.grid) < 0 or max(config.grid) > config.horizon):

@@ -407,11 +407,11 @@ def estimate_log_tail(
     elif regime == "slow_unbounded":
         r_full = -math.expm1(-mu * h) / mu
         etas = theta_star * weights / (counts * r_full)
-        log_norm = float(np.sum(counts * np.array([env.log_mgf(e) for e in etas])))
+        log_norm = env.twisted_log_norm(etas, counts)
     elif regime == "intermediate":
         scale = math.expm1(theta_star / delta)
         etas = N * wk * scale
-        log_norm = float(np.sum(counts * np.array([env.log_mgf(e) for e in etas])))
+        log_norm = env.twisted_log_norm(etas, counts)
     else:
         raise RegimeError(
             "no importance sampler for the bounded slow branch; "
@@ -419,11 +419,15 @@ def estimate_log_tail(
         )
 
     chunk = max(1, int(4_000_000 / max(len(counts), 1)))
+    # a constant rate layer is the same in every replication: draw one row
+    # (only in the fast and intermediate regimes, which broadcast kappa into
+    # the Poisson draw; a constant rate never reaches slow_unbounded)
+    rate_rows = 1 if env.variance == 0 else None
     logw_parts = []
     done = 0
     while done < replications:
         n = min(chunk, replications - done)
-        s = env.sample_block_sums_twisted(etas, rng, counts, n)
+        s = env.sample_block_sums_twisted(etas, rng, counts, rate_rows or n)
         kappa = s @ wk
         if regime == "slow_unbounded":
             log_lr = log_norm - s @ etas

@@ -354,10 +354,10 @@ def normalized_endpoint(
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write counts as CSV rows replication,time,queue,count (queue is 0-based)."""
+    # the ",time,queue," middle of every row, in (grid time, queue) order
+    middles = [f",{float(t)!r},{i}," for t in traj.times for i in range(traj.d)]
+    rows = traj.counts.reshape(traj.replications, len(middles)).tolist()
     with open(path, "w") as f:
         f.write("replication,time,queue,count\n")
-        times = [repr(float(t)) for t in traj.times]
-        for r in range(traj.replications):
-            for g, t in enumerate(times):
-                for i in range(traj.d):
-                    f.write(f"{r},{t},{i},{traj.counts[r, g, i]}\n")
+        for r, row in enumerate(rows):
+            f.write("".join(f"{r}{mid}{c}\n" for mid, c in zip(middles, row)))

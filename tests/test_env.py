@@ -1,10 +1,12 @@
 """Rate-distribution families, scaling regime, and (twisted) sampling."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, multinomial
 
 from coxq.env import (
     Deterministic,
@@ -177,6 +179,52 @@ def test_twisted_eta_zero_matches_plain(env):
     plain = env.sample(r1, 10_000)
     tilted = twisted_draws(env, 0.0, r2, 10_000)
     assert ks_2samp(plain, tilted).pvalue > 0.01
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (2, 3)])
+def test_twisted_discrete_sums_have_exact_multinomial_law(counts):
+    # every attainable block sum is drawn with its exact tilted multinomial
+    # probability, for one-slot cells (uniform draw) and longer ones (binomial chain)
+    env = DiscreteFinite([0.0, 2.0, 5.0], [0.2, 0.5, 0.3])
+    etas = np.array([0.3, -0.4])
+    size = 200_000
+    x = env.sample_block_sums_twisted(etas, spawn_streams(13, 1)[0], np.array(counts), size)
+    for b, (eta, n) in enumerate(zip(etas, counts)):
+        w = env._tilted_probs(eta)
+        pmf = {}
+        for occ in itertools.product(range(n + 1), repeat=3):
+            if sum(occ) == n:
+                value = float(np.dot(occ, env.values))
+                pmf[value] = pmf.get(value, 0.0) + multinomial.pmf(occ, n, w)
+        assert set(np.unique(x[:, b])) <= set(pmf)
+        for value, p in pmf.items():
+            freq = np.mean(x[:, b] == value)
+            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / size) + 1e-12
+
+
+@pytest.mark.parametrize("counts", [1, 3])
+@pytest.mark.parametrize("env", FAMILIES)
+def test_twisted_sampler_allocates_about_its_result(env, counts):
+    # the (size, cells) float64 result plus small temporaries, never a copy of it
+    cells = 200
+    etas = np.linspace(0.0, min(0.4, 0.5 * env.theta_max), cells)
+    rng = spawn_streams(14, 1)[0]
+    tracemalloc.start()
+    try:
+        x = env.sample_block_sums_twisted(etas, rng, np.full(cells, counts), 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (20_000, cells)
+    assert peak <= 1.3 * x.nbytes
+
+
+@pytest.mark.parametrize("env", FAMILIES)
+def test_twisted_log_norm_sums_log_mgf(env):
+    etas = np.linspace(-0.2, min(0.4, 0.5 * env.theta_max), 5)
+    counts = np.array([1, 3, 7, 1, 40])
+    direct = sum(n * env.log_mgf(e) for e, n in zip(etas, counts))
+    assert env.twisted_log_norm(etas, counts) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_twisted_domain_error():

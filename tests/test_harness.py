@@ -399,10 +399,25 @@ def simulate_doc(**kw):
         simulate_doc(N_grid="5"),
         simulate_doc(grid="12"),
         simulate_doc(initial_counts="20"),
+        simulate_doc(N_grid=[5.7]),
+        simulate_doc(N_grid=[True]),
+        simulate_doc(initial_counts=[1.9, 0]),
+        simulate_doc(replications="50"),
+        simulate_doc(replications=50.0),
+        simulate_doc(seed="9"),
+        simulate_doc(delta="2"),
+        simulate_doc(alpha="0"),
+        simulate_doc(grid=["1.0", 2.0]),
+        simulate_doc(block_tol="0.01"),
+        simulate_doc(queues={"mu": ["1", 2.0]}),
+        analytic_doc(tolerances={"trichotomy_rel_tol": "0.02"}),
+        analytic_doc(tolerances={"trichotomy_tol": 0.02}),
     ],
 )
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
-    # strings where numbers or arrays belong exit 2, never a traceback or a silent run
+    # strings where numbers or arrays belong, non-integers where integers
+    # belong and unknown tolerance names exit 2, never a traceback, a
+    # truncation or a silent run
     cfg = write_config(tmp_path, doc)
     assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: invalid experiment config")
@@ -414,6 +429,14 @@ def test_cli_simulate_grid_outside_horizon(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, simulate_doc(grid=grid))
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "grid times must lie in [0, horizon]" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_several_sizes(tmp_path, capsys):
+    # simulate runs one N; a longer N_grid would silently drop its tail
+    cfg = write_config(tmp_path, simulate_doc(N_grid=[5, 10]))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "N_grid must have exactly one entry" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_writes_deterministic_outputs(tmp_path):

@@ -1,11 +1,13 @@
 """Rate functions: closed forms, Legendre transforms, and the IS estimator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import spence
+from scipy.stats import poisson
 
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
 from coxq.errors import DegenerateQuery, DomainError, RegimeError, UnsupportedFamily
@@ -330,6 +332,24 @@ def test_is_q_mean_property():
     k = h * (lam @ decay)
     se = k.std(ddof=1) / math.sqrt(k.size)
     assert abs(k.mean() - tilted_mean(400)) < 4 * se
+
+
+def test_is_discrete_matches_exact_tail():
+    # N=4, alpha=0.5, delta=1, t=2: four one-slot cells, so 2^4 rate patterns;
+    # given the pattern v, M(t) is Poisson with mean N sum_c v_c w_c exactly,
+    # w_c the survival integral of cell c
+    env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
+    query = q(env=env, t=2.0, a=1.5)
+    assert classify_regime(query) == "slow_unbounded"
+    N, h = 4, 0.5
+    w = np.array([math.exp(-(2.0 - (c + 1) * h)) - math.exp(-(2.0 - c * h)) for c in range(4)])
+    m = math.ceil(N * 1.5)
+    exact = sum(
+        np.prod(env.probs[list(pat)]) * poisson.sf(m - 1, N * float(env.values[list(pat)] @ w))
+        for pat in itertools.product(range(2), repeat=4)
+    )
+    log_p, rel_se = estimate_log_tail(query, N, 200_000, 8, rate_slow(query).theta_star, 0.01)
+    assert abs(math.exp(log_p - math.log(exact)) - 1.0) < 4 * rel_se
 
 
 def test_is_degenerate_query():

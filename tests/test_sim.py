@@ -19,6 +19,7 @@ from coxq.errors import InsufficientData, RangeError, ResourceError
 from coxq.reference import simulate_events
 from coxq.sim import (
     SimConfig,
+    Trajectory,
     cell_table,
     estimate_moments,
     normalized_endpoint,
@@ -224,6 +225,18 @@ def test_bit_identical_reruns_and_schedule_independence():
     # replication r depends only on (seed, r): a shorter run is a prefix
     t3 = simulate(make_config(replications=3, seed=99, queues=QueueParams((1.0, 2.0)), initial_counts=(3, 1)))
     assert np.array_equal(t1.counts[:3], t3.counts)
+
+
+def test_csv_export_exact_text(tmp_path):
+    # header, repr of each grid time, 0-based queues, rows in (rep, time, queue) order
+    traj = Trajectory(times=np.array([0.5, 1.0 / 3.0]), counts=np.arange(8).reshape(2, 2, 2))
+    path = tmp_path / "t.csv"
+    trajectory_to_csv(traj, path)
+    assert path.read_text() == (
+        "replication,time,queue,count\n"
+        "0,0.5,0,0\n0,0.5,1,1\n0,0.3333333333333333,0,2\n0,0.3333333333333333,1,3\n"
+        "1,0.5,0,4\n1,0.5,1,5\n1,0.3333333333333333,0,6\n1,0.3333333333333333,1,7\n"
+    )
 
 
 def test_csv_export_deterministic(tmp_path):
