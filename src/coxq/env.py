@@ -57,16 +57,18 @@ __all__ = [
 # returning an overflow-contaminated value.
 _BOUNDARY_PAD = 1e-12
 
-# A twisted discrete draw fills its rows in blocks of about this many cells,
-# so its index and count temporaries stay small next to the float64 result.
+# A discrete draw fills its rows in blocks of about this many cells, so its
+# index and count temporaries stay small next to the float64 result.
 _BLOCK_CELLS = 1 << 16
 
 
 def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     """``n`` independent generators derived from ``seed`` by counter-based spawning.
 
-    Stream ``i`` depends only on (seed, i), so replications may run in any
-    order or concurrently and still reproduce bit-identically.
+    Stream ``i`` depends only on (seed, i), so the units of work that draw
+    from it (a block of replications in ``sim.simulate``, one replication in
+    ``reference.simulate_events``) may run in any order or concurrently and
+    still reproduce bit-identically.
     """
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -78,6 +80,18 @@ def _gamma_draws(rng, shapes, scales, size) -> np.ndarray:
         out *= scales
         return out
     return rng.gamma(shape=shapes, scale=scales, size=(size, len(shapes)))
+
+
+def _row_blocks(out: np.ndarray):
+    """Slices of the rows of a 2-D array in blocks of about _BLOCK_CELLS cells."""
+    rows = max(1, _BLOCK_CELLS // max(out.shape[1], 1))
+    return (slice(r0, r0 + rows) for r0 in range(0, len(out), rows))
+
+
+def _chain_probs(w: np.ndarray) -> np.ndarray:
+    """Atom j's probability given the draw is none of atoms 0..j-1, over the last axis of w."""
+    rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    return np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
 
 
 class EnvSpec:
@@ -360,38 +374,48 @@ class DiscreteFinite(EnvSpec):
         return self.values[idx]
 
     def sample_block_sums(self, rng, counts):
-        counts = np.asarray(counts)
-        occ = rng.multinomial(counts, self.probs)
-        return occ @ self.values
+        # the twisted sampler's chain of binomial draws, untilted; counts may
+        # be one row of cells or a (rows, cells) array
+        counts = np.asarray(counts, dtype=np.int64)
+        out = np.empty(counts.shape)
+        self._chain_sums(rng, np.atleast_2d(counts), _chain_probs(self.probs), np.atleast_2d(out))
+        return out
+
+    def _chain_sums(self, rng, counts, cond, out):
+        """Fill the 2-D out with sum_j values[j] n_j over multinomial occupation counts n.
+
+        n has the trial counts ``counts`` (broadcast to out) and is drawn as a
+        chain of binomial draws, one per atom, with the probabilities ``cond``
+        of ``_chain_probs``, over blocks of rows: no (..., atoms) array is
+        formed, and the temporaries stay small next to out.
+        """
+        counts = np.broadcast_to(counts, out.shape)
+        for rows in _row_blocks(out):
+            block, left = out[rows], counts[rows]
+            block[:] = 0.0
+            for j, value in enumerate(self.values[:-1]):
+                n_j = rng.binomial(left, cond[..., j])
+                block += value * n_j
+                left = left - n_j
+            block += self.values[-1] * left
+        return out
 
     def sample_block_sums_twisted(self, etas, rng, counts, size):
         w = self._tilted_probs(np.asarray(etas, dtype=float))  # (cells, atoms)
         counts = np.asarray(counts, dtype=np.int64)
         out = np.empty((size, len(counts)))
-        rows = max(1, _BLOCK_CELLS // max(len(counts), 1))
-        blocks = (out[r0 : r0 + rows] for r0 in range(0, size, rows))
-        if np.all(counts == 1):
-            # the atom index is the number of cumulative tilted probabilities
-            # at or below one uniform
-            cum = np.cumsum(w[:, :-1], axis=1).T
-            for block in blocks:
-                rng.random(out=block)
-                idx = np.zeros(block.shape, np.intp)
-                for c in cum:
-                    idx += block >= c
-                np.take(self.values, idx, out=block, mode="clip")
-            return out
-        # atom j's probability given the draw is none of atoms 0..j-1
-        rest = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-        cond = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
-        for block in blocks:
-            left = np.broadcast_to(counts, block.shape)
-            block[:] = 0.0
-            for j, value in enumerate(self.values[:-1]):
-                n_j = rng.binomial(left, cond[:, j])
-                block += value * n_j
-                left = left - n_j
-            block += self.values[-1] * left
+        if not np.all(counts == 1):
+            return self._chain_sums(rng, counts, _chain_probs(w), out)
+        # one-slot cells: the atom index is the number of cumulative tilted
+        # probabilities at or below one uniform
+        cum = np.cumsum(w[:, :-1], axis=1).T
+        for rows in _row_blocks(out):
+            block = out[rows]
+            rng.random(out=block)
+            idx = np.zeros(block.shape, np.intp)
+            for c in cum:
+                idx += block >= c
+            np.take(self.values, idx, out=block, mode="clip")
         return out
 
     def to_json(self):

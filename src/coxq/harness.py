@@ -253,15 +253,23 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("clt-check runs on a single queue (d = 1)")
     if config.kind in ("fclt-check", "corr-check") and d < 2:
         raise ConfigError(f"{config.kind} needs at least two coupled queues")
+    if config.kind == "corr-check" and d > 2:
+        raise ConfigError("corr-check compares exactly two coupled queues (d = 2)")
+    if config.kind == "ldp-check" and d != 1:
+        raise ConfigError("ldp-check runs on a single queue (d = 1)")
     if config.kind == "fclt-check" and config.t is None:
         raise ConfigError("fclt-check needs the observation time t")
     if config.kind == "simulate":
         if len(config.N_grid) != 1:
             raise ConfigError("simulate runs one system size: N_grid must have exactly one entry")
-        if config.horizon is None or config.grid is None:
-            raise ConfigError("simulate needs horizon and grid")
-        if config.grid and (min(config.grid) < 0 or max(config.grid) > config.horizon):
-            raise ConfigError("grid times must lie in [0, horizon]")
+        if config.grid is None:
+            raise ConfigError("simulate needs grid")
+        # without a horizon the run ends at the last grid time
+        horizon, span = (
+            (math.inf, "[0, inf)") if config.horizon is None else (config.horizon, "[0, horizon]")
+        )
+        if config.grid and (min(config.grid) < 0 or max(config.grid) > horizon):
+            raise ConfigError(f"grid times must lie in {span}")
     if config.kind == "ldp-check":
         if config.t is None or config.a is None:
             raise ConfigError("ldp-check needs t and a")

@@ -28,9 +28,14 @@ survival weights inside a block is averaged, which keeps the relative
 distortion of second moments of order block_tol^2 (about 1e-5 at the
 default block_tol = 0.01).
 
-Replication r consumes only the r-th stream spawned from the seed, so
-results are bit-identical across runs and across any replication-level
-execution schedule; outputs are merged in replication order.
+Replications are drawn in blocks of B = block_rows(cells) rows, B a fixed
+function of the cell table alone (never of the replication count R): block b
+consumes only the b-th stream spawned from the seed and draws its rate
+layer, Poisson counts and binomial thinning as arrays over its B rows.  Every
+block is drawn in full and the output is cut to R rows, so replication r
+depends only on (seed, r): results are bit-identical across runs and across
+any block-level execution schedule, and a run with fewer replications is a
+prefix of a longer one at any R.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .errors import InsufficientData, RangeError, ResourceError
 __all__ = [
     "CellTable",
     "cell_table",
+    "block_rows",
     "SimConfig",
     "Trajectory",
     "MomentReport",
@@ -63,6 +69,10 @@ _WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
 # Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
 _EVENT_BUDGET = 1e9
+# A block of replications draws its rate layer as one (rows, cells) float64
+# array of at most _BLOCK_DRAW entries (2 MB), and has at most _MAX_BLOCK_ROWS rows.
+_BLOCK_DRAW = 2**18
+_MAX_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -236,6 +246,11 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights), blocked=blocked)
 
 
+def block_rows(n_cells: int) -> int:
+    """Replications per block for a table of n_cells cells; never depends on R."""
+    return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_DRAW // max(n_cells, 1)))
+
+
 def simulate(config: SimConfig) -> Trajectory:
     """Simulate the coupled queues; exact in law given the documented blocking."""
     expected = config.scaling.N * config.env.mean * config.grid[-1] * config.replications
@@ -249,51 +264,47 @@ def simulate(config: SimConfig) -> Trajectory:
 
     d = config.queues.d
     N = config.scaling.N
-    n_cats = 2**d - 1
-    G = len(config.grid)
+    n_cells = table.slots.size
+    rows = block_rows(n_cells)
+    n_blocks = -(-config.replications // rows)
     # survival probabilities over each inter-grid gap, per queue
     dts = [t - s for s, t in zip((0.0,) + config.grid, config.grid)]
     p_step = np.array([[math.exp(-m * dt) for m in mu] for dt in dts])
-    masks_by_queue = [[mask for mask in range(1, 2**d) if mask >> i & 1] for i in range(d)]
+    # state columns: alive pattern by bitmask (column 0, no queue alive, collects
+    # departed jobs and is never read), then queue i's initial jobs at 2**d + i
+    member = np.zeros((2**d + d, d), dtype=np.int64)  # column -> queues it counts in
+    moves = []  # per queue: the columns it thins and where each column's departures go
+    for i in range(d):
+        masks = [mask for mask in range(2**d) if mask >> i & 1]
+        member[masks + [2**d + i], i] = 1
+        moves.append((masks + [2**d + i], [mask & ~(1 << i) for mask in masks] + [0]))
 
-    counts = np.zeros((config.replications, G, d), dtype=np.int64)
-    streams = spawn_streams(config.seed, config.replications)
-
-    for r, rng in enumerate(streams):
-        # 1. realized environment: the average slot rate of every cell
+    counts = np.empty((n_blocks * rows, len(config.grid), d), dtype=np.int64)
+    slots = np.broadcast_to(table.slots, (rows, n_cells))
+    for b, rng in enumerate(spawn_streams(config.seed, n_blocks)):
+        # realized environment: the average slot rate of every cell, one row per replication
         if table.blocked:
-            ravg = config.env.sample_block_sums(rng, table.slots) / table.slots
+            ravg = config.env.sample_block_sums(rng, slots)
+            ravg /= table.slots
         else:
-            ravg = config.env.sample(rng, table.slots.size) if table.slots.size else np.empty(0)
-
-        state = np.zeros(n_cats + 1, dtype=np.int64)  # index = category bitmask
-        init = np.array(config.initial_counts, dtype=np.int64)
+            ravg = config.env.sample(rng, (rows, n_cells))
+        state = np.zeros((rows, 2**d + d), dtype=np.int64)
+        state[:, 2**d :] = config.initial_counts
+        out = counts[b * rows : (b + 1) * rows]
         for g, (cells, cat_w) in enumerate(zip(table.cells, table.weights)):
-            # thin initial populations and alive categories over the gap
+            # thin initial populations and alive patterns over the gap, queue by queue
             if dts[g] > 0:
-                for i in range(d):
-                    if init[i]:
-                        init[i] = rng.binomial(init[i], p_step[g, i])
-                    p = p_step[g, i]
-                    for mask in masks_by_queue[i]:
-                        c = state[mask]
-                        if c:
-                            surv = rng.binomial(c, p)
-                            state[mask] = surv
-                            state[mask & ~(1 << i)] += c - surv
-                state[0] = 0
-            # new arrivals alive at t_g, by category
+                for i, (src, dst) in enumerate(moves):
+                    alive = state[:, src]
+                    surv = rng.binomial(alive, p_step[g, i])
+                    state[:, src] = surv
+                    state[:, dst] += alive - surv
+            # new arrivals alive at t_g, by pattern
             if cat_w.shape[0]:
-                nu = N * (ravg[cells] @ cat_w)
-                for cat in range(n_cats):
-                    state[cat + 1] += rng.poisson(nu[cat])
-            for i in range(d):
-                total = init[i]
-                for mask in masks_by_queue[i]:
-                    total += state[mask]
-                counts[r, g, i] = total
+                state[:, 1 : 2**d] += rng.poisson(N * (ravg[:, cells] @ cat_w))
+            out[:, g] = state @ member
 
-    return Trajectory(times=np.asarray(config.grid), counts=counts)
+    return Trajectory(times=np.asarray(config.grid), counts=counts[: config.replications])
 
 
 def sample_stationary(config: SimConfig) -> Trajectory:
@@ -302,9 +313,8 @@ def sample_stationary(config: SimConfig) -> Trajectory:
     The warm horizon covers 40/min(mu) rounded up to a whole number of slots:
     the truncation bias is below e^-40, and reading on a slot boundary matches
     the phase at which the stationary formulas hold.  The config's grid and
-    initial counts are replaced by that one read time and an empty start.
-    For d = 1 the engine collapses to a single mixed-Poisson draw of the
-    truncated stationary parameter; for d >= 2 it is the warm-up method.
+    initial counts are replaced by that one read time and an empty start,
+    and ``simulate`` runs as for any other grid, for every d.
     """
     h = config.scaling.delta_n
     warm = math.ceil(_WARM_DECADES / min(config.queues.mu) / h - 1e-9) * h

@@ -202,6 +202,23 @@ def test_twisted_discrete_sums_have_exact_multinomial_law(counts):
             assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / size) + 1e-12
 
 
+def test_discrete_block_sums_of_a_counts_array_have_exact_multinomial_law():
+    # a (size, cells) counts array, as the simulator passes for one block of rows
+    env = DiscreteFinite([0.0, 2.0, 5.0], [0.2, 0.5, 0.3])
+    size, n = 200_000, 3
+    x = env.sample_block_sums(spawn_streams(14, 1)[0], np.full((size, 2), n))
+    pmf = {}
+    for occ in itertools.product(range(n + 1), repeat=3):
+        if sum(occ) == n:
+            value = float(np.dot(occ, env.values))
+            pmf[value] = pmf.get(value, 0.0) + multinomial.pmf(occ, n, env.probs)
+    assert x.shape == (size, 2)
+    assert set(np.unique(x)) <= set(pmf)
+    for value, p in pmf.items():
+        freq = np.mean(x == value, axis=0)
+        assert np.all(np.abs(freq - p) < 4 * math.sqrt(p * (1 - p) / size) + 1e-12)
+
+
 @pytest.mark.parametrize("counts", [1, 3])
 @pytest.mark.parametrize("env", FAMILIES)
 def test_twisted_sampler_allocates_about_its_result(env, counts):

@@ -431,6 +431,46 @@ def test_cli_simulate_grid_outside_horizon(tmp_path, capsys, grid):
     assert "grid times must lie in [0, horizon]" in capsys.readouterr().err
 
 
+def test_cli_simulate_without_horizon_runs_to_last_grid_time(tmp_path, capsys):
+    with_h = write_config(tmp_path, simulate_doc(), name="with.json")
+    doc = simulate_doc()
+    del doc["horizon"]
+    without = write_config(tmp_path, doc, name="without.json")
+    for cfg, out in ((with_h, "o1"), (without, "o2")):
+        assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    # the horizon only bounds the grid: the trajectories are the same
+    csv = [(tmp_path / out / "trajectories.csv").read_bytes() for out in ("o1", "o2")]
+    assert csv[0] == csv[1]
+    report = json.loads((tmp_path / "o2" / "report.json").read_text())
+    assert "horizon" not in report["config"]
+    doc["grid"] = [-0.5, 1.0]
+    bad = write_config(tmp_path, doc, name="negative.json")
+    assert cli_main(["simulate", "--config", bad, "--out", str(tmp_path / "o3")]) == 2
+    assert "grid times must lie in [0, inf)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # ldp-check estimates the tail of one queue: mu[1] would be ignored
+        (
+            analytic_doc(kind="ldp-check", queues={"mu": [1.0, 5.0]}, t=5.0, a=1.5),
+            "ldp-check runs on a single queue",
+        ),
+        # corr-check compares two queues: mu[2] would be ignored
+        (
+            analytic_doc(kind="corr-check", queues={"mu": [1.0, 2.0, 3.0]}),
+            "corr-check compares exactly two coupled queues",
+        ),
+    ],
+)
+def test_cli_rejects_queues_a_check_would_ignore(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, doc)
+    assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_simulate_rejects_several_sizes(tmp_path, capsys):
     # simulate runs one N; a longer N_grid would silently drop its tail
     cfg = write_config(tmp_path, simulate_doc(N_grid=[5, 10]))

@@ -1,6 +1,8 @@
 """Simulator law checks against analytic oracles and the event-level reference."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from coxq.analytic import (
     stationary_mean,
     transient_moments,
 )
-from coxq.env import Deterministic, Exponential, ScalingRegime
+from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime
 from coxq.errors import InsufficientData, RangeError, ResourceError
 from coxq.reference import simulate_events
 from coxq.sim import (
     SimConfig,
     Trajectory,
+    block_rows,
     cell_table,
     estimate_moments,
     normalized_endpoint,
@@ -227,6 +230,67 @@ def test_bit_identical_reruns_and_schedule_independence():
     assert np.array_equal(t1.counts[:3], t3.counts)
 
 
+def test_block_contract_any_replication_count_is_a_prefix():
+    # 50,000 exact-mode cells give blocks of 5 rows, so the counts below end
+    # before, after and in the middle of a block
+    cfg = make_config(
+        queues=QueueParams((1.0, 2.0)),
+        scaling=ScalingRegime(25_000, 1.0, 1.0),
+        grid=(0.5, 1.23456, 2.0),
+        initial_counts=(4, 1),
+        block_tol=0.0,
+        seed=5,
+    )
+    B = block_rows(cell_table(cfg.queues.mu, cfg.scaling.delta_n, cfg.grid, 0.0).slots.size)
+    assert 4 <= B <= 8
+    full = simulate(replace(cfg, replications=3 * B)).counts
+    for R in (B - 1, B + 1, 2 * B + 3):
+        part = simulate(replace(cfg, replications=R)).counts
+        assert part.shape == (R,) + full.shape[1:]
+        assert np.array_equal(part, full[:R])
+    # the last, partial block holds the rows of the full block
+    assert np.array_equal(part[2 * B :], full[2 * B : 2 * B + 3])
+    # blocks draw from distinct streams
+    assert not np.array_equal(full[:B], full[B : 2 * B])
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        Deterministic(1.0),
+        Exponential(1.0),
+        Gamma(2.0, 0.5),
+        DiscreteFinite(np.linspace(0.0, 2.0, 8), np.full(8, 1 / 8)),
+    ],
+    ids=lambda env: env.family,
+)
+def test_simulate_allocates_about_one_block_draw(env):
+    # the corr-check shape: d = 2, 12,001 blocked cells over the warm-up; a
+    # multinomial draw of the 8-atom law would form a (rows, cells, atoms) array
+    cfg = make_config(
+        env=env,
+        queues=QueueParams((1.0, 2.0)),
+        scaling=ScalingRegime(2000, 2.0, 1.0),
+        initial_counts=(0, 0),
+        replications=100,
+        seed=3,
+    )
+    h = cfg.scaling.delta_n
+    warm = math.ceil(40.0 / h - 1e-9) * h
+    n_cells = cell_table(cfg.queues.mu, h, (warm,), cfg.block_tol).slots.size
+    assert n_cells == 12_001
+    B = block_rows(n_cells)
+    assert B * n_cells * 8 <= 2**21  # one block's rate draw is at most 2 MB
+    assert cfg.replications >= 4 * B
+    tracemalloc.start()
+    try:
+        traj = sample_stationary(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * B * n_cells * 8 + traj.counts.nbytes
+
+
 def test_csv_export_exact_text(tmp_path):
     # header, repr of each grid time, 0-based queues, rows in (rep, time, queue) order
     traj = Trajectory(times=np.array([0.5, 1.0 / 3.0]), counts=np.arange(8).reshape(2, 2, 2))
@@ -369,6 +433,36 @@ def test_engine_matches_reference_event_simulator():
             + (ref.variance[g, 0] * ref.variance[g, 1] + c_r**2) / 6000
         )
         assert abs(c_f - c_r) < 4 * se_c
+
+
+def test_engine_matches_reference_three_queues():
+    # d = 3: seven alive patterns, every pattern thinning into its sub-patterns
+    kw = dict(
+        env=Exponential(1.0),
+        queues=QueueParams((1.0, 2.0, 0.5)),
+        scaling=ScalingRegime(5, 0.0, 0.6),
+        grid=(0.3, 0.7, 1.2, 2.0),
+        initial_counts=(3, 1, 2),
+        replications=6000,
+    )
+    fast = estimate_moments(simulate(make_config(seed=43, **kw)))
+    ref = estimate_moments(simulate_events(make_config(seed=44, **kw))[0])
+    R = kw["replications"]
+    for g in range(len(kw["grid"])):
+        for i in range(3):
+            se = math.hypot(fast.se_mean[g, i], ref.se_mean[g, i])
+            assert abs(fast.mean[g, i] - ref.mean[g, i]) < 4 * se
+            se_v = math.hypot(fast.se_variance[g, i], ref.se_variance[g, i])
+            assert abs(fast.variance[g, i] - ref.variance[g, i]) < 4 * se_v
+        for i, k in ((0, 1), (0, 2), (1, 2)):
+            c_f, c_r = fast.covariance[g, i, k], ref.covariance[g, i, k]
+            se_c = math.sqrt(
+                sum(
+                    (m.variance[g, i] * m.variance[g, k] + c**2) / R
+                    for m, c in ((fast, c_f), (ref, c_r))
+                )
+            )
+            assert abs(c_f - c_r) < 4 * se_c
 
 
 def test_transient_moments_match_event_reference_off_boundary():
