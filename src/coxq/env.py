@@ -4,27 +4,33 @@ The arrival intensity is a piecewise-constant process: every slot of length
 ``delta`` an i.i.d. copy of a non-negative random variable with finite first
 two moments is drawn and held.  Four closed-form families are supported;
 each provides its moments, the log moment generating function
-log M(theta) = log E exp(theta L) and its derivative, an exponentially twisted
-block-sum sampler (density reweighted by exp(eta x) / M(eta)), and its
-essential supremum.  Downstream modules need exact transforms, which is why
-the families are closed rather than user-pluggable; the interface contract
-for an extension is: mean, variance, log_mgf, log_mgf_prime, sample,
-sample_block_sums, sample_block_sums_twisted, twisted_log_norm (a loop over
+log M(theta) = log E exp(theta L) and its derivative, one block-sum draw of
+the plain and the exponentially twisted law, and its essential supremum.
+Downstream modules need exact transforms, which is why the families are
+closed rather than user-pluggable; the interface contract for an extension
+is: mean, variance, log_mgf, log_mgf_prime, sample (the independent per-slot
+law), _block_sums (the one block-sum draw), twisted_log_norm (a loop over
 log_mgf unless overridden), essential_sup, theta_max.
 
-Each twisted sampler draws from the cheapest sampler with the exact tilted
-law, into one (size, cells) float64 result and temporaries that are small
-next to it:
+The block-sum draw returns a (size, cells) float64 array whose cell c sums
+counts[c] i.i.d. copies, tilted by etas[c] (density reweighted by
+exp(eta x) / M(eta)) or, with no tilts, of the plain law.  The simulator
+draws the plain law through ``sample_block_sums(rng, counts, size)``, where
+a one-slot cell is the exact per-slot draw; the importance sampler draws the
+tilted law through ``sample_block_sums_twisted(etas, rng, counts, size)``.
+Each family draws from the cheapest sampler with the exact law, into the
+result and temporaries that are small next to it:
 
 * Deterministic: no draw; the constant block sums, repeated per row.
-* Exponential and Gamma: the tilted law is Gamma(shape n_c, scale
+* Exponential and Gamma: the law is Gamma(shape n_c, scale
   1/(rate - eta_c)) (Exponential) or Gamma(k n_c, s/(1 - s eta_c)) (Gamma);
   when every shape is 1 it is one standard exponential draw per cell, scaled
   in place, otherwise one gamma draw per cell.
 * DiscreteFinite: with one slot per cell, one uniform per cell whose count of
-  cumulative tilted probabilities at or below it is the atom index; with
-  more, the occupation counts of the multinomial drawn as a chain of binomial
-  draws, one per atom, vectorised over all cells in blocks of rows.
+  normalised cumulative probabilities at or below it is the atom index (the
+  algorithm of numpy's ``Generator.choice``); with more, the occupation
+  counts of the multinomial drawn as a chain of binomial draws, one per
+  atom, vectorised over all cells in blocks of rows.
 
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
@@ -88,12 +94,6 @@ def _row_blocks(out: np.ndarray):
     return (slice(r0, r0 + rows) for r0 in range(0, len(out), rows))
 
 
-def _chain_probs(w: np.ndarray) -> np.ndarray:
-    """Atom j's probability given the draw is none of atoms 0..j-1, over the last axis of w."""
-    rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
-    return np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
-
-
 class EnvSpec:
     """Base class for the rate distribution."""
 
@@ -135,14 +135,23 @@ class EnvSpec:
     def sample(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
-    def sample_block_sums(self, rng: np.random.Generator, counts: np.ndarray):
-        """Draw sums of ``counts[b]`` i.i.d. copies, one sum per block, exactly."""
-        raise NotImplementedError
+    def sample_block_sums(
+        self, rng: np.random.Generator, counts: np.ndarray, size: int
+    ) -> np.ndarray:
+        """(size, len(counts)) sums of counts[b] i.i.d. draws of the plain law."""
+        return self._block_sums(rng, np.asarray(counts), size, None)
 
     def sample_block_sums_twisted(
         self, etas: np.ndarray, rng: np.random.Generator, counts: np.ndarray, size: int
     ) -> np.ndarray:
         """(size, len(counts)) sums of counts[b] i.i.d. draws tilted by etas[b]."""
+        etas = np.asarray(etas, dtype=float)
+        if etas.size and etas.max() >= self.theta_max - _BOUNDARY_PAD:
+            raise DomainError("tilt at or beyond the MGF domain boundary")
+        return self._block_sums(rng, np.asarray(counts), size, etas)
+
+    def _block_sums(self, rng, counts: np.ndarray, size: int, etas) -> np.ndarray:
+        """The one block-sum draw: tilted by etas, or the plain law when etas is None."""
         raise NotImplementedError
 
     def twisted_log_norm(self, etas: np.ndarray, counts: np.ndarray) -> float:
@@ -188,13 +197,8 @@ class Deterministic(EnvSpec):
     def sample(self, rng, size):
         return np.full(size, self.value)
 
-    def sample_block_sums(self, rng, counts):
-        return self.value * np.asarray(counts, dtype=float)
-
-    def sample_block_sums_twisted(self, etas, rng, counts, size):
-        return np.broadcast_to(
-            self.value * np.asarray(counts, dtype=float), (size, len(counts))
-        ).copy()
+    def _block_sums(self, rng, counts, size, etas):
+        return np.broadcast_to(self.value * counts.astype(float), (size, len(counts))).copy()
 
     def to_json(self):
         return {"family": "deterministic", "value": self.value}
@@ -237,15 +241,9 @@ class Exponential(EnvSpec):
     def sample(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate, size=size)
 
-    def sample_block_sums(self, rng, counts):
-        counts = np.asarray(counts)
-        return rng.gamma(shape=counts.astype(float), scale=1.0 / self.rate)
-
-    def sample_block_sums_twisted(self, etas, rng, counts, size):
-        etas = np.asarray(etas, dtype=float)
-        if etas.size and etas.max() >= self.theta_max - _BOUNDARY_PAD:
-            raise DomainError("tilt at or beyond the MGF domain boundary")
-        return _gamma_draws(rng, np.asarray(counts, dtype=float), 1.0 / (self.rate - etas), size)
+    def _block_sums(self, rng, counts, size, etas):
+        rate = self.rate if etas is None else self.rate - etas
+        return _gamma_draws(rng, counts.astype(float), 1.0 / rate, size)
 
     def to_json(self):
         return {"family": "exponential", "rate": self.rate}
@@ -289,16 +287,9 @@ class Gamma(EnvSpec):
     def sample(self, rng, size):
         return rng.gamma(shape=self.shape, scale=self.scale, size=size)
 
-    def sample_block_sums(self, rng, counts):
-        counts = np.asarray(counts)
-        return rng.gamma(shape=self.shape * counts.astype(float), scale=self.scale)
-
-    def sample_block_sums_twisted(self, etas, rng, counts, size):
-        etas = np.asarray(etas, dtype=float)
-        if etas.size and etas.max() >= self.theta_max - _BOUNDARY_PAD:
-            raise DomainError("tilt at or beyond the MGF domain boundary")
-        shapes = self.shape * np.asarray(counts, dtype=float)
-        return _gamma_draws(rng, shapes, self.scale / (1.0 - self.scale * etas), size)
+    def _block_sums(self, rng, counts, size, etas):
+        scale = self.scale if etas is None else self.scale / (1.0 - self.scale * etas)
+        return _gamma_draws(rng, self.shape * counts.astype(float), scale, size)
 
     def to_json(self):
         return {"family": "gamma", "shape": self.shape, "scale": self.scale}
@@ -373,23 +364,29 @@ class DiscreteFinite(EnvSpec):
         idx = rng.choice(self.values.size, size=size, p=self.probs)
         return self.values[idx]
 
-    def sample_block_sums(self, rng, counts):
-        # the twisted sampler's chain of binomial draws, untilted; counts may
-        # be one row of cells or a (rows, cells) array
-        counts = np.asarray(counts, dtype=np.int64)
-        out = np.empty(counts.shape)
-        self._chain_sums(rng, np.atleast_2d(counts), _chain_probs(self.probs), np.atleast_2d(out))
-        return out
-
-    def _chain_sums(self, rng, counts, cond, out):
-        """Fill the 2-D out with sum_j values[j] n_j over multinomial occupation counts n.
-
-        n has the trial counts ``counts`` (broadcast to out) and is drawn as a
-        chain of binomial draws, one per atom, with the probabilities ``cond``
-        of ``_chain_probs``, over blocks of rows: no (..., atoms) array is
-        formed, and the temporaries stay small next to out.
-        """
-        counts = np.broadcast_to(counts, out.shape)
+    def _block_sums(self, rng, counts, size, etas):
+        w = self.probs if etas is None else self._tilted_probs(etas)  # (atoms,) or (cells, atoms)
+        out = np.empty((size, len(counts)))
+        if np.all(counts == 1):
+            # one-slot cells: as in Generator.choice, the atom index is the number
+            # of normalised cumulative probabilities at or below one uniform
+            cdf = np.cumsum(w, axis=-1)
+            cdf /= cdf[..., -1:]
+            cuts = np.moveaxis(cdf[..., :-1], -1, 0)
+            for rows in _row_blocks(out):
+                block = out[rows]
+                rng.random(out=block)
+                idx = np.zeros(block.shape, np.intp)
+                for c in cuts:
+                    idx += block >= c
+                np.take(self.values, idx, out=block, mode="clip")
+            return out
+        # the multinomial occupation counts as a chain of binomial draws, one per
+        # atom, with atom j's probability given the draw is none of atoms 0..j-1:
+        # no (..., atoms) array is formed
+        rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+        cond = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
+        counts = np.broadcast_to(counts.astype(np.int64), out.shape)
         for rows in _row_blocks(out):
             block, left = out[rows], counts[rows]
             block[:] = 0.0
@@ -398,24 +395,6 @@ class DiscreteFinite(EnvSpec):
                 block += value * n_j
                 left = left - n_j
             block += self.values[-1] * left
-        return out
-
-    def sample_block_sums_twisted(self, etas, rng, counts, size):
-        w = self._tilted_probs(np.asarray(etas, dtype=float))  # (cells, atoms)
-        counts = np.asarray(counts, dtype=np.int64)
-        out = np.empty((size, len(counts)))
-        if not np.all(counts == 1):
-            return self._chain_sums(rng, counts, _chain_probs(w), out)
-        # one-slot cells: the atom index is the number of cumulative tilted
-        # probabilities at or below one uniform
-        cum = np.cumsum(w[:, :-1], axis=1).T
-        for rows in _row_blocks(out):
-            block = out[rows]
-            rng.random(out=block)
-            idx = np.zeros(block.shape, np.intp)
-            for c in cum:
-                idx += block >= c
-            np.take(self.values, idx, out=block, mode="clip")
         return out
 
     def to_json(self):

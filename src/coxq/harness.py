@@ -147,9 +147,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        def number(value, name):  # a JSON number, never a string or a bool
+        def number(value, name):  # a finite JSON number, never a string, a bool or NaN
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             return float(value)
 
         def integer(value, name):  # a JSON integer, never a float, a string or a bool
@@ -171,10 +173,25 @@ class ExperimentConfig:
             number(value, name)
             return value
 
+        def env(obj):  # every parameter a JSON number or an array of them
+            if not isinstance(obj, dict):
+                raise TypeError(f"env must be an object, got {obj!r}")
+            for name, value in obj.items():
+                if name != "family":
+                    for x in value if isinstance(value, list) else [value]:
+                        number(x, name)
+            return env_from_json(obj)
+
+        def block_tol(value):
+            tol = number(value, "block_tol")
+            if tol < 0:
+                raise ValueError(f"block_tol must be non-negative, got {value!r}")
+            return tol
+
         try:
             return cls(
                 kind=doc["kind"],
-                env=env_from_json(doc["env"]),
+                env=env(doc["env"]),
                 queues=QueueParams(array(doc["queues"], "mu", number)),
                 delta=number(doc["delta"], "delta"),
                 alpha=number(doc["alpha"], "alpha"),
@@ -188,10 +205,10 @@ class ExperimentConfig:
                 initial_counts=(
                     array(doc, "initial_counts", integer) if "initial_counts" in doc else None
                 ),
-                block_tol=number(doc.get("block_tol", 0.01), "block_tol"),
+                block_tol=block_tol(doc.get("block_tol", 0.01)),
                 tolerances={k: tolerance(k, v) for k, v in doc.get("tolerances", {}).items()},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 

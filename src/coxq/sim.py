@@ -16,17 +16,18 @@ depend on the category only).  Initial jobs are queue-specific populations
 thinned the same way.
 
 Rates are drawn per cell of ``cell_table``, a time-ordered list of cells of
-whole slots shared by every replication (and by ``ldp.estimate_log_tail``).
+whole slots shared by every replication (and by ``ldp.estimate_log_tail``),
+as one ``env.sample_block_sums`` draw of every cell's slot-rate sum.
 When the scaled slot length h is below block_tol/sum(mu), the slots between
 two grid times form blocks of L = max(1, int(block_tol/(sum(mu) h))) slots,
 restarting at every grid time; otherwise (and always at block_tol = 0) every
-cell is one slot and is drawn exactly.  A slot that straddles a grid time is
-a single-slot cell shared by the intervals on both sides, so the cells tile
-every interval and means are exact.  A block's rate mass keeps its exact
-distribution (gamma sums, multinomial counts); only the pairing of rates to
-survival weights inside a block is averaged, which keeps the relative
-distortion of second moments of order block_tol^2 (about 1e-5 at the
-default block_tol = 0.01).
+cell is one slot, whose block sum is the exact per-slot draw.  A slot that
+straddles a grid time is a single-slot cell shared by the intervals on both
+sides, so the cells tile every interval and means are exact.  A block's rate
+mass keeps its exact distribution (gamma sums, multinomial counts); only the
+pairing of rates to survival weights inside a block is averaged, which keeps
+the relative distortion of second moments of order block_tol^2 (about 1e-5
+at the default block_tol = 0.01).
 
 Replications are drawn in blocks of B = block_rows(cells) rows, B a fixed
 function of the cell table alone (never of the replication count R): block b
@@ -159,14 +160,13 @@ class CellTable:
     ``weights[g]`` holds their survival-pattern weights at t_g, one column per
     non-empty alive pattern (bitmask - 1).  A cell that straddles a grid time
     belongs to the ranges on both sides, each with the weight of its own piece.
-    ``blocked`` says whether cells were sized by block_tol (sampled as block
-    sums) or are single slots (sampled slot by slot).
+    Every cell is drawn as one block sum of its slots; a one-slot cell is the
+    exact per-slot draw.
     """
 
     slots: np.ndarray
     cells: tuple[slice, ...]
     weights: tuple[np.ndarray, ...]
-    blocked: bool
 
 
 def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> np.ndarray:
@@ -243,7 +243,7 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
         weights.append(_category_weights(a, b, t_end, mu))
         prev = t_end
     slots = np.diff(np.array(starts + [end], dtype=np.int64))
-    return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights), blocked=blocked)
+    return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights))
 
 
 def block_rows(n_cells: int) -> int:
@@ -264,8 +264,7 @@ def simulate(config: SimConfig) -> Trajectory:
 
     d = config.queues.d
     N = config.scaling.N
-    n_cells = table.slots.size
-    rows = block_rows(n_cells)
+    rows = block_rows(table.slots.size)
     n_blocks = -(-config.replications // rows)
     # survival probabilities over each inter-grid gap, per queue
     dts = [t - s for s, t in zip((0.0,) + config.grid, config.grid)]
@@ -280,14 +279,10 @@ def simulate(config: SimConfig) -> Trajectory:
         moves.append((masks + [2**d + i], [mask & ~(1 << i) for mask in masks] + [0]))
 
     counts = np.empty((n_blocks * rows, len(config.grid), d), dtype=np.int64)
-    slots = np.broadcast_to(table.slots, (rows, n_cells))
     for b, rng in enumerate(spawn_streams(config.seed, n_blocks)):
         # realized environment: the average slot rate of every cell, one row per replication
-        if table.blocked:
-            ravg = config.env.sample_block_sums(rng, slots)
-            ravg /= table.slots
-        else:
-            ravg = config.env.sample(rng, (rows, n_cells))
+        ravg = config.env.sample_block_sums(rng, table.slots, rows)
+        ravg /= table.slots
         state = np.zeros((rows, 2**d + d), dtype=np.int64)
         state[:, 2**d :] = config.initial_counts
         out = counts[b * rows : (b + 1) * rows]

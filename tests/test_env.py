@@ -203,10 +203,10 @@ def test_twisted_discrete_sums_have_exact_multinomial_law(counts):
 
 
 def test_discrete_block_sums_of_a_counts_array_have_exact_multinomial_law():
-    # a (size, cells) counts array, as the simulator passes for one block of rows
+    # one row of cell counts and a size, as the simulator passes for one block of rows
     env = DiscreteFinite([0.0, 2.0, 5.0], [0.2, 0.5, 0.3])
     size, n = 200_000, 3
-    x = env.sample_block_sums(spawn_streams(14, 1)[0], np.full((size, 2), n))
+    x = env.sample_block_sums(spawn_streams(14, 1)[0], np.full(2, n), size)
     pmf = {}
     for occ in itertools.product(range(n + 1), repeat=3):
         if sum(occ) == n:
@@ -252,15 +252,38 @@ def test_twisted_domain_error():
 def test_block_sums_match_plain_sums():
     env = Gamma(2.0, 0.5)
     rng = spawn_streams(9, 1)[0]
-    sums = env.sample_block_sums(rng, np.array([50_000]))
+    sums = env.sample_block_sums(rng, np.array([50_000]), 1)
     # One block of 50k draws: mean of the sum ~ N(n*mean, n*var).
     n = 50_000
-    assert abs(sums[0] - n * env.mean) < 4 * math.sqrt(n * env.variance)
+    assert abs(sums[0, 0] - n * env.mean) < 4 * math.sqrt(n * env.variance)
     occ_env = DiscreteFinite([1.0, 3.0], [0.5, 0.5])
-    s = occ_env.sample_block_sums(rng, np.array([10, 0, 3]))
-    assert s.shape == (3,)
-    assert s[1] == 0.0
-    assert Deterministic(2.0).sample_block_sums(rng, np.array([4]))[0] == 8.0
+    s = occ_env.sample_block_sums(rng, np.array([10, 0, 3]), 1)
+    assert s.shape == (1, 3)
+    assert s[0, 1] == 0.0
+    assert Deterministic(2.0).sample_block_sums(rng, np.array([4]), 1)[0, 0] == 8.0
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        Deterministic(1.5),
+        Exponential(2.0),
+        Gamma(1.0, 0.5),
+        Gamma(2.5, 0.5),
+        DiscreteFinite([0.0, 2.0, 5.0], [0.2, 0.5, 0.3]),
+    ],
+)
+def test_one_slot_block_sums_reproduce_sample_bit_for_bit(env):
+    # the simulator draws exact-mode cells as one-slot block sums: from the same
+    # stream they are the per-slot law's draws, bit for bit (the discrete draw
+    # fills rows in several blocks here)
+    rows, cells = 20_000, 7
+    r1, r2 = (spawn_streams(15, 1)[0] for _ in range(2))
+    plain = env.sample(r1, (rows, cells))
+    sums = env.sample_block_sums(r2, np.ones(cells, dtype=np.int64), rows)
+    assert sums.dtype == np.float64
+    assert np.array_equal(sums, plain)
+    assert r1.random() == r2.random()
 
 
 # -- serialization -----------------------------------------------------------

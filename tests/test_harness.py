@@ -412,12 +412,24 @@ def simulate_doc(**kw):
         simulate_doc(queues={"mu": ["1", 2.0]}),
         analytic_doc(tolerances={"trichotomy_rel_tol": "0.02"}),
         analytic_doc(tolerances={"trichotomy_tol": 0.02}),
+        analytic_doc(delta=math.nan),
+        analytic_doc(env={"family": "exponential", "rate": math.nan}),
+        analytic_doc(queues={"mu": [math.inf]}),
+        analytic_doc(env={"family": "exponential", "rate": True}),
+        analytic_doc(env={"family": "discrete", "values": ["0.5", "2.0"], "probs": [0.5, 0.5]}),
+        analytic_doc(block_tol=-1.0),
+        analytic_doc(kind="ldp-check", t=5.0, a=1.5, block_tol=-1.0),
+        analytic_doc(tolerances={"trichotomy_rel_tol": math.nan}),
+        analytic_doc(delta=10**400),
+        analytic_doc(env="exponential"),
+        simulate_doc(grid=[math.nan, 2.0]),
     ],
 )
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
     # strings where numbers or arrays belong, non-integers where integers
-    # belong and unknown tolerance names exit 2, never a traceback, a
-    # truncation or a silent run
+    # belong, non-finite numbers (JSON's NaN and Infinity), env parameters that
+    # are not numbers, a negative block_tol and unknown tolerance names exit 2,
+    # never a traceback, a truncation or a silent run
     cfg = write_config(tmp_path, doc)
     assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: invalid experiment config")

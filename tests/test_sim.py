@@ -255,17 +255,18 @@ def test_block_contract_any_replication_count_is_a_prefix():
 
 
 @pytest.mark.parametrize(
-    "env",
+    "env, factor",
     [
-        Deterministic(1.0),
-        Exponential(1.0),
-        Gamma(2.0, 0.5),
-        DiscreteFinite(np.linspace(0.0, 2.0, 8), np.full(8, 1 / 8)),
+        pytest.param(Deterministic(1.0), 2.5, id="deterministic"),
+        pytest.param(Exponential(1.0), 2.5, id="exponential"),
+        pytest.param(Gamma(2.0, 0.5), 2.5, id="gamma"),
+        pytest.param(DiscreteFinite(np.linspace(0.0, 2.0, 8), np.full(8, 1 / 8)), 4, id="discrete"),
     ],
-    ids=lambda env: env.family,
 )
-def test_simulate_allocates_about_one_block_draw(env):
-    # the corr-check shape: d = 2, 12,001 blocked cells over the warm-up; a
+def test_simulate_allocates_about_one_block_draw(env, factor):
+    # the corr-check shape: d = 2, 12,001 blocked cells over the warm-up.  A
+    # block's draw made while the previous block's is still held is about two
+    # blocks; a float copy of (rows, cells) counts would be a third, and a
     # multinomial draw of the 8-atom law would form a (rows, cells, atoms) array
     cfg = make_config(
         env=env,
@@ -288,7 +289,7 @@ def test_simulate_allocates_about_one_block_draw(env):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * B * n_cells * 8 + traj.counts.nbytes
+    assert peak <= factor * B * n_cells * 8 + traj.counts.nbytes
 
 
 def test_csv_export_exact_text(tmp_path):
@@ -332,7 +333,6 @@ def test_csv_export_deterministic(tmp_path):
 def test_cell_table_tiles_grid_and_reproduces_transient_mean(mu, h, block_tol, grid):
     table = cell_table(mu, h, grid, block_tol)
     blocked = block_tol > 0 and h < block_tol / sum(mu)
-    assert table.blocked == blocked
     assert table.slots.min() >= 1
     assert table.slots.max() <= (max(1, int(block_tol / (sum(mu) * h))) if blocked else 1)
     edges = np.concatenate([[0], np.cumsum(table.slots)]) * h
