@@ -182,10 +182,10 @@ class ExperimentConfig:
                         number(x, name)
             return env_from_json(obj)
 
-        def block_tol(value):
+        def block_tol(value):  # its distortion bound block_tol^2/12 is relative
             tol = number(value, "block_tol")
-            if tol < 0:
-                raise ValueError(f"block_tol must be non-negative, got {value!r}")
+            if not 0 <= tol <= 1:
+                raise ValueError(f"block_tol must lie in [0, 1], got {value!r}")
             return tol
 
         try:

@@ -18,16 +18,24 @@ thinned the same way.
 Rates are drawn per cell of ``cell_table``, a time-ordered list of cells of
 whole slots shared by every replication (and by ``ldp.estimate_log_tail``),
 as one ``env.sample_block_sums`` draw of every cell's slot-rate sum.
-When the scaled slot length h is below block_tol/sum(mu), the slots between
-two grid times form blocks of L = max(1, int(block_tol/(sum(mu) h))) slots,
-restarting at every grid time; otherwise (and always at block_tol = 0) every
-cell is one slot, whose block sum is the exact per-slot draw.  A slot that
-straddles a grid time is a single-slot cell shared by the intervals on both
-sides, so the cells tile every interval and means are exact.  A block's rate
-mass keeps its exact distribution (gamma sums, multinomial counts); only the
-pairing of rates to survival weights inside a block is averaged, which keeps
-the relative distortion of second moments of order block_tol^2 (about 1e-5
-at the default block_tol = 0.01).
+When the scaled slot length h is below block_tol/sum(mu), the whole slots of
+each inter-grid interval form cells that widen with their age a, measured
+back from the interval's right end t_g: W(a) = W0 e^(2 mu_min a/3), floored
+to whole slots and at least one slot, with W0 = block_tol/(sum(mu) sqrt(rho(T)))
+and rho(T) = 3 (1 - e^(-2 mu_min T/3))/(1 - e^(-2 mu_min T)) for an interval
+of length T.  Otherwise (and always at block_tol = 0) every cell is one slot,
+whose block sum is the exact per-slot draw.  A slot that straddles a grid
+time is a single-slot cell shared by the intervals on both sides, so the
+cells tile every interval and means are exact.  A cell's rate mass keeps its
+exact distribution (gamma sums, multinomial counts); only the pairing of
+rates to survival weights inside a cell is averaged.  A slot of age a carries
+rate-layer variance weight e^(-2 mu_min a) or less, and a cell of width W
+distorts its share nu of that weight by at most (sum(mu) W)^2/12 relative;
+the widths above spend one total budget, sum_c nu_c (sum(mu) W_c)^2/12 =
+block_tol^2/12 over each interval (about 8e-6 at the default block_tol =
+0.01).  So every rate-layer covariance of the engine lies within
+block_tol^2/12 sqrt(C_ii C_kk) of the exact per-slot value, which a
+deterministic test checks on the table itself.
 
 Replications are drawn in blocks of B = block_rows(cells) rows, B a fixed
 function of the cell table alone (never of the replication count R): block b
@@ -102,8 +110,8 @@ class SimConfig:
             raise ValueError("initial_counts must be non-negative")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if self.block_tol < 0:
-            raise ValueError("block_tol must be non-negative")
+        if not 0 <= self.block_tol <= 1:
+            raise ValueError("block_tol must lie in [0, 1]")
 
 
 @dataclass
@@ -201,16 +209,22 @@ def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> 
 def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellTable:
     """Cells of whole slots of length h covering [0, grid[-1]), cut at every grid time.
 
-    With h < block_tol/sum(mu) the slots between grid times are grouped into
-    blocks of L = max(1, int(block_tol/(sum(mu) h))) slots, restarting at every
-    grid time; otherwise every cell is one slot.  A slot that straddles a grid
-    time is a single-slot cell shared by both intervals, so the pieces tile
-    each interval exactly.  Grid times within 1e-12 max(h, 1) of a slot
-    boundary count as on the boundary.
+    With h < block_tol/sum(mu) the whole slots of each interval [t_(g-1), t_g)
+    of length T are grouped into cells cut from the young end back: a cell
+    whose right edge has age a (from t_g) spans W(a) = W0 e^(2 mu_min a/3),
+    floored to whole slots and at least one, with
+    W0 = block_tol/(sum(mu) sqrt(rho(T))) and
+    rho(T) = 3 (1 - e^(-2 mu_min T/3))/(1 - e^(-2 mu_min T)).  Otherwise every
+    cell is one slot.  The widths spend one total budget per interval,
+    sum_c nu_c (sum(mu) W_c)^2/12 = block_tol^2/12, where nu_c is the cell's
+    share of the interval's variance weight integral of e^(-2 mu_min a); so
+    the rate-layer covariance of the table is within block_tol^2/12
+    sqrt(C_ii C_kk) of the per-slot table's at every grid time.  A slot that
+    straddles a grid time is a single-slot cell shared by both intervals, so
+    the pieces tile each interval exactly.  Grid times within 1e-12 max(h, 1)
+    of a slot boundary count as on the boundary.
     """
-    mu_tot = sum(mu)
-    blocked = block_tol > 0 and h < block_tol / mu_tot
-    L = max(1, int(block_tol / (mu_tot * h))) if blocked else 1
+    blocked = block_tol > 0 and h < block_tol / sum(mu)
     if not blocked and math.ceil(grid[-1] / h) > _MAX_EXACT_SLOTS:
         raise ResourceError(
             f"{math.ceil(grid[-1] / h)} per-replication slots in exact mode; "
@@ -232,7 +246,10 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
             while j1 * h < t_end - tiny:
                 j1 += 1
             whole = j1 if j1 * h - t_end <= tiny else j1 - 1
-            starts.extend(range(end, whole, L))
+            if blocked:
+                starts.extend(_aged_cell_starts(mu, h, end, whole, prev, t_end, block_tol))
+            else:
+                starts.extend(range(end, whole))
             if max(end, whole) < j1:  # t_end straddles slot j1 - 1
                 starts.append(j1 - 1)
             end = max(end, j1)
@@ -244,6 +261,27 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
         prev = t_end
     slots = np.diff(np.array(starts + [end], dtype=np.int64))
     return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights))
+
+
+def _aged_cell_starts(mu, h, lo: int, hi: int, t_start: float, t_end: float, block_tol: float):
+    """First slots of the aged cells (see ``cell_table``) tiling the whole slots [lo, hi).
+
+    W(a) minimises the cell count at a fixed budget; taken at a cell's young
+    edge, it undercuts the width over the whole cell, so the cells stay
+    within the budget.
+    """
+    k = 2.0 * min(mu) / 3.0
+    T = t_end - t_start
+    rho = 3.0 * math.expm1(-k * T) / math.expm1(-3.0 * k * T)
+    w0 = block_tol / (sum(mu) * math.sqrt(rho) * h)  # in slots
+    starts = []
+    right = hi
+    while right > lo:
+        # e^x overflows a float beyond x = 709; from x = 700 on, one cell takes the rest
+        grow = math.exp(min(k * max(t_end - right * h, 0.0), 700.0))
+        right -= max(1, int(min(w0 * grow, right - lo)))
+        starts.append(right)
+    return starts[::-1]
 
 
 def block_rows(n_cells: int) -> int:
@@ -298,6 +336,7 @@ def simulate(config: SimConfig) -> Trajectory:
             if cat_w.shape[0]:
                 state[:, 1 : 2**d] += rng.poisson(N * (ravg[:, cells] @ cat_w))
             out[:, g] = state @ member
+        del ravg  # so the next block's draw is not made while this one is held
 
     return Trajectory(times=np.asarray(config.grid), counts=counts[: config.replications])
 

@@ -423,12 +423,13 @@ def simulate_doc(**kw):
         analytic_doc(delta=10**400),
         analytic_doc(env="exponential"),
         simulate_doc(grid=[math.nan, 2.0]),
+        analytic_doc(kind="clt-check", N_grid=[500], block_tol=1e300),
     ],
 )
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
     # strings where numbers or arrays belong, non-integers where integers
     # belong, non-finite numbers (JSON's NaN and Infinity), env parameters that
-    # are not numbers, a negative block_tol and unknown tolerance names exit 2,
+    # are not numbers, a block_tol outside [0, 1] and unknown tolerance names exit 2,
     # never a traceback, a truncation or a silent run
     cfg = write_config(tmp_path, doc)
     assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -459,6 +460,21 @@ def test_cli_simulate_without_horizon_runs_to_last_grid_time(tmp_path, capsys):
     bad = write_config(tmp_path, doc, name="negative.json")
     assert cli_main(["simulate", "--config", bad, "--out", str(tmp_path / "o3")]) == 2
     assert "grid times must lie in [0, inf)" in capsys.readouterr().err
+
+
+def test_cli_blocked_simulate_over_a_long_horizon(tmp_path):
+    # blocked cells (slot 0.005 < block_tol/mu) over an interval of 1,500 mean
+    # service times: the oldest cells' width e^(2 mu a/3) would overflow a
+    # float unless capped
+    doc = simulate_doc(
+        queues={"mu": [1.0]}, alpha=1.0, N_grid=[200], replications=50,
+        horizon=2000.0, grid=[500.0, 2000.0], initial_counts=[0],
+    )
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    mom = json.loads((out / "moments.json").read_text())
+    for mean, se in zip(mom["mean"], mom["se_mean"]):
+        assert abs(mean[0] - 200.0) < 6 * se[0]  # N E[L]/mu, exact in blocked mode
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from coxq.analytic import (
@@ -257,29 +259,31 @@ def test_block_contract_any_replication_count_is_a_prefix():
 @pytest.mark.parametrize(
     "env, factor",
     [
-        pytest.param(Deterministic(1.0), 2.5, id="deterministic"),
-        pytest.param(Exponential(1.0), 2.5, id="exponential"),
-        pytest.param(Gamma(2.0, 0.5), 2.5, id="gamma"),
-        pytest.param(DiscreteFinite(np.linspace(0.0, 2.0, 8), np.full(8, 1 / 8)), 4, id="discrete"),
+        pytest.param(Deterministic(1.0), 1.5, id="deterministic"),
+        pytest.param(Exponential(1.0), 1.5, id="exponential"),
+        pytest.param(Gamma(2.0, 0.5), 1.5, id="gamma"),
+        pytest.param(DiscreteFinite(np.linspace(0.0, 2.0, 8), np.full(8, 1 / 8)), 2.3, id="discrete"),
     ],
 )
 def test_simulate_allocates_about_one_block_draw(env, factor):
-    # the corr-check shape: d = 2, 12,001 blocked cells over the warm-up.  A
-    # block's draw made while the previous block's is still held is about two
-    # blocks; a float copy of (rows, cells) counts would be a third, and a
-    # multinomial draw of the 8-atom law would form a (rows, cells, atoms) array
+    # the corr-check shape (d = 2) at a block_tol small enough for over 10,000
+    # cells over the warm-up.  A block's draw made while the previous block's
+    # is still held is about two blocks; a float copy of (rows, cells) counts
+    # would be another, and a multinomial draw of the 8-atom law would form a
+    # (rows, cells, atoms) array
     cfg = make_config(
         env=env,
         queues=QueueParams((1.0, 2.0)),
         scaling=ScalingRegime(2000, 2.0, 1.0),
         initial_counts=(0, 0),
         replications=100,
+        block_tol=7e-4,
         seed=3,
     )
     h = cfg.scaling.delta_n
     warm = math.ceil(40.0 / h - 1e-9) * h
     n_cells = cell_table(cfg.queues.mu, h, (warm,), cfg.block_tol).slots.size
-    assert n_cells == 12_001
+    assert n_cells >= 10_000
     B = block_rows(n_cells)
     assert B * n_cells * 8 <= 2**21  # one block's rate draw is at most 2 MB
     assert cfg.replications >= 4 * B
@@ -334,7 +338,8 @@ def test_cell_table_tiles_grid_and_reproduces_transient_mean(mu, h, block_tol, g
     table = cell_table(mu, h, grid, block_tol)
     blocked = block_tol > 0 and h < block_tol / sum(mu)
     assert table.slots.min() >= 1
-    assert table.slots.max() <= (max(1, int(block_tol / (sum(mu) * h))) if blocked else 1)
+    if not blocked:
+        assert table.slots.max() == 1
     edges = np.concatenate([[0], np.cumsum(table.slots)]) * h
     tiny = 1e-12
     prev = 0.0
@@ -365,6 +370,126 @@ def test_cell_table_tiles_grid_and_reproduces_transient_mean(mu, h, block_tol, g
 def test_cell_table_exact_mode_slot_guard():
     with pytest.raises(ResourceError):
         cell_table((1.0,), 1e-7, (1.0,), 0.0)
+
+
+# -- cell table: deterministic covariance oracle ----------------------------------
+#
+# Given the rates, the arrivals alive in queue i at t_G are Poisson with mean
+# N sum_c ravg_c A[c, i], where A[c, i] is queue i's survival weight of cell c
+# summed over the intervals that hold it, and ravg_c averages slots[c] i.i.d.
+# slot rates.  So the rate layer adds N^2 Var[L] sum_c A[c, i] A[c, k] / slots[c]
+# to Cov(Q_i(t_G), Q_k(t_G)): the family enters only through Var[L], and the
+# initial counts not at all (their thinning is independent of the rates).  The
+# oracles below compare that sum, per unit N^2 Var[L], for the table the engine
+# builds with the exact per-slot value, against the documented bound
+# block_tol^2/12 sqrt(C_ii C_kk).
+
+
+def _rate_layer_covariance(table, mu, grid) -> np.ndarray:
+    """(G, d, d) rate-layer covariance of the table per unit N^2 Var[L], at every grid time."""
+    d = len(mu)
+    cols = [[s - 1 for s in range(1, 2**d) if s >> i & 1] for i in range(d)]
+    cov = np.empty((len(grid), d, d))
+    for G, t in enumerate(grid):
+        A = np.zeros((table.slots.size, d))
+        for g in range(G + 1):
+            w = table.weights[g]
+            for i, m in enumerate(mu):
+                A[table.cells[g], i] += w[:, cols[i]].sum(axis=1) * math.exp(-m * (t - grid[g]))
+        cov[G] = A.T @ (A / table.slots[:, None])
+    return cov
+
+
+def _budget_share(blocked, exact, block_tol) -> float:
+    """Largest |blocked - exact| over (block_tol^2/12 + 1e-12) sqrt(C_ii C_kk), 1e-12 for rounding."""
+    sd = np.sqrt(np.einsum("gii->gi", exact))
+    scale = (block_tol**2 / 12.0 + 1e-12) * sd[:, :, None] * sd[:, None, :]
+    gap = np.abs(blocked - exact)
+    return float(np.max(np.where(gap > 0, gap / np.where(scale > 0, scale, 1.0), 0.0)))
+
+
+def _lattice_rate_covariance(mu, h, n) -> np.ndarray:
+    """Exact per-slot rate-layer covariance n whole slots after an empty start, per unit N^2 Var[L].
+
+    sum_(j<n) r_i r_k (p_i p_k)^j with p = e^(-mu h), r = (1 - p)/mu: the
+    finite-n form of the slot sum in ``analytic.stationary_covariance``.
+    """
+    r = np.array([-math.expm1(-m * h) / m for m in mu])
+    both = np.add.outer(mu, mu)
+    return np.outer(r, r) * np.expm1(-both * n * h) / np.expm1(-both * h)
+
+
+@pytest.mark.parametrize(
+    "mu, scaling, t",
+    [
+        pytest.param((1.0,), ScalingRegime(500, 1.0, 2.0), None, id="clt-N500"),
+        pytest.param((1.0,), ScalingRegime(2000, 1.0, 2.0), None, id="clt-N2000"),
+        pytest.param((1.0, 2.0), ScalingRegime(2000, 2.0, 1.0), None, id="corr-N2000"),
+        pytest.param((1.0, 2.0), ScalingRegime(2000, 2.0, 1.0), 1.0, id="fclt-N2000"),
+    ],
+)
+def test_engine_rate_covariance_within_budget_on_check_shapes(mu, scaling, t):
+    # the tables of clt-check, corr-check (stationary: the warm-up read) and
+    # fclt-check (a read at t from the start) at the default block_tol, against
+    # the closed-form per-slot covariance
+    h, block_tol = scaling.delta_n, 0.01
+    n = round((t if t is not None else math.ceil(40.0 / min(mu) / h - 1e-9) * h) / h)
+    table = cell_table(mu, h, (n * h,), block_tol)
+    engine = _rate_layer_covariance(table, mu, (n * h,))
+    exact = _lattice_rate_covariance(mu, h, n)
+    if t is None:  # the warm-up leaves e^-80 of the stationary value out
+        env, N = Exponential(1.0), scaling.N  # Var[L] = 1
+        for i, mi in enumerate(mu):
+            for k, mk in enumerate(mu):
+                if i == k:
+                    rate_part = scaled_variance(env, mi, scaling)[0] - N * env.mean / mi
+                else:
+                    rate_part = stationary_covariance(env, mi, mk, scaling) - N * env.mean / (mi + mk)
+                assert exact[i, k] == pytest.approx(rate_part / N**2, rel=1e-9)
+    assert table.slots.size < n / 10
+    assert _budget_share(engine[None], exact[None], block_tol) <= 1.0
+
+
+@st.composite
+def _tables(draw):
+    d = draw(st.integers(1, 4))
+    mu = tuple(draw(st.floats(0.2, 3.0)) for _ in range(d))
+    # block_tol in [1e-3, 0.1]: further down, the bound block_tol^2/12 nears the
+    # float rounding of the slots' own survival weights (about 1e-16/(mu h)
+    # relative, from the difference of exponentials in _category_weights)
+    block_tol = 10.0 ** draw(st.floats(-3.0, -1.0))
+    # below block_tol/sum(mu) the table is blocked; above it, exact
+    h = block_tol / sum(mu) * draw(st.floats(0.05, 1.5))
+    times = []
+    for _ in range(draw(st.integers(1, 4))):
+        slot = draw(st.integers(0, 20_000))
+        off_lattice = draw(st.booleans())
+        times.append((slot + (draw(st.floats(0.001, 0.999)) if off_lattice else 0.0)) * h)
+        if draw(st.booleans()):
+            times.append(times[-1])  # a repeated grid time
+    return mu, h, tuple(sorted(times)), block_tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_engine_rate_covariance_within_budget_of_per_slot_table(case):
+    # any d <= 4, grid on and off the slot lattice, with repeated times: the
+    # table's rate-layer covariance at every grid time is within the budget of
+    # the block_tol = 0 table's, up to 1e-12 relative rounding
+    mu, h, grid, block_tol = case
+    blocked = _rate_layer_covariance(cell_table(mu, h, grid, block_tol), mu, grid)
+    exact = _rate_layer_covariance(cell_table(mu, h, grid, 0.0), mu, grid)
+    assert _budget_share(blocked, exact, block_tol) <= 1.0
+
+
+def test_cell_table_width_exponent_never_overflows():
+    # ages past 1,060/mu_min would overflow e^(2 mu_min a/3): the oldest cell
+    # takes the rest of the interval instead
+    table = cell_table((1.0,), 0.005, (2000.0,), 0.01)
+    assert table.slots.sum() == 400_000
+    assert table.slots.size < 1000  # 200,000 cells of 0.01 each would fill the horizon
+    huge = cell_table((1.0,), 1e-3, (0.5, 40.0), 1e300)
+    assert huge.slots.tolist() == [500, 39_500]
 
 
 # -- engine law vs independent routes ---------------------------------------------
