@@ -80,12 +80,17 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 
 def _gamma_draws(rng, shapes, scales, size) -> np.ndarray:
-    """(size, cells) Gamma(shapes[c], scales[c]) draws; exponential draws when every shape is 1."""
+    """(size, cells) Gamma(shapes[c], scales[c]) draws; exponential draws when every shape is 1.
+
+    numpy's gamma is the scale times the standard gamma, so scaling in place
+    gives ``rng.gamma(shapes, scales, size)`` bit for bit without its temporaries.
+    """
     if np.all(shapes == 1.0):
         out = rng.standard_exponential((size, len(shapes)))
-        out *= scales
-        return out
-    return rng.gamma(shape=shapes, scale=scales, size=(size, len(shapes)))
+    else:
+        out = rng.standard_gamma(shapes, size=(size, len(shapes)))
+    out *= scales
+    return out
 
 
 def _row_blocks(out: np.ndarray):

@@ -6,14 +6,18 @@ queue i serves with an independent Exp(mu_i) clock.  Counts are read on a
 sorted grid of absolute times t >= 0; the run ends at the last grid time.
 
 The engine realizes the exact joint law without materializing individual
-arrivals.  Conditionally on the rate path, the jobs from one inter-grid
-interval that are still alive at the interval's right endpoint split into
-independent Poisson counts per alive-pattern (one category per non-empty
-subset of queues), with intensities given by closed-form integrals of the
-rate times the survival pattern.  Between grid times every category thins
-by sequential per-queue binomials (memorylessness makes the joint evolution
-depend on the category only).  Initial jobs are queue-specific populations
-thinned the same way.
+arrivals.  Its state is the d queue counts.  Conditionally on the rate path,
+the jobs from one inter-grid interval that are still alive at the interval's
+right endpoint split into independent Poisson counts per alive-pattern (one
+category per non-empty subset of queues), with intensities given by
+closed-form integrals of the rate times the survival pattern; each pattern
+adds its count to the queues it contains.  Once a grid time has passed, a job
+alive in queue i survives the next gap there with probability e^(-mu_i dt),
+independently of every other job and every other queue (the service clocks
+are memoryless and independent), so each queue's count thins by its own
+binomial, queue by queue.  The counts on the grid are thus a Markov chain
+with the exact finite-dimensional laws; initial jobs are thinned the same
+way.
 
 Rates are drawn per cell of ``cell_table``, a time-ordered list of cells of
 whole slots shared by every replication (and by ``ldp.estimate_log_tail``),
@@ -78,6 +82,8 @@ _WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
 # Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
 _EVENT_BUDGET = 1e9
+# Output counts per run (R G d, int64: 128 MiB) above which simulate refuses.
+_OUTPUT_BUDGET = 2**24
 # A block of replications draws its rate layer as one (rows, cells) float64
 # array of at most _BLOCK_DRAW entries (2 MB), and has at most _MAX_BLOCK_ROWS rows.
 _BLOCK_DRAW = 2**18
@@ -297,6 +303,12 @@ def simulate(config: SimConfig) -> Trajectory:
             f"expected {expected:.3e} arrival events exceeds the budget "
             f"{_EVENT_BUDGET:.3e}; shrink N, the last grid time or the replications"
         )
+    entries = config.replications * len(config.grid) * config.queues.d
+    if entries > _OUTPUT_BUDGET:
+        raise ResourceError(
+            f"{entries:.3e} output counts (replications x grid times x queues) exceed "
+            f"the budget {_OUTPUT_BUDGET:.3e}; shrink the replications or the grid"
+        )
     mu = config.queues.mu
     table = cell_table(mu, config.scaling.delta_n, config.grid, config.block_tol)
 
@@ -307,35 +319,25 @@ def simulate(config: SimConfig) -> Trajectory:
     # survival probabilities over each inter-grid gap, per queue
     dts = [t - s for s, t in zip((0.0,) + config.grid, config.grid)]
     p_step = np.array([[math.exp(-m * dt) for m in mu] for dt in dts])
-    # state columns: alive pattern by bitmask (column 0, no queue alive, collects
-    # departed jobs and is never read), then queue i's initial jobs at 2**d + i
-    member = np.zeros((2**d + d, d), dtype=np.int64)  # column -> queues it counts in
-    moves = []  # per queue: the columns it thins and where each column's departures go
-    for i in range(d):
-        masks = [mask for mask in range(2**d) if mask >> i & 1]
-        member[masks + [2**d + i], i] = 1
-        moves.append((masks + [2**d + i], [mask & ~(1 << i) for mask in masks] + [0]))
+    # alive pattern (bitmask - 1) -> the queues it counts in
+    member = np.array([[mask >> i & 1 for i in range(d)] for mask in range(1, 2**d)])
 
     counts = np.empty((n_blocks * rows, len(config.grid), d), dtype=np.int64)
     for b, rng in enumerate(spawn_streams(config.seed, n_blocks)):
         # realized environment: the average slot rate of every cell, one row per replication
         ravg = config.env.sample_block_sums(rng, table.slots, rows)
         ravg /= table.slots
-        state = np.zeros((rows, 2**d + d), dtype=np.int64)
-        state[:, 2**d :] = config.initial_counts
+        q = np.tile(np.asarray(config.initial_counts, dtype=np.int64), (rows, 1))
         out = counts[b * rows : (b + 1) * rows]
         for g, (cells, cat_w) in enumerate(zip(table.cells, table.weights)):
-            # thin initial populations and alive patterns over the gap, queue by queue
+            # every job alive in queue i survives the gap there independently
             if dts[g] > 0:
-                for i, (src, dst) in enumerate(moves):
-                    alive = state[:, src]
-                    surv = rng.binomial(alive, p_step[g, i])
-                    state[:, src] = surv
-                    state[:, dst] += alive - surv
-            # new arrivals alive at t_g, by pattern
+                for i in range(d):
+                    q[:, i] = rng.binomial(q[:, i], p_step[g, i])
+            # new arrivals alive at t_g, drawn by pattern and counted per queue
             if cat_w.shape[0]:
-                state[:, 1 : 2**d] += rng.poisson(N * (ravg[:, cells] @ cat_w))
-            out[:, g] = state @ member
+                q += rng.poisson(N * (ravg[:, cells] @ cat_w)) @ member
+            out[:, g] = q
         del ravg  # so the next block's draw is not made while this one is held
 
     return Trajectory(times=np.asarray(config.grid), counts=counts[: config.replications])
@@ -398,10 +400,10 @@ def normalized_endpoint(
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write counts as CSV rows replication,time,queue,count (queue is 0-based)."""
-    # the ",time,queue," middle of every row, in (grid time, queue) order
-    middles = [f",{float(t)!r},{i}," for t in traj.times for i in range(traj.d)]
-    rows = traj.counts.reshape(traj.replications, len(middles)).tolist()
+    # one replication's rows in (grid time, queue) order; "\0" stands for its number
+    template = "".join(f"\0,{float(t)!r},{i},%d\n" for t in traj.times for i in range(traj.d))
+    rows = traj.counts.reshape(traj.replications, -1).tolist()
     with open(path, "w") as f:
         f.write("replication,time,queue,count\n")
         for r, row in enumerate(rows):
-            f.write("".join(f"{r}{mid}{c}\n" for mid, c in zip(middles, row)))
+            f.write((template % tuple(row)).replace("\0", str(r)))

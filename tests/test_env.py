@@ -286,6 +286,27 @@ def test_one_slot_block_sums_reproduce_sample_bit_for_bit(env):
     assert r1.random() == r2.random()
 
 
+def test_gamma_block_sums_reproduce_numpy_gamma_bit_for_bit():
+    # gamma block sums are standard-gamma draws scaled in place: the same bits
+    # as rng.gamma from the same stream, for one scale and for per-cell
+    # (twisted) scales alike
+    env, rows = Gamma(0.7, 3.0), 500
+    counts = np.array([1, 2, 5, 40, 3])
+    etas = np.array([0.1, -0.2, 0.0, 0.25, 0.3])
+    shapes = env.shape * counts.astype(float)
+    for scale, draw in (
+        (env.scale, lambda rng: env.sample_block_sums(rng, counts, rows)),
+        (
+            env.scale / (1.0 - env.scale * etas),
+            lambda rng: env.sample_block_sums_twisted(etas, rng, counts, rows),
+        ),
+    ):
+        r1, r2 = (spawn_streams(21, 1)[0] for _ in range(2))
+        expected = r1.gamma(shape=shapes, scale=scale, size=(rows, counts.size))
+        assert np.array_equal(draw(r2), expected)
+        assert r1.random() == r2.random()
+
+
 # -- serialization -----------------------------------------------------------
 
 

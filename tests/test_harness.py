@@ -477,6 +477,20 @@ def test_cli_blocked_simulate_over_a_long_horizon(tmp_path):
         assert abs(mean[0] - 200.0) < 6 * se[0]  # N E[L]/mu, exact in blocked mode
 
 
+def test_cli_simulate_refuses_an_output_beyond_its_budget(tmp_path, capsys):
+    # 10^12 replications of a nearly idle queue fit the event budget, but their
+    # (R, G, d) counts would take 32 TB: refused before anything is allocated
+    doc = simulate_doc(
+        env={"family": "deterministic", "value": 1e-9}, queues={"mu": [1.0]}, N_grid=[1],
+        replications=10**12, grid=[0.5, 1.0, 1.5, 2.0], initial_counts=[0],
+    )
+    cfg = write_config(tmp_path, doc)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4.000e+12 output counts" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

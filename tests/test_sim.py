@@ -1,5 +1,6 @@
 """Simulator law checks against analytic oracles and the event-level reference."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -66,6 +67,9 @@ def test_event_budget_guard():
     # N E[L] grid[-1] R = 1e9 * 1 * 2 * 10 expected arrivals is over the budget
     with pytest.raises(ResourceError, match="arrival events"):
         simulate(make_config(scaling=ScalingRegime(10**9, 0.0, 1.0), replications=10))
+    # (2^23 + 1) R x 2 G x 1 d counts are just over the output budget of 2^24
+    with pytest.raises(ResourceError, match="output counts"):
+        simulate(make_config(grid=(1.0, 2.0), replications=2**23 + 1))
 
 
 # -- basic laws ---------------------------------------------------------------
@@ -560,8 +564,64 @@ def test_engine_matches_reference_event_simulator():
         assert abs(c_f - c_r) < 4 * se_c
 
 
+def _joint_covariance(traj):
+    """Sample covariance of the flattened (time, queue) counts, with the SE of each entry.
+
+    The SE is the sample sd of the centred products over sqrt(R), so it needs
+    no normality assumption.
+    """
+    x = traj.counts.reshape(traj.replications, -1).astype(float)
+    dev = x - x.mean(axis=0)
+    prod = dev[:, :, None] * dev[:, None, :]
+    return prod.sum(axis=0) / (len(x) - 1), prod.std(axis=0, ddof=1) / math.sqrt(len(x))
+
+
+def _deterministic_joint_covariance(lam, N, mu, initial_counts, grid):
+    """Exact Cov(Q_i(s), Q_k(t)) under a constant rate N lam, over the flattened (time, queue) axis.
+
+    For s <= t: c_i e^(-mu_i t) (1 - e^(-mu_i s)) + N lam (e^(-mu_i (t-s)) - e^(-mu_i t))/mu_i
+    within queue i, and N lam e^(-mu_i s - mu_k t) expm1((mu_i + mu_k) s)/(mu_i + mu_k)
+    across queues i != k: an arrival at u <= s is alive in queue i at s and in
+    queue k at t independently, and initial jobs belong to one queue each.
+    """
+    d = len(mu)
+    cov = np.empty((len(grid) * d,) * 2)
+    points = list(itertools.product(enumerate(grid), range(d)))
+    for ((g, s), i), ((h, t), k) in itertools.product(points, points):
+        if s > t:
+            continue
+        if i == k:
+            c = initial_counts[i] * math.exp(-mu[i] * t) * -math.expm1(-mu[i] * s)
+            c += N * lam * (math.exp(-mu[i] * (t - s)) - math.exp(-mu[i] * t)) / mu[i]
+        else:
+            m = mu[i] + mu[k]
+            c = N * lam * math.exp(-mu[i] * s - mu[k] * t) * math.expm1(m * s) / m
+        cov[g * d + i, h * d + k] = cov[h * d + k, g * d + i] = c
+    return cov
+
+
+def test_joint_law_across_times_matches_exact_deterministic_covariance():
+    # the joint law over read times, not only each time's marginal: a job alive
+    # in queue i at s survives to t in queue i alone, whatever other queues hold it
+    mu, initial, grid, lam, N = (1.0, 2.0, 0.5), (30, 10, 20), (0.3, 0.7, 1.2, 2.0), 2.0, 20
+    cfg = make_config(
+        env=Deterministic(lam),
+        queues=QueueParams(mu),
+        scaling=ScalingRegime(N, 0.0, 0.5),
+        grid=grid,
+        initial_counts=initial,
+        replications=20_000,
+        seed=91,
+    )
+    cov, se = _joint_covariance(simulate(cfg))
+    exact = _deterministic_joint_covariance(lam, N, mu, initial, grid)
+    upper = np.triu_indices(len(exact))  # 78 entries: 12 variances and 66 covariances
+    z = (cov - exact)[upper] / se[upper]
+    assert np.abs(z).max() < 4.5
+
+
 def test_engine_matches_reference_three_queues():
-    # d = 3: seven alive patterns, every pattern thinning into its sub-patterns
+    # d = 3: seven alive patterns for the arrivals, each queue thinned on its own
     kw = dict(
         env=Exponential(1.0),
         queues=QueueParams((1.0, 2.0, 0.5)),
@@ -570,8 +630,9 @@ def test_engine_matches_reference_three_queues():
         initial_counts=(3, 1, 2),
         replications=6000,
     )
-    fast = estimate_moments(simulate(make_config(seed=43, **kw)))
-    ref = estimate_moments(simulate_events(make_config(seed=44, **kw))[0])
+    fast_traj = simulate(make_config(seed=43, **kw))
+    ref_traj = simulate_events(make_config(seed=44, **kw))[0]
+    fast, ref = estimate_moments(fast_traj), estimate_moments(ref_traj)
     R = kw["replications"]
     for g in range(len(kw["grid"])):
         for i in range(3):
@@ -588,6 +649,11 @@ def test_engine_matches_reference_three_queues():
                 )
             )
             assert abs(c_f - c_r) < 4 * se_c
+    # every pair across read times and queues, the law the per-gap thinning carries
+    (c_f, se_f), (c_r, se_r) = _joint_covariance(fast_traj), _joint_covariance(ref_traj)
+    pairs = np.triu_indices(len(c_f), k=1)  # 66 pairs
+    z = (c_f - c_r)[pairs] / np.hypot(se_f, se_r)[pairs]
+    assert np.abs(z).max() < 4.5
 
 
 def test_transient_moments_match_event_reference_off_boundary():
