@@ -53,6 +53,7 @@ from .ldp import (
     classify_regime,
     estimate_log_tail,
     integrated_log_mgf,
+    legendre_argument,
     rate_fast,
     rate_intermediate,
     rate_slow,
@@ -606,11 +607,12 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
             Criterion("theta_star_stationarity", residual < res_tol, residual, 0.0, res_tol)
         )
         qtol = config.tol("quad_route_tol")
-        theta = rate_res.theta_star
+        # both routes at the log-MGF argument the rate integrated
+        x, _ = legendre_argument(regime, query.delta, rate_res.theta_star)
         mu = config.queues.mu[0]
         gap = abs(
-            integrated_log_mgf(config.env, mu, query.t, theta, route="time")
-            - integrated_log_mgf(config.env, mu, query.t, theta, route="substitution")
+            integrated_log_mgf(config.env, mu, query.t, x, route="time")
+            - integrated_log_mgf(config.env, mu, query.t, x, route="substitution")
         )
         criteria.append(Criterion("quadrature_dual_route", gap <= qtol, gap, 0.0, qtol))
 

@@ -12,11 +12,15 @@ rho(t) = E[L](1 - e^(-mu t))/mu, decay at a regime-dependent speed:
 * intermediate (alpha = 1): speed N/Delta, the same Legendre form with
   argument Delta (e^(theta/Delta) - 1) e^(-mu s).
 
-The integrated log-MGF is evaluated by adaptive quadrature two ways (direct
-in s, and via u = theta e^(-mu s)), cross-checked in tests.  Suprema are
-located by bracketed root finding on the derivative (strict concavity), with
-the stationarity residual reported.  Multivariate rectangle queries use the
-limiting log-MGFs of the coupled model and a projected quasi-Newton search.
+The slow and intermediate rates are one Legendre transform that differs only
+in its argument map, x(theta) = theta or Delta (e^(theta/Delta) - 1)
+(``legendre_argument``); the fast and bounded-slow rates are one Poisson
+(Cramer) rate.  The integrated log-MGF is evaluated by adaptive quadrature two
+ways (direct in s, and via u = x e^(-mu s)), cross-checked in tests.  The
+supremum is located by bracketed root finding on the derivative (strict
+concavity), with the stationarity residual reported.  Multivariate rectangle
+queries use the limiting log-MGFs of the coupled model and a projected
+quasi-Newton search.
 
 The importance-sampling estimator ``estimate_log_tail`` targets
 P(M^(N)(t) >= N a) itself.  It draws the rate layer on the simulator's cell
@@ -55,6 +59,7 @@ __all__ = [
     "RateQuery",
     "RateResult",
     "integrated_log_mgf",
+    "legendre_argument",
     "rate_fast",
     "rate_slow",
     "rate_slow_bounded",
@@ -101,8 +106,6 @@ class RateQuery:
     def u_t(self) -> float:
         """Reachable rate ceiling y (1 - e^(-mu t))/mu, +inf for unbounded env."""
         y = self.env.essential_sup()
-        if math.isinf(y):
-            return math.inf
         return y * (-math.expm1(-self._scalar_mu * self.t)) / self._scalar_mu
 
     @property
@@ -154,7 +157,7 @@ def speed_value(speed: str, scaling: ScalingRegime) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Integrated log-MGF and its theta-derivative.
+# Integrated log-MGF.
 
 
 def integrated_log_mgf(
@@ -184,35 +187,26 @@ def _ilm_with_err(env, mu, t, theta, route="time"):
     raise ValueError(f"unknown route {route!r}")
 
 
-def _ilm_prime(env, mu, t, theta):
-    """d/dtheta int_0^t log M(theta e^(-mu s)) ds."""
-    if theta == 0.0:
-        return env.mean * (-math.expm1(-mu * t)) / mu
-    val, _ = quad(
-        lambda s: math.exp(-mu * s) * env.log_mgf_prime(theta * math.exp(-mu * s)),
-        0.0,
-        t,
-        **_QUAD_KW,
-    )
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Univariate rates.
+
+
+def _cramer(m: float, a: float, regime: str, **diagnostics) -> RateResult:
+    """Poisson (Cramer) rate a log(m/a) - m + a of mean m at level a, speed N."""
+    return RateResult(
+        rate=a * math.log(m / a) - m + a,
+        theta_star=math.log(a / m),
+        regime=regime,
+        speed=SPEED_N,
+        diagnostics={"closed_form": 1.0, **diagnostics},
+    )
 
 
 def rate_fast(rho_t: float, a: float) -> RateResult:
     """Fast regime (alpha > 1): Poisson tail at mean rho(t), speed N."""
     if not 0 < rho_t < a:
         raise DomainError(f"need a > rho(t) > 0, got a={a}, rho(t)={rho_t}")
-    rate = a * math.log(rho_t / a) - rho_t + a
-    return RateResult(
-        rate=rate,
-        theta_star=math.log(a / rho_t),
-        regime="fast",
-        speed=SPEED_N,
-        diagnostics={"closed_form": 1.0},
-    )
+    return _cramer(rho_t, a, "fast")
 
 
 def _bracketed_argmax(deriv, hi_domain: float):
@@ -249,31 +243,42 @@ def _bracketed_argmax(deriv, hi_domain: float):
     return theta, info.iterations
 
 
-def rate_slow(query: RateQuery) -> RateResult:
-    """Slow regime (alpha < 1), rate-reachable branch: speed N^alpha/Delta.
+def legendre_argument(regime: str, delta: float, theta: float) -> tuple[float, float]:
+    """(x, dx/dtheta): the Legendre rate at theta integrates log M(x e^(-mu s)).
 
-    rate = -sup_{theta>0} (theta a - int_0^t log M(theta e^(-mu s)) ds).
-    """
+    x = theta in the slow regime and Delta (e^(theta/Delta) - 1) in the
+    intermediate one."""
+    if regime == "intermediate":
+        return delta * math.expm1(theta / delta), math.exp(theta / delta)
+    return theta, 1.0
+
+
+def _legendre(query: RateQuery, hi_domain: float, regime: str, speed: str) -> RateResult:
+    """-sup_{0<theta<hi} (theta a - int_0^t log M(x(theta) e^(-mu s)) ds), x by regime."""
     mu, a, t, env = query._scalar_mu, query._scalar_a, query.t, query.env
     rho = query.rho_t
     if a <= rho:
         raise DomainError(f"need a > rho(t) = {rho}")
-    if query.u_t < a:
-        raise RegimeError(
-            f"u(t) = {query.u_t} < a = {a}: the rate cannot reach a; "
-            "use rate_slow_bounded"
-        )
-    deriv = lambda th: a - _ilm_prime(env, mu, t, th)
-    theta, iters = _bracketed_argmax(deriv, env.theta_max)
-    val, quad_err = _ilm_with_err(env, mu, t, theta)
-    residual = abs(a - _ilm_prime(env, mu, t, theta))
+
+    def deriv(theta):
+        x, x_prime = legendre_argument(regime, query.delta, theta)
+
+        def integrand(s):
+            e = math.exp(-mu * s)
+            return env.log_mgf_prime(x * e) * x_prime * e
+
+        return a - quad(integrand, 0.0, t, **_QUAD_KW)[0]
+
+    theta, iters = _bracketed_argmax(deriv, hi_domain)
+    val, quad_err = _ilm_with_err(env, mu, t, legendre_argument(regime, query.delta, theta)[0])
+    residual = abs(deriv(theta))
     if residual > 1e-8:
         raise ConvergenceError(f"stationarity residual {residual:.2e} > 1e-8")
     return RateResult(
         rate=min(0.0, -(theta * a - val)),
         theta_star=theta,
-        regime="slow_unbounded",
-        speed=SPEED_SLOW,
+        regime=regime,
+        speed=speed,
         diagnostics={
             "stationarity_residual": residual,
             "iterations": iters,
@@ -282,28 +287,33 @@ def rate_slow(query: RateQuery) -> RateResult:
     )
 
 
+def rate_slow(query: RateQuery) -> RateResult:
+    """Slow regime (alpha < 1), rate-reachable branch: speed N^alpha/Delta.
+
+    rate = -sup_{theta>0} (theta a - int_0^t log M(theta e^(-mu s)) ds).
+    """
+    if query.u_t < query._scalar_a:
+        raise RegimeError(
+            f"u(t) = {query.u_t} < a = {query._scalar_a}: the rate cannot reach a; "
+            "use rate_slow_bounded"
+        )
+    return _legendre(query, query.env.theta_max, "slow_unbounded", SPEED_SLOW)
+
+
 def rate_slow_bounded(query: RateQuery) -> RateResult:
     """Slow regime with u(t) < a: Poisson tail at mean u(t), speed N."""
-    mu, a = query._scalar_mu, query._scalar_a
-    if a <= query.rho_t:
-        raise DomainError(f"need a > rho(t) = {query.rho_t}")
-    y = query.env.essential_sup()
-    if math.isinf(y):
+    rho, a = query.rho_t, query._scalar_a
+    if a <= rho:
+        raise DomainError(f"need a > rho(t) = {rho}")
+    u = query.u_t
+    if math.isinf(u):
         raise UnsupportedFamily(
             "rate_slow_bounded needs a finite essential supremum "
             "(Deterministic or DiscreteFinite rate)"
         )
-    u = query.u_t
     if u >= a:
         raise RegimeError(f"u(t) = {u} >= a = {a}: use rate_slow")
-    rate = a * math.log(u / a) + a - u
-    return RateResult(
-        rate=rate,
-        theta_star=math.log(a / u),
-        regime="slow_bounded",
-        speed=SPEED_N,
-        diagnostics={"closed_form": 1.0, "u_t": u},
-    )
+    return _cramer(u, a, "slow_bounded", u_t=u)
 
 
 def rate_intermediate(query: RateQuery) -> RateResult:
@@ -311,48 +321,9 @@ def rate_intermediate(query: RateQuery) -> RateResult:
 
     rate = -sup_{theta>0}(theta a - int_0^t log M(Delta (e^(theta/Delta)-1) e^(-mu s)) ds).
     """
-    mu, a, t, env, delta = query._scalar_mu, query._scalar_a, query.t, query.env, query.delta
-    rho = query.rho_t
-    if a <= rho:
-        raise DomainError(f"need a > rho(t) = {rho}")
-
-    def arg(theta, s):
-        return delta * math.expm1(theta / delta) * math.exp(-mu * s)
-
-    def objective_integral(theta):
-        return quad(lambda s: env.log_mgf(arg(theta, s)), 0.0, t, **_QUAD_KW)
-
-    def deriv(theta):
-        scale = math.exp(theta / delta)  # d(arg)/dtheta at s=0 over e^{-mu s}
-        val, _ = quad(
-            lambda s: env.log_mgf_prime(arg(theta, s)) * scale * math.exp(-mu * s),
-            0.0,
-            t,
-            **_QUAD_KW,
-        )
-        return a - val
-
-    if math.isfinite(env.theta_max):
-        # Delta (e^(theta/Delta) - 1) < theta_max bounds the search box.
-        hi_domain = delta * math.log1p(env.theta_max / delta)
-    else:
-        hi_domain = math.inf
-    theta, iters = _bracketed_argmax(deriv, hi_domain)
-    val, quad_err = objective_integral(theta)
-    residual = abs(deriv(theta))
-    if residual > 1e-8:
-        raise ConvergenceError(f"stationarity residual {residual:.2e} > 1e-8")
-    return RateResult(
-        rate=min(0.0, -(theta * a - val)),
-        theta_star=theta,
-        regime="intermediate",
-        speed=SPEED_INTERMEDIATE,
-        diagnostics={
-            "stationarity_residual": residual,
-            "iterations": iters,
-            "quad_abserr": quad_err,
-        },
-    )
+    # Delta (e^(theta/Delta) - 1) < theta_max bounds the search box (inf stays inf).
+    hi_domain = query.delta * math.log1p(query.env.theta_max / query.delta)
+    return _legendre(query, hi_domain, "intermediate", SPEED_INTERMEDIATE)
 
 
 def classify_regime(query: RateQuery) -> str:

@@ -84,6 +84,8 @@ _MAX_EXACT_SLOTS = 5_000_000
 _EVENT_BUDGET = 1e9
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses.
 _OUTPUT_BUDGET = 2**24
+# Largest initial count: exact in the float64 moments, far from int64 overflow.
+_MAX_INITIAL_COUNT = 2**53
 # A block of replications draws its rate layer as one (rows, cells) float64
 # array of at most _BLOCK_DRAW entries (2 MB), and has at most _MAX_BLOCK_ROWS rows.
 _BLOCK_DRAW = 2**18
@@ -114,6 +116,11 @@ class SimConfig:
             raise ValueError("initial_counts must have one entry per queue")
         if any(c < 0 for c in self.initial_counts):
             raise ValueError("initial_counts must be non-negative")
+        if any(c > _MAX_INITIAL_COUNT for c in self.initial_counts):
+            raise ValueError(
+                f"initial_counts must be at most 2^53 = {_MAX_INITIAL_COUNT}, "
+                f"got {max(self.initial_counts)}"
+            )
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if not 0 <= self.block_tol <= 1:

@@ -40,3 +40,14 @@ def test_instrument_patches_every_hooked_name(monkeypatch):
         for family in families:
             for attr in set(vars(family)) - own[family]:
                 delattr(family, attr)
+
+
+def test_harness_binds_the_ldp_functions_the_benchmark_wraps():
+    # instrument() wraps the ldp functions found in coxq.harness's namespace and
+    # counts rate_fast/rate_slow/rate_intermediate as ldp.optimizer: a name the
+    # harness stops importing would read 0 ms there instead of failing
+    import coxq.harness
+    import coxq.ldp
+
+    for name in ("rate_fast", "rate_slow", "rate_intermediate", "integrated_log_mgf"):
+        assert getattr(coxq.harness, name) is getattr(coxq.ldp, name), name

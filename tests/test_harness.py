@@ -102,7 +102,9 @@ def test_anderson_darling_matches_scipy_statistic():
     rng = np.random.default_rng(0)
     x = rng.normal(size=5000)
     a2, p = anderson_darling_normal(x)
-    ref = stats.anderson(x, dist="norm").statistic * (1 + 0.75 / 5000 + 2.25 / 5000**2)
+    ref = stats.anderson(x, dist="norm", method="interpolate").statistic * (
+        1 + 0.75 / 5000 + 2.25 / 5000**2
+    )
     assert a2 == pytest.approx(ref, rel=1e-6)
     assert 0.01 < p <= 1.0
     y = rng.exponential(size=5000)
@@ -258,6 +260,34 @@ def test_run_ldp_check_small_intermediate():
     names = [c.name for c in report.criteria]
     assert "theta_star_stationarity" in names
     assert "quadrature_dual_route" in names
+
+
+@pytest.mark.parametrize(
+    "alpha, argument",
+    [(0.5, lambda theta: theta), (1.0, lambda theta: 0.5 * math.expm1(theta / 0.5))],
+    ids=["slow", "intermediate"],
+)
+def test_ldp_check_dual_route_checks_the_integral_the_rate_used(monkeypatch, alpha, argument):
+    # the slow rate integrates log M(theta* e^(-mu s)), the intermediate one
+    # log M(Delta (e^(theta*/Delta) - 1) e^(-mu s)): both quadrature routes
+    # must be evaluated at that argument
+    seen = []
+    real = harness_module.integrated_log_mgf
+
+    def spy(env, mu, t, theta, route="time"):
+        seen.append(theta)
+        return real(env, mu, t, theta, route)
+
+    monkeypatch.setattr(harness_module, "integrated_log_mgf", spy)
+    cfg = make_config(
+        kind="ldp-check", alpha=alpha, delta=0.5, t=5.0, a=1.5,
+        N_grid=(50, 100), replications=200, seed=19,
+    )
+    report = run(cfg)
+    theta = report.results[0]["rate"]["theta_star"]
+    assert seen == [argument(theta)] * 2
+    gap = next(c for c in report.criteria if c.name == "quadrature_dual_route")
+    assert gap.passed
 
 
 def test_tail_estimators_unbiased_vs_plain_simulation():
@@ -475,6 +505,17 @@ def test_cli_blocked_simulate_over_a_long_horizon(tmp_path):
     mom = json.loads((out / "moments.json").read_text())
     for mean, se in zip(mom["mean"], mom["se_mean"]):
         assert abs(mean[0] - 200.0) < 6 * se[0]  # N E[L]/mu, exact in blocked mode
+
+
+@pytest.mark.parametrize("count", [2**63, 2**53 + 1])
+def test_cli_simulate_refuses_an_initial_count_beyond_2_53(tmp_path, capsys, count):
+    # 2^63 overflows the int64 counts; entries just below it could wrap once
+    # arrivals are added
+    cfg = write_config(tmp_path, simulate_doc(initial_counts=[count, 0]))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial_counts must be at most 2^53")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_refuses_an_output_beyond_its_budget(tmp_path, capsys):

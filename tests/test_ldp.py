@@ -169,6 +169,17 @@ def test_rate_slow_bounded_deterministic_equals_fast(a):
     assert bounded.theta_star == pytest.approx(fast.theta_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [3.2, 3.5, 4.0, 5.0])
+def test_rate_slow_bounded_is_the_cramer_rate_at_u(a):
+    # the bounded slow branch is the fast regime's Poisson rate at mean
+    # u(t) instead of rho(t): the same formula, rounded the same way
+    query = q(env=DiscreteFinite([1.0, 3.0], [0.5, 0.5]), t=5.0, a=a)
+    assert query.u_t != query.rho_t
+    bounded, fast = rate_slow_bounded(query), rate_fast(query.u_t, a)
+    assert bounded.rate == fast.rate
+    assert bounded.theta_star == fast.theta_star
+
+
 def test_rate_slow_bounded_guards():
     with pytest.raises(UnsupportedFamily):
         rate_slow_bounded(q(a=5.0))  # exponential: y = inf

@@ -63,6 +63,15 @@ def test_config_validation():
         make_config(initial_counts=(1, 2))
 
 
+def test_initial_counts_bound():
+    # counts up to 2^53 stay exact in the float64 moments and far from int64 overflow
+    traj = simulate(make_config(initial_counts=(2**53,), grid=(0.0, 1.0), replications=2))
+    assert traj.counts[:, 0, 0].tolist() == [2**53, 2**53]
+    for count in (2**53 + 1, 2**63):
+        with pytest.raises(ValueError, match="initial_counts must be at most 2\\^53"):
+            make_config(initial_counts=(count,))
+
+
 def test_event_budget_guard():
     # N E[L] grid[-1] R = 1e9 * 1 * 2 * 10 expected arrivals is over the budget
     with pytest.raises(ResourceError, match="arrival events"):
