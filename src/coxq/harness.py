@@ -275,6 +275,9 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("corr-check compares exactly two coupled queues (d = 2)")
     if config.kind == "ldp-check" and d != 1:
         raise ConfigError("ldp-check runs on a single queue (d = 1)")
+    for name in ("horizon", "grid", "initial_counts"):
+        if config.kind != "simulate" and getattr(config, name) is not None:
+            raise ConfigError(f"{name} is read only by simulate; {config.kind} would ignore it")
     if config.kind == "fclt-check" and config.t is None:
         raise ConfigError("fclt-check needs the observation time t")
     if config.kind == "simulate":

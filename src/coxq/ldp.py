@@ -23,15 +23,17 @@ queries use the limiting log-MGFs of the coupled model and a projected
 quasi-Newton search.
 
 The importance-sampling estimator ``estimate_log_tail`` targets
-P(M^(N)(t) >= N a) itself.  It draws the rate layer on the simulator's cell
-table, each cell's slot sum from the law tilted by its own eta_c, and
-accumulates the likelihood ratio prod_c M(eta_c)^(n_c) e^(-eta_c S_c) in log
-space.  Per regime: fast (eta = 0, the Poisson count tilted by theta*);
-slow (eta_c = theta* w_c / (n_c r) with w_c the cell's survival weight,
-n_c its slot count and r = (1 - e^(-mu Delta_N))/mu, and the Poisson layer
-integrated out by its exact conditional tail); intermediate
-(eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1), the Poisson count tilted by
-theta*/Delta).
+P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
+(``sim.replication_blocks``): block b draws its rows' rate layers on the
+simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, then
+their counts, from stream b alone.  With kappa = sum_c w_c S_c/n_c (w_c the
+cell's survival weight, n_c its slot count), one log likelihood ratio serves
+every regime: sum_c (n_c log M(eta_c) - eta_c S_c), plus either
+N kappa (e^tau - 1) - tau x on {x >= m} for a count x tilted by tau, or the
+exact log P(Poisson(N kappa) >= m) in the slow regime.  Per regime: fast (eta = 0,
+tau = theta*); slow (eta_c = theta* w_c / (n_c r), r = (1 - e^(-mu Delta_N))/mu,
+no count drawn); intermediate (eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1),
+tau = theta*/Delta).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
     RegimeError,
     UnsupportedFamily,
 )
-from .sim import cell_table
+from .sim import cell_table, replication_blocks
 
 __all__ = [
     "RateQuery",
@@ -352,69 +354,11 @@ def estimate_log_tail(
 ) -> tuple[float, float]:
     """log P(M^(N)(t) >= N a) from an empty queue, and its relative SE, by IS.
 
-    The rate layer is drawn per cell of ``sim.cell_table`` (d = 1, grid (t,)),
-    each cell's slot sum tilted by its own eta; the Poisson layer is handled
-    by an exact conditional tail (slow regime) or by exponential tilting of
-    the count (fast, intermediate).  ``theta_star`` is the optimizer of the
-    query's rate function.  Likelihood ratios are accumulated in log space;
-    the estimate is -inf when no replication hits the event.
+    The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,);
+    ``theta_star`` is the optimizer of the query's rate function.  The
+    estimate is -inf when no replication hits the event.
     """
-    env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
-    if a <= query.rho_t:
-        raise DegenerateQuery(
-            f"a = {a} <= rho(t) = {query.rho_t}: not a rare event, use plain Monte Carlo"
-        )
-    regime = classify_regime(query)
-    h = ScalingRegime(N, query.alpha, delta).delta_n
-    table = cell_table((mu,), h, (t,), block_tol)
-    counts, weights = table.slots, table.weights[0][:, 0]
-    wk = weights / counts  # per-draw weight within each cell
-    m = math.ceil(N * a - 1e-9)
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    if regime == "fast":
-        etas = np.zeros_like(weights)
-        log_norm = 0.0
-    elif regime == "slow_unbounded":
-        r_full = -math.expm1(-mu * h) / mu
-        etas = theta_star * weights / (counts * r_full)
-        log_norm = env.twisted_log_norm(etas, counts)
-    elif regime == "intermediate":
-        scale = math.expm1(theta_star / delta)
-        etas = N * wk * scale
-        log_norm = env.twisted_log_norm(etas, counts)
-    else:
-        raise RegimeError(
-            "no importance sampler for the bounded slow branch; "
-            "rate_slow_bounded gives the closed-form rate"
-        )
-
-    chunk = max(1, int(4_000_000 / max(len(counts), 1)))
-    # a constant rate layer is the same in every replication: draw one row
-    # (only in the fast and intermediate regimes, which broadcast kappa into
-    # the Poisson draw; a constant rate never reaches slow_unbounded)
-    rate_rows = 1 if env.variance == 0 else None
-    logw_parts = []
-    done = 0
-    while done < replications:
-        n = min(chunk, replications - done)
-        s = env.sample_block_sums_twisted(etas, rng, counts, rate_rows or n)
-        kappa = s @ wk
-        if regime == "slow_unbounded":
-            log_lr = log_norm - s @ etas
-            logw = poisson.logsf(m - 1, N * kappa) + log_lr
-        else:
-            tilt = theta_star if regime == "fast" else theta_star / delta
-            x = rng.poisson(N * kappa * math.exp(tilt), size=n)
-            if regime == "fast":
-                log_lr = N * kappa * math.expm1(tilt) - tilt * x
-            else:
-                log_lr = log_norm - tilt * x
-            logw = np.where(x >= m, log_lr, -np.inf)
-        logw_parts.append(logw)
-        done += n
-
-    logw = np.concatenate(logw_parts)
+    logw = _log_weights(query, N, replications, seed, theta_star, block_tol)
     finite = logw[np.isfinite(logw)]
     if finite.size == 0:
         return -math.inf, math.inf
@@ -423,6 +367,54 @@ def estimate_log_tail(
     # Var(W)/R / P^2, with E[W^2] and E[W]^2 kept in log space
     rel_var = math.expm1(min(log_sq - 2.0 * log_mean, 700.0))
     return log_mean, math.sqrt(max(rel_var, 0.0) / replications)
+
+
+def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndarray:
+    """(replications,) log IS weights, -inf off the event, that ``estimate_log_tail`` reduces."""
+    env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
+    if a <= query.rho_t:
+        raise DegenerateQuery(
+            f"a = {a} <= rho(t) = {query.rho_t}: not a rare event, use plain Monte Carlo"
+        )
+    regime = classify_regime(query)
+    h = ScalingRegime(N, query.alpha, delta).delta_n
+    table = cell_table((mu,), h, (t,), block_tol)
+    counts = table.slots
+    wk = table.weights[0][:, 0] / counts  # per-draw weight within each cell
+    m = math.ceil(N * a - 1e-9)
+
+    tau = None  # the count tilt; the slow regime integrates the count out
+    if regime == "fast":
+        etas, tau = np.zeros_like(wk), theta_star
+    elif regime == "slow_unbounded":
+        etas = theta_star * wk / (-math.expm1(-mu * h) / mu)
+    elif regime == "intermediate":
+        etas, tau = N * wk * math.expm1(theta_star / delta), theta_star / delta
+    else:
+        raise RegimeError(
+            "no importance sampler for the bounded slow branch; "
+            "rate_slow_bounded gives the closed-form rate"
+        )
+    log_norm = env.twisted_log_norm(etas, counts)
+
+    rows, streams = replication_blocks(seed, replications, counts.size)
+    # a constant rate layer is the same in every replication: draw one row
+    # (a constant rate never reaches slow_unbounded, which needs kappa per row)
+    rate_rows = 1 if env.variance == 0 else rows
+    kappa, logw = [], []
+    for rng in streams:
+        s = env.sample_block_sums_twisted(etas, rng, counts, rate_rows)
+        k = np.broadcast_to(s @ wk, rows)
+        lw = np.broadcast_to(log_norm - s @ etas, rows)
+        if tau is not None:
+            x = rng.poisson(N * k * math.exp(tau))
+            lw = np.where(x >= m, lw + N * k * math.expm1(tau) - tau * x, -np.inf)
+        kappa.append(k)
+        logw.append(lw)
+    logw = np.concatenate(logw)[:replications]
+    if tau is None:
+        logw += poisson.logsf(m - 1, N * np.concatenate(kappa)[:replications])
+    return logw
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,15 @@ block_tol^2/12 over each interval (about 8e-6 at the default block_tol =
 block_tol^2/12 sqrt(C_ii C_kk) of the exact per-slot value, which a
 deterministic test checks on the table itself.
 
-Replications are drawn in blocks of B = block_rows(cells) rows, B a fixed
-function of the cell table alone (never of the replication count R): block b
-consumes only the b-th stream spawned from the seed and draws its rate
-layer, Poisson counts and binomial thinning as arrays over its B rows.  Every
-block is drawn in full and the output is cut to R rows, so replication r
-depends only on (seed, r): results are bit-identical across runs and across
-any block-level execution schedule, and a run with fewer replications is a
-prefix of a longer one at any R.
+One RNG contract, ``replication_blocks``, serves both Monte Carlo engines,
+``simulate`` and the importance sampler ``ldp.estimate_log_tail``: R
+replications run in blocks of B = block_rows(cells) rows, B a fixed function
+of the cell table alone (never of R), and block b draws every layer for its
+B rows (rates, counts, thinning) from the b-th stream spawned from the seed.
+Every block is drawn in full and the output is cut to R rows, so replication
+r depends only on (seed, r): results are bit-identical across runs and
+across any block-level execution schedule, and a run with fewer replications
+is a prefix of a longer one at any R.  R > 2^24 is refused before any draw.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "CellTable",
     "cell_table",
     "block_rows",
+    "replication_blocks",
     "SimConfig",
     "Trajectory",
     "MomentReport",
@@ -82,7 +84,8 @@ _WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
 # Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
 _EVENT_BUDGET = 1e9
-# Output counts per run (R G d, int64: 128 MiB) above which simulate refuses.
+# Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
+# also the most replications that replication_blocks schedules.
 _OUTPUT_BUDGET = 2**24
 # Largest initial count: exact in the float64 moments, far from int64 overflow.
 _MAX_INITIAL_COUNT = 2**53
@@ -302,6 +305,17 @@ def block_rows(n_cells: int) -> int:
     return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_DRAW // max(n_cells, 1)))
 
 
+def replication_blocks(seed: int, replications: int, n_cells: int) -> tuple[int, list]:
+    """(B, streams): B = block_rows(n_cells) rows per block, ceil(R/B) streams from seed."""
+    if replications > _OUTPUT_BUDGET:
+        raise ResourceError(
+            f"{replications} replications exceed the budget {_OUTPUT_BUDGET:.3e}; "
+            "shrink the replications"
+        )
+    rows = block_rows(n_cells)
+    return rows, spawn_streams(seed, -(-replications // rows))
+
+
 def simulate(config: SimConfig) -> Trajectory:
     """Simulate the coupled queues; exact in law given the documented blocking."""
     expected = config.scaling.N * config.env.mean * config.grid[-1] * config.replications
@@ -321,16 +335,15 @@ def simulate(config: SimConfig) -> Trajectory:
 
     d = config.queues.d
     N = config.scaling.N
-    rows = block_rows(table.slots.size)
-    n_blocks = -(-config.replications // rows)
     # survival probabilities over each inter-grid gap, per queue
     dts = [t - s for s, t in zip((0.0,) + config.grid, config.grid)]
     p_step = np.array([[math.exp(-m * dt) for m in mu] for dt in dts])
     # alive pattern (bitmask - 1) -> the queues it counts in
     member = np.array([[mask >> i & 1 for i in range(d)] for mask in range(1, 2**d)])
 
-    counts = np.empty((n_blocks * rows, len(config.grid), d), dtype=np.int64)
-    for b, rng in enumerate(spawn_streams(config.seed, n_blocks)):
+    rows, streams = replication_blocks(config.seed, config.replications, table.slots.size)
+    counts = np.empty((len(streams) * rows, len(config.grid), d), dtype=np.int64)
+    for b, rng in enumerate(streams):
         # realized environment: the average slot rate of every cell, one row per replication
         ravg = config.env.sample_block_sums(rng, table.slots, rows)
         ravg /= table.slots

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import coxq.harness as harness_module
+import coxq.sim
 from coxq import Deterministic, Exponential, QueueParams
 from coxq.cli import main as cli_main
 from coxq.errors import ConfigError
@@ -529,6 +530,39 @@ def test_cli_simulate_refuses_an_output_beyond_its_budget(tmp_path, capsys):
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "4.000e+12 output counts" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_ldp_check_refuses_replications_beyond_the_budget(tmp_path, capsys, monkeypatch):
+    # 2^24 + 1 replications: refused before a stream is spawned or a weight stored
+    def spawn(seed, n):
+        raise AssertionError("spawned streams for a refused run")
+
+    monkeypatch.setattr(coxq.sim, "spawn_streams", spawn)
+    doc = analytic_doc(kind="ldp-check", t=5.0, a=1.5, replications=2**24 + 1)
+    cfg = write_config(tmp_path, doc)
+    assert cli_main(["ldp-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 16777217 replications exceed the budget")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        analytic_doc(kind="ldp-check", t=5.0, a=1.5, initial_counts=[1000000]),
+        analytic_doc(grid=[1.0, 2.0]),
+        analytic_doc(kind="clt-check", N_grid=[500], horizon=2.0),
+        analytic_doc(kind="fclt-check", queues={"mu": [1.0, 2.0]}, t=1.0, grid=[1.0]),
+        analytic_doc(kind="corr-check", queues={"mu": [1.0, 2.0]}, initial_counts=[0, 0]),
+    ],
+)
+def test_cli_rejects_fields_only_simulate_reads(tmp_path, capsys, doc):
+    # these fields would be echoed in report.json yet change nothing
+    name = next(k for k in ("horizon", "grid", "initial_counts") if k in doc)
+    cfg = write_config(tmp_path, doc)
+    assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{name} is read only by simulate" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

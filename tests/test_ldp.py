@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import spence
 from scipy.stats import poisson
 
+import coxq.sim
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
 from coxq.errors import DegenerateQuery, DomainError, RegimeError, UnsupportedFamily
 from coxq.ldp import (
     RateQuery,
+    _log_weights,
     classify_regime,
     estimate_log_tail,
     integrated_log_mgf,
@@ -22,6 +25,7 @@ from coxq.ldp import (
     rate_slow,
     rate_slow_bounded,
 )
+from coxq.sim import block_rows, cell_table
 
 
 def q(env=None, mu=1.0, delta=1.0, alpha=0.5, t=40.0, a=2.0):
@@ -370,8 +374,8 @@ def test_is_discrete_matches_exact_tail():
 )
 def test_is_discrete_near_rate_ceiling_matches_exact_tail():
     # the case above at a = 1.7, where exact P = 0.19012; one-slot cells, so
-    # the block_tol argument does not enter.  Fails on both counts: z = -4.04
-    # at seed 10, and RMS(P_hat/P - 1) = 0.112 against 2 x 0.0538
+    # the block_tol argument does not enter.  Fails on its z bound: z = -4.11
+    # at seed 7; RMS(P_hat/P - 1) = 0.121 passes its own bound 2 x 0.120
     env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
     query = q(env=env, t=2.0, a=1.7)
     N, h = 4, 0.5
@@ -398,6 +402,55 @@ def test_is_degenerate_query():
 def test_is_rejects_bounded_slow_branch():
     with pytest.raises(RegimeError):
         estimate_log_tail(q(env=Deterministic(1.0), t=5.0, a=1.5), 100, 10, 0, 1.0, 0.01)
+
+
+def _is_shape(alpha, N):
+    """A slow (alpha < 1) or intermediate (alpha = 1) IS query, its theta*, and its block rows."""
+    query = q(alpha=alpha, t=5.0, a=1.5)
+    theta = (rate_slow if alpha < 1 else rate_intermediate)(query).theta_star
+    h = ScalingRegime(N, alpha, 1.0).delta_n
+    return query, theta, block_rows(cell_table((1.0,), h, (5.0,), 0.01).slots.size)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_is_replications_are_a_prefix_of_longer_runs(alpha):
+    # replication r depends only on (seed, r): block b draws from stream b alone
+    N = 100
+    query, theta, B = _is_shape(alpha, N)
+    full = _log_weights(query, N, 2 * B + 3, 7, theta, 0.01)
+    assert np.isfinite(full).sum() > 10
+    for R in (B - 1, B + 1):
+        np.testing.assert_array_equal(_log_weights(query, N, R, 7, theta, 0.01), full[:R])
+
+
+def test_is_memory_stays_at_one_block():
+    # the ldp_slow N=1600 shape at R = 40,000 holds one block's rate draws
+    # and a few floats per replication, never an (R, cells) array
+    N = 1600
+    query, theta, _ = _is_shape(0.5, N)
+    tracemalloc.start()
+    try:
+        log_p, _ = estimate_log_tail(query, N, 40_000, 3, theta, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(log_p)
+    assert peak <= 8 * 2**20
+
+
+def test_is_spawns_one_stream_per_block(monkeypatch):
+    calls = []
+    spawn = coxq.sim.spawn_streams
+
+    def spy(seed, n):
+        calls.append(n)
+        return spawn(seed, n)
+
+    monkeypatch.setattr(coxq.sim, "spawn_streams", spy)
+    N, R = 100, 600
+    query, theta, B = _is_shape(1.0, N)
+    estimate_log_tail(query, N, R, 7, theta, 0.01)
+    assert calls == [-(-R // B)]
 
 
 def test_rate_result_json():
