@@ -25,21 +25,21 @@ as one ``env.sample_block_sums`` draw of every cell's slot-rate sum.
 When the scaled slot length h is below block_tol/sum(mu), the whole slots of
 each inter-grid interval form cells that widen with their age a, measured
 back from the interval's right end t_g: W(a) = W0 e^(2 mu_min a/3), floored
-to whole slots and at least one slot, with W0 = block_tol/(sum(mu) sqrt(rho(T)))
-and rho(T) = 3 (1 - e^(-2 mu_min T/3))/(1 - e^(-2 mu_min T)) for an interval
-of length T.  Otherwise (and always at block_tol = 0) every cell is one slot,
-whose block sum is the exact per-slot draw.  A slot that straddles a grid
-time is a single-slot cell shared by the intervals on both sides, so the
-cells tile every interval and means are exact.  A cell's rate mass keeps its
-exact distribution (gamma sums, multinomial counts); only the pairing of
-rates to survival weights inside a cell is averaged.  A slot of age a carries
-rate-layer variance weight e^(-2 mu_min a) or less, and a cell of width W
-distorts its share nu of that weight by at most (sum(mu) W)^2/12 relative;
-the widths above spend one total budget, sum_c nu_c (sum(mu) W_c)^2/12 =
-block_tol^2/12 over each interval (about 8e-6 at the default block_tol =
-0.01).  So every rate-layer covariance of the engine lies within
-block_tol^2/12 sqrt(C_ii C_kk) of the exact per-slot value, which a
-deterministic test checks on the table itself.
+to whole slots and at least one slot, with W0 = block_tol/sqrt(max_ik c_ik(T))
+for an interval of length T; ``cell_table`` derives c_ik(T), and for d = 1 it
+is mu^2 rho(T) with rho(T) = 3 (1 - e^(-2 mu T/3))/(1 - e^(-2 mu T)).
+Otherwise (and always at block_tol = 0) every cell is one slot, whose block
+sum is the exact per-slot draw.  A slot that straddles a grid time is a
+single-slot cell shared by the intervals on both sides, so the cells tile
+every interval and means are exact.  A cell's rate mass keeps its exact
+distribution (gamma sums, multinomial counts); only the pairing of rates to
+survival weights inside a cell is averaged.  A cell of width W lowers its
+part of covariance entry (i, k) by at most mu_i mu_k W^2/12 relative, and the
+widths above keep the sum of these losses over each interval within
+block_tol^2/12 sqrt(C_ii C_kk) for the worst entry (about 8e-6 relative at the
+default block_tol = 0.01).  So every rate-layer covariance of the engine lies
+within block_tol^2/12 sqrt(C_ii C_kk) of the exact per-slot value, which
+deterministic tests check on the table itself.
 
 One RNG contract, ``replication_blocks``, serves both Monte Carlo engines,
 ``simulate`` and the importance sampler ``ldp.estimate_log_tail``: R
@@ -228,17 +228,48 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     With h < block_tol/sum(mu) the whole slots of each interval [t_(g-1), t_g)
     of length T are grouped into cells cut from the young end back: a cell
     whose right edge has age a (from t_g) spans W(a) = W0 e^(2 mu_min a/3),
-    floored to whole slots and at least one, with
-    W0 = block_tol/(sum(mu) sqrt(rho(T))) and
-    rho(T) = 3 (1 - e^(-2 mu_min T/3))/(1 - e^(-2 mu_min T)).  Otherwise every
-    cell is one slot.  The widths spend one total budget per interval,
-    sum_c nu_c (sum(mu) W_c)^2/12 = block_tol^2/12, where nu_c is the cell's
-    share of the interval's variance weight integral of e^(-2 mu_min a); so
-    the rate-layer covariance of the table is within block_tol^2/12
-    sqrt(C_ii C_kk) of the per-slot table's at every grid time.  A slot that
-    straddles a grid time is a single-slot cell shared by both intervals, so
-    the pieces tile each interval exactly.  Grid times within 1e-12 max(h, 1)
-    of a slot boundary count as on the boundary.
+    floored to whole slots and at least one, with W0 = block_tol/sqrt(c(T)),
+    c(T) = max over i, k of
+
+        c_ik(T) = 2 (mu_i mu_k)^(3/2) (1 - e^(-s T))
+                  / (s sqrt((1 - e^(-2 mu_i T)) (1 - e^(-2 mu_k T)))),
+        s = mu_i + mu_k - 4 mu_min/3 > 0.
+
+    For d = 1, c(T) = mu^2 rho(T) with rho(T) = 3 (1 - e^(-2 mu T/3))/(1 -
+    e^(-2 mu T)).  Otherwise every cell is one slot.  A slot that straddles a
+    grid time is a single-slot cell shared by both intervals, so the pieces
+    tile each interval exactly.  Grid times within 1e-12 max(h, 1) of a slot
+    boundary count as on the boundary.
+
+    The widths bound the rate-layer covariance of the table, per unit
+    N^2 Var[L], within block_tol^2/12 sqrt(C_ii C_kk) of the per-slot table's
+    at every grid time:
+
+    - One cell.  A job that arrives at age a is alive in queue i at t_g with
+      probability e^(-mu_i a), so the interval adds C_ik = integral of
+      e^(-(mu_i + mu_k) a) to entry (i, k).  Averaging the rates over a cell
+      of width W lowers its part nu_ik of that integral by the factor
+      1 - S(x_i) S(x_k)/S(x_i + x_k), S(x) = sinh(x)/x, x_i = mu_i W/2.  This
+      never exceeds its linearisation x_i x_k/3 = mu_i mu_k W^2/12 (for
+      x_i = x_k it reads tanh(x)/x >= 1 - x^2/3), and an average of n = W/h
+      whole slots gives mu_i mu_k (W^2 - h^2)/12 to first order.
+    - One interval.  W(a) grows with age, so a cell's width, taken at its
+      young edge, undercuts W(a) everywhere in the cell, and
+      sum_c nu_ik,c mu_i mu_k W_c^2/12 <= mu_i mu_k/12 integral_0^T W(a)^2
+      e^(-(mu_i + mu_k) a) da = W0^2 mu_i mu_k (1 - e^(-s T))/(12 s).  Over
+      sqrt(C_ii C_kk), with C_ii = (1 - e^(-2 mu_i T))/(2 mu_i), that is
+      W0^2 c_ik(T)/12 <= block_tol^2/12 for every entry.
+    - Across reads.  At a read time t_G, interval g's loss D_g and its C_g
+      both enter entry (i, k) scaled by f_ig f_kg, f_ig = e^(-mu_i (t_G - t_g)).
+      By the per-interval bound and Cauchy-Schwarz, sum_g f_ig f_kg D_g,ik <=
+      block_tol^2/12 sqrt(sum_g f_ig^2 C_g,ii) sqrt(sum_g f_kg^2 C_g,kk) <=
+      block_tol^2/12 sqrt(C_ii(t_G) C_kk(t_G)).
+
+    The slot lattice moves these integrals by relative terms of order
+    (mu h)^2, which the young-edge undercut (relative order mu_min W) leaves
+    room for; deterministic tests check the bound on the tables themselves.
+    The exponent 2 mu_min/3 minimises the cell count, integral of da/W(a),
+    at a fixed budget for the slowest entry's weight e^(-2 mu_min a).
     """
     blocked = block_tol > 0 and h < block_tol / sum(mu)
     if not blocked and math.ceil(grid[-1] / h) > _MAX_EXACT_SLOTS:
@@ -280,16 +311,16 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
 
 
 def _aged_cell_starts(mu, h, lo: int, hi: int, t_start: float, t_end: float, block_tol: float):
-    """First slots of the aged cells (see ``cell_table``) tiling the whole slots [lo, hi).
-
-    W(a) minimises the cell count at a fixed budget; taken at a cell's young
-    edge, it undercuts the width over the whole cell, so the cells stay
-    within the budget.
-    """
+    """First slots of the aged cells (see ``cell_table``) tiling the whole slots [lo, hi)."""
     k = 2.0 * min(mu) / 3.0
     T = t_end - t_start
-    rho = 3.0 * math.expm1(-k * T) / math.expm1(-3.0 * k * T)
-    w0 = block_tol / (sum(mu) * math.sqrt(rho) * h)  # in slots
+
+    def c_ik(mi, mk):  # entry (i, k)'s loss per unit W0^2/12, relative to sqrt(C_ii C_kk)
+        s = mi + mk - 2.0 * k
+        root = math.sqrt(math.expm1(-2.0 * mi * T) * math.expm1(-2.0 * mk * T))
+        return -2.0 * (mi * mk) ** 1.5 * math.expm1(-s * T) / (s * root)
+
+    w0 = block_tol / (math.sqrt(max(c_ik(mi, mk) for mi in mu for mk in mu)) * h)  # in slots
     starts = []
     right = hi
     while right > lo:
@@ -382,13 +413,20 @@ def estimate_moments(traj: Trajectory) -> MomentReport:
     R = traj.replications
     if R < 2:
         raise InsufficientData("at least 2 replications are required")
-    x = traj.counts.astype(float)
-    mean = x.mean(axis=0)
-    dev = x - mean
-    variance = (dev**2).sum(axis=0) / (R - 1)
-    covariance = np.einsum("rgi,rgk->gik", dev, dev) / (R - 1)
+    G, d = traj.counts.shape[1:]
+    mean, sq, m4 = np.empty((G, d)), np.empty((G, d)), np.empty((G, d))
+    cross = np.empty((G, d, d))
+    for g in range(G):  # one grid time at a time, so no (R, G, d) float copy is held
+        x = traj.counts[:, g].astype(float)
+        mean[g] = x.mean(axis=0)
+        dev = x - mean[g]
+        d2 = dev * dev
+        sq[g] = d2.sum(axis=0)
+        cross[g] = np.einsum("ri,rk->ik", dev, dev)
+        m4[g] = (d2 * d2).mean(axis=0)
+    variance = sq / (R - 1)
+    covariance = cross / (R - 1)
     se_mean = np.sqrt(variance / R)
-    m4 = (dev**4).mean(axis=0)
     var_of_var = (m4 - (R - 3) / (R - 1) * variance**2) / R
     se_variance = np.sqrt(np.maximum(var_of_var, 0.0))
     return MomentReport(

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from coxq import sim
 from coxq.analytic import (
     QueueParams,
     fluid_limit,
@@ -189,6 +191,30 @@ def test_estimate_moments_insufficient():
         estimate_moments(_traj_from_counts(np.zeros((1, 1, 1))))
 
 
+def test_estimate_moments_match_whole_array_formulas_within_one_grid_time_of_memory():
+    # reference: the same moments over the whole (R, G, d) float array at once
+    counts = np.random.default_rng(5).poisson(50.0, size=(20_000, 8, 3))
+    x = counts.astype(float)
+    R = x.shape[0]
+    dev = x - x.mean(axis=0)
+    variance = (dev**2).sum(axis=0) / (R - 1)
+    m4 = (dev**4).mean(axis=0)
+    se_variance = np.sqrt((m4 - (R - 3) / (R - 1) * variance**2) / R)
+    traj = _traj_from_counts(counts)
+    tracemalloc.start()
+    try:
+        mom = estimate_moments(traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mom.mean, x.mean(axis=0))
+    assert np.array_equal(mom.variance, variance)
+    assert np.array_equal(mom.covariance, np.einsum("rgi,rgk->gik", dev, dev) / (R - 1))
+    # m4 from (dev^2)^2 rather than pow(dev, 4) moves only the last digits
+    np.testing.assert_allclose(mom.se_variance, se_variance, rtol=1e-12)
+    assert peak <= counts.nbytes  # a few float copies of one grid time, not of the output
+
+
 def test_disjoint_streams_have_zero_covariance():
     # Fixture: two d=1 simulations with independent seeds stacked as d=2.
     a = simulate(make_config(replications=5000, seed=21)).counts
@@ -290,7 +316,7 @@ def test_simulate_allocates_about_one_block_draw(env, factor):
         scaling=ScalingRegime(2000, 2.0, 1.0),
         initial_counts=(0, 0),
         replications=100,
-        block_tol=7e-4,
+        block_tol=3.3e-4,
         seed=3,
     )
     h = cfg.scaling.delta_n
@@ -432,24 +458,34 @@ def _lattice_rate_covariance(mu, h, n) -> np.ndarray:
     return np.outer(r, r) * np.expm1(-both * n * h) / np.expm1(-both * h)
 
 
-@pytest.mark.parametrize(
-    "mu, scaling, t",
-    [
-        pytest.param((1.0,), ScalingRegime(500, 1.0, 2.0), None, id="clt-N500"),
-        pytest.param((1.0,), ScalingRegime(2000, 1.0, 2.0), None, id="clt-N2000"),
-        pytest.param((1.0, 2.0), ScalingRegime(2000, 2.0, 1.0), None, id="corr-N2000"),
-        pytest.param((1.0, 2.0), ScalingRegime(2000, 2.0, 1.0), 1.0, id="fclt-N2000"),
-    ],
-)
-def test_engine_rate_covariance_within_budget_on_check_shapes(mu, scaling, t):
-    # the tables of clt-check, corr-check (stationary: the warm-up read) and
-    # fclt-check (a read at t from the start) at the default block_tol, against
-    # the closed-form per-slot covariance
-    h, block_tol = scaling.delta_n, 0.01
+def _one_read_after_empty_start(mu, scaling, t, block_tol=0.01):
+    """(n, table, exact, budget share) for one read n whole slots after an empty start.
+
+    The read is at t, or for t = None at the warm-up read of ``sample_stationary``.
+    """
+    h = scaling.delta_n
     n = round((t if t is not None else math.ceil(40.0 / min(mu) / h - 1e-9) * h) / h)
     table = cell_table(mu, h, (n * h,), block_tol)
     engine = _rate_layer_covariance(table, mu, (n * h,))
     exact = _lattice_rate_covariance(mu, h, n)
+    return n, table, exact, _budget_share(engine[None], exact[None], block_tol)
+
+
+@pytest.mark.parametrize(
+    "mu, scaling, t, max_cells",
+    [
+        pytest.param((1.0,), ScalingRegime(500, 1.0, 2.0), None, 400, id="clt-N500"),
+        pytest.param((1.0,), ScalingRegime(2000, 1.0, 2.0), None, 300, id="clt-N2000"),
+        pytest.param((1.0, 2.0), ScalingRegime(2000, 2.0, 1.0), None, 400, id="corr-N2000"),
+        pytest.param((1.0, 2.0), ScalingRegime(2000, 2.0, 1.0), 1.0, 200, id="fclt-N2000"),
+    ],
+)
+def test_engine_rate_covariance_within_budget_on_check_shapes(mu, scaling, t, max_cells):
+    # the tables of clt-check, corr-check (stationary: the warm-up read) and
+    # fclt-check (a read at t from the start) at the default block_tol, against
+    # the closed-form per-slot covariance; the widths must also spend at least
+    # half the budget, so the tables stay small
+    n, table, exact, share = _one_read_after_empty_start(mu, scaling, t)
     if t is None:  # the warm-up leaves e^-80 of the stationary value out
         env, N = Exponential(1.0), scaling.N  # Var[L] = 1
         for i, mi in enumerate(mu):
@@ -459,13 +495,28 @@ def test_engine_rate_covariance_within_budget_on_check_shapes(mu, scaling, t):
                 else:
                     rate_part = stationary_covariance(env, mi, mk, scaling) - N * env.mean / (mi + mk)
                 assert exact[i, k] == pytest.approx(rate_part / N**2, rel=1e-9)
-    assert table.slots.size < n / 10
-    assert _budget_share(engine[None], exact[None], block_tol) <= 1.0
+    assert table.slots.size < min(n / 10, max_cells)
+    assert 0.5 <= share <= 1.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("t", [None, 1.0], ids=["stationary", "transient"])
+@pytest.mark.parametrize(
+    "mu",
+    [(0.2, 3.0), (1.0, 10.0), (0.5, 1.0, 2.0), (0.3, 0.3, 3.0, 3.0)],
+    ids=lambda mu: "mu=" + ",".join(f"{m:g}" for m in mu),
+)
+def test_engine_rate_covariance_within_budget_for_spread_rates(mu, t, alpha):
+    # d = 2..4 with service rates up to 15x apart, at a warm-up read (as
+    # sample_stationary makes) and at a read t from the start
+    _, table, _, share = _one_read_after_empty_start(mu, ScalingRegime(2000, alpha, 1.0), t)
+    assert table.slots.max() > 1  # blocked
+    assert share <= 1.0
 
 
 @st.composite
-def _tables(draw):
-    d = draw(st.integers(1, 4))
+def _tables(draw, dims=st.integers(1, 4)):
+    d = draw(dims)
     mu = tuple(draw(st.floats(0.2, 3.0)) for _ in range(d))
     # block_tol in [1e-3, 0.1]: further down, the bound block_tol^2/12 nears the
     # float rounding of the slots' own survival weights (about 1e-16/(mu h)
@@ -493,6 +544,51 @@ def test_engine_rate_covariance_within_budget_of_per_slot_table(case):
     blocked = _rate_layer_covariance(cell_table(mu, h, grid, block_tol), mu, grid)
     exact = _rate_layer_covariance(cell_table(mu, h, grid, 0.0), mu, grid)
     assert _budget_share(blocked, exact, block_tol) <= 1.0
+
+
+def _sum_mu_cell_starts(mu, h, lo, hi, t_start, t_end, block_tol):
+    """The widths W0 = block_tol/(sum(mu) sqrt(rho(T))) of the (sum(mu) W)^2/12 bound."""
+    k = 2.0 * min(mu) / 3.0
+    T = t_end - t_start
+    rho = 3.0 * math.expm1(-k * T) / math.expm1(-3.0 * k * T)
+    w0 = block_tol / (sum(mu) * math.sqrt(rho) * h)
+    starts = []
+    right = hi
+    while right > lo:
+        grow = math.exp(min(k * max(t_end - right * h, 0.0), 700.0))
+        right -= max(1, int(min(w0 * grow, right - lo)))
+        starts.append(right)
+    return starts[::-1]
+
+
+def _assert_one_queue_table_unchanged(mu, h, grid, block_tol):
+    table = cell_table(mu, h, grid, block_tol)
+    with mock.patch.object(sim, "_aged_cell_starts", _sum_mu_cell_starts):
+        reference = cell_table(mu, h, grid, block_tol)
+    assert np.array_equal(table.slots, reference.slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables(dims=st.just(1)))
+def test_one_queue_tables_match_the_sum_mu_widths(case):
+    # for d = 1, c(T) = mu^2 rho(T): the worst-entry widths are the
+    # sum(mu) widths, so every one-queue table (clt-check, ldp-check, the
+    # importance sampler) keeps its cells
+    _assert_one_queue_table_unchanged(*case)
+
+
+@pytest.mark.parametrize(
+    "scaling, grid",
+    [
+        pytest.param(ScalingRegime(500, 1.0, 2.0), (40.0,), id="clt-N500"),
+        pytest.param(ScalingRegime(2000, 1.0, 2.0), (40.0,), id="clt-N2000"),
+        *(pytest.param(ScalingRegime(N, 2.0, 1.0), (40.0,), id=f"ldp_fast-N{N}") for N in (50, 400)),
+        # the intermediate regime's other N (50, 100) run in exact mode
+        pytest.param(ScalingRegime(200, 1.0, 1.0), (5.0,), id="ldp_intermediate-N200"),
+    ],
+)
+def test_one_queue_check_shape_tables_match_the_sum_mu_widths(scaling, grid):
+    _assert_one_queue_table_unchanged((1.0,), scaling.delta_n, grid, 0.01)
 
 
 def test_cell_table_width_exponent_never_overflows():
