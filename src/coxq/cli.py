@@ -49,9 +49,9 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    doc.setdefault("kind", args.kind)
     try:
-        config = ExperimentConfig.from_json(doc)
+        # from_json refuses a config that is not a JSON object
+        config = ExperimentConfig.from_json({"kind": args.kind, **doc} if isinstance(doc, dict) else doc)
         if config.kind != args.kind:
             raise ConfigError(
                 f"config kind {config.kind!r} does not match subcommand {args.kind!r}"
@@ -73,7 +73,8 @@ def main(argv=None) -> int:
 
     for row in report.results:
         if isinstance(row, dict) and row.get("rel_err_warning"):
-            print(f"WARN N={row['N']}: tail-estimate rel_err={row['rel_err']:.3f} > 0.3")
+            warn = config.tol("rel_err_warn")
+            print(f"WARN N={row['N']}: tail-estimate rel_err={row['rel_err']:.3f} > {warn:.3g}")
     for c in report.criteria:
         mark = "PASS" if c.passed else "FAIL"
         print(

@@ -406,21 +406,17 @@ class DiscreteFinite(EnvSpec):
         return {"family": "discrete", "values": self.values.tolist(), "probs": self.probs.tolist()}
 
 
-_FAMILIES = {
-    "deterministic": lambda d: Deterministic(value=d["value"]),
-    "exponential": lambda d: Exponential(rate=d["rate"]),
-    "gamma": lambda d: Gamma(shape=d["shape"], scale=d["scale"]),
-    "discrete": lambda d: DiscreteFinite(values=d["values"], probs=d["probs"]),
-}
+_FAMILIES = {cls.family: cls for cls in (Deterministic, Exponential, Gamma, DiscreteFinite)}
 
 
 def env_from_json(obj: dict) -> EnvSpec:
-    """Inverse of ``EnvSpec.to_json``; raises ValueError for unknown families."""
-    try:
-        make = _FAMILIES[obj["family"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown env family: {obj.get('family')!r}") from exc
-    return make(obj)
+    """Inverse of ``EnvSpec.to_json``: ValueError for an unknown family, and
+    TypeError naming a missing or unknown parameter."""
+    params = dict(obj)
+    family = params.pop("family", None)
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ValueError(f"unknown env family: {family!r}")
+    return _FAMILIES[family](**params)
 
 
 @dataclass(frozen=True)

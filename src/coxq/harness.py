@@ -2,11 +2,14 @@
 
 Each runner builds its Monte Carlo instances from one ExperimentConfig,
 records every estimate with an uncertainty, and derives pass/fail criteria
-only from the recorded numbers, with thresholds from the config's tolerance
-table (defaults merged).  Every runner has the signature
-``run_*(config, out_dir)`` and returns (results, criteria); ``run`` times it
-and builds the Report.  Reports serialize to a versioned JSON schema; the
-wall clock is kept out of the file so reruns with one seed are byte-stable.
+only from the recorded numbers, with thresholds from the config's tolerances
+(defaults merged).  One table, ``_SCHEMA``, names the optional fields each
+kind reads, those it needs, and its tolerances with their defaults;
+``from_json`` refuses any other key and ``_validate`` any other set field.
+Every runner has the signature ``run_*(config, out_dir)`` and returns
+(results, criteria); ``run`` times it and builds the Report.  Reports
+serialize to a versioned JSON schema; the wall clock is kept out of the file
+so reruns with one seed are byte-stable.
 
 Checks:
 
@@ -28,8 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import norm
@@ -75,22 +80,44 @@ __all__ = [
     "anderson_darling_normal",
 ]
 
-KINDS = ("analytic", "simulate", "clt-check", "fclt-check", "ldp-check", "corr-check")
 
-DEFAULT_TOLERANCES = {
-    "variance_rel_tol": 0.10,
-    "ad_pvalue_min": 0.01,
-    "cov_rel_tol": 0.10,
-    "corr_rel_tol": 0.10,
-    "slope_rel_tol": 0.10,
-    "rel_err_warn": 0.30,
-    "pgf_abs_tol": 1e-10,
-    "trichotomy_rel_tol": 0.02,
-    "stationarity_residual_max": 1e-6,
-    "quad_route_tol": 1e-9,
+class _Schema(NamedTuple):
+    reads: tuple  # the optional fields the kind reads
+    needs: tuple  # those of them it cannot run without
+    tolerances: dict  # its criteria's thresholds, with their defaults
+
+
+# What each kind reads beyond the _COMMON fields, which every kind reads; a
+# config with any other key exits 2
+_SCHEMA = {
+    "analytic": _Schema(("t",), (), {"pgf_abs_tol": 1e-10, "trichotomy_rel_tol": 0.02}),
+    "simulate": _Schema(("horizon", "grid", "initial_counts", "block_tol"), ("grid",), {}),
+    "clt-check": _Schema(("block_tol",), (), {"variance_rel_tol": 0.10, "ad_pvalue_min": 0.01}),
+    "fclt-check": _Schema(("t", "block_tol"), ("t",), {"cov_rel_tol": 0.10}),
+    "ldp-check": _Schema(
+        ("t", "a", "block_tol"),
+        ("t", "a"),
+        {"slope_rel_tol": 0.10, "rel_err_warn": 0.30, "stationarity_residual_max": 1e-6,
+         "quad_route_tol": 1e-9},
+    ),
+    "corr-check": _Schema(("block_tol",), (), {"corr_rel_tol": 0.10}),
 }
+KINDS = tuple(_SCHEMA)
+_COMMON = ("kind", "env", "queues", "delta", "alpha", "N_grid", "replications", "seed", "tolerances")
 
 _PGF_Z_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _check_reads(kind: str, names, tolerances=False) -> None:
+    """ConfigError for the first of names that the kind does not read, naming the kinds that do."""
+    def reads(k):
+        return tuple(_SCHEMA[k].tolerances) if tolerances else _COMMON + _SCHEMA[k].reads
+
+    for name in (n for n in names if n not in reads(kind)):
+        readers = ", ".join(k for k in KINDS if name in reads(k))
+        name = f"tolerances.{name}" if tolerances else name
+        read = f"only by {readers}; {kind} would ignore it" if readers else "by no kind"
+        raise ConfigError(f"{name} is read {read}")
 
 
 @dataclass(frozen=True)
@@ -122,94 +149,67 @@ class ExperimentConfig:
             )
 
     def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+        return self.tolerances.get(name, _SCHEMA[self.kind].tolerances[name])
 
     def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "env": self.env.to_json(),
-            "queues": {"mu": list(self.queues.mu)},
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "N_grid": list(self.N_grid),
-            "replications": self.replications,
-            "seed": self.seed,
-            "block_tol": self.block_tol,
-            "tolerances": dict(self.tolerances),
-        }
-        for name in ("t", "a", "horizon"):
-            if getattr(self, name) is not None:
-                doc[name] = getattr(self, name)
-        if self.grid is not None:
-            doc["grid"] = list(self.grid)
-        if self.initial_counts is not None:
-            doc["initial_counts"] = list(self.initial_counts)
-        return doc
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(env=self.env.to_json(), queues={"mu": list(self.queues.mu)})
+        doc["tolerances"] = dict(self.tolerances)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items() if v is not None}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        def number(value, name):  # a finite JSON number, never a string, a bool or NaN
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+        """Parse a JSON config; ConfigError names the field that is missing, mistyped or unread."""
+        def typed(value, types, name, what):  # never a bool where a number belongs
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
+            return value
+
+        def number(value, name):  # a finite JSON number, never a string, NaN or 1e400
+            if not abs(typed(value, (int, float), name, "a number")) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             return float(value)
 
-        def integer(value, name):  # a JSON integer, never a float, a string or a bool
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            return value
+        def integer(value, name):  # a JSON integer, never a float or a string
+            return typed(value, int, name, "an integer")
 
-        def optional(name):  # optional scalar: absent or null means None
-            return None if doc.get(name) is None else number(doc[name], name)
+        def obj(value, name):
+            return typed(value, dict, name, "a JSON object")
 
-        def array(obj, name, item=None):  # sequence: a JSON array, never a string
-            if not isinstance(obj[name], list):
-                raise TypeError(f"{name} must be an array, got {obj[name]!r}")
-            return tuple(obj[name] if item is None else (item(x, name) for x in obj[name]))
+        def array(item):  # a JSON array of items, never a string
+            return lambda value, name: tuple(item(x, name) for x in typed(value, list, name, "an array"))
 
-        def tolerance(name, value):  # a known tolerance name with a JSON number
-            if name not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance {name!r}")
-            number(value, name)
-            return value
+        def env(value, name):  # every parameter a JSON number or an array of them
+            for key, x in obj(value, name).items():
+                if key != "family":
+                    (array(number) if isinstance(x, list) else number)(x, key)
+            return env_from_json(value)
 
-        def env(obj):  # every parameter a JSON number or an array of them
-            if not isinstance(obj, dict):
-                raise TypeError(f"env must be an object, got {obj!r}")
-            for name, value in obj.items():
-                if name != "family":
-                    for x in value if isinstance(value, list) else [value]:
-                        number(x, name)
-            return env_from_json(obj)
+        def queues(value, name):  # {"mu": [...]} and no other key
+            for key in obj(value, name):
+                if key != "mu":
+                    raise ValueError(f"queues.{key} is read by no kind")
+            return QueueParams(array(number)(value["mu"], "mu"))
 
-        def block_tol(value):  # its distortion bound block_tol^2/12 is relative
-            tol = number(value, "block_tol")
-            if not 0 <= tol <= 1:
+        def block_tol(value, name):  # its distortion bound block_tol^2/12 is relative
+            if not 0 <= number(value, name) <= 1:
                 raise ValueError(f"block_tol must lie in [0, 1], got {value!r}")
-            return tol
+            return float(value)
 
+        parsers = dict(
+            env=env, queues=queues, block_tol=block_tol, replications=integer, seed=integer,
+            N_grid=array(integer), initial_counts=array(integer), grid=array(number),
+            tolerances=lambda value, name: {k: number(x, k) for k, x in obj(value, name).items()},
+            **dict.fromkeys(("delta", "alpha", "t", "a", "horizon"), number),
+        )
         try:
-            return cls(
-                kind=doc["kind"],
-                env=env(doc["env"]),
-                queues=QueueParams(array(doc["queues"], "mu", number)),
-                delta=number(doc["delta"], "delta"),
-                alpha=number(doc["alpha"], "alpha"),
-                N_grid=array(doc, "N_grid", integer),
-                replications=integer(doc["replications"], "replications"),
-                seed=integer(doc["seed"], "seed"),
-                t=optional("t"),
-                a=optional("a"),
-                horizon=optional("horizon"),
-                grid=array(doc, "grid", number) if "grid" in doc else None,
-                initial_counts=(
-                    array(doc, "initial_counts", integer) if "initial_counts" in doc else None
-                ),
-                block_tol=block_tol(doc.get("block_tol", 0.01)),
-                tolerances={k: tolerance(k, v) for k, v in doc.get("tolerances", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            kind = obj(doc, "config").get("kind")
+            if kind not in KINDS:
+                raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+            _check_reads(kind, doc)
+            _check_reads(kind, obj(doc.get("tolerances", {}), "tolerances"), tolerances=True)
+            return cls(kind=kind, **{k: parsers[k](v, k) for k, v in doc.items() if k != "kind"})
+        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 
@@ -260,6 +260,12 @@ class Report:
 def _validate(config: ExperimentConfig) -> None:
     if config.kind not in KINDS:
         raise ConfigError(f"unknown kind {config.kind!r}; expected one of {KINDS}")
+    # a default-valued field may be one the kind does not read; from_json refuses its key
+    _check_reads(config.kind, [f.name for f in fields(config) if getattr(config, f.name) != f.default])
+    _check_reads(config.kind, config.tolerances, tolerances=True)
+    for name in _SCHEMA[config.kind].needs:
+        if getattr(config, name) is None:
+            raise ConfigError(f"{config.kind} needs {name}")
     if not config.N_grid:
         raise ConfigError("N_grid must be non-empty")
     if any(b <= a for a, b in zip(config.N_grid, config.N_grid[1:])):
@@ -275,16 +281,9 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("corr-check compares exactly two coupled queues (d = 2)")
     if config.kind == "ldp-check" and d != 1:
         raise ConfigError("ldp-check runs on a single queue (d = 1)")
-    for name in ("horizon", "grid", "initial_counts"):
-        if config.kind != "simulate" and getattr(config, name) is not None:
-            raise ConfigError(f"{name} is read only by simulate; {config.kind} would ignore it")
-    if config.kind == "fclt-check" and config.t is None:
-        raise ConfigError("fclt-check needs the observation time t")
     if config.kind == "simulate":
         if len(config.N_grid) != 1:
             raise ConfigError("simulate runs one system size: N_grid must have exactly one entry")
-        if config.grid is None:
-            raise ConfigError("simulate needs grid")
         # without a horizon the run ends at the last grid time
         horizon, span = (
             (math.inf, "[0, inf)") if config.horizon is None else (config.horizon, "[0, horizon]")
@@ -292,8 +291,8 @@ def _validate(config: ExperimentConfig) -> None:
         if config.grid and (min(config.grid) < 0 or max(config.grid) > horizon):
             raise ConfigError(f"grid times must lie in {span}")
     if config.kind == "ldp-check":
-        if config.t is None or config.a is None:
-            raise ConfigError("ldp-check needs t and a")
+        if len(config.N_grid) < 2:  # else the slope and its criterion would read NaN
+            raise ConfigError("ldp-check fits a slope over N_grid: it needs at least two entries")
         query = _ldp_query(config)
         if config.a <= query.rho_t:
             raise ConfigError(

@@ -1,0 +1,144 @@
+"""Property test over the config schema: every config one mutation away from a
+valid one exits 0, 1 or 2 cleanly, and every mutation but a drop exits 2.
+
+The valid documents and the foreign keys come from ``harness._SCHEMA``, the
+table that ``from_json`` and ``_validate`` read.  Each example applies one
+mutation: a dropped key, a key that only another kind or env family reads, a
+wrong type, a non-finite number or a non-object where an object belongs.  The run is
+derandomized; the simulator budgets are patched small so that any accepted
+config stays tiny.
+"""
+
+import copy
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import coxq.sim
+from coxq.cli import main as cli_main
+from coxq.harness import _COMMON, _SCHEMA, KINDS
+
+COMMON = {
+    "env": {"family": "exponential", "rate": 1.0},
+    "queues": {"mu": [1.0]},
+    "delta": 1.0,
+    "alpha": 2.0,
+    "N_grid": [20, 40],
+    "replications": 20,
+    "seed": 1,
+}
+# a value for every optional field, and the common fields each kind's shape overrides
+FIELDS = {"t": 1.0, "a": 2.0, "horizon": 2.0, "grid": [1.0, 2.0], "initial_counts": [1, 0],
+          "block_tol": 0.01}
+SHAPES = {
+    "analytic": {"env": {"family": "gamma", "shape": 2.0, "scale": 0.5}},
+    "simulate": {"queues": {"mu": [1.0, 2.0]}, "N_grid": [20]},
+    "clt-check": {},
+    "fclt-check": {"queues": {"mu": [1.0, 2.0]}},
+    "ldp-check": {"env": {"family": "deterministic", "value": 1.0}, "t": 40.0},
+    "corr-check": {
+        "env": {"family": "discrete", "values": [0.5, 2.0], "probs": [0.5, 0.5]},
+        "queues": {"mu": [1.0, 2.0]},
+    },
+}
+ENV_PARAMETERS = ("value", "rate", "shape", "scale", "values", "probs")
+WRONG_TYPES = ["1", True, None, {"x": 1}, [["1"]]]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_OBJECTS = [[], None, 1, "x"]
+DROP = object()
+
+
+def base_doc(kind):
+    """A valid document with every field and tolerance the kind reads."""
+    schema = _SCHEMA[kind]
+    doc = {**COMMON, **{name: FIELDS[name] for name in schema.reads}, **SHAPES[kind]}
+    doc.update(kind=kind, tolerances=dict(schema.tolerances))
+    assert set(doc) == set(_COMMON + schema.reads)
+    return copy.deepcopy(doc)
+
+
+def paths(doc, prefix=()):
+    """(path, value) for every object key and array entry under doc."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from paths(value, prefix + (key,))
+
+
+def mutate(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    """(subcommand, document, the field the mutation hit, whether only a drop could be valid)."""
+    kind = draw(st.sampled_from(KINDS))
+    doc = base_doc(kind)
+    leaves = list(paths(doc))
+    mutation = draw(st.sampled_from(["drop", "foreign", "type", "non-finite", "non-object"]))
+    if mutation == "drop":
+        path, value = draw(st.sampled_from([p for p, _ in leaves if isinstance(p[-1], str)])), DROP
+    elif mutation == "foreign":
+        # another kind's field or tolerance, another family's parameter, or a
+        # field inside queues
+        fields = [(n,) for k in KINDS for n in _SCHEMA[k].reads if n not in doc]
+        tols = [("tolerances", n) for k in KINDS for n in _SCHEMA[k].tolerances]
+        tols = [p for p in tols if p[-1] not in doc["tolerances"]]
+        params = [("env", n) for n in ENV_PARAMETERS if n not in doc["env"]]
+        path = draw(st.sampled_from(fields + tols + params + [("queues", "t")]))
+        value = FIELDS.get(path[-1], 0.5)
+    elif mutation == "type":
+        path, value = draw(st.sampled_from([p for p, _ in leaves])), draw(st.sampled_from(WRONG_TYPES))
+    elif mutation == "non-finite":
+        numbers = [p for p, v in leaves if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        path, value = draw(st.sampled_from(numbers)), draw(st.sampled_from(NON_FINITE))
+    else:
+        objects = [()] + [p for p, v in leaves if isinstance(v, dict)]
+        path, value = draw(st.sampled_from(objects)), draw(st.sampled_from(NON_OBJECTS))
+    name = next((key for key in reversed(path) if isinstance(key, str)), "config")
+    return kind, mutate(doc, path, value), name, mutation == "drop"
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=mutated_configs())
+def test_one_mutation_exits_0_1_or_2_cleanly(tmp_path, capsys, monkeypatch, case):
+    kind, doc, name, may_pass = case
+    monkeypatch.setattr(coxq.sim, "_EVENT_BUDGET", 1e6)
+    monkeypatch.setattr(coxq.sim, "_OUTPUT_BUDGET", 2**14)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg, out = work / "cfg.json", work / "out"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_main([kind, "--config", str(cfg), "--out", str(out)])  # raises on a traceback
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and (code == 2 or may_pass), (code, doc)
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.search(rf"\b{re.escape(name)}\b", err), (name, err)
+        assert not out.exists()
+        return
+    text = (out / "report.json").read_text()
+    assert not re.search(r"\bNaN\b|Infinity", text), text
+    report = json.loads(text)
+    assert report["passed"] is (code == 0)
+    assert (code == 1) == any(not c["passed"] for c in report["criteria"])

@@ -318,6 +318,11 @@ def test_json_round_trip(env):
 def test_json_unknown_family():
     with pytest.raises(ValueError):
         env_from_json({"family": "zeta"})
+    # a parameter the family does not take, or one it lacks, is named
+    with pytest.raises(TypeError, match="'scale'"):
+        env_from_json({"family": "exponential", "rate": 1.0, "scale": 2.0})
+    with pytest.raises(TypeError, match="'probs'"):
+        env_from_json({"family": "discrete", "values": [1.0]})
 
 
 def test_spawn_streams_independent_of_count():

@@ -67,6 +67,12 @@ def test_ldp_check_rejects_non_rare_level():
         run(make_config(kind="ldp-check", t=5.0, a=0.5))
 
 
+def test_ldp_check_needs_two_sizes():
+    # one N would leave the slope, and the criterion on it, NaN in report.json
+    with pytest.raises(ConfigError, match="at least two entries"):
+        run(make_config(kind="ldp-check", t=5.0, a=1.5, N_grid=(100,)))
+
+
 def test_ldp_check_rejects_bounded_slow_branch():
     from coxq import DiscreteFinite
 
@@ -391,6 +397,12 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     assert cli_main(["ldp-check", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 2
     err = capsys.readouterr().err
     assert "rho" in err
+    # a config that is not a JSON object, or whose tolerances are not one
+    for doc, name in (([], "config"), (None, "config"), (analytic_doc(tolerances=[1]), "tolerances")):
+        cfg3 = write_config(tmp_path, doc, name="not_object.json")
+        assert cli_main(["analytic", "--config", cfg3, "--out", str(tmp_path / "o3")]) == 2
+        assert f"{name} must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o3").exists()
 
 
 def test_cli_kind_mismatch(tmp_path):
@@ -455,12 +467,19 @@ def simulate_doc(**kw):
         analytic_doc(env="exponential"),
         simulate_doc(grid=[math.nan, 2.0]),
         analytic_doc(kind="clt-check", N_grid=[500], block_tol=1e300),
+        analytic_doc(queues=[1.0]),
+        analytic_doc(queues=None),
+        analytic_doc(tolerances=[1]),
+        analytic_doc(tolerances=None),
+        analytic_doc(env={"family": "exponential", "rate": 1.0, "scale": 2.0}),
+        analytic_doc(env={"family": "exponential"}),
     ],
 )
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
     # strings where numbers or arrays belong, non-integers where integers
     # belong, non-finite numbers (JSON's NaN and Infinity), env parameters that
-    # are not numbers, a block_tol outside [0, 1] and unknown tolerance names exit 2,
+    # are not numbers, missing or unknown, non-objects where objects belong, a
+    # block_tol outside [0, 1] and unknown tolerance names exit 2,
     # never a traceback, a truncation or a silent run
     cfg = write_config(tmp_path, doc)
     assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -547,22 +566,38 @@ def test_cli_ldp_check_refuses_replications_beyond_the_budget(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+# (config, the start of its error): each holds a field its kind does not read
+UNREAD_FIELDS = [
+    (analytic_doc(kind="ldp-check", t=5.0, a=1.5, initial_counts=[1000000]),
+     "initial_counts is read only by simulate"),
+    (analytic_doc(grid=[1.0, 2.0]), "grid is read only by simulate"),
+    (analytic_doc(kind="clt-check", N_grid=[500], horizon=2.0), "horizon is read only by simulate"),
+    (analytic_doc(kind="fclt-check", queues={"mu": [1.0, 2.0]}, t=1.0, grid=[1.0]),
+     "grid is read only by simulate"),
+    (analytic_doc(kind="corr-check", queues={"mu": [1.0, 2.0]}, initial_counts=[0, 0]),
+     "initial_counts is read only by simulate"),
+    (analytic_doc(kind="clt-check", N_grid=[500], a=1.5), "a is read only by ldp-check"),
+    (analytic_doc(kind="clt-check", N_grid=[500], t=1.0),
+     "t is read only by analytic, fclt-check, ldp-check"),
+    (analytic_doc(a=1.5), "a is read only by ldp-check"),
+    (analytic_doc(block_tol=0.05),
+     "block_tol is read only by simulate, clt-check, fclt-check, ldp-check, corr-check"),
+    (analytic_doc(blocktol=0.05), "blocktol is read by no kind"),
+    (analytic_doc(tolerances={"slope_rel_tol": 0.5}),
+     "tolerances.slope_rel_tol is read only by ldp-check"),
+    (simulate_doc(tolerances={"cov_rel_tol": 0.5}), "tolerances.cov_rel_tol is read only by fclt-check"),
+    (analytic_doc(queues={"mu": [1.0], "lambda": 3.0}), "queues.lambda is read by no kind"),
+]
+
+
 @pytest.mark.parametrize(
-    "doc",
-    [
-        analytic_doc(kind="ldp-check", t=5.0, a=1.5, initial_counts=[1000000]),
-        analytic_doc(grid=[1.0, 2.0]),
-        analytic_doc(kind="clt-check", N_grid=[500], horizon=2.0),
-        analytic_doc(kind="fclt-check", queues={"mu": [1.0, 2.0]}, t=1.0, grid=[1.0]),
-        analytic_doc(kind="corr-check", queues={"mu": [1.0, 2.0]}, initial_counts=[0, 0]),
-    ],
+    "doc, message", UNREAD_FIELDS, ids=[f"doc{i}" for i in range(len(UNREAD_FIELDS))]
 )
-def test_cli_rejects_fields_only_simulate_reads(tmp_path, capsys, doc):
+def test_cli_rejects_fields_only_simulate_reads(tmp_path, capsys, doc, message):
     # these fields would be echoed in report.json yet change nothing
-    name = next(k for k in ("horizon", "grid", "initial_counts") if k in doc)
     cfg = write_config(tmp_path, doc)
     assert cli_main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"{name} is read only by simulate" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: invalid experiment config: {message}")
     assert not (tmp_path / "o").exists()
 
 
@@ -613,7 +648,7 @@ def test_cli_simulate_writes_deterministic_outputs(tmp_path):
     assert header == "replication,time,queue,count"
 
 
-def test_cli_ldp_check_writes_rates_json(tmp_path):
+def test_cli_ldp_check_writes_rates_json(tmp_path, capsys):
     doc = analytic_doc(
         kind="ldp-check",
         env={"family": "deterministic", "value": 1.0},
@@ -622,11 +657,14 @@ def test_cli_ldp_check_writes_rates_json(tmp_path):
         replications=2000,
         t=40.0,
         a=2.0,
-        tolerances={"slope_rel_tol": 0.5},
+        tolerances={"slope_rel_tol": 0.5, "rel_err_warn": 1e-6},
     )
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     assert cli_main(["ldp-check", "--config", cfg, "--out", str(out)]) == 0
+    # the WARN line quotes the threshold the run used
+    warn = r"^WARN N=25: tail-estimate rel_err=\d\.\d{3} > 1e-06$"
+    assert re.search(warn, capsys.readouterr().out, re.M)
     rates = json.loads((out / "rates.json").read_text())
     assert rates["schema"] == "coxq-rate/1"
     assert rates["regime"] == "fast"
