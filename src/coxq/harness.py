@@ -152,7 +152,8 @@ class ExperimentConfig:
         return self.tolerances.get(name, _SCHEMA[self.kind].tolerances[name])
 
     def to_json(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        """The fields the kind reads, so ``from_json`` takes the echo back."""
+        doc = {name: getattr(self, name) for name in _COMMON + _SCHEMA[self.kind].reads}
         doc.update(env=self.env.to_json(), queues={"mu": list(self.queues.mu)})
         doc["tolerances"] = dict(self.tolerances)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items() if v is not None}

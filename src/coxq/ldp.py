@@ -25,15 +25,14 @@ quasi-Newton search.
 The importance-sampling estimator ``estimate_log_tail`` targets
 P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
 (``sim.replication_blocks``): block b draws its rows' rate layers on the
-simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, then
-their counts, from stream b alone.  With kappa = sum_c w_c S_c/n_c (w_c the
-cell's survival weight, n_c its slot count), one log likelihood ratio serves
-every regime: sum_c (n_c log M(eta_c) - eta_c S_c), plus either
-N kappa (e^tau - 1) - tau x on {x >= m} for a count x tilted by tau, or the
-exact log P(Poisson(N kappa) >= m) in the slow regime.  Per regime: fast (eta = 0,
-tau = theta*); slow (eta_c = theta* w_c / (n_c r), r = (1 - e^(-mu Delta_N))/mu,
-no count drawn); intermediate (eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1),
-tau = theta*/Delta).
+simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, from
+stream b alone.  Given the rate layer the count is Poisson(N kappa), with
+kappa = sum_c w_c S_c/n_c (w_c the cell's survival weight, n_c its slot
+count), so no count is drawn: one log likelihood ratio serves every regime,
+sum_c (n_c log M(eta_c) - eta_c S_c) + log P(Poisson(N kappa) >= m), the
+second term exact and in log space.  Only the tilts differ: fast (eta = 0),
+slow (eta_c = theta* w_c / (n_c r), r = (1 - e^(-mu Delta_N))/mu) and
+intermediate (eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1)).
 """
 
 from __future__ import annotations
@@ -355,8 +354,10 @@ def estimate_log_tail(
     """log P(M^(N)(t) >= N a) from an empty queue, and its relative SE, by IS.
 
     The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,);
-    ``theta_star`` is the optimizer of the query's rate function.  The
-    estimate is -inf when no replication hits the event.
+    ``theta_star`` is the optimizer of the query's rate function.  Each
+    replication's weight holds the exact conditional tail given its rate
+    layer, so it is finite unless that layer is all zero (kappa = 0); the
+    estimate is -inf only when every replication's is.
     """
     logw = _log_weights(query, N, replications, seed, theta_star, block_tol)
     finite = logw[np.isfinite(logw)]
@@ -370,7 +371,11 @@ def estimate_log_tail(
 
 
 def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndarray:
-    """(replications,) log IS weights, -inf off the event, that ``estimate_log_tail`` reduces."""
+    """(replications,) log IS weights that ``estimate_log_tail`` reduces.
+
+    Weight r is log_norm - S_r . eta + log P(Poisson(N kappa_r) >= m): the
+    rate layer's likelihood ratio times the count's tail given that layer.
+    It is -inf only where kappa_r = 0."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
     if a <= query.rho_t:
         raise DegenerateQuery(
@@ -383,13 +388,12 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     wk = table.weights[0][:, 0] / counts  # per-draw weight within each cell
     m = math.ceil(N * a - 1e-9)
 
-    tau = None  # the count tilt; the slow regime integrates the count out
     if regime == "fast":
-        etas, tau = np.zeros_like(wk), theta_star
+        etas = np.zeros_like(wk)
     elif regime == "slow_unbounded":
         etas = theta_star * wk / (-math.expm1(-mu * h) / mu)
     elif regime == "intermediate":
-        etas, tau = N * wk * math.expm1(theta_star / delta), theta_star / delta
+        etas = N * wk * math.expm1(theta_star / delta)
     else:
         raise RegimeError(
             "no importance sampler for the bounded slow branch; "
@@ -398,23 +402,39 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     log_norm = env.twisted_log_norm(etas, counts)
 
     rows, streams = replication_blocks(seed, replications, counts.size)
-    # a constant rate layer is the same in every replication: draw one row
-    # (a constant rate never reaches slow_unbounded, which needs kappa per row)
+    # a constant rate layer is the same in every replication: draw one row per
+    # block and repeat its weight (a constant rate never reaches slow_unbounded,
+    # which needs kappa per row)
     rate_rows = 1 if env.variance == 0 else rows
-    kappa, logw = [], []
+    kappa, log_ratio = [], []
     for rng in streams:
         s = env.sample_block_sums_twisted(etas, rng, counts, rate_rows)
-        k = np.broadcast_to(s @ wk, rows)
-        lw = np.broadcast_to(log_norm - s @ etas, rows)
-        if tau is not None:
-            x = rng.poisson(N * k * math.exp(tau))
-            lw = np.where(x >= m, lw + N * k * math.expm1(tau) - tau * x, -np.inf)
-        kappa.append(k)
-        logw.append(lw)
-    logw = np.concatenate(logw)[:replications]
-    if tau is None:
-        logw += poisson.logsf(m - 1, N * np.concatenate(kappa)[:replications])
-    return logw
+        kappa.append(s @ wk)
+        log_ratio.append(log_norm - s @ etas)
+    # one tail call for the whole run: its cost is mostly per call, not per row
+    logw = np.concatenate(log_ratio) + _log_poisson_tail(m, N * np.concatenate(kappa))
+    return np.repeat(logw, rows // rate_rows)[:replications]
+
+
+def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:
+    """log P(Poisson(lam) >= m), elementwise; finite wherever lam > 0.
+
+    ``poisson.logsf`` underflows to -inf below about -709.  There lam < m, and
+    the tail is log pmf(m) + log sum_{j>=0} prod_{i<=j} lam/(m+i), a series
+    whose term ratios lam/(m+j+1) < 1 fall with j; it stops once the geometric
+    bound on its remainder is below e^-39 of the partial sum."""
+    out = poisson.logsf(m - 1, lam)
+    deep = np.isneginf(out) & (lam > 0)
+    if deep.any():
+        lam = lam[deep]
+        term = total = np.zeros_like(lam)  # log of the current term and of the partial sum
+        j = 0
+        while np.any(term + np.log(lam / (m + j + 1 - lam)) > total - 39.0):
+            j += 1
+            term = term + np.log(lam / (m + j))
+            total = np.logaddexp(total, term)
+        out[deep] = poisson.logpmf(m, lam) + total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ table that ``from_json`` and ``_validate`` read.  Each example applies one
 mutation: a dropped key, a key that only another kind or env family reads, a
 wrong type, a non-finite number or a non-object where an object belongs.  The run is
 derandomized; the simulator budgets are patched small so that any accepted
-config stays tiny.
+config stays tiny.  A report's config echo, for every kind and every shipped
+config, parses back to the same config.
 """
 
 import copy
@@ -16,12 +17,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coxq.sim
+from coxq import harness
 from coxq.cli import main as cli_main
-from coxq.harness import _COMMON, _SCHEMA, KINDS
+from coxq.harness import _COMMON, _SCHEMA, KINDS, ExperimentConfig
 
 COMMON = {
     "env": {"family": "exponential", "rate": 1.0},
@@ -142,3 +145,22 @@ def test_one_mutation_exits_0_1_or_2_cleanly(tmp_path, capsys, monkeypatch, case
     report = json.loads(text)
     assert report["passed"] is (code == 0)
     assert (code == 1) == any(not c["passed"] for c in report["criteria"])
+
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [base_doc(kind) for kind in KINDS] + [json.loads(p.read_text()) for p in CONFIGS],
+    ids=[f"schema-{kind}" for kind in KINDS] + [p.stem for p in CONFIGS],
+)
+def test_report_config_echo_reads_back(monkeypatch, doc):
+    # a report's config is itself a valid config that parses to the same run;
+    # the runner is stubbed, since only the echo is under test
+    monkeypatch.setitem(harness._RUNNERS, doc["kind"], lambda config, out_dir: ([], []))
+    config = ExperimentConfig.from_json(doc)
+    echo = json.loads(json.dumps(harness.run(config).to_json()["config"]))
+    again = ExperimentConfig.from_json(echo)
+    assert again.to_json() == echo
+    assert set(echo) <= set(_COMMON + _SCHEMA[doc["kind"]].reads)

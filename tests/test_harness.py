@@ -662,13 +662,35 @@ def test_cli_ldp_check_writes_rates_json(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     assert cli_main(["ldp-check", "--config", cfg, "--out", str(out)]) == 0
-    # the WARN line quotes the threshold the run used
-    warn = r"^WARN N=25: tail-estimate rel_err=\d\.\d{3} > 1e-06$"
-    assert re.search(warn, capsys.readouterr().out, re.M)
+    # a constant rate makes the fast-regime tail exact (rel_err 0), so it never warns
+    assert "WARN" not in capsys.readouterr().out
     rates = json.loads((out / "rates.json").read_text())
     assert rates["schema"] == "coxq-rate/1"
     assert rates["regime"] == "fast"
     assert rates["rate"] == pytest.approx(1 - 2 * math.log(2.0), rel=1e-9)
+
+    doc.update(env={"family": "exponential", "rate": 1.0}, alpha=1.0, t=5.0, a=1.5)
+    cfg = write_config(tmp_path, doc, "intermediate.json")
+    assert cli_main(["ldp-check", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
+    # the WARN line quotes the threshold the run used
+    warn = r"^WARN N=25: tail-estimate rel_err=\d\.\d{3} > 1e-06$"
+    assert re.search(warn, capsys.readouterr().out, re.M)
+
+
+def test_cli_ldp_check_report_is_strict_json_with_few_replications(tmp_path):
+    # every replication's weight holds the exact conditional tail, so two
+    # replications still give finite estimates and a finite slope
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "ldp_fast.json").read_text())
+    doc.update(N_grid=[50, 100], replications=2)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli_main(["ldp-check", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert all(math.isfinite(row["log_prob"]) for row in report["results"][1:-1])
 
 
 def test_cli_seed_and_replication_overrides(tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import spence
+from scipy.special import logsumexp, spence
 from scipy.stats import poisson
 
 import coxq.sim
@@ -15,6 +15,7 @@ from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingR
 from coxq.errors import DegenerateQuery, DomainError, RegimeError, UnsupportedFamily
 from coxq.ldp import (
     RateQuery,
+    _log_poisson_tail,
     _log_weights,
     classify_regime,
     estimate_log_tail,
@@ -451,6 +452,68 @@ def test_is_spawns_one_stream_per_block(monkeypatch):
     query, theta, B = _is_shape(1.0, N)
     estimate_log_tail(query, N, R, 7, theta, 0.01)
     assert calls == [-(-R // B)]
+
+
+# -- the count's conditional tail -------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 7, 60, 400])
+def test_log_poisson_tail_is_scipy_logsf_where_finite(m):
+    lam = np.geomspace(1e-3, 4.0 * m, 200)
+    want = poisson.logsf(m - 1, lam)
+    assert np.isfinite(want).any()
+    got = _log_poisson_tail(m, lam)
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[finite], want[finite])
+    assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize(
+    "lam, m, want", [(3800.0, 7600, -1472.6126), (50.0, 2000, -5432.4530)]
+)
+def test_log_poisson_tail_below_logsf_underflow_matches_direct_sum(lam, m, want):
+    assert poisson.logsf(m - 1, lam) == -math.inf
+    direct = logsumexp(poisson.logpmf(np.arange(m, m + 5000), lam))
+    got = _log_poisson_tail(m, np.array([lam]))[0]
+    assert got == pytest.approx(direct, rel=1e-12)
+    assert got == pytest.approx(want, abs=1e-4)
+
+
+def test_log_poisson_tail_of_a_zero_rate_is_minus_inf():
+    assert _log_poisson_tail(5, np.array([0.0]))[0] == -math.inf
+
+
+@pytest.mark.parametrize("N", [50, 400, 1900, 4000])
+def test_is_fast_constant_rate_is_the_exact_poisson_tail(N):
+    # a constant rate leaves only the count random, and the IS integrates it
+    # out: log P is log P(Poisson(N rho(t)) >= m) with no Monte Carlo error,
+    # also where scipy's logsf underflows (N = 4000: -1549.9)
+    query = q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0)
+    theta = rate_fast(query.rho_t, 2.0).theta_star
+    log_p, rel_err = estimate_log_tail(query, N, 2000, 7, theta, 0.01)
+    h = ScalingRegime(N, 2.0, 1.0).delta_n
+    kappa = cell_table((1.0,), h, (40.0,), 0.01).weights[0][:, 0].sum()
+    want = _log_poisson_tail(math.ceil(N * 2.0 - 1e-9), np.array([N * kappa]))[0]
+    assert math.isfinite(log_p)
+    assert log_p == pytest.approx(want, rel=1e-12)
+    assert rel_err == 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha, n_grid, R",
+    [(1.0, (50, 100, 200), 8000), (2.0, (50, 100, 200, 400), 20_000)],
+    ids=["intermediate", "fast-random-rate"],
+)
+def test_is_count_integrated_out_keeps_rel_err_small(alpha, n_grid, R):
+    # Exp(1) rates at t = 5, a = 1.5, the bench's intermediate shape: with the
+    # count drawn and masked instead, rel_err read 0.020-0.029 (intermediate)
+    # and 0.015-0.026 (fast)
+    query = q(alpha=alpha, t=5.0, a=1.5)
+    theta = (rate_intermediate(query) if alpha == 1 else rate_fast(query.rho_t, 1.5)).theta_star
+    for N in n_grid:
+        log_p, rel_err = estimate_log_tail(query, N, R, 7, theta, 0.01)
+        assert math.isfinite(log_p)
+        assert rel_err < 0.01, (N, rel_err)
 
 
 def test_rate_result_json():
