@@ -38,13 +38,11 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     CoxqError,
-    DegenerateQuery,
     DomainError,
     InsufficientData,
     RangeError,
     RegimeError,
     ResourceError,
-    UnsupportedFamily,
 )
 from .ldp import (
     RateQuery,

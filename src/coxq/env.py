@@ -438,6 +438,11 @@ class ScalingRegime:
             raise ValueError("alpha must be non-negative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if not self.delta_n > 0:  # the cell tables and the exact moments divide by it
+            raise ValueError(
+                f"the slot length delta N^(-alpha) underflows to 0 at N = {self.N}, "
+                f"alpha = {self.alpha}, delta = {self.delta}"
+            )
 
     @property
     def delta_n(self) -> float:

@@ -21,20 +21,12 @@ class RegimeError(CoxqError):
     """Query routed to the wrong large-deviations branch."""
 
 
-class UnsupportedFamily(CoxqError):
-    """Rate-distribution family lacks the required structure (e.g. finite support)."""
-
-
 class ResourceError(CoxqError):
     """Configured work exceeds the simulation budget."""
 
 
 class InsufficientData(CoxqError):
     """Not enough replications for the requested estimate."""
-
-
-class DegenerateQuery(CoxqError):
-    """Rare-event query that is not rare (plain Monte Carlo applies)."""
 
 
 class ConfigError(CoxqError):

@@ -246,7 +246,8 @@ class Report:
         return all(c.passed for c in self.criteria)
 
     def to_json(self) -> dict:
-        return {
+        """The report document; a non-finite number (an IS row with no hit) is written as null."""
+        return _finite_or_null({
             "schema": "coxq-report/1",
             "version": __version__,
             "kind": self.kind,
@@ -255,7 +256,18 @@ class Report:
             "results": self.results,
             "criteria": [c.to_json() for c in self.criteria],
             "passed": self.passed,
-        }
+        })
+
+
+def _finite_or_null(value):
+    """value with each non-finite float, at any depth, replaced by None: strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _validate(config: ExperimentConfig) -> None:
@@ -294,12 +306,7 @@ def _validate(config: ExperimentConfig) -> None:
     if config.kind == "ldp-check":
         if len(config.N_grid) < 2:  # else the slope and its criterion would read NaN
             raise ConfigError("ldp-check fits a slope over N_grid: it needs at least two entries")
-        query = _ldp_query(config)
-        if config.a <= query.rho_t:
-            raise ConfigError(
-                f"a = {config.a} must exceed the fluid value rho(t) = {query.rho_t:.6g}"
-            )
-        if classify_regime(query) == "slow_bounded":
+        if classify_regime(_ldp_query(config)) == "slow_bounded":  # the query refuses a <= rho(t)
             raise ConfigError(
                 "slope verification for the bounded slow branch is not supported; "
                 "rate_slow_bounded gives the closed-form rate directly"
@@ -376,10 +383,10 @@ def anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
 
 
 def _wls_slope(x, y, se) -> tuple[float, float]:
-    """Weighted least squares slope of y on x (intercept fitted), with its SE."""
+    """Weighted least squares slope of y on x (intercept fitted), with its SE; se > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = 1.0 / np.maximum(np.asarray(se, dtype=float), 1e-9) ** 2
+    w = 1.0 / np.asarray(se, dtype=float) ** 2
     xb = np.sum(w * x) / np.sum(w)
     yb = np.sum(w * y) / np.sum(w)
     sxx = np.sum(w * (x - xb) ** 2)
@@ -679,9 +686,9 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig, out_dir=None) -> Report:
     """Validate, dispatch and time one runner; DomainError surfaces as ConfigError."""
-    _validate(config)
     t0 = time.perf_counter()
     try:
+        _validate(config)
         results, criteria = _RUNNERS[config.kind](config, out_dir)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc

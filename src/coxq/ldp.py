@@ -1,7 +1,9 @@
 """Large-deviations decay rates and rare-event importance sampling.
 
 Tail probabilities P(M^(N)(t)/N >= a), a above the fluid value
-rho(t) = E[L](1 - e^(-mu t))/mu, decay at a regime-dependent speed:
+rho(t) = E[L](1 - e^(-mu t))/mu, decay at a regime-dependent speed (at or
+below rho(t) the event is not rare: building a ``RateQuery`` refuses such a
+level, each a_i of a rectangle against its own fluid value):
 
 * fast (alpha > 1): speed N, Poisson (Cramer) rate
   a log(rho(t)/a) - rho(t) + a;
@@ -47,13 +49,7 @@ from scipy.special import logsumexp
 from scipy.stats import poisson
 
 from .env import EnvSpec, ScalingRegime
-from .errors import (
-    ConvergenceError,
-    DegenerateQuery,
-    DomainError,
-    RegimeError,
-    UnsupportedFamily,
-)
+from .errors import ConvergenceError, DomainError, RegimeError
 from .sim import cell_table, replication_blocks
 
 __all__ = [
@@ -83,7 +79,10 @@ class RateQuery:
     """Tail query: P(queue length / N >= a) at time t under (delta, alpha) scaling.
 
     mu and a are scalars for the univariate operations; rate_multivariate
-    accepts tuples (rectangle upper sets prod_i [a_i, inf))."""
+    accepts tuples (rectangle upper sets prod_i [a_i, inf)).  A level at or
+    below the fluid value (rho(t), or each queue's own in a rectangle) is not
+    a rare event: building the query raises DomainError, and a and mu of
+    different lengths raise ValueError."""
 
     env: EnvSpec
     mu: float | tuple[float, ...]
@@ -97,11 +96,21 @@ class RateQuery:
             raise ValueError("t must be positive")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        mu, a = np.atleast_1d(self.mu).tolist(), np.atleast_1d(self.a).tolist()
+        if len(a) != len(mu):
+            raise ValueError("a and mu must have matching length")
+        fluid = [self._fluid(m) for m in mu]
+        if any(x <= f for x, f in zip(a, fluid)):
+            rho = fluid if np.ndim(self.a) else fluid[0]
+            raise DomainError(f"a = {self.a} must exceed the fluid value rho(t) = {rho}")
+
+    def _fluid(self, mu: float) -> float:
+        return self.env.mean * (-math.expm1(-mu * self.t)) / mu
 
     @property
     def rho_t(self) -> float:
         """Fluid value at t from an empty start (univariate)."""
-        return self.env.mean * (-math.expm1(-self._scalar_mu * self.t)) / self._scalar_mu
+        return self._fluid(self._scalar_mu)
 
     @property
     def u_t(self) -> float:
@@ -257,9 +266,6 @@ def legendre_argument(regime: str, delta: float, theta: float) -> tuple[float, f
 def _legendre(query: RateQuery, hi_domain: float, regime: str, speed: str) -> RateResult:
     """-sup_{0<theta<hi} (theta a - int_0^t log M(x(theta) e^(-mu s)) ds), x by regime."""
     mu, a, t, env = query._scalar_mu, query._scalar_a, query.t, query.env
-    rho = query.rho_t
-    if a <= rho:
-        raise DomainError(f"need a > rho(t) = {rho}")
 
     def deriv(theta):
         x, x_prime = legendre_argument(regime, query.delta, theta)
@@ -302,16 +308,9 @@ def rate_slow(query: RateQuery) -> RateResult:
 
 
 def rate_slow_bounded(query: RateQuery) -> RateResult:
-    """Slow regime with u(t) < a: Poisson tail at mean u(t), speed N."""
-    rho, a = query.rho_t, query._scalar_a
-    if a <= rho:
-        raise DomainError(f"need a > rho(t) = {rho}")
-    u = query.u_t
-    if math.isinf(u):
-        raise UnsupportedFamily(
-            "rate_slow_bounded needs a finite essential supremum "
-            "(Deterministic or DiscreteFinite rate)"
-        )
+    """Slow regime with u(t) < a: Poisson tail at mean u(t), speed N.  An
+    unbounded family has u(t) = inf, so its queries belong to ``rate_slow``."""
+    u, a = query.u_t, query._scalar_a
     if u >= a:
         raise RegimeError(f"u(t) = {u} >= a = {a}: use rate_slow")
     return _cramer(u, a, "slow_bounded", u_t=u)
@@ -329,14 +328,11 @@ def rate_intermediate(query: RateQuery) -> RateResult:
 
 def classify_regime(query: RateQuery) -> str:
     """fast / intermediate / slow_unbounded / slow_bounded per (alpha, u(t), a)."""
-    a = query._scalar_a
-    if a <= query.rho_t:
-        raise DomainError(f"need a > rho(t) = {query.rho_t}")
     if query.alpha > 1:
         return "fast"
     if query.alpha == 1:
         return "intermediate"
-    return "slow_unbounded" if query.u_t >= a else "slow_bounded"
+    return "slow_unbounded" if query.u_t >= query._scalar_a else "slow_bounded"
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +373,6 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     rate layer's likelihood ratio times the count's tail given that layer.
     It is -inf only where kappa_r = 0."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
-    if a <= query.rho_t:
-        raise DegenerateQuery(
-            f"a = {a} <= rho(t) = {query.rho_t}: not a rare event, use plain Monte Carlo"
-        )
     regime = classify_regime(query)
     h = ScalingRegime(N, query.alpha, delta).delta_n
     table = cell_table((mu,), h, (t,), block_tol)
@@ -498,18 +490,9 @@ def rate_multivariate(query: RateQuery) -> RateResult:
     inner supremum runs over theta >= 0 (projected quasi-Newton, numeric
     gradients over the quadrature).
     """
-    mu = np.asarray(query.mu, dtype=float)
     a = np.atleast_1d(np.asarray(query.a, dtype=float))
-    if mu.ndim == 0:
-        mu = mu[None]
-    if a.shape != mu.shape:
-        raise ValueError("a and mu must have matching length")
-    fluid = query.env.mean * (-np.expm1(-mu * query.t)) / mu
-    if np.any(a <= fluid):
-        raise DomainError(f"each a_i must exceed the fluid value {fluid.tolist()}")
-
     gamma, in_domain, regime, speed = _mv_limit_log_mgf(query)
-    d = mu.size
+    d = a.size
     penalty = 1e50
 
     def neg_objective(theta):

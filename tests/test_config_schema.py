@@ -8,12 +8,20 @@ wrong type, a non-finite number or a non-object where an object belongs.  The ru
 derandomized; the simulator budgets are patched small so that any accepted
 config stays tiny.  A report's config echo, for every kind and every shipped
 config, parses back to the same config.
+
+Boundary values, which can make an accepted config huge, run one case at a
+time in a child process under an address-space limit and a timeout, so that a
+missing guard fails the test rather than the machine.
 """
 
 import copy
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import coxq
 import coxq.sim
 from coxq import harness
 from coxq.cli import main as cli_main
@@ -164,3 +173,49 @@ def test_report_config_echo_reads_back(monkeypatch, doc):
     again = ExperimentConfig.from_json(echo)
     assert again.to_json() == echo
     assert set(echo) <= set(_COMMON + _SCHEMA[doc["kind"]].reads)
+
+
+
+CHILD_ADDRESS_SPACE = 3 * 2**30
+CHILD_TIMEOUT_S = 60
+
+
+def start_child(kind, doc, work):
+    """``coxq <kind>`` on doc in a child process under CHILD_ADDRESS_SPACE bytes
+    of address space, writing into work/out."""
+    cfg = work / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    src = str(Path(coxq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "coxq.cli", kind, "--config", str(cfg), "--out", str(work / "out")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, preexec_fn=limit, env=env,
+    )
+
+
+@pytest.fixture(scope="module")
+def underflow_runs(tmp_path_factory):
+    """Each kind at alpha = 1e308, where delta N^(-alpha) underflows to 0 at
+    every N > 1: one child process per kind, all started at once."""
+    runs = {}
+    for kind in KINDS:
+        work = tmp_path_factory.mktemp(kind)
+        runs[kind] = start_child(kind, {**base_doc(kind), "alpha": 1e308}, work), work
+    yield runs
+    for proc, _ in runs.values():
+        proc.kill()
+        proc.wait()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_slot_length_that_underflows_exits_2(underflow_runs, kind):
+    proc, work = underflow_runs[kind]
+    _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and "alpha" in err, err
+    assert not (work / "out" / "report.json").exists()

@@ -396,7 +396,7 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     )
     assert cli_main(["ldp-check", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 2
     err = capsys.readouterr().err
-    assert "rho" in err
+    assert "a = 0.1 must exceed the fluid value rho(t)" in err
     # a config that is not a JSON object, or whose tolerances are not one
     for doc, name in (([], "config"), (None, "config"), (analytic_doc(tolerances=[1]), "tolerances")):
         cfg3 = write_config(tmp_path, doc, name="not_object.json")
@@ -691,6 +691,29 @@ def test_cli_ldp_check_report_is_strict_json_with_few_replications(tmp_path):
 
     report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
     assert all(math.isfinite(row["log_prob"]) for row in report["results"][1:-1])
+
+
+def test_cli_ldp_check_report_is_strict_json_when_every_rate_layer_is_zero(tmp_path, capsys):
+    # with a zero atom both replications at N=1 draw a zero rate layer (kappa = 0):
+    # that row's log P is -inf, its rel_err inf and the one-point slope NaN, each
+    # written as null; the run still fails its slope criterion
+    doc = analytic_doc(
+        kind="ldp-check",
+        env={"family": "discrete", "values": [0.0, 2.0], "probs": [0.5, 0.5]},
+        delta=1.0, alpha=2.0, t=0.5, a=1.5, N_grid=[1, 2], replications=2, seed=1,
+    )
+    out = tmp_path / "o"
+    assert cli_main(["ldp-check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "FAIL ldp_slope_matches_rate: observed=nan" in capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    row, fit = report["results"][1], report["results"][-1]
+    assert row["N"] == 1 and row["log_prob"] is None and row["rel_err"] is None
+    assert fit["slope"] is fit["slope_se"] is fit["raw_slope"] is None
+    assert report["criteria"][0]["observed"] is None
 
 
 def test_cli_seed_and_replication_overrides(tmp_path):

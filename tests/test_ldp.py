@@ -12,7 +12,7 @@ from scipy.stats import poisson
 
 import coxq.sim
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
-from coxq.errors import DegenerateQuery, DomainError, RegimeError, UnsupportedFamily
+from coxq.errors import DomainError, RegimeError
 from coxq.ldp import (
     RateQuery,
     _log_poisson_tail,
@@ -116,6 +116,9 @@ def test_rate_slow_boundary_continuity():
     rho = query.rho_t
     res = rate_slow(q(t=5.0, a=rho * (1 + 1e-9)))
     assert abs(res.rate) < 1e-6
+    # at the fluid value itself the event is not rare: the query is never built
+    with pytest.raises(DomainError, match=r"a = .* must exceed the fluid value rho\(t\)"):
+        q(t=5.0, a=rho)
 
 
 def test_rate_slow_domain_error():
@@ -186,8 +189,8 @@ def test_rate_slow_bounded_is_the_cramer_rate_at_u(a):
 
 
 def test_rate_slow_bounded_guards():
-    with pytest.raises(UnsupportedFamily):
-        rate_slow_bounded(q(a=5.0))  # exponential: y = inf
+    with pytest.raises(RegimeError):
+        rate_slow_bounded(q(a=5.0))  # exponential: u(t) = inf >= a
     env = DiscreteFinite([1.0, 3.0], [0.5, 0.5])
     with pytest.raises(RegimeError):
         rate_slow_bounded(q(env=env, a=2.5))  # rho(t) = 2 < a < u(t) = 3
@@ -320,6 +323,14 @@ def test_multivariate_two_queue_fast_rate_below_univariate():
 def test_multivariate_domain_error():
     with pytest.raises(DomainError):
         rate_multivariate(q(mu=(1.0, 2.0), a=(0.5, 2.0), t=5.0, alpha=0.5))
+    # each coordinate against its own fluid value: queue 2's is rho(t) at mu = 2
+    fluid_2 = q(mu=2.0, t=5.0).rho_t
+    with pytest.raises(DomainError):
+        q(mu=(1.0, 2.0), a=(1.5, fluid_2), t=5.0)
+    assert q(mu=(1.0, 2.0), a=(1.5, fluid_2 * (1 + 1e-9)), t=5.0).a[1] > fluid_2
+    for mu, a in (((1.0, 2.0), (1.5,)), ((1.0, 2.0), 1.5), (1.0, (1.5, 1.5))):
+        with pytest.raises(ValueError, match="matching length"):
+            q(mu=mu, a=a, t=5.0)
 
 
 # -- importance sampling --------------------------------------------------------------
@@ -396,7 +407,7 @@ def test_is_discrete_near_rate_ceiling_matches_exact_tail():
 
 
 def test_is_degenerate_query():
-    with pytest.raises(DegenerateQuery):
+    with pytest.raises(DomainError):
         estimate_log_tail(q(t=5.0, a=0.5), 100, 10, 0, 1.0, 0.01)
 
 
