@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
+import scipy
 
 from .errors import DomainError
 
@@ -341,7 +341,7 @@ class DiscreteFinite(EnvSpec):
 
     def log_mgf(self, theta: float) -> float:
         # Log-space summation: large theta*values must not overflow.
-        return float(logsumexp(self._log_weights(theta)))
+        return float(scipy.special.logsumexp(self._log_weights(theta)))
 
     def log_mgf_prime(self, theta: float) -> float:
         w = self._tilted_probs(theta)
@@ -359,7 +359,9 @@ class DiscreteFinite(EnvSpec):
         return w / w.sum(axis=-1, keepdims=True)
 
     def twisted_log_norm(self, etas, counts):
-        log_mgfs = logsumexp(self._log_weights(np.asarray(etas, dtype=float)), axis=-1)
+        log_mgfs = scipy.special.logsumexp(
+            self._log_weights(np.asarray(etas, dtype=float)), axis=-1
+        )
         return float(np.sum(counts * log_mgfs))
 
     def essential_sup(self) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+import scipy
 
 from . import __version__
 from .analytic import (
@@ -360,12 +360,15 @@ def _sim_config(
 
 
 def anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
-    """A^2* statistic and approximate p-value (D'Agostino & Stephens 1986)."""
+    """A^2* statistic and approximate p-value (D'Agostino & Stephens 1986).
+
+    The standard normal log cdf and log sf of each standardized point are
+    ``scipy.special.log_ndtr(z)`` and ``log_ndtr(-z)``, accurate in both tails."""
     x = np.sort(np.asarray(x, dtype=float))
     n = x.size
     z = (x - x.mean()) / x.std(ddof=1)
-    log_cdf = norm.logcdf(z)
-    log_sf = norm.logsf(z)
+    log_cdf = scipy.special.log_ndtr(z)
+    log_sf = scipy.special.log_ndtr(-z)
     i = np.arange(1, n + 1)
     a2 = -n - np.sum((2 * i - 1) * (log_cdf + log_sf[::-1])) / n
     a2_star = a2 * (1 + 0.75 / n + 2.25 / n**2)

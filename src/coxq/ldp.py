@@ -43,14 +43,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize
-from scipy.special import logsumexp
-from scipy.stats import poisson
+import scipy
 
 from .env import EnvSpec, ScalingRegime
-from .errors import ConvergenceError, DomainError, RegimeError
-from .sim import cell_table, replication_blocks
+from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
+from .sim import _MAX_EXACT_INT, cell_table, replication_blocks
 
 __all__ = [
     "RateQuery",
@@ -188,9 +185,11 @@ def _ilm_with_err(env, mu, t, theta, route="time"):
     if theta > 0:
         env.log_mgf(theta)  # probe: raises DomainError outside the domain
     if route == "time":
-        return quad(lambda s: env.log_mgf(theta * math.exp(-mu * s)), 0.0, t, **_QUAD_KW)
+        return scipy.integrate.quad(
+            lambda s: env.log_mgf(theta * math.exp(-mu * s)), 0.0, t, **_QUAD_KW
+        )
     if route == "substitution":
-        val, err = quad(
+        val, err = scipy.integrate.quad(
             lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta, **_QUAD_KW
         )
         return val / mu, err / mu
@@ -249,7 +248,9 @@ def _bracketed_argmax(deriv, hi_domain: float):
             hi *= 2.0
         else:
             raise ConvergenceError("derivative never changes sign; supremum diverges")
-    theta, info = brentq(deriv, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200, full_output=True)
+    theta, info = scipy.optimize.brentq(
+        deriv, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200, full_output=True
+    )
     return theta, info.iterations
 
 
@@ -274,7 +275,7 @@ def _legendre(query: RateQuery, hi_domain: float, regime: str, speed: str) -> Ra
             e = math.exp(-mu * s)
             return env.log_mgf_prime(x * e) * x_prime * e
 
-        return a - quad(integrand, 0.0, t, **_QUAD_KW)[0]
+        return a - scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)[0]
 
     theta, iters = _bracketed_argmax(deriv, hi_domain)
     val, quad_err = _ilm_with_err(env, mu, t, legendre_argument(regime, query.delta, theta)[0])
@@ -353,14 +354,15 @@ def estimate_log_tail(
     ``theta_star`` is the optimizer of the query's rate function.  Each
     replication's weight holds the exact conditional tail given its rate
     layer, so it is finite unless that layer is all zero (kappa = 0); the
-    estimate is -inf only when every replication's is.
+    estimate is -inf only when every replication's is.  A count level N a
+    past 2^53, which float64 cannot index, raises ResourceError.
     """
     logw = _log_weights(query, N, replications, seed, theta_star, block_tol)
     finite = logw[np.isfinite(logw)]
     if finite.size == 0:
         return -math.inf, math.inf
-    log_mean = float(logsumexp(finite)) - math.log(replications)
-    log_sq = float(logsumexp(2.0 * finite)) - math.log(replications)
+    log_mean = float(scipy.special.logsumexp(finite)) - math.log(replications)
+    log_sq = float(scipy.special.logsumexp(2.0 * finite)) - math.log(replications)
     # Var(W)/R / P^2, with E[W^2] and E[W]^2 kept in log space
     rel_var = math.expm1(min(log_sq - 2.0 * log_mean, 700.0))
     return log_mean, math.sqrt(max(rel_var, 0.0) / replications)
@@ -373,6 +375,10 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     rate layer's likelihood ratio times the count's tail given that layer.
     It is -inf only where kappa_r = 0."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
+    if not N * a <= _MAX_EXACT_INT:  # also refuses inf
+        raise ResourceError(
+            f"count level N a = {N * a:.3e} exceeds 2^53, the most that float64 can index"
+        )
     regime = classify_regime(query)
     h = ScalingRegime(N, query.alpha, delta).delta_n
     table = cell_table((mu,), h, (t,), block_tol)
@@ -411,11 +417,16 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
 def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:
     """log P(Poisson(lam) >= m), elementwise; finite wherever lam > 0.
 
-    ``poisson.logsf`` underflows to -inf below about -709.  There lam < m, and
+    The tail is the regularized gamma P(m, lam), ``scipy.special.pdtrc(m - 1,
+    lam)``, whose log underflows to -inf below about -709.  There lam < m, and
     the tail is log pmf(m) + log sum_{j>=0} prod_{i<=j} lam/(m+i), a series
     whose term ratios lam/(m+j+1) < 1 fall with j; it stops once the geometric
-    bound on its remainder is below e^-39 of the partial sum."""
-    out = poisson.logsf(m - 1, lam)
+    bound on its remainder is below e^-39 of the partial sum.  log pmf(m) is
+    m log lam - log m! - lam, as ``xlogy`` and ``gammaln`` give it."""
+    if m <= 0:  # a count is never below 0
+        return np.zeros_like(lam)
+    with np.errstate(divide="ignore"):  # a zero rate layer has tail 0
+        out = np.log(scipy.special.pdtrc(m - 1, lam))
     deep = np.isneginf(out) & (lam > 0)
     if deep.any():
         lam = lam[deep]
@@ -425,7 +436,8 @@ def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:
             j += 1
             term = term + np.log(lam / (m + j))
             total = np.logaddexp(total, term)
-        out[deep] = poisson.logpmf(m, lam) + total
+        log_pmf = scipy.special.xlogy(m, lam) - scipy.special.gammaln(m + 1) - lam
+        out[deep] = log_pmf + total
     return out
 
 
@@ -444,7 +456,7 @@ def _mv_limit_log_mgf(query: RateQuery):
             def integrand(s):
                 return np.prod(np.exp(-mu * s) * np.expm1(theta) + 1.0)
 
-            val, _ = quad(integrand, 0.0, t, **_QUAD_KW)
+            val, _ = scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)
             return env.mean * (val - t)
 
         def in_domain(theta):
@@ -460,7 +472,7 @@ def _mv_limit_log_mgf(query: RateQuery):
             def integrand(s):
                 return env.log_mgf(delta * (np.prod(np.exp(-mu * s) * scaled + 1.0) - 1.0))
 
-            val, _ = quad(integrand, 0.0, t, **_QUAD_KW)
+            val, _ = scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)
             return val
 
         def in_domain(theta):
@@ -473,7 +485,7 @@ def _mv_limit_log_mgf(query: RateQuery):
         def integrand(s):
             return env.log_mgf(float(theta @ np.exp(-mu * s)))
 
-        val, _ = quad(integrand, 0.0, t, **_QUAD_KW)
+        val, _ = scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)
         return val
 
     def in_domain(theta):
@@ -510,7 +522,7 @@ def rate_multivariate(query: RateQuery) -> RateResult:
         elif regime == "intermediate":
             cap = query.delta * math.log1p(query.env.theta_max / query.delta) * (1.0 - 1e-9)
         bounds = [(0.0, cap)] * d
-    res = minimize(
+    res = scipy.optimize.minimize(
         neg_objective,
         x0,
         method="L-BFGS-B",

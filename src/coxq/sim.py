@@ -87,8 +87,9 @@ _EVENT_BUDGET = 1e9
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
 # also the most replications that replication_blocks schedules.
 _OUTPUT_BUDGET = 2**24
-# Largest initial count: exact in the float64 moments, far from int64 overflow.
-_MAX_INITIAL_COUNT = 2**53
+# Largest count or slot index float64 holds exactly, far from int64 overflow: the
+# bound on initial counts, on the slots a cell table spans and on tail count levels.
+_MAX_EXACT_INT = 2**53
 # A block of replications draws its rate layer as one (rows, cells) float64
 # array of at most _BLOCK_DRAW entries (2 MB), and has at most _MAX_BLOCK_ROWS rows.
 _BLOCK_DRAW = 2**18
@@ -119,9 +120,9 @@ class SimConfig:
             raise ValueError("initial_counts must have one entry per queue")
         if any(c < 0 for c in self.initial_counts):
             raise ValueError("initial_counts must be non-negative")
-        if any(c > _MAX_INITIAL_COUNT for c in self.initial_counts):
+        if any(c > _MAX_EXACT_INT for c in self.initial_counts):
             raise ValueError(
-                f"initial_counts must be at most 2^53 = {_MAX_INITIAL_COUNT}, "
+                f"initial_counts must be at most 2^53 = {_MAX_EXACT_INT}, "
                 f"got {max(self.initial_counts)}"
             )
         if self.replications < 1:
@@ -270,11 +271,19 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     room for; deterministic tests check the bound on the tables themselves.
     The exponent 2 mu_min/3 minimises the cell count, integral of da/W(a),
     at a fixed budget for the slowest entry's weight e^(-2 mu_min a).
+    More than 2^53 slots up to grid[-1], which float64 cannot index, raise
+    ResourceError.
     """
-    blocked = block_tol > 0 and h < block_tol / sum(mu)
-    if not blocked and math.ceil(grid[-1] / h) > _MAX_EXACT_SLOTS:
+    span = grid[-1] / h
+    if not span <= _MAX_EXACT_INT:  # also refuses inf
         raise ResourceError(
-            f"{math.ceil(grid[-1] / h)} per-replication slots in exact mode; "
+            f"{span:.3e} slots of length {h:.3e} up to time {grid[-1]:g} exceed 2^53, "
+            "the most that float64 can index; shorten the time or shrink N^alpha/delta"
+        )
+    blocked = block_tol > 0 and h < block_tol / sum(mu)
+    if not blocked and math.ceil(span) > _MAX_EXACT_SLOTS:
+        raise ResourceError(
+            f"{math.ceil(span)} per-replication slots in exact mode; "
             "increase block_tol or reduce the horizon"
         )
     tiny = 1e-12 * max(h, 1.0)

@@ -219,3 +219,39 @@ def test_a_slot_length_that_underflows_exits_2(underflow_runs, kind):
     assert proc.returncode == 2, err
     assert "Traceback" not in err and "alpha" in err, err
     assert not (work / "out" / "report.json").exists()
+
+
+# Slot horizons and count levels past 2^53, which float64 cannot index: the
+# ldp_fast shape with one value replaced, and the simulate config at a slot
+# length of 1e-300 N^(-alpha).
+PAST_2_53 = {
+    "N_grid-2^53+1": ("ldp_fast", {"N_grid": [50, 2**53 + 1]}),
+    "N_grid-2^30": ("ldp_fast", {"N_grid": [50, 2**30]}),
+    "t-1e308": ("ldp_fast", {"t": 1e308}),
+    "t-2^63": ("ldp_fast", {"t": 2.0**63}),
+    "a-1e308": ("ldp_fast", {"a": 1e308}),
+    "simulate-delta-1e-300": ("simulate", {"delta": 1e-300}),
+}
+
+
+@pytest.fixture(scope="module")
+def past_2_53_runs(tmp_path_factory):
+    """One child process per PAST_2_53 case, all started at once."""
+    runs = {}
+    for case, (stem, change) in PAST_2_53.items():
+        doc = {**json.loads(next(p for p in CONFIGS if p.stem == stem).read_text()), **change}
+        work = tmp_path_factory.mktemp(case)
+        runs[case] = start_child(doc["kind"], doc, work), work
+    yield runs
+    for proc, _ in runs.values():
+        proc.kill()
+        proc.wait()
+
+
+@pytest.mark.parametrize("case", PAST_2_53)
+def test_a_slot_horizon_or_count_level_past_2_53_exits_2(past_2_53_runs, case):
+    proc, work = past_2_53_runs[case]
+    _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and "2^53" in err, err
+    assert not (work / "out" / "report.json").exists()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import coxq.harness as harness_module
 import coxq.sim
@@ -117,6 +117,41 @@ def test_anderson_darling_matches_scipy_statistic():
     y = rng.exponential(size=5000)
     a2y, py = anderson_darling_normal(y)
     assert py < 1e-6
+
+
+def _anderson_darling_by_norm(x):
+    """anderson_darling_normal's A^2*, from scipy.stats.norm's log cdf and log sf
+    (the p-value is a function of A^2* alone)."""
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    z = (x - x.mean()) / x.std(ddof=1)
+    log_cdf, log_sf = stats.norm.logcdf(z), stats.norm.logsf(z)
+    i = np.arange(1, n + 1)
+    a2 = -n - np.sum((2 * i - 1) * (log_cdf + log_sf[::-1])) / n
+    return a2 * (1 + 0.75 / n + 2.25 / n**2)
+
+
+def test_log_ndtr_is_norm_logcdf_and_logsf():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, -0.0, 1e-300, -1e-300]])
+    np.testing.assert_array_equal(special.log_ndtr(z), stats.norm.logcdf(z))
+    np.testing.assert_array_equal(special.log_ndtr(-z), stats.norm.logsf(z))
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda rng: rng.normal(size=5000),
+        lambda rng: rng.exponential(size=5000),
+        lambda rng: rng.standard_t(1.5, size=2000),  # far tails: z beyond +-20
+        lambda rng: np.round(rng.normal(size=300), 1),  # ties
+        lambda rng: rng.normal(size=8),
+    ],
+    ids=["normal", "exponential", "student-t", "ties", "n8"],
+)
+def test_anderson_darling_is_bitwise_the_norm_logcdf_form(sample):
+    x = sample(np.random.default_rng(11))
+    a2, _ = anderson_darling_normal(x)
+    assert a2 == _anderson_darling_by_norm(x)
 
 
 def test_wls_slope_recovers_known_line():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import logsumexp, spence
+from scipy.special import gammaln, logsumexp, pdtrc, spence, xlogy
 from scipy.stats import poisson
 
 import coxq.sim
@@ -468,7 +468,10 @@ def test_is_spawns_one_stream_per_block(monkeypatch):
 # -- the count's conditional tail -------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [1, 7, 60, 400])
+POISSON_LEVELS = [1, 7, 60, 400, 2000, 7600, 10**6]
+
+
+@pytest.mark.parametrize("m", POISSON_LEVELS)
 def test_log_poisson_tail_is_scipy_logsf_where_finite(m):
     lam = np.geomspace(1e-3, 4.0 * m, 200)
     want = poisson.logsf(m - 1, lam)
@@ -477,6 +480,21 @@ def test_log_poisson_tail_is_scipy_logsf_where_finite(m):
     finite = np.isfinite(want)
     np.testing.assert_array_equal(got[finite], want[finite])
     assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("m", POISSON_LEVELS)
+def test_poisson_log_pmf_and_log_sf_forms_are_bitwise_scipy_stats(m):
+    # the forms _log_poisson_tail evaluates, against scipy.stats.poisson
+    lam = np.geomspace(1e-3, 4.0 * m, 2000)
+    np.testing.assert_array_equal(xlogy(m, lam) - gammaln(m + 1) - lam, poisson.logpmf(m, lam))
+    with np.errstate(divide="ignore"):
+        np.testing.assert_array_equal(np.log(pdtrc(m - 1, lam)), poisson.logsf(m - 1, lam))
+
+
+def test_log_poisson_tail_of_a_level_at_most_0_is_0():
+    lam = np.array([0.0, 1e-3, 5.0])
+    for m in (0, -3):
+        np.testing.assert_array_equal(_log_poisson_tail(m, lam), poisson.logsf(m - 1, lam))
 
 
 @pytest.mark.parametrize(
