@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as f:
-        json.dump(report.to_json(), f, indent=1, sort_keys=True)
+        json.dump(report.to_json(), f, indent=1, sort_keys=True, allow_nan=False)
         f.write("\n")
 
     for row in report.results:

@@ -8,9 +8,12 @@ log M(theta) = log E exp(theta L) and its derivative, one block-sum draw of
 the plain and the exponentially twisted law, and its essential supremum.
 Downstream modules need exact transforms, which is why the families are
 closed rather than user-pluggable; the interface contract for an extension
-is: mean, variance, log_mgf, log_mgf_prime, sample (the independent per-slot
-law), _block_sums (the one block-sum draw), twisted_log_norm (a loop over
-log_mgf unless overridden), essential_sup, theta_max.
+is: mean, variance, log_mgf (elementwise over a numpy array of thetas as
+well as on a float: the rate layer's quadrature evaluates it on every node
+at once), log_mgf_prime, sample (the independent per-slot law),
+_block_sums (the one block-sum draw), essential_sup, theta_max.
+twisted_log_norm, sum_c counts[c] log M(etas[c]), is one array call of
+log_mgf for every family.
 
 The block-sum draw returns a (size, cells) float64 array whose cell c sums
 counts[c] i.i.d. copies, tilted by etas[c] (density reweighted by
@@ -44,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import DomainError
 
@@ -118,15 +120,17 @@ class EnvSpec:
         """Supremum of the open MGF finiteness domain (+inf if entire line)."""
         raise NotImplementedError
 
-    def _check_theta(self, theta: float) -> None:
-        if theta >= self.theta_max - _BOUNDARY_PAD:
+    def _check_theta(self, theta) -> None:
+        worst = np.max(theta)  # a float or an array of thetas
+        if worst >= self.theta_max - _BOUNDARY_PAD:
             raise DomainError(
-                f"theta={theta} at or beyond the MGF domain boundary {self.theta_max} "
+                f"theta={worst} at or beyond the MGF domain boundary {self.theta_max} "
                 f"for family '{self.family}'"
             )
 
     # -- transforms --------------------------------------------------------
-    def log_mgf(self, theta: float) -> float:
+    def log_mgf(self, theta):
+        """log M(theta), elementwise when theta is an array."""
         raise NotImplementedError
 
     def log_mgf_prime(self, theta: float) -> float:
@@ -161,7 +165,7 @@ class EnvSpec:
 
     def twisted_log_norm(self, etas: np.ndarray, counts: np.ndarray) -> float:
         """sum_b counts[b] log M(etas[b]), the log normalizer of those twisted sums."""
-        return float(np.sum(counts * np.array([self.log_mgf(e) for e in etas])))
+        return float(np.sum(counts * self.log_mgf(etas)))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -190,7 +194,7 @@ class Deterministic(EnvSpec):
     def theta_max(self) -> float:
         return math.inf
 
-    def log_mgf(self, theta: float) -> float:
+    def log_mgf(self, theta):
         return theta * self.value
 
     def log_mgf_prime(self, theta: float) -> float:
@@ -232,9 +236,9 @@ class Exponential(EnvSpec):
     def theta_max(self) -> float:
         return self.rate
 
-    def log_mgf(self, theta: float) -> float:
+    def log_mgf(self, theta):
         self._check_theta(theta)
-        return -math.log1p(-theta / self.rate)
+        return -np.log1p(-theta / self.rate)
 
     def log_mgf_prime(self, theta: float) -> float:
         self._check_theta(theta)
@@ -278,9 +282,9 @@ class Gamma(EnvSpec):
     def theta_max(self) -> float:
         return 1.0 / self.scale
 
-    def log_mgf(self, theta: float) -> float:
+    def log_mgf(self, theta):
         self._check_theta(theta)
-        return -self.shape * math.log1p(-self.scale * theta)
+        return -self.shape * np.log1p(-self.scale * theta)
 
     def log_mgf_prime(self, theta: float) -> float:
         self._check_theta(theta)
@@ -339,9 +343,17 @@ class DiscreteFinite(EnvSpec):
     def theta_max(self) -> float:
         return math.inf
 
-    def log_mgf(self, theta: float) -> float:
-        # Log-space summation: large theta*values must not overflow.
-        return float(scipy.special.logsumexp(self._log_weights(theta)))
+    def log_mgf(self, theta):
+        # Log-space summation as scipy.special.logsumexp does it, bit for bit,
+        # without its per-call overhead (the rate layer's bisection calls this
+        # about 55 times): the largest terms are factored out, so large
+        # theta*values cannot overflow, and the rest enter through log1p.
+        logw = self._log_weights(theta)
+        top = logw.max(axis=-1)
+        is_top = logw == top[..., None]
+        rest = np.where(is_top, 0.0, np.exp(logw - top[..., None])).sum(axis=-1)
+        count = is_top.sum(axis=-1)
+        return np.log1p(rest / count) + np.log(count) + top
 
     def log_mgf_prime(self, theta: float) -> float:
         w = self._tilted_probs(theta)
@@ -357,12 +369,6 @@ class DiscreteFinite(EnvSpec):
         logw -= logw.max(axis=-1, keepdims=True)
         w = np.exp(logw)
         return w / w.sum(axis=-1, keepdims=True)
-
-    def twisted_log_norm(self, etas, counts):
-        log_mgfs = scipy.special.logsumexp(
-            self._log_weights(np.asarray(etas, dtype=float)), axis=-1
-        )
-        return float(np.sum(counts * log_mgfs))
 
     def essential_sup(self) -> float:
         return float(self.values[self.probs > 0].max())

@@ -472,7 +472,8 @@ def run_simulate(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
         os.makedirs(out_dir, exist_ok=True)
         trajectory_to_csv(traj, os.path.join(out_dir, "trajectories.csv"))
         with open(os.path.join(out_dir, "moments.json"), "w") as f:
-            json.dump(moments.to_json(), f, indent=1, sort_keys=True)
+            doc = _finite_or_null(moments.to_json())
+            json.dump(doc, f, indent=1, sort_keys=True, allow_nan=False)
         files = {"trajectories": "trajectories.csv", "moments": "moments.json"}
     results.append({"files": files})
     return results, []
@@ -669,7 +670,8 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "rates.json"), "w") as f:
-            json.dump(rate_res.to_json(), f, indent=1, sort_keys=True)
+            doc = _finite_or_null(rate_res.to_json())
+            json.dump(doc, f, indent=1, sort_keys=True, allow_nan=False)
             f.write("\n")
     return results, criteria
 
@@ -688,13 +690,16 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir=None) -> Report:
-    """Validate, dispatch and time one runner; DomainError surfaces as ConfigError."""
+    """Validate, dispatch and time one runner; DomainError, and an OverflowError
+    from a value too large for float arithmetic, surface as ConfigError."""
     t0 = time.perf_counter()
     try:
         _validate(config)
         results, criteria = _RUNNERS[config.kind](config, out_dir)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:  # such as a rate or service rate of 1e308, squared
+        raise ConfigError(f"a config value overflows float arithmetic: {exc}") from exc
     return Report(
         kind=config.kind,
         config=config.to_json(),

@@ -17,12 +17,18 @@ level, each a_i of a rectangle against its own fluid value):
 The slow and intermediate rates are one Legendre transform that differs only
 in its argument map, x(theta) = theta or Delta (e^(theta/Delta) - 1)
 (``legendre_argument``); the fast and bounded-slow rates are one Poisson
-(Cramer) rate.  The integrated log-MGF is evaluated by adaptive quadrature two
-ways (direct in s, and via u = x e^(-mu s)), cross-checked in tests.  The
-supremum is located by bracketed root finding on the derivative (strict
-concavity), with the stationarity residual reported.  Multivariate rectangle
-queries use the limiting log-MGFs of the coupled model and a projected
-quasi-Newton search.
+(Cramer) rate.  The integrated log-MGF I(x) = int_0^t log M(x e^(-mu s)) ds
+is evaluated two ways, direct in s and via u = x e^(-mu s), by one numpy
+rule (``_quad``): 10-point Gauss-Legendre panels, each bisected until its
+halves agree with it, every open panel's nodes evaluated in one array call
+of ``log_mgf``.  The dual-route gap is reported as a criterion.  The same
+substitution gives the derivative in closed form, for every family,
+dI/dx = (log M(x) - log M(x e^(-mu t)))/(mu x), so the supremum (strict
+concavity) is the root of theta -> a - x'(theta) dI/dx, found by bisection
+inside a bracket with no quadrature per step; the stationarity residual is
+reported.  Multivariate rectangle queries use the limiting log-MGFs of the
+coupled model, integrated by the same rule, and a projected quasi-Newton
+search.
 
 The importance-sampling estimator ``estimate_log_tail`` targets
 P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
@@ -39,6 +45,7 @@ intermediate (eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +54,7 @@ import scipy
 
 from .env import EnvSpec, ScalingRegime
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
-from .sim import _MAX_EXACT_INT, cell_table, replication_blocks
+from .sim import _MAX_EXACT_INT, _check_replications, block_rows, cell_table, replication_blocks
 
 __all__ = [
     "RateQuery",
@@ -64,7 +71,19 @@ __all__ = [
     "speed_value",
 ]
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+# A panel closes when its halves' sum agrees with its own estimate to
+# _QUAD_RTOL relative, or to _QUAD_ATOL absolute: the floor for integrands
+# whose rounding is absolute, such as a discrete log M(u)/u at small u,
+# where no relative agreement is reachable.
+_QUAD_RTOL = 1e-13
+_QUAD_ATOL = 1e-15
+# Panels a quadrature may evaluate before it raises ConvergenceError.
+_QUAD_PANELS = 4096
+# Tilted cell draws (cells x drawn rows) per importance-sampling run above
+# which estimate_log_tail refuses: 33x the largest any shipped config,
+# benchmark workload or test draws (8,038,400: the ldp_slow shape at N = 1600,
+# 200 cells x 40,192 rows).
+_IS_DRAW_BUDGET = 2**28
 
 SPEED_N = "N"
 SPEED_SLOW = "N^alpha/Delta"
@@ -167,10 +186,55 @@ def speed_value(speed: str, scaling: ScalingRegime) -> float:
 # Integrated log-MGF.
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """10-point Gauss-Legendre nodes and weights on [-1, 1], computed (and
+    numpy.polynomial loaded) on first use."""
+    return np.polynomial.legendre.leggauss(10)
+
+
+def _quad(f, lo: float, hi: float) -> tuple[float, float]:
+    """(int_lo^hi f, error estimate) by adaptive 10-point Gauss-Legendre.
+
+    f maps an array of points to an array of values.  Each round bisects
+    every open panel and evaluates all the halves in one call of f; a panel
+    closes when its halves' sum agrees with its own estimate (``_QUAD_RTOL``,
+    ``_QUAD_ATOL``), and the estimate sums the closed panels' halves.  The
+    error estimate sums the closed panels' disagreements, a bound on the
+    coarser of the two estimates."""
+
+    nodes, weights = _gauss_legendre()
+
+    def rule(a, b):  # the Gauss-Legendre estimate on each panel [a_i, b_i]
+        half = 0.5 * (b - a)
+        x = (a + half)[:, None] + half[:, None] * nodes
+        return half * (f(x.ravel()).reshape(x.shape) @ weights)
+
+    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    whole = rule(a, b)
+    parts, errs, panels = [], [], 1
+    while a.size:
+        panels += 2 * a.size
+        if panels > _QUAD_PANELS:
+            raise ConvergenceError(f"quadrature unresolved after {_QUAD_PANELS} panels")
+        m = 0.5 * (a + b)
+        halves = rule(np.concatenate([a, m]), np.concatenate([m, b]))
+        left, right = halves[: a.size], halves[a.size :]
+        pair = left + right
+        gap = np.abs(whole - pair)
+        done = gap <= np.maximum(_QUAD_RTOL * np.abs(pair), _QUAD_ATOL)
+        parts.append(pair[done])
+        errs.append(gap[done])
+        more = ~done
+        a, b = np.concatenate([a[more], m[more]]), np.concatenate([m[more], b[more]])
+        whole = np.concatenate([left[more], right[more]])
+    return math.fsum(np.concatenate(parts)), float(np.concatenate(errs).sum())
+
+
 def integrated_log_mgf(
     env: EnvSpec, mu: float, t: float, theta: float, route: str = "time"
 ) -> float:
-    """int_0^t log M(theta e^(-mu s)) ds by adaptive quadrature.
+    """int_0^t log M(theta e^(-mu s)) ds by adaptive quadrature (``_quad``).
 
     route="time" integrates in s directly; route="substitution" uses
     u = theta e^(-mu s), giving (1/mu) int_{theta e^(-mu t)}^{theta} log M(u)/u du.
@@ -185,15 +249,20 @@ def _ilm_with_err(env, mu, t, theta, route="time"):
     if theta > 0:
         env.log_mgf(theta)  # probe: raises DomainError outside the domain
     if route == "time":
-        return scipy.integrate.quad(
-            lambda s: env.log_mgf(theta * math.exp(-mu * s)), 0.0, t, **_QUAD_KW
-        )
+        return _quad(lambda s: env.log_mgf(theta * np.exp(-mu * s)), 0.0, t)
     if route == "substitution":
-        val, err = scipy.integrate.quad(
-            lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta, **_QUAD_KW
-        )
+        val, err = _quad(lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta)
         return val / mu, err / mu
     raise ValueError(f"unknown route {route!r}")
+
+
+def _ilm_prime(env, mu, t, x) -> float:
+    """d/dx int_0^t log M(x e^(-mu s)) ds = (log M(x) - log M(x e^(-mu t)))/(mu x), x != 0.
+
+    Exact for every family: with u = x e^(-mu s) the integral is
+    (1/mu) int_{x e^(-mu t)}^x log M(u)/u du."""
+    top, bottom = env.log_mgf(np.array([x, x * math.exp(-mu * t)]))
+    return float(top - bottom) / (mu * x)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +291,11 @@ def _bracketed_argmax(deriv, hi_domain: float):
     """Argmax of a strictly concave objective with derivative ``deriv`` on (0, hi).
 
     Returns (theta_star, iterations).  A non-positive derivative at 0+ means the
-    supremum sits at the boundary theta -> 0 (rate 0)."""
+    supremum sits at the boundary theta -> 0 (rate 0).  Inside the bracket,
+    bisection runs until no float lies strictly between its ends (about 55
+    steps at microseconds each): near the MGF domain boundary the derivative
+    is steep, and an absolute tolerance would leave a stationarity residual
+    that grows as theta_max shrinks."""
     lo = 1e-12
     if deriv(lo) <= 0:
         return lo, 0
@@ -248,10 +321,16 @@ def _bracketed_argmax(deriv, hi_domain: float):
             hi *= 2.0
         else:
             raise ConvergenceError("derivative never changes sign; supremum diverges")
-    theta, info = scipy.optimize.brentq(
-        deriv, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200, full_output=True
-    )
-    return theta, info.iterations
+    iterations = 0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if deriv(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+    return mid, iterations
 
 
 def legendre_argument(regime: str, delta: float, theta: float) -> tuple[float, float]:
@@ -270,12 +349,7 @@ def _legendre(query: RateQuery, hi_domain: float, regime: str, speed: str) -> Ra
 
     def deriv(theta):
         x, x_prime = legendre_argument(regime, query.delta, theta)
-
-        def integrand(s):
-            e = math.exp(-mu * s)
-            return env.log_mgf_prime(x * e) * x_prime * e
-
-        return a - scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)[0]
+        return a - x_prime * _ilm_prime(env, mu, t, x)
 
     theta, iters = _bracketed_argmax(deriv, hi_domain)
     val, quad_err = _ilm_with_err(env, mu, t, legendre_argument(regime, query.delta, theta)[0])
@@ -355,7 +429,8 @@ def estimate_log_tail(
     replication's weight holds the exact conditional tail given its rate
     layer, so it is finite unless that layer is all zero (kappa = 0); the
     estimate is -inf only when every replication's is.  A count level N a
-    past 2^53, which float64 cannot index, raises ResourceError.
+    past 2^53, which float64 cannot index, raises ResourceError, as does a run
+    that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates.
     """
     logw = _log_weights(query, N, replications, seed, theta_star, block_tol)
     finite = logw[np.isfinite(logw)]
@@ -399,11 +474,19 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
         )
     log_norm = env.twisted_log_norm(etas, counts)
 
-    rows, streams = replication_blocks(seed, replications, counts.size)
+    _check_replications(replications)
+    rows = block_rows(counts.size)
     # a constant rate layer is the same in every replication: draw one row per
     # block and repeat its weight (a constant rate never reaches slow_unbounded,
     # which needs kappa per row)
     rate_rows = 1 if env.variance == 0 else rows
+    draws = counts.size * rate_rows * -(-replications // rows)
+    if draws > _IS_DRAW_BUDGET:
+        raise ResourceError(
+            f"{draws:.3e} tilted cell draws ({counts.size} cells x drawn rows) at N = {N} "
+            f"exceed the budget {_IS_DRAW_BUDGET:.3e}; shrink the replications, N or t"
+        )
+    _, streams = replication_blocks(seed, replications, counts.size)
     kappa, log_ratio = [], []
     for rng in streams:
         s = env.sample_block_sums_twisted(etas, rng, counts, rate_rows)
@@ -454,10 +537,10 @@ def _mv_limit_log_mgf(query: RateQuery):
 
         def gamma(theta):
             def integrand(s):
-                return np.prod(np.exp(-mu * s) * np.expm1(theta) + 1.0)
+                decay = np.exp(-np.multiply.outer(s, mu))
+                return np.prod(decay * np.expm1(theta) + 1.0, axis=-1)
 
-            val, _ = scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)
-            return env.mean * (val - t)
+            return env.mean * (_quad(integrand, 0.0, t)[0] - t)
 
         def in_domain(theta):
             return True
@@ -470,10 +553,10 @@ def _mv_limit_log_mgf(query: RateQuery):
             scaled = np.expm1(theta / delta)
 
             def integrand(s):
-                return env.log_mgf(delta * (np.prod(np.exp(-mu * s) * scaled + 1.0) - 1.0))
+                decay = np.exp(-np.multiply.outer(s, mu))
+                return env.log_mgf(delta * (np.prod(decay * scaled + 1.0, axis=-1) - 1.0))
 
-            val, _ = scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)
-            return val
+            return _quad(integrand, 0.0, t)[0]
 
         def in_domain(theta):
             worst = delta * (np.prod(np.expm1(theta / delta) + 1.0) - 1.0)
@@ -483,10 +566,9 @@ def _mv_limit_log_mgf(query: RateQuery):
 
     def gamma(theta):
         def integrand(s):
-            return env.log_mgf(float(theta @ np.exp(-mu * s)))
+            return env.log_mgf(np.exp(-np.multiply.outer(s, mu)) @ theta)
 
-        val, _ = scipy.integrate.quad(integrand, 0.0, t, **_QUAD_KW)
-        return val
+        return _quad(integrand, 0.0, t)[0]
 
     def in_domain(theta):
         return float(theta.sum()) < env.theta_max - 1e-11

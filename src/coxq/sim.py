@@ -345,13 +345,18 @@ def block_rows(n_cells: int) -> int:
     return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_DRAW // max(n_cells, 1)))
 
 
-def replication_blocks(seed: int, replications: int, n_cells: int) -> tuple[int, list]:
-    """(B, streams): B = block_rows(n_cells) rows per block, ceil(R/B) streams from seed."""
+def _check_replications(replications: int) -> None:
+    """ResourceError past the most replications that replication_blocks schedules."""
     if replications > _OUTPUT_BUDGET:
         raise ResourceError(
             f"{replications} replications exceed the budget {_OUTPUT_BUDGET:.3e}; "
             "shrink the replications"
         )
+
+
+def replication_blocks(seed: int, replications: int, n_cells: int) -> tuple[int, list]:
+    """(B, streams): B = block_rows(n_cells) rows per block, ceil(R/B) streams from seed."""
+    _check_replications(replications)
     rows = block_rows(n_cells)
     return rows, spawn_streams(seed, -(-replications // rows))
 

@@ -149,9 +149,10 @@ def test_one_mutation_exits_0_1_or_2_cleanly(tmp_path, capsys, monkeypatch, case
         assert re.search(rf"\b{re.escape(name)}\b", err), (name, err)
         assert not out.exists()
         return
-    text = (out / "report.json").read_text()
-    assert not re.search(r"\bNaN\b|Infinity", text), text
-    report = json.loads(text)
+    for path in out.glob("*.json"):  # every JSON output is strict
+        text = path.read_text()
+        assert not re.search(r"\bNaN\b|Infinity", text), (path.name, text)
+    report = json.loads((out / "report.json").read_text())
     assert report["passed"] is (code == 0)
     assert (code == 1) == any(not c["passed"] for c in report["criteria"])
 
@@ -234,11 +235,12 @@ PAST_2_53 = {
 }
 
 
-@pytest.fixture(scope="module")
-def past_2_53_runs(tmp_path_factory):
-    """One child process per PAST_2_53 case, all started at once."""
+def child_runs(cases, tmp_path_factory):
+    """One child process per case (stem, change, ...), the shipped config stem
+    with change applied, all started at once; yields {case: (process, work)}
+    and kills them after."""
     runs = {}
-    for case, (stem, change) in PAST_2_53.items():
+    for case, (stem, change, *_) in cases.items():
         doc = {**json.loads(next(p for p in CONFIGS if p.stem == stem).read_text()), **change}
         work = tmp_path_factory.mktemp(case)
         runs[case] = start_child(doc["kind"], doc, work), work
@@ -248,10 +250,41 @@ def past_2_53_runs(tmp_path_factory):
         proc.wait()
 
 
+@pytest.fixture(scope="module")
+def past_2_53_runs(tmp_path_factory):
+    yield from child_runs(PAST_2_53, tmp_path_factory)
+
+
 @pytest.mark.parametrize("case", PAST_2_53)
 def test_a_slot_horizon_or_count_level_past_2_53_exits_2(past_2_53_runs, case):
     proc, work = past_2_53_runs[case]
     _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
     assert proc.returncode == 2, err
     assert "Traceback" not in err and "2^53" in err, err
+    assert not (work / "out" / "report.json").exists()
+
+
+# Boundary values that ran for minutes or ended in a traceback: the shipped
+# config with one value replaced, and a word its error message must hold.  At
+# mu = 1e308 blocking is off, so the ldp_fast shape has 10^5 one-slot cells
+# at N = 50 and its importance sampler would copy 10^9 cell rates; a rate or
+# service rate of 1e308 overflows when squared.
+REFUSED = {
+    "ldp_fast-mu-1e308": ("ldp_fast", {"queues": {"mu": [1e308]}}, "budget"),
+    "analytic-mu-1e308": ("analytic", {"queues": {"mu": [1e308]}}, "overflows"),
+    "fclt-rate-1e308": ("fclt", {"env": {"family": "exponential", "rate": 1e308}}, "overflows"),
+}
+
+
+@pytest.fixture(scope="module")
+def refused_runs(tmp_path_factory):
+    yield from child_runs(REFUSED, tmp_path_factory)
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_a_boundary_value_past_a_budget_or_float_range_exits_2(refused_runs, case):
+    proc, work = refused_runs[case]
+    _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and REFUSED[case][2] in err, err
     assert not (work / "out" / "report.json").exists()

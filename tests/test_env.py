@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import ks_2samp, multinomial
 
 from coxq.env import (
@@ -57,6 +58,22 @@ def test_log_mgf_discrete_no_overflow():
     env = DiscreteFinite([1.0, 3.0], [0.5, 0.5])
     # exp(3 * 500) overflows a double; log-space evaluation must not.
     assert env.log_mgf(500.0) == pytest.approx(3 * 500 + math.log(0.5), rel=1e-9)
+
+
+def test_log_mgf_discrete_is_bitwise_scipy_logsumexp():
+    # tied atoms, zero probabilities, scalars and arrays, thetas from 1e-15 to 1e3
+    rng = np.random.default_rng(0)
+    for trial in range(400):
+        k = int(rng.integers(1, 7))
+        values = rng.choice([0.0, 0.5, 2.0, 7.5], size=k) if trial % 2 else 5 * rng.random(k)
+        probs = rng.random(k) * (rng.random(k) > 0.2)
+        probs[0] += probs.sum() == 0
+        env = DiscreteFinite(values, probs / probs.sum())
+        scale = 10 ** rng.uniform(-15, 3, 21)
+        for theta in (rng.normal() * scale[0], rng.normal(size=20) * scale[1:]):
+            want = logsumexp(env._log_weights(theta), axis=-1)
+            got = env.log_mgf(theta)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (values, probs, theta)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -749,6 +750,24 @@ def test_cli_ldp_check_report_is_strict_json_when_every_rate_layer_is_zero(tmp_p
     assert row["N"] == 1 and row["log_prob"] is None and row["rel_err"] is None
     assert fit["slope"] is fit["slope_se"] is fit["raw_slope"] is None
     assert report["criteria"][0]["observed"] is None
+
+
+def test_cli_ldp_check_rates_json_is_strict_json_when_theta_star_overflows(tmp_path):
+    # at mu = 1e308 the fluid value is 1e-308, so theta* = log(a/rho(t)) = inf,
+    # which rates.json writes as null
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "ldp_fast.json").read_text())
+    doc.update(queues={"mu": [1e308]}, t=1.0, N_grid=[50, 100], replications=200)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # mu (t - b) overflows in the cell weights
+        code = cli_main(["ldp-check", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    rates = json.loads((out / "rates.json").read_text(), parse_constant=refuse)
+    assert rates["theta_star"] is None and math.isfinite(rates["rate"])
 
 
 def test_cli_seed_and_replication_overrides(tmp_path):

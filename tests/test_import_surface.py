@@ -2,9 +2,9 @@
 
 The package imports plain ``scipy`` and reaches each submodule at its call
 site, so a submodule loads on first use: importing the CLI loads none, the
-analytic and simulate kinds never load one, and no kind loads
-``scipy.stats``.  Each case runs in a fresh interpreter and reads
-``sys.modules`` after it.
+analytic and simulate kinds never load one, no kind loads ``scipy.stats``,
+and ``ldp-check`` loads neither ``scipy.integrate`` nor ``scipy.optimize``.
+Each case runs in a fresh interpreter and reads ``sys.modules`` after it.
 """
 
 import json
@@ -56,3 +56,14 @@ def test_ldp_check_does_not_load_scipy_stats(tmp_path):
     config.write_text(json.dumps(doc))
     loaded = loaded_submodules(cli_statement("ldp-check", config, tmp_path / "out"))
     assert "scipy.special" in loaded and "scipy.stats" not in loaded
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_slow_and_intermediate_ldp_check_load_no_quadrature_or_optimizer(tmp_path, alpha):
+    # the rate layer integrates and finds its root with numpy alone
+    doc = {**json.loads((CONFIGS / "ldp_slow.json").read_text()), "alpha": alpha,
+           "N_grid": [200, 400], "replications": 2000, "tolerances": {"slope_rel_tol": 1.0}}
+    config = tmp_path / "ldp.json"
+    config.write_text(json.dumps(doc))
+    loaded = loaded_submodules(cli_statement("ldp-check", config, tmp_path / "out"))
+    assert loaded == {"scipy.special"}

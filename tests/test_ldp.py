@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln, logsumexp, pdtrc, spence, xlogy
 from scipy.stats import poisson
@@ -15,6 +16,7 @@ from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingR
 from coxq.errors import DomainError, RegimeError
 from coxq.ldp import (
     RateQuery,
+    _ilm_prime,
     _log_poisson_tail,
     _log_weights,
     classify_regime,
@@ -64,6 +66,44 @@ def test_ilm_dual_route_agreement(env, theta):
 def test_ilm_domain_error():
     with pytest.raises(DomainError):
         integrated_log_mgf(Exponential(1.0), 1.0, 5.0, 1.5)
+
+
+@pytest.mark.parametrize("route", ["time", "substitution"])
+@pytest.mark.parametrize("env, shape, scale", [(Exponential(2.0), 1.0, 0.5), (Gamma(2.5, 0.4), 2.5, 0.4)])
+def test_ilm_matches_the_dilogarithm_up_to_the_domain_boundary(env, shape, scale, route):
+    # log M(u) = -k log(1 - s u), so the integral is (k/mu) (Li2(s x) - Li2(s x e^(-mu t)));
+    # at x = theta_max (1 - 1e-11) the integrand's log singularity is 1e-11 away
+    mu = 0.5
+    for mu_t in (0.01, 1.0, 5.0, 40.0):
+        for frac in (0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-11):
+            x = frac * env.theta_max
+            want = shape * (li2(scale * x) - li2(scale * x * math.exp(-mu_t))) / mu
+            got = integrated_log_mgf(env, mu, mu_t / mu, x, route=route)
+            assert got == pytest.approx(want, rel=1e-12), (mu_t, frac)
+
+
+@pytest.mark.parametrize("route", ["time", "substitution"])
+def test_ilm_discrete_matches_quadpack(route):
+    env, mu = DiscreteFinite([0.5, 2.0, 3.0], [0.3, 0.5, 0.2]), 0.5
+    for mu_t in (0.01, 1.0, 5.0, 40.0):
+        for theta in (0.1, 1.0, 5.0, 50.0, 500.0):
+            want, _ = quad(
+                lambda s: float(env.log_mgf(theta * math.exp(-mu * s))),
+                0.0, mu_t / mu, epsabs=1e-13, epsrel=1e-13, limit=1000,
+            )
+            got = integrated_log_mgf(env, mu, mu_t / mu, theta, route=route)
+            assert got == pytest.approx(want, rel=1e-12), (mu_t, theta)
+
+
+@pytest.mark.parametrize(
+    "env, x",
+    [(Deterministic(1.7), 0.8), (Exponential(1.0), 0.3), (Exponential(1.0), 0.99),
+     (Gamma(2.0, 0.4), 1.5), (Gamma(2.0, 0.4), -2.0), (DiscreteFinite([1.0, 3.0], [0.5, 0.5]), 4.0)],
+)
+def test_ilm_closed_form_derivative_matches_a_central_difference(env, x):
+    mu, t, h = 0.7, 6.0, 1e-6 * abs(x)
+    fd = (integrated_log_mgf(env, mu, t, x + h) - integrated_log_mgf(env, mu, t, x - h)) / (2 * h)
+    assert _ilm_prime(env, mu, t, x) == pytest.approx(fd, rel=1e-7)
 
 
 # -- fast regime -----------------------------------------------------------------
