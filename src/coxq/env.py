@@ -58,6 +58,7 @@ __all__ = [
     "DiscreteFinite",
     "ScalingRegime",
     "env_from_json",
+    "log_sum_exp",
     "spawn_streams",
 ]
 
@@ -68,6 +69,22 @@ _BOUNDARY_PAD = 1e-12
 # A discrete draw fills its rows in blocks of about this many cells, so its
 # index and count temporaries stay small next to the float64 result.
 _BLOCK_CELLS = 1 << 16
+
+
+def log_sum_exp(a) -> np.ndarray:
+    """log sum_j exp(a[..., j]) over the last axis, for a whose rows each hold
+    a finite entry.
+
+    The summation scipy.special.logsumexp does, bit for bit, without its
+    per-call overhead (the rate layer's bisection evaluates a discrete
+    log-MGF about 55 times): the largest terms are factored out, so large
+    entries cannot overflow, and the rest enter through log1p."""
+    a = np.asarray(a)
+    top = a.max(axis=-1)
+    is_top = a == top[..., None]
+    rest = np.where(is_top, 0.0, np.exp(a - top[..., None])).sum(axis=-1)
+    count = is_top.sum(axis=-1)
+    return np.log1p(rest / count) + np.log(count) + top
 
 
 def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -344,16 +361,7 @@ class DiscreteFinite(EnvSpec):
         return math.inf
 
     def log_mgf(self, theta):
-        # Log-space summation as scipy.special.logsumexp does it, bit for bit,
-        # without its per-call overhead (the rate layer's bisection calls this
-        # about 55 times): the largest terms are factored out, so large
-        # theta*values cannot overflow, and the rest enter through log1p.
-        logw = self._log_weights(theta)
-        top = logw.max(axis=-1)
-        is_top = logw == top[..., None]
-        rest = np.where(is_top, 0.0, np.exp(logw - top[..., None])).sum(axis=-1)
-        count = is_top.sum(axis=-1)
-        return np.log1p(rest / count) + np.log(count) + top
+        return log_sum_exp(self._log_weights(theta))
 
     def log_mgf_prime(self, theta: float) -> float:
         w = self._tilted_probs(theta)

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .env import EnvSpec, ScalingRegime
+from .env import EnvSpec, ScalingRegime, log_sum_exp
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from .sim import _MAX_EXACT_INT, _check_replications, block_rows, cell_table, replication_blocks
 
@@ -290,21 +290,25 @@ def rate_fast(rho_t: float, a: float) -> RateResult:
 def _bracketed_argmax(deriv, hi_domain: float):
     """Argmax of a strictly concave objective with derivative ``deriv`` on (0, hi).
 
-    Returns (theta_star, iterations).  A non-positive derivative at 0+ means the
-    supremum sits at the boundary theta -> 0 (rate 0).  Inside the bracket,
-    bisection runs until no float lies strictly between its ends (about 55
-    steps at microseconds each): near the MGF domain boundary the derivative
-    is steep, and an absolute tolerance would leave a stationarity residual
-    that grows as theta_max shrinks."""
+    Returns (theta_star, iterations, jump).  A non-positive derivative at 0+
+    means the supremum sits at the boundary theta -> 0 (rate 0, jump 0).
+    Inside the bracket, bisection runs until no float lies strictly between
+    its ends (about 55 steps at microseconds each): near the MGF domain
+    boundary the derivative is steep, and an absolute tolerance would leave a
+    stationarity residual that grows as theta_max shrinks.  jump is the
+    derivative's fall across that last bracket, one ulp of theta: the least
+    residual that float resolution of theta allows."""
     lo = 1e-12
-    if deriv(lo) <= 0:
-        return lo, 0
+    d_lo = deriv(lo)
+    if d_lo <= 0:
+        return lo, 0, 0.0
     if math.isfinite(hi_domain):
         hi = None
         pad = 1e-6
         while pad >= 1e-11:
             cand = hi_domain * (1.0 - pad)
-            if deriv(cand) < 0:
+            d_hi = deriv(cand)
+            if d_hi < 0:
                 hi = cand
                 break
             pad *= 0.1
@@ -316,7 +320,8 @@ def _bracketed_argmax(deriv, hi_domain: float):
     else:
         hi = 1.0
         for _ in range(200):
-            if deriv(hi) < 0:
+            d_hi = deriv(hi)
+            if d_hi < 0:
                 break
             hi *= 2.0
         else:
@@ -324,13 +329,14 @@ def _bracketed_argmax(deriv, hi_domain: float):
     iterations = 0
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if deriv(mid) > 0:
-            lo = mid
+        d_mid = deriv(mid)
+        if d_mid > 0:
+            lo, d_lo = mid, d_mid
         else:
-            hi = mid
+            hi, d_hi = mid, d_mid
         mid = 0.5 * (lo + hi)
         iterations += 1
-    return mid, iterations
+    return mid, iterations, d_lo - d_hi
 
 
 def legendre_argument(regime: str, delta: float, theta: float) -> tuple[float, float]:
@@ -351,11 +357,14 @@ def _legendre(query: RateQuery, hi_domain: float, regime: str, speed: str) -> Ra
         x, x_prime = legendre_argument(regime, query.delta, theta)
         return a - x_prime * _ilm_prime(env, mu, t, x)
 
-    theta, iters = _bracketed_argmax(deriv, hi_domain)
+    theta, iters, jump = _bracketed_argmax(deriv, hi_domain)
     val, quad_err = _ilm_with_err(env, mu, t, legendre_argument(regime, query.delta, theta)[0])
+    # theta is one end of the last bracket, so a finite derivative leaves a
+    # residual within the jump across it; 1e-8 covers the boundary return
     residual = abs(deriv(theta))
-    if residual > 1e-8:
-        raise ConvergenceError(f"stationarity residual {residual:.2e} > 1e-8")
+    bound = max(1e-8, jump)
+    if not residual <= bound:
+        raise ConvergenceError(f"stationarity residual {residual:.2e} > {bound:.2e}")
     return RateResult(
         rate=min(0.0, -(theta * a - val)),
         theta_star=theta,
@@ -436,8 +445,8 @@ def estimate_log_tail(
     finite = logw[np.isfinite(logw)]
     if finite.size == 0:
         return -math.inf, math.inf
-    log_mean = float(scipy.special.logsumexp(finite)) - math.log(replications)
-    log_sq = float(scipy.special.logsumexp(2.0 * finite)) - math.log(replications)
+    log_mean = float(log_sum_exp(finite)) - math.log(replications)
+    log_sq = float(log_sum_exp(2.0 * finite)) - math.log(replications)
     # Var(W)/R / P^2, with E[W^2] and E[W]^2 kept in log space
     rel_var = math.expm1(min(log_sq - 2.0 * log_mean, 700.0))
     return log_mean, math.sqrt(max(rel_var, 0.0) / replications)

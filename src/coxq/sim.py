@@ -211,7 +211,10 @@ def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> 
         if mu_t == 0.0:
             sub[:, t_mask] = b - a
         else:
-            sub[:, t_mask] = (np.exp(-mu_t * (t_end - b)) - np.exp(-mu_t * (t_end - a))) / mu_t
+            # mu_t (t_end - s) may overflow to inf (mu near 1e308): exp gives
+            # the right weight, 0
+            with np.errstate(over="ignore"):
+                sub[:, t_mask] = (np.exp(-mu_t * (t_end - b)) - np.exp(-mu_t * (t_end - a))) / mu_t
     w = np.zeros((n_cells, 2**d - 1))
     for s_mask in range(1, 2**d):
         acc = np.zeros(n_cells)

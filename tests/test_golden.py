@@ -1,11 +1,14 @@
-"""Every shipped config's exit code and output bytes, pinned in golden.json.
+"""Exit codes and output bytes of the shipped configs and bench calls, pinned in golden.json.
 
-Each config in ``configs/`` runs through the CLI in-process; its exit code
-and the SHA-256 of each file it writes must match ``golden.json``.  The bytes
-depend on the numpy and scipy builds (and the CPU's vector extensions that
-numpy dispatches to), so the file also records the Python, numpy and scipy
-versions it was made with; under other versions the check is skipped with
-both sets named in the reason, never passed.
+Each config in ``configs/``, and each benchmark call that
+``perfbench/workloads.make_calls`` builds at workload seeds 1 and 2, runs
+through the CLI in-process; its exit code and the SHA-256 of each file it
+writes must match ``golden.json``.  The bytes depend on the numpy and scipy
+builds (and on the CPU's vector extensions that numpy dispatches to, and on
+the C library's erfc, which clt-check reads through ``math.erfc``), so the
+file also records the Python, numpy and scipy versions it was made with;
+under other versions the check is skipped with both sets named in the
+reason, never passed.
 
 After a change that alters output bytes on purpose, rewrite the file with
 
@@ -15,6 +18,7 @@ and say in CHANGES.md which bytes changed and why.
 """
 
 import hashlib
+import importlib.util
 import json
 import platform
 import sys
@@ -28,7 +32,28 @@ import scipy
 from coxq.cli import main as cli_main
 
 GOLDEN = Path(__file__).with_name("golden.json")
-CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+BENCH_SEEDS = (1, 2)
+
+
+def bench_docs() -> dict:
+    """The benchmark's config documents at BENCH_SEEDS, by "<workload>-<seed>-<call>"."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    return {
+        f"{workload}-{seed}-{call.name}": call.doc
+        for workload in workloads.WORKLOADS
+        for seed in BENCH_SEEDS
+        for call in workloads.make_calls(workload, seed)
+    }
+
+
+BENCH = bench_docs()
 
 
 def versions() -> dict:
@@ -44,20 +69,42 @@ def outputs(config: Path, out: Path) -> dict:
     return {"exit": code, "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
 
 
+def bench_outputs(name: str, work: Path) -> dict:
+    """``outputs`` of the benchmark call name, its config written under work."""
+    config = work / f"{name}.json"
+    config.write_text(json.dumps(BENCH[name]))
+    return outputs(config, work / name)
+
+
+def golden_for_these_versions() -> dict:
+    golden = json.loads(GOLDEN.read_text())
+    if golden["versions"] != versions():
+        pytest.skip(f"golden.json was recorded under {golden['versions']}, not {versions()}")
+    return golden
+
+
 def test_golden_file_covers_every_shipped_config():
     assert set(json.loads(GOLDEN.read_text())["configs"]) == {p.stem for p in CONFIGS}
 
 
+def test_golden_file_covers_every_benchmark_call():
+    assert set(json.loads(GOLDEN.read_text())["bench"]) == set(BENCH)
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_config_exit_code_and_output_bytes(config, tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    if golden["versions"] != versions():
-        pytest.skip(f"golden.json was recorded under {golden['versions']}, not {versions()}")
-    assert outputs(config, tmp_path / "out") == golden["configs"][config.stem]
+    assert outputs(config, tmp_path / "out") == golden_for_these_versions()["configs"][config.stem]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH))
+def test_benchmark_call_exit_code_and_output_bytes(name, tmp_path):
+    assert bench_outputs(name, tmp_path) == golden_for_these_versions()["bench"][name]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         configs = {p.stem: outputs(p, Path(work) / p.stem) for p in CONFIGS}
-    GOLDEN.write_text(json.dumps({"versions": versions(), "configs": configs}, indent=1) + "\n")
+        bench = {name: bench_outputs(name, Path(work)) for name in sorted(BENCH)}
+    doc = {"versions": versions(), "configs": configs, "bench": bench}
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

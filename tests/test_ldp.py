@@ -13,7 +13,7 @@ from scipy.stats import poisson
 
 import coxq.sim
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
-from coxq.errors import DomainError, RegimeError
+from coxq.errors import ConvergenceError, DomainError, RegimeError
 from coxq.ldp import (
     RateQuery,
     _ilm_prime,
@@ -149,6 +149,30 @@ def test_rate_slow_dilog_oracle():
     assert res.regime == "slow_unbounded"
     assert res.speed == "N^alpha/Delta"
     assert res.diagnostics["stationarity_residual"] < 1e-8
+
+
+def test_rate_slow_resolves_theta_star_within_an_ulp_of_theta_max():
+    # Exp(1), mu=1, t=5, a=20: theta* = 1 - 2.05e-9, where one ulp of theta
+    # moves the derivative by 5e-8, more than the residual 1e-8 once allowed.
+    # Closed form: I(theta) = Li2(theta) - Li2(theta e^(-5)), and theta*
+    # solves -log(u) + log(1 - (1 - u) e^(-5)) = 20 (1 - u) for u = 1 - theta
+    # (a contraction: iterate to the fixed point).
+    a, c = 20.0, math.exp(-5.0)
+    u = 0.0
+    for _ in range(10):
+        u = math.exp(-a * (1 - u) + math.log1p(-(1 - u) * c))
+    theta = 1 - u
+    want = -(theta * a - (spence(u) - li2(theta * c)))
+    res = rate_slow(q(t=5.0, a=a))
+    assert res.rate == pytest.approx(want, rel=1e-10)
+    assert res.theta_star == pytest.approx(theta, rel=1e-15)
+    assert res.diagnostics["stationarity_residual"] > 1e-8
+
+
+def test_rate_slow_refuses_theta_star_beyond_float_resolution():
+    # at a = 100, 1 - theta* = e^(-100) is below one ulp of 1
+    with pytest.raises(ConvergenceError, match="no interior stationary point resolvable"):
+        rate_slow(q(t=5.0, a=100.0))
 
 
 def test_rate_slow_boundary_continuity():
