@@ -62,8 +62,9 @@ __all__ = [
     "spawn_streams",
 ]
 
-# Evaluation this close to an open MGF-domain boundary raises instead of
-# returning an overflow-contaminated value.
+# Evaluation within this fraction of theta_max of an open MGF-domain boundary
+# raises instead of returning an overflow-contaminated value; relative, so a
+# family's domain guard scales with its rate.
 _BOUNDARY_PAD = 1e-12
 
 # A discrete draw fills its rows in blocks of about this many cells, so its
@@ -139,7 +140,7 @@ class EnvSpec:
 
     def _check_theta(self, theta) -> None:
         worst = np.max(theta)  # a float or an array of thetas
-        if worst >= self.theta_max - _BOUNDARY_PAD:
+        if worst >= self.theta_max * (1.0 - _BOUNDARY_PAD):
             raise DomainError(
                 f"theta={worst} at or beyond the MGF domain boundary {self.theta_max} "
                 f"for family '{self.family}'"
@@ -172,7 +173,7 @@ class EnvSpec:
     ) -> np.ndarray:
         """(size, len(counts)) sums of counts[b] i.i.d. draws tilted by etas[b]."""
         etas = np.asarray(etas, dtype=float)
-        if etas.size and etas.max() >= self.theta_max - _BOUNDARY_PAD:
+        if etas.size and etas.max() >= self.theta_max * (1.0 - _BOUNDARY_PAD):
             raise DomainError("tilt at or beyond the MGF domain boundary")
         return self._block_sums(rng, np.asarray(counts), size, etas)
 

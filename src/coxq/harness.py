@@ -305,6 +305,13 @@ def _validate(config: ExperimentConfig) -> None:
     if config.kind == "ldp-check":
         if len(config.N_grid) < 2:  # else the slope and its criterion would read NaN
             raise ConfigError("ldp-check fits a slope over N_grid: it needs at least two entries")
+        N = config.N_grid[0]  # the slot delta N^(-alpha) is longest at the smallest N
+        slot = ScalingRegime(N, config.alpha, config.delta).delta_n
+        if slot > config.t:
+            raise ConfigError(
+                f"delta = {config.delta} gives a slot length delta N^(-alpha) = {slot:.6g} "
+                f"at N = {N}, longer than the read time t = {config.t}"
+            )
         if classify_regime(_ldp_query(config)) == "slow_bounded":  # the query refuses a <= rho(t)
             raise ConfigError(
                 "slope verification for the bounded slow branch is not supported; "

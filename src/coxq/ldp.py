@@ -38,9 +38,13 @@ stream b alone.  Given the rate layer the count is Poisson(N kappa), with
 kappa = sum_c w_c S_c/n_c (w_c the cell's survival weight, n_c its slot
 count), so no count is drawn: one log likelihood ratio serves every regime,
 sum_c (n_c log M(eta_c) - eta_c S_c) + log P(Poisson(N kappa) >= m), the
-second term exact and in log space.  Only the tilts differ: fast (eta = 0),
-slow (eta_c = theta* w_c / (n_c r), r = (1 - e^(-mu Delta_N))/mu) and
-intermediate (eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1)).
+second term exact and in log space: the continued fractions of the incomplete
+gamma function, evaluated backward in numpy (``_log_poisson_tail``; within
+2.2e-13 relative of 40-digit values, and refused with ResourceError where a
+fraction would need more than 10^5 steps, near m past about 3.7e11).  Only
+the tilts differ: fast (eta = 0), slow (eta_c = theta* w_c / (n_c r),
+r = (1 - e^(-mu Delta_N))/mu) and intermediate
+(eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1)).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .env import EnvSpec, ScalingRegime, log_sum_exp
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
@@ -84,6 +87,16 @@ _QUAD_PANELS = 4096
 # benchmark workload or test draws (8,038,400: the ldp_slow shape at N = 1600,
 # 200 cells x 40,192 rows).
 _IS_DRAW_BUDGET = 2**28
+# Continued-fraction steps a probe of the count's Poisson tail may take before
+# it refuses: the depth peaks at lam = m and grows there about as m^0.31 (7,013
+# steps at m = 1e8, 65,167 at 1e11), so the bound admits m up to about 3.7e11.
+_CF_STEPS = 10**5
+# log m! - (m log m - m) = log(2 pi m)/2 + sum_k B_2k/(2k (2k - 1) m^(2k - 1)),
+# k <= 6: the first term left out is below 2e-18 from m = 16 on.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+# log1p(d) - d = u (2 u^2 sum_k u^(2k)/(2k + 3) - d), u = d/(2 + d): for
+# |d| <= 1/2, u^2 <= 1/9 and 17 terms reach 1e-17.
+_LOG1PMX = tuple(1.0 / (2 * k + 3) for k in range(17))
 
 SPEED_N = "N"
 SPEED_SLOW = "N^alpha/Delta"
@@ -439,16 +452,19 @@ def estimate_log_tail(
     layer, so it is finite unless that layer is all zero (kappa = 0); the
     estimate is -inf only when every replication's is.  A count level N a
     past 2^53, which float64 cannot index, raises ResourceError, as does a run
-    that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates.
+    that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates or whose
+    count tail needs more than ``_CF_STEPS`` continued-fraction steps (a rate
+    near N a past about 3.7e11).
     """
     logw = _log_weights(query, N, replications, seed, theta_star, block_tol)
     finite = logw[np.isfinite(logw)]
     if finite.size == 0:
         return -math.inf, math.inf
     log_mean = float(log_sum_exp(finite)) - math.log(replications)
-    log_sq = float(log_sum_exp(2.0 * finite)) - math.log(replications)
-    # Var(W)/R / P^2, with E[W^2] and E[W]^2 kept in log space
-    rel_var = math.expm1(min(log_sq - 2.0 * log_mean, 700.0))
+    # Var(W)/P^2 = R sum w^2/(sum w)^2 - 1 with w = W/max W in (0, 1]: equal
+    # weights (a constant rate layer) give exactly 0
+    w = np.exp(finite - finite.max())
+    rel_var = replications * float(w @ w) / float(w.sum()) ** 2 - 1.0
     return log_mean, math.sqrt(max(rel_var, 0.0) / replications)
 
 
@@ -502,35 +518,139 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
         kappa.append(s @ wk)
         log_ratio.append(log_norm - s @ etas)
     # one tail call for the whole run: its cost is mostly per call, not per row
-    logw = np.concatenate(log_ratio) + _log_poisson_tail(m, N * np.concatenate(kappa))
+    try:
+        tail = _log_poisson_tail(m, N * np.concatenate(kappa))
+    except ResourceError as exc:
+        raise ResourceError(f"count level N a = {N * a:.10g}: {exc}") from None
+    logw = np.concatenate(log_ratio) + tail
     return np.repeat(logw, rows // rate_rows)[:replications]
 
 
 def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:
     """log P(Poisson(lam) >= m), elementwise; finite wherever lam > 0.
 
-    The tail is the regularized gamma P(m, lam), ``scipy.special.pdtrc(m - 1,
-    lam)``, whose log underflows to -inf below about -709.  There lam < m, and
-    the tail is log pmf(m) + log sum_{j>=0} prod_{i<=j} lam/(m+i), a series
-    whose term ratios lam/(m+j+1) < 1 fall with j; it stops once the geometric
-    bound on its remainder is below e^-39 of the partial sum.  log pmf(m) is
-    m log lam - log m! - lam, as ``xlogy`` and ``gammaln`` give it."""
+    The tail is the regularized gamma P(m, lam), and l = log(m pmf(m, lam))
+    (``_log_m_pmf``) is its prefactor: below lam = m it is l - log F, F the
+    continued fraction of gamma(m, lam) in its contracted (Jacobi) form
+    m - lam + 1 lam/(m + 1 - lam + 2 lam/(m + 2 - lam + ...)); at or above m it
+    is log1p(-e^l / G), e^l / G = P(X <= m - 1) and G Legendre's fraction of
+    Gamma(m, lam), lam + 1 - m + 1 (m - 1)/(lam + 3 - m + 2 (m - 2)/(...)).
+    Both fractions have positive terms, so their backward recurrence is stable
+    (``_tail_fraction``), and the log is never taken of an underflowed tail.
+    Against 40-digit mpmath, over m from 1 to 10^6 and lam/m in [1e-6, 40],
+    the error is at most 3.2e-15 relative below m and 2.2e-13 at or above it,
+    where the rounding of l (up to 745 in size before e^l underflows) sets it;
+    near lam = m it stays within 1e-14 up to m = 1e10 (against the fractions
+    at 50 digits).  A fraction that needs more than ``_CF_STEPS`` steps, near
+    lam = m past m of about 3.7e11, raises ResourceError."""
     if m <= 0:  # a count is never below 0
         return np.zeros_like(lam)
-    with np.errstate(divide="ignore"):  # a zero rate layer has tail 0
-        out = np.log(scipy.special.pdtrc(m - 1, lam))
-    deep = np.isneginf(out) & (lam > 0)
-    if deep.any():
-        lam = lam[deep]
-        term = total = np.zeros_like(lam)  # log of the current term and of the partial sum
-        j = 0
-        while np.any(term + np.log(lam / (m + j + 1 - lam)) > total - 39.0):
-            j += 1
-            term = term + np.log(lam / (m + j))
-            total = np.logaddexp(total, term)
-        log_pmf = scipy.special.xlogy(m, lam) - scipy.special.gammaln(m + 1) - lam
-        out[deep] = log_pmf + total
+    order = np.argsort(lam)
+    s = lam[order]
+    ell = _log_m_pmf(m, s)
+    k = int(np.searchsorted(s, m))
+    tail = np.empty_like(s)
+    below = np.ascontiguousarray(s[:k][::-1])  # nearest m first; a strided view is slower
+    tail[:k][::-1] = ell[:k][::-1] - np.log(_tail_fraction(m, below, upper=False))
+    tail[k:] = np.log1p(-np.exp(ell[k:]) / _tail_fraction(m, s[k:], upper=True))
+    out = np.empty_like(lam)
+    out[order] = tail
     return out
+
+
+def _log_m_pmf(m: int, s: np.ndarray) -> np.ndarray:
+    """log(m pmf(m, s)) = m log s - s - log (m-1)! for s sorted ascending, m >= 1.
+
+    With d = s/m - 1 it is m (log1p(d) - d) - E(m) + log m, E(m) = log m! -
+    (m log m - m), so no large terms cancel: below s = m/2, where d loses s,
+    m log(s/m) - (s - m) stands for m (log1p(d) - d); for |d| <= 1/2 the
+    ``_LOG1PMX`` series stands for log1p(d) - d, which cancels there."""
+    lo, hi = np.searchsorted(s, (0.5 * m, 1.5 * m), side="right")
+    out = np.empty_like(s)
+    far, near, high = s[:lo], s[lo:hi], s[hi:]
+    with np.errstate(divide="ignore"):  # a zero rate has log pmf -inf
+        out[:lo] = m * np.log(far / m) - (far - m)
+    d = (near - m) / m  # near - m is exact
+    u = d / (2.0 + d)
+    u2 = u * u
+    series = np.full_like(u2, _LOG1PMX[-1])
+    for c in _LOG1PMX[-2::-1]:
+        series *= u2
+        series += c
+    out[lo:hi] = m * (u * (2.0 * u2 * series - d))
+    d = (high - m) / m
+    with np.errstate(over="ignore"):  # log pmf -inf at a rate near float max
+        out[hi:] = m * (np.log1p(d) - d)
+    if m < 16:
+        rest = math.lgamma(m + 1) - (m * math.log(m) - m)
+    else:
+        series = 0.0
+        for c in _STIRLING[::-1]:
+            series = c + series / (m * m)
+        rest = 0.5 * math.log(2.0 * math.pi * m) + series / m
+    return out + (math.log(m) - rest)
+
+
+def _fraction_steps(m: int, x: float, upper: bool) -> int | None:
+    """Steps until the modified Lentz evaluation of ``_tail_fraction``'s
+    fraction at x changes by less than rounding, or None past ``_CF_STEPS``.
+    Every term is positive (the upper fraction ends at step m), so no
+    denominator is 0."""
+    shift = x + 1.0 - m if upper else m - x
+    c, d = shift, 0.0
+    for n in range(1, _CF_STEPS + 1):
+        a, b = (n * (m - n), shift + 2 * n) if upper else (n * x, shift + n)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        if abs(c * d - 1.0) < 2.0**-53:
+            return n
+    return None
+
+
+def _tail_fraction(m: int, x: np.ndarray, upper: bool) -> np.ndarray:
+    """F (x < m) or G (x >= m) of ``_log_poisson_tail`` at each x, x ordered
+    nearest m (slowest to converge) first.
+
+    The x fall into runs by their distance from m: [0, e_1), [e_1, e_2), ...,
+    e_j = sqrt(m) 2^(j - 4), the last run open.  A Lentz probe at each run's
+    near edge gives its depth (the depth falls with the distance); one
+    backward recurrence serves every run, each joining it at that depth plus
+    2 (and no less than a farther run's), so a level costs a few array
+    operations over the runs deep enough to need it, and each value depends
+    only on its own x and m."""
+    shift = x + (1.0 - m) if upper else m - x
+    edges = [0.0]
+    while edges[-1] < m:
+        edges.append(math.sqrt(m) * 2.0 ** (len(edges) - 4))
+    bounds = np.searchsorted(shift, np.add(edges, 1.0 if upper else 0.0)).tolist() + [x.size]
+    first = next((j for j in range(len(edges)) if bounds[j] < bounds[j + 1]), len(edges))
+    starts = []
+    for e in edges[first:]:
+        near = m + e if upper else max(m - e, 0.0) if e else math.nextafter(m, 0.0)
+        steps = _fraction_steps(m, near, upper)
+        if steps is None:
+            raise ResourceError(
+                f"log P(Poisson(lam) >= {m}) needs more than {_CF_STEPS} "
+                f"continued-fraction steps at lam = {near:.10g}"
+            )
+        starts.append(steps + 2)
+    starts = np.maximum.accumulate(starts[::-1])[::-1].tolist()  # non-increasing
+    f = np.empty_like(x)
+    run = 0
+    for n in range(starts[0] if starts else 0, 0, -1):
+        while run < len(starts) and starts[run] == n:  # the runs that join at level n
+            lo, hi = bounds[first + run], bounds[first + run + 1]
+            np.add(shift[lo:hi], 2 * n if upper else n, out=f[lo:hi])
+            run += 1
+            xs, ss, fs = x[:hi], shift[:hi], f[:hi]
+        if upper:  # f <- x + 1 - m + 2 (n - 1) + n (m - n)/f
+            np.divide(n * (m - n), fs, out=fs)
+        else:  # f <- m - x + n - 1 + n x/f
+            np.divide(xs, fs, out=fs)
+            fs *= n
+        fs += ss
+        fs += 2 * (n - 1) if upper else n - 1
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +733,8 @@ def rate_multivariate(query: RateQuery) -> RateResult:
         elif regime == "intermediate":
             cap = query.delta * math.log1p(query.env.theta_max / query.delta) * (1.0 - 1e-9)
         bounds = [(0.0, cap)] * d
+    import scipy.optimize  # loaded only here: no command reaches this optimizer
+
     res = scipy.optimize.minimize(
         neg_objective,
         x0,

@@ -264,15 +264,23 @@ def test_a_slot_horizon_or_count_level_past_2_53_exits_2(past_2_53_runs, case):
     assert not (work / "out" / "report.json").exists()
 
 
-# Boundary values that ran for minutes or ended in a traceback: the shipped
-# config with one value replaced, and a word its error message must hold.  At
-# mu = 1e308 blocking is off, so the ldp_fast shape has 10^5 one-slot cells
-# at N = 50 and its importance sampler would copy 10^9 cell rates; a rate or
-# service rate of 1e308 overflows when squared.
+# Boundary values that ran for minutes, ended in a traceback or gave a nan
+# slope: the shipped config with one value replaced, and a word its error
+# message must hold.  At mu = 1e308 blocking is off, so the ldp_fast shape has
+# 10^5 one-slot cells at N = 50 and its importance sampler would copy 10^9
+# cell rates; a rate or service rate of 1e308 overflows when squared; at delta
+# 1e308 a slot is longer than the read time t.  At N = 10^12 with a 1e-9 above
+# rho(t), the count's Poisson tail is evaluated within 10^3 of its level, where
+# its continued fraction needs more than 10^5 steps.
 REFUSED = {
     "ldp_fast-mu-1e308": ("ldp_fast", {"queues": {"mu": [1e308]}}, "budget"),
     "analytic-mu-1e308": ("analytic", {"queues": {"mu": [1e308]}}, "overflows"),
     "fclt-rate-1e308": ("fclt", {"env": {"family": "exponential", "rate": 1e308}}, "overflows"),
+    "ldp_slow-delta-1e308": ("ldp_slow", {"delta": 1e308}, "delta"),
+    "ldp_fast-delta-1e308": ("ldp_fast", {"delta": 1e308}, "delta"),
+    "ldp_fast-N-1e12": (
+        "ldp_fast", {"alpha": 1.1, "a": 1.000000001, "N_grid": [50, 10**12]}, "continued-fraction"
+    ),
 }
 
 

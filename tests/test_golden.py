@@ -3,12 +3,12 @@
 Each config in ``configs/``, and each benchmark call that
 ``perfbench/workloads.make_calls`` builds at workload seeds 1 and 2, runs
 through the CLI in-process; its exit code and the SHA-256 of each file it
-writes must match ``golden.json``.  The bytes depend on the numpy and scipy
-builds (and on the CPU's vector extensions that numpy dispatches to, and on
-the C library's erfc, which clt-check reads through ``math.erfc``), so the
-file also records the Python, numpy and scipy versions it was made with;
-under other versions the check is skipped with both sets named in the
-reason, never passed.
+writes must match ``golden.json``.  The bytes depend on the numpy build (and
+on the CPU's vector extensions that numpy dispatches to, and on the C
+library's erfc and lgamma, which clt-check and ldp-check read through
+``math``), so the file also records the Python, numpy and scipy versions it
+was made with; under other versions the check is skipped with both sets
+named in the reason, never passed.
 
 After a change that alters output bytes on purpose, rewrite the file with
 

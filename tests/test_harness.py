@@ -749,11 +749,12 @@ def test_cli_ldp_check_report_is_strict_json_with_few_replications(tmp_path):
 def test_cli_ldp_check_report_is_strict_json_when_every_rate_layer_is_zero(tmp_path, capsys):
     # with a zero atom both replications at N=1 draw a zero rate layer (kappa = 0):
     # that row's log P is -inf, its rel_err inf and the one-point slope NaN, each
-    # written as null; the run still fails its slope criterion
+    # written as null; the run still fails its slope criterion.  delta = 0.5 makes
+    # the slot at N = 1 as long as t, the longest that ldp-check accepts
     doc = analytic_doc(
         kind="ldp-check",
         env={"family": "discrete", "values": [0.0, 2.0], "probs": [0.5, 0.5]},
-        delta=1.0, alpha=2.0, t=0.5, a=1.5, N_grid=[1, 2], replications=2, seed=1,
+        delta=0.5, alpha=2.0, t=0.5, a=1.5, N_grid=[1, 2], replications=2, seed=1,
     )
     out = tmp_path / "o"
     assert cli_main(["ldp-check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1

@@ -4,16 +4,17 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaln, logsumexp, pdtrc, spence, xlogy
+from scipy.special import logsumexp, spence
 from scipy.stats import poisson
 
 import coxq.sim
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
-from coxq.errors import ConvergenceError, DomainError, RegimeError
+from coxq.errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from coxq.ldp import (
     RateQuery,
     _ilm_prime,
@@ -167,6 +168,16 @@ def test_rate_slow_resolves_theta_star_within_an_ulp_of_theta_max():
     assert res.rate == pytest.approx(want, rel=1e-10)
     assert res.theta_star == pytest.approx(theta, rel=1e-15)
     assert res.diagnostics["stationarity_residual"] > 1e-8
+
+
+@pytest.mark.parametrize("a", [5.0, 20.0, 25.0])
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e3])
+def test_rate_slow_is_invariant_under_the_exponential_rate_scale(r, a):
+    # Exponential(r) is Exponential(1)/r, so the rate at level a/r is the rate
+    # at a; at a >= 20, theta* lies within 1e-8 of theta_max, where a domain
+    # guard absolute in theta refused r = 1e-3 (theta = 0.000999999999)
+    want = rate_slow(q(t=5.0, a=a)).rate
+    assert rate_slow(q(env=Exponential(r), t=5.0, a=a / r)).rate == pytest.approx(want, rel=1e-10)
 
 
 def test_rate_slow_refuses_theta_star_beyond_float_resolution():
@@ -537,22 +548,60 @@ POISSON_LEVELS = [1, 7, 60, 400, 2000, 7600, 10**6]
 
 @pytest.mark.parametrize("m", POISSON_LEVELS)
 def test_log_poisson_tail_is_scipy_logsf_where_finite(m):
+    # scipy's logsf is the log of a rounded sf, so where log P is near 0
+    # (lam >> m) its error is absolute: the two agree to 1e-14 relative above 1
+    # in size and 1e-14 absolute below (largest gap 6e-15)
     lam = np.geomspace(1e-3, 4.0 * m, 200)
     want = poisson.logsf(m - 1, lam)
     assert np.isfinite(want).any()
     got = _log_poisson_tail(m, lam)
     finite = np.isfinite(want)
-    np.testing.assert_array_equal(got[finite], want[finite])
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
     assert np.all(np.isfinite(got))
 
 
-@pytest.mark.parametrize("m", POISSON_LEVELS)
-def test_poisson_log_pmf_and_log_sf_forms_are_bitwise_scipy_stats(m):
-    # the forms _log_poisson_tail evaluates, against scipy.stats.poisson
-    lam = np.geomspace(1e-3, 4.0 * m, 2000)
-    np.testing.assert_array_equal(xlogy(m, lam) - gammaln(m + 1) - lam, poisson.logpmf(m, lam))
-    with np.errstate(divide="ignore"):
-        np.testing.assert_array_equal(np.log(pdtrc(m - 1, lam)), poisson.logsf(m - 1, lam))
+def _mpmath_log_poisson_tail(m, lam):
+    """log P(Poisson(lam) >= m) at 40 digits.  At or above m it is log1p(-Q),
+    Q = P(X <= m - 1): log(1 - Q) at 40 digits would lose a Q below 1e-40."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(lam))
+        if lam < m:
+            return float(mpmath.log(mpmath.gammainc(m, 0, x, regularized=True)))
+        return float(mpmath.log1p(-mpmath.gammainc(m, x, mpmath.inf, regularized=True)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 15, 16, 60, 400, 2000, 7600, 30_000, 10**6])
+def test_log_poisson_tail_is_mpmath_to_40_digits_within_its_bound(m):
+    # lam/m over [1e-6, 40], plus random lam within 1e-6 to 0.5 of m, where the
+    # fractions are deepest.  Below m the error is at most 3.2e-15 relative; at
+    # or above m, log P = log1p(-e^l/G) inherits the rounding of l, up to 745
+    # in size before e^l underflows: at most 2.2e-13 (measured over 19 levels
+    # from 1 to 1e6).  A tail below 1e-290 in size is compared absolutely.
+    rng = np.random.default_rng(m)
+    near = 1.0 + rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-6.0, -0.3, 100)
+    lam = m * np.concatenate([np.geomspace(1e-6, 40.0, 200), near])
+    want = np.array([_mpmath_log_poisson_tail(m, x) for x in lam])
+    got = _log_poisson_tail(m, lam)
+    tiny = np.abs(want) < 1e-290
+    for side, rtol in ((lam < m) & ~tiny, 5e-15), ((lam >= m) & ~tiny, 3e-13):
+        np.testing.assert_allclose(got[side], want[side], rtol=rtol, atol=0)
+    np.testing.assert_allclose(got[tiny], want[tiny], rtol=0, atol=1e-300)
+
+
+def test_log_poisson_tail_at_ten_million_is_the_40_digit_value():
+    # scipy's pdtrc gives -22.82733658564460 here, so its P is 1.4% off; the
+    # value below is log pmf(m) + log sum_k prod_{i<=k} lam/(m+i) at 50 digits
+    got = _log_poisson_tail(10**7, np.array([0.998e7]))[0]
+    assert got == pytest.approx(-22.81364128554411863, rel=1e-14)
+
+
+def test_log_poisson_tail_past_its_work_bound_raises_resource_error():
+    # near lam = m the fraction's depth grows about as m^0.31 (65,167 steps
+    # at m = 1e11) and passes _CF_STEPS = 10^5 at about m = 3.7e11; far from m
+    # it stays shallow
+    with pytest.raises(ResourceError, match="continued-fraction steps"):
+        _log_poisson_tail(10**12, np.array([1e12 - 1e3]))
+    assert np.all(np.isfinite(_log_poisson_tail(10**12, np.array([0.5e12, 2e12]))))
 
 
 def test_log_poisson_tail_of_a_level_at_most_0_is_0():
