@@ -138,6 +138,21 @@ class EnvSpec:
         """Supremum of the open MGF finiteness domain (+inf if entire line)."""
         raise NotImplementedError
 
+    def _check_moments(self) -> None:
+        """ValueError naming the parameters when the mean or the variance is
+        not a finite float; every constructor ends with this check."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = math.isfinite(self.mean) and math.isfinite(self.variance)
+        except (OverflowError, ZeroDivisionError):  # a Python float power or quotient
+            finite = False
+        if not finite:
+            params = ", ".join(f"{k} = {v!r}" for k, v in self.to_json().items() if k != "family")
+            raise ValueError(
+                f"{self.family} rates with {params}: the mean or the variance overflows "
+                "float arithmetic"
+            )
+
     def _check_theta(self, theta) -> None:
         worst = np.max(theta)  # a float or an array of thetas
         if worst >= self.theta_max * (1.0 - _BOUNDARY_PAD):
@@ -199,6 +214,7 @@ class Deterministic(EnvSpec):
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("rate must be non-negative")
+        self._check_moments()
 
     @property
     def mean(self) -> float:
@@ -241,6 +257,7 @@ class Exponential(EnvSpec):
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        self._check_moments()
 
     @property
     def mean(self) -> float:
@@ -287,6 +304,7 @@ class Gamma(EnvSpec):
     def __post_init__(self):
         if self.shape <= 0 or self.scale <= 0:
             raise ValueError("shape and scale must be positive")
+        self._check_moments()
 
     @property
     def mean(self) -> float:
@@ -338,6 +356,7 @@ class DiscreteFinite(EnvSpec):
             raise ValueError("probs must be non-negative and sum to 1 within 1e-12")
         self.values = values
         self.probs = probs / probs.sum()
+        self._check_moments()
 
     def __repr__(self):
         return f"DiscreteFinite(values={self.values.tolist()}, probs={self.probs.tolist()})"

@@ -63,7 +63,14 @@ from .ldp import (
     rate_slow,
     speed_value,
 )
-from .sim import SimConfig, estimate_moments, normalized_endpoint, sample_stationary, simulate
+from .sim import (
+    _WARM_DECADES,
+    SimConfig,
+    estimate_moments,
+    normalized_endpoint,
+    sample_stationary,
+    simulate,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -302,16 +309,24 @@ def _validate(config: ExperimentConfig) -> None:
         )
         if config.grid and (min(config.grid) < 0 or max(config.grid) > horizon):
             raise ConfigError(f"grid times must lie in {span}")
-    if config.kind == "ldp-check":
-        if len(config.N_grid) < 2:  # else the slope and its criterion would read NaN
-            raise ConfigError("ldp-check fits a slope over N_grid: it needs at least two entries")
+    if config.kind == "ldp-check" and len(config.N_grid) < 2:  # else the slope would read NaN
+        raise ConfigError("ldp-check fits a slope over N_grid: it needs at least two entries")
+    if config.kind in ("ldp-check", "clt-check", "corr-check"):
+        # one slot must fit in the time the kind reads at: t, or the stationary
+        # warm-up, which would otherwise round to no slot and read an empty system
+        if config.kind == "ldp-check":
+            horizon, what = config.t, f"the read time t = {config.t}"
+        else:
+            horizon = _WARM_DECADES / min(config.queues.mu)
+            what = f"the stationary warm-up 40/min(mu) = {horizon:.6g}"
         N = config.N_grid[0]  # the slot delta N^(-alpha) is longest at the smallest N
         slot = ScalingRegime(N, config.alpha, config.delta).delta_n
-        if slot > config.t:
+        if slot > horizon:
             raise ConfigError(
                 f"delta = {config.delta} gives a slot length delta N^(-alpha) = {slot:.6g} "
-                f"at N = {N}, longer than the read time t = {config.t}"
+                f"at N = {N}, longer than {what}"
             )
+    if config.kind == "ldp-check":
         if classify_regime(_ldp_query(config)) == "slow_bounded":  # the query refuses a <= rho(t)
             raise ConfigError(
                 "slope verification for the bounded slow branch is not supported; "
@@ -473,6 +488,11 @@ def run_analytic(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     ratios = []
     for N in config.N_grid:
         exact, asym = scaled_variance(env, mu, ScalingRegime(N, alpha, delta))
+        if not (math.isfinite(exact) and math.isfinite(asym)):  # their ratio would read nan
+            raise ConfigError(
+                f"the scaled variance at N = {N} overflows float arithmetic: shrink the env "
+                f"parameters (variance {env.variance:.6g}) or N_grid"
+            )
         row = {"N": N, "variance_exact": exact, "variance_asymptotic": asym}
         if asym > 0:
             row["ratio"] = exact / asym

@@ -85,8 +85,12 @@ _MAX_EXACT_SLOTS = 5_000_000
 # Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
 _EVENT_BUDGET = 1e9
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
-# also the most replications that replication_blocks schedules.
+# also the most replications that replication_blocks schedules.  The CSV export
+# streams them (see _CSV_CHUNK), so it adds no multiple of the count array.
 _OUTPUT_BUDGET = 2**24
+# trajectory_to_csv formats whole replications of at most this many counts at a
+# time (at least one replication), so its Python objects never scale with R.
+_CSV_CHUNK = 2**13
 # Largest count or slot index float64 holds exactly, far from int64 overflow: the
 # bound on initial counts, on the slots a cell table spans and on tail count levels.
 _MAX_EXACT_INT = 2**53
@@ -474,11 +478,21 @@ def normalized_endpoint(
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write counts as CSV rows replication,time,queue,count (queue is 0-based)."""
+    """Write counts as CSV rows replication,time,queue,count (queue is 0-based).
+
+    The counts become Python ints a chunk at a time: whole replications
+    holding at most _CSV_CHUNK counts, or one replication when a single one
+    holds more.  So what the export holds at once is one chunk's ints and
+    lines plus one replication's row template, O(_CSV_CHUNK + G d) and never
+    a copy that grows with R.  The bytes do not depend on the chunk.
+    """
     # one replication's rows in (grid time, queue) order; "\0" stands for its number
     template = "".join(f"\0,{float(t)!r},{i},%d\n" for t in traj.times for i in range(traj.d))
-    rows = traj.counts.reshape(traj.replications, -1).tolist()
+    per_rep = traj.counts.shape[1] * traj.d
+    step = max(1, _CSV_CHUNK // per_rep)
     with open(path, "w") as f:
         f.write("replication,time,queue,count\n")
-        for r, row in enumerate(rows):
-            f.write((template % tuple(row)).replace("\0", str(r)))
+        for r0 in range(0, traj.replications, step):
+            rows = traj.counts[r0 : r0 + step].reshape(-1, per_rep).tolist()
+            for r, row in enumerate(rows, r0):
+                f.write((template % tuple(row)).replace("\0", str(r)))

@@ -70,7 +70,7 @@ def test_overdispersion(env, mu, delta):
         assert v > m
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     st.floats(0.05, 10.0),
     st.floats(0.05, 10.0),

@@ -1,22 +1,29 @@
-"""The benchmark's ``--trace 1`` hooks still find every name they wrap.
+"""The benchmark's ``--trace 1`` hooks still find every name they wrap, and
+their counters still read what the package returns.
 
-``perfbench/run.py`` wraps coxq functions and family methods by name; a
-rename in ``src/`` would otherwise surface only when a traced benchmark run
-fails with an AttributeError.
+``perfbench/run.py`` wraps coxq functions and family methods by name and
+counts each call from its arguments and result; a rename in ``src/``, or a
+change to what a wrapped function takes or returns, would otherwise surface
+only when a traced benchmark run turns a CLI call into a failure.
 """
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
 
+import pytest
+
 import coxq.cli
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_instrument_patches_every_hooked_name(monkeypatch):
-    # instrument() raises AttributeError for a hooked name that is gone
+@pytest.fixture
+def bench_run(monkeypatch):
+    """perfbench/run.py loaded as a module, with everything it and its hooks change restored after."""
     monkeypatch.syspath_prepend(str(BENCH))
     env = coxq.env
     families = (env.Deterministic, env.Exponential, env.Gamma, env.DiscreteFinite)
@@ -27,12 +34,7 @@ def test_instrument_patches_every_hooked_name(monkeypatch):
         run = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
         spec.loader.exec_module(run)
-        tracer = run.Tracer()
-        try:
-            run.instrument(tracer, coxq)
-            assert (env.Gamma, "sample_block_sums") in {(o, a) for o, a, _ in tracer._patches}
-        finally:
-            tracer.unpatch()
+        yield run
     finally:
         os.environ.clear()
         os.environ.update(saved_environ)
@@ -40,6 +42,49 @@ def test_instrument_patches_every_hooked_name(monkeypatch):
         for family in families:
             for attr in set(vars(family)) - own[family]:
                 delattr(family, attr)
+
+
+def test_instrument_patches_every_hooked_name(bench_run):
+    # instrument() raises AttributeError for a hooked name that is gone
+    tracer = bench_run.Tracer()
+    try:
+        bench_run.instrument(tracer, coxq)
+        assert (coxq.env.Gamma, "sample_block_sums") in {(o, a) for o, a, _ in tracer._patches}
+    finally:
+        tracer.unpatch()
+
+
+def test_traced_calls_exit_0_with_every_counter_filled(bench_run, tmp_path, capsys):
+    # a small simulate (R = 20, 3 grid times) and a small ldp-check through the
+    # CLI under the hooks: a counter that raises would make the call escape
+    # with an exception, which the benchmark scores as a failed call
+    simulate = {**json.loads((CONFIGS / "simulate.json").read_text()),
+                "replications": 20, "grid": [1.0, 2.0, 3.0]}
+    ldp = {**json.loads((CONFIGS / "ldp_fast.json").read_text()),
+           "N_grid": [50, 100], "replications": 200}
+    tracer = bench_run.Tracer()
+    codes = {}
+    bench_run.instrument(tracer, coxq)
+    try:
+        for kind, doc in (("simulate", simulate), ("ldp-check", ldp)):
+            cfg = tmp_path / f"{kind}.json"
+            cfg.write_text(json.dumps(doc))
+            codes[kind] = coxq.cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
+    finally:
+        tracer.unpatch()
+    capsys.readouterr()
+    assert codes == {"simulate": 0, "ldp-check": 0}
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name, []).append(span.counts)
+    assert spans["sim.simulate"] == [{"reps": 20}]
+    csv = tmp_path / "simulate" / "trajectories.csv"
+    assert spans["sim.trajectory_to_csv"] == [{"bytes": csv.stat().st_size}]
+    assert all("iterations" in c for c in spans["ldp.optimizer"])
+    # the env layers the benchmark counts (env.sample is drawn by no CLI kind)
+    for name, key in (("env.spawn_streams", "streams"), ("env.sample_block_sums", "cells"),
+                      ("env.sample_block_sums_twisted", "draws")):
+        assert spans[name] and all(c[key] > 0 for c in spans[name]), name
 
 
 def test_harness_binds_the_ldp_functions_the_benchmark_wraps():

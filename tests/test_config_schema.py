@@ -269,9 +269,12 @@ def test_a_slot_horizon_or_count_level_past_2_53_exits_2(past_2_53_runs, case):
 # message must hold.  At mu = 1e308 blocking is off, so the ldp_fast shape has
 # 10^5 one-slot cells at N = 50 and its importance sampler would copy 10^9
 # cell rates; a rate or service rate of 1e308 overflows when squared; at delta
-# 1e308 a slot is longer than the read time t.  At N = 10^12 with a 1e-9 above
-# rho(t), the count's Poisson tail is evaluated within 10^3 of its level, where
-# its continued fraction needs more than 10^5 steps.
+# 1e308 a slot is longer than the read time t, or than the stationary warm-up
+# 40/min(mu), which then rounds to no slot and reads an empty system.  At
+# N = 10^12 with a 1e-9 above rho(t), the count's Poisson tail is evaluated
+# within 10^3 of its level, where its continued fraction needs more than 10^5
+# steps.  A rate family whose mean or variance overflows a float is refused
+# where it is built, and a gamma shape of 1e308 overflows N^2 Var[L].
 REFUSED = {
     "ldp_fast-mu-1e308": ("ldp_fast", {"queues": {"mu": [1e308]}}, "budget"),
     "analytic-mu-1e308": ("analytic", {"queues": {"mu": [1e308]}}, "overflows"),
@@ -280,6 +283,16 @@ REFUSED = {
     "ldp_fast-delta-1e308": ("ldp_fast", {"delta": 1e308}, "delta"),
     "ldp_fast-N-1e12": (
         "ldp_fast", {"alpha": 1.1, "a": 1.000000001, "N_grid": [50, 10**12]}, "continued-fraction"
+    ),
+    "corr-delta-1e308": ("corr", {"delta": 1e308}, "delta"),
+    "clt-delta-1e308": ("clt", {"delta": 1e308}, "delta"),
+    "analytic-gamma-shape-1e308": (
+        "analytic", {"env": {"family": "gamma", "shape": 1e308, "scale": 1}}, "env"
+    ),
+    "analytic-rate-1e-308": ("analytic", {"env": {"family": "exponential", "rate": 1e-308}}, "rate"),
+    "analytic-values-1e308": (
+        "analytic", {"env": {"family": "discrete", "values": [1e308, 0.0], "probs": [0.5, 0.5]}},
+        "values",
     ),
 }
 

@@ -145,6 +145,21 @@ def test_discrete_validation():
         DiscreteFinite([-1.0, 2.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "family, params, name",
+    [
+        (Deterministic, {"value": math.inf}, "value"),
+        (Exponential, {"rate": 1e-308}, "rate"),  # 1/rate^2 divides by an underflowed 0
+        (Exponential, {"rate": 1e308}, "rate"),  # rate^2 overflows a Python float
+        (Gamma, {"shape": 1.0, "scale": 1e300}, "scale"),
+        (DiscreteFinite, {"values": [1e308, 0.0], "probs": [0.5, 0.5]}, "values"),  # numpy inf
+    ],
+)
+def test_a_family_whose_moments_overflow_is_refused_naming_its_parameters(family, params, name):
+    with pytest.raises(ValueError, match=rf"\b{name} = .*overflows float arithmetic"):
+        family(**params)
+
+
 def test_scaling_regime_exponents():
     for alpha, gamma in [(0.0, 2.0), (0.5, 1.5), (1.0, 1.0), (2.0, 1.0)]:
         s = ScalingRegime(N=100, alpha=alpha, delta=2.0)
