@@ -54,7 +54,7 @@ class QueueParams:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
         if len(self.mu) == 0 or any(m <= 0 for m in self.mu):
-            raise ValueError("all service rates must be positive")
+            raise ValueError(f"all service rates mu must be positive, got mu = {list(self.mu)}")
 
     @property
     def d(self) -> int:

@@ -35,6 +35,12 @@ result and temporaries that are small next to it:
   counts of the multinomial drawn as a chain of binomial draws, one per
   atom, vectorised over all cells in blocks of rows.
 
+DiscreteFinite's per-cell parameters for one tilt (its cut table or its
+binomial conditionals) are built once per tilt, not once per block: the
+importance sampler draws every block of a run with the same etas, and a
+one-entry memo on the instance keeps the last tilt's table.  Exponential's
+and Gamma's are one array operation per draw and are not kept.
+
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
 delta * N^(-alpha).  The factor N is applied by consumers; samplers return
@@ -346,7 +352,7 @@ class DiscreteFinite(EnvSpec):
     family = "discrete"
 
     def __init__(self, values, probs):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)  # a copy: it is made read-only below
         probs = np.asarray(probs, dtype=float)
         if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
             raise ValueError("values and probs must be equal-length non-empty 1-d sequences")
@@ -356,6 +362,9 @@ class DiscreteFinite(EnvSpec):
             raise ValueError("probs must be non-negative and sum to 1 within 1e-12")
         self.values = values
         self.probs = probs / probs.sum()
+        for a in (self.values, self.probs):  # _draw_table's memo of the plain law reads them once
+            a.flags.writeable = False
+        self._memo = None
         self._check_moments()
 
     def __repr__(self):
@@ -405,15 +414,35 @@ class DiscreteFinite(EnvSpec):
         idx = rng.choice(self.values.size, size=size, p=self.probs)
         return self.values[idx]
 
+    def _draw_table(self, etas, one_slot: bool) -> np.ndarray:
+        """The part of a block-sum draw that depends only on the tilts (None:
+        the plain law), built once per distinct etas.
+
+        One-slot cells: the normalised cumulative probabilities, one row of
+        cuts per atom but the last.  More slots: atom j's probability given
+        the draw is none of atoms 0..j-1, the binomial chain's conditionals.
+        A one-entry memo keyed by a copy of the tilts' bytes serves every
+        block of a run; tilts mutated in place are a new key."""
+        key = (one_slot, None if etas is None else (etas.shape, etas.tobytes()))
+        memo = self._memo  # read once: another thread may replace it meanwhile
+        if memo is None or memo[0] != key:
+            w = self.probs if etas is None else self._tilted_probs(etas)  # (atoms,) or (cells, atoms)
+            if one_slot:
+                cdf = np.cumsum(w, axis=-1)
+                cdf /= cdf[..., -1:]
+                table = np.moveaxis(cdf[..., :-1], -1, 0)
+            else:
+                rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+                table = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
+            memo = self._memo = key, table
+        return memo[1]
+
     def _block_sums(self, rng, counts, size, etas):
-        w = self.probs if etas is None else self._tilted_probs(etas)  # (atoms,) or (cells, atoms)
         out = np.empty((size, len(counts)))
         if np.all(counts == 1):
             # one-slot cells: as in Generator.choice, the atom index is the number
             # of normalised cumulative probabilities at or below one uniform
-            cdf = np.cumsum(w, axis=-1)
-            cdf /= cdf[..., -1:]
-            cuts = np.moveaxis(cdf[..., :-1], -1, 0)
+            cuts = self._draw_table(etas, one_slot=True)
             for rows in _row_blocks(out):
                 block = out[rows]
                 rng.random(out=block)
@@ -423,10 +452,8 @@ class DiscreteFinite(EnvSpec):
                 np.take(self.values, idx, out=block, mode="clip")
             return out
         # the multinomial occupation counts as a chain of binomial draws, one per
-        # atom, with atom j's probability given the draw is none of atoms 0..j-1:
-        # no (..., atoms) array is formed
-        rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
-        cond = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
+        # atom: no (..., atoms) array is formed
+        cond = self._draw_table(etas, one_slot=False)
         counts = np.broadcast_to(counts.astype(np.int64), out.shape)
         for rows in _row_blocks(out):
             block, left = out[rows], counts[rows]

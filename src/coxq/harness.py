@@ -287,6 +287,10 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"{config.kind} needs {name}")
     if not config.N_grid:
         raise ConfigError("N_grid must be non-empty")
+    if min(config.N_grid) < 1:
+        raise ConfigError(f"N_grid entries must be positive integers, got {list(config.N_grid)}")
+    if not config.delta > 0:  # else analytic refuses it as "mu and t must be positive"
+        raise ConfigError(f"delta must be positive, got {config.delta}")
     if any(b <= a for a, b in zip(config.N_grid, config.N_grid[1:])):
         raise ConfigError("N_grid must be strictly increasing")
     if config.replications < 2 and config.kind != "analytic":
@@ -327,11 +331,27 @@ def _validate(config: ExperimentConfig) -> None:
                 f"at N = {N}, longer than {what}"
             )
     if config.kind == "ldp-check":
-        if classify_regime(_ldp_query(config)) == "slow_bounded":  # the query refuses a <= rho(t)
+        if not config.env.mean > 0:  # rho(t) = 0: no rate function to verify
+            params = ", ".join(f"{k} = {v!r}" for k, v in config.env.to_json().items() if k != "family")
             raise ConfigError(
-                "slope verification for the bounded slow branch is not supported; "
-                "rate_slow_bounded gives the closed-form rate directly"
+                f"ldp-check needs a positive mean rate; {config.env.family} rates with {params} "
+                "have mean 0"
             )
+        query = _ldp_query(config)  # it refuses a <= rho(t)
+        regime = classify_regime(query)
+        if regime == "slow_bounded":
+            raise ConfigError(
+                f"alpha = {config.alpha} < 1 with a = {config.a} at or above the rate ceiling "
+                f"u(t) = {query.u_t:.6g} is the bounded slow branch, whose slope verification "
+                "is not supported; rate_slow_bounded gives the closed-form rate directly"
+            )
+        if regime == "slow_unbounded":
+            speeds = [N**config.alpha for N in config.N_grid]
+            if any(b <= a for a, b in zip(speeds, speeds[1:])):
+                raise ConfigError(
+                    f"alpha = {config.alpha} gives the slow speed N^alpha/delta one value at two "
+                    "N_grid entries, so the slope over N_grid is undefined"
+                )
 
 
 def _ldp_query(config: ExperimentConfig) -> RateQuery:

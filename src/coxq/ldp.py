@@ -473,7 +473,13 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
 
     Weight r is log_norm - S_r . eta + log P(Poisson(N kappa_r) >= m): the
     rate layer's likelihood ratio times the count's tail given that layer.
-    It is -inf only where kappa_r = 0."""
+    It is -inf only where kappa_r = 0.
+
+    A constant rate layer (variance 0) is the same in every replication, and
+    the tail is elementwise in kappa: one row is drawn from block 0's stream
+    (``replication_blocks`` for one replication), its weight is evaluated
+    once and repeated R times.  The draw budget still counts one row per block.  A
+    constant rate never reaches slow_unbounded, which needs kappa per row."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
     if not N * a <= _MAX_EXACT_INT:  # also refuses inf
         raise ResourceError(
@@ -501,20 +507,20 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
 
     _check_replications(replications)
     rows = block_rows(counts.size)
-    # a constant rate layer is the same in every replication: draw one row per
-    # block and repeat its weight (a constant rate never reaches slow_unbounded,
-    # which needs kappa per row)
-    rate_rows = 1 if env.variance == 0 else rows
-    draws = counts.size * rate_rows * -(-replications // rows)
+    constant = env.variance == 0
+    # the budget counts one drawn row per block for a constant rate layer
+    draws = counts.size * (1 if constant else rows) * -(-replications // rows)
     if draws > _IS_DRAW_BUDGET:
         raise ResourceError(
             f"{draws:.3e} tilted cell draws ({counts.size} cells x drawn rows) at N = {N} "
             f"exceed the budget {_IS_DRAW_BUDGET:.3e}; shrink the replications, N or t"
         )
-    _, streams = replication_blocks(seed, replications, counts.size)
+    # every replication of a constant layer has the same row: block 0's stream draws it
+    _, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
+    size = 1 if constant else rows
     kappa, log_ratio = [], []
     for rng in streams:
-        s = env.sample_block_sums_twisted(etas, rng, counts, rate_rows)
+        s = env.sample_block_sums_twisted(etas, rng, counts, size)
         kappa.append(s @ wk)
         log_ratio.append(log_norm - s @ etas)
     # one tail call for the whole run: its cost is mostly per call, not per row
@@ -523,7 +529,7 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     except ResourceError as exc:
         raise ResourceError(f"count level N a = {N * a:.10g}: {exc}") from None
     logw = np.concatenate(log_ratio) + tail
-    return np.repeat(logw, rows // rate_rows)[:replications]
+    return np.repeat(logw, replications) if constant else logw[:replications]
 
 
 def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:

@@ -289,9 +289,16 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
         )
     blocked = block_tol > 0 and h < block_tol / sum(mu)
     if not blocked and math.ceil(span) > _MAX_EXACT_SLOTS:
+        # the read time is a kind's own field or the stationary warm-up 40/min(mu),
+        # so only the fields that switch blocking off are advised
+        why = (
+            "block_tol is 0" if block_tol <= 0
+            else f"the slot length {h:.3g} is at least block_tol/sum(mu) = {block_tol / sum(mu):.3g}"
+        )
         raise ResourceError(
-            f"{math.ceil(span)} per-replication slots in exact mode; "
-            "increase block_tol or reduce the horizon"
+            f"{math.ceil(span)} per-replication slots up to time {grid[-1]:g} exceed the "
+            f"exact-mode budget {_MAX_EXACT_SLOTS}: blocking is off because {why}; "
+            "raise block_tol or lower mu"
         )
     tiny = 1e-12 * max(h, 1.0)
     starts: list[int] = []  # first slot of each cell

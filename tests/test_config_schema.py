@@ -6,7 +6,8 @@ table that ``from_json`` and ``_validate`` read.  Each example applies one
 mutation: a dropped key, a key that only another kind or env family reads, a
 wrong type, a non-finite number or a non-object where an object belongs.  The run is
 derandomized; the simulator budgets are patched small so that any accepted
-config stays tiny.  A report's config echo, for every kind and every shipped
+config stays tiny.  Every numeric leaf of every shipped config at 0 and at -0.0
+is checked the same way.  A report's config echo, for every kind and every shipped
 config, parses back to the same config.
 
 Boundary values, which can make an accepted config huge, run one case at a
@@ -135,29 +136,59 @@ def mutated_configs(draw):
 @given(case=mutated_configs())
 def test_one_mutation_exits_0_1_or_2_cleanly(tmp_path, capsys, monkeypatch, case):
     kind, doc, name, may_pass = case
+    shrink_budgets(monkeypatch)
+    code = exits_cleanly(kind, doc, name, tmp_path, capsys)
+    assert code == 2 or may_pass, (code, doc)
+
+
+def shrink_budgets(monkeypatch):
+    """Simulator budgets small enough that any accepted config stays tiny."""
     monkeypatch.setattr(coxq.sim, "_EVENT_BUDGET", 1e6)
     monkeypatch.setattr(coxq.sim, "_OUTPUT_BUDGET", 2**14)
+
+
+def exits_cleanly(kind, doc, name, tmp_path, capsys):
+    """``coxq <kind>`` on doc in-process: its exit code, after checking that it
+    is 0, 1 or 2 with no traceback, that an exit 2 names the field ``name`` and
+    writes nothing, and that any other exit writes strict JSON."""
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     cfg, out = work / "cfg.json", work / "out"
     cfg.write_text(json.dumps(doc))
     capsys.readouterr()
     code = cli_main([kind, "--config", str(cfg), "--out", str(out)])  # raises on a traceback
     err = capsys.readouterr().err
-    assert code in (0, 1, 2) and (code == 2 or may_pass), (code, doc)
+    assert code in (0, 1, 2), (code, doc)
     assert "Traceback" not in err
     if code == 2:
         assert re.search(rf"\b{re.escape(name)}\b", err), (name, err)
         assert not out.exists()
-        return
+        return code
     for path in out.glob("*.json"):  # every JSON output is strict
         text = path.read_text()
         assert not re.search(r"\bNaN\b|Infinity", text), (path.name, text)
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is (code == 0)
     assert (code == 1) == any(not c["passed"] for c in report["criteria"])
+    return code
 
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_each_numeric_field_at_zero_exits_0_1_or_2_naming_it(tmp_path, capsys, monkeypatch, path):
+    # every numeric leaf of a shipped config set to 0 and to -0.0, one at a
+    # time, at the fewest replications a check accepts so that each call stays
+    # small; a refusal names the field set, not the arguments of the formula
+    # that first divides by it
+    shrink_budgets(monkeypatch)
+    base = {**json.loads(path.read_text()), "replications": 2}
+    leaves = [p for p, v in paths(base) if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    assert len(leaves) >= 7
+    for leaf in leaves:
+        name = next(key for key in reversed(leaf) if isinstance(key, str))
+        for zero in (0, -0.0):
+            exits_cleanly(base["kind"], mutate(copy.deepcopy(base), leaf, zero), name, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -294,6 +325,9 @@ REFUSED = {
         "analytic", {"env": {"family": "discrete", "values": [1e308, 0.0], "probs": [0.5, 0.5]}},
         "values",
     ),
+    # block_tol/sum(mu) falls below the slot length, so blocking turns off and
+    # the warm-up 40/min(mu) = 20 needs 8e7 exact slots at N = 2000
+    "corr-mu-2^53+1": ("corr", {"queues": {"mu": [2**53 + 1, 2.0]}}, "mu"),
 }
 
 

@@ -525,6 +525,49 @@ def test_is_memory_stays_at_one_block():
     assert peak <= 8 * 2**20
 
 
+def _constant_log_weights_block_by_block(query, N, R, seed, theta, block_tol):
+    """The constant-rate weights drawn as a random layer's are: each block's
+    stream draws one row, whose weight is repeated over the block's rows."""
+    env, mu, delta = query.env, query.mu, query.delta
+    table = cell_table((mu,), ScalingRegime(N, query.alpha, delta).delta_n, (query.t,), block_tol)
+    counts = table.slots
+    wk = table.weights[0][:, 0] / counts
+    if query.alpha == 1:
+        etas = N * wk * math.expm1(theta / delta)
+    else:
+        etas = np.zeros_like(wk)
+    m = math.ceil(N * query.a - 1e-9)
+    B = block_rows(counts.size)
+    blocks = []
+    for rng in spawn_streams(seed, -(-R // B)):
+        s = env.sample_block_sums_twisted(etas, rng, counts, 1)
+        logw = env.twisted_log_norm(etas, counts) - s @ etas + _log_poisson_tail(m, N * (s @ wk))
+        blocks.append(np.repeat(logw, B))
+    return np.concatenate(blocks)[:R]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0], ids=["fast", "intermediate"])
+@pytest.mark.parametrize(
+    "env", [Deterministic(1.0), DiscreteFinite([2.0], [1.0])], ids=["deterministic", "one-atom"]
+)
+def test_is_constant_rate_draws_one_row_from_one_stream(monkeypatch, env, alpha):
+    # a constant rate layer is drawn once, from block 0's stream, and its weight
+    # repeated: the bits of drawing every block, at an R that is no multiple of B
+    query = q(env=env, alpha=alpha, t=5.0, a=3.0)
+    theta = (rate_fast(query.rho_t, 3.0) if alpha == 2 else rate_intermediate(query)).theta_star
+    N = 100
+    B = block_rows(cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size)
+    R = 2 * B + 3
+    want = _constant_log_weights_block_by_block(query, N, R, 7, theta, 0.01)
+    calls = []
+    spawn = coxq.sim.spawn_streams
+    monkeypatch.setattr(coxq.sim, "spawn_streams", lambda s, n: calls.append(n) or spawn(s, n))
+    got = _log_weights(query, N, R, 7, theta, 0.01)
+    assert calls == [1]
+    assert np.isfinite(want).all()
+    np.testing.assert_array_equal(got, want)
+
+
 def test_is_spawns_one_stream_per_block(monkeypatch):
     calls = []
     spawn = coxq.sim.spawn_streams
