@@ -15,25 +15,33 @@ _block_sums (the one block-sum draw), essential_sup, theta_max.
 twisted_log_norm, sum_c counts[c] log M(etas[c]), is one array call of
 log_mgf for every family.
 
-The block-sum draw returns a (size, cells) float64 array whose cell c sums
+The block-sum draw returns a (size, cells) float64 array S whose cell c sums
 counts[c] i.i.d. copies, tilted by etas[c] (density reweighted by
 exp(eta x) / M(eta)) or, with no tilts, of the plain law.  The simulator
 draws the plain law through ``sample_block_sums(rng, counts, size)``, where
 a one-slot cell is the exact per-slot draw; the importance sampler draws the
-tilted law through ``sample_block_sums_twisted(etas, rng, counts, size)``.
-Each family draws from the cheapest sampler with the exact law, into the
-result and temporaries that are small next to it:
+tilted law through ``sample_block_sums_twisted(etas, rng, counts, size,
+weights)``.  Its tilt is c times the weights in every regime, so its
+likelihood ratio needs only the weighted row sums S @ weights: given
+weights, the twisted draw returns those (size,) sums, from the same variates
+as S.  Each family draws from the cheapest sampler with the exact law, into
+the result and temporaries that are small next to it:
 
-* Deterministic: no draw; the constant block sums, repeated per row.
+* Deterministic: no draw; the constant block sums, repeated per row (and
+  then reduced, given weights).
 * Exponential and Gamma: the law is Gamma(shape n_c, scale
   1/(rate - eta_c)) (Exponential) or Gamma(k n_c, s/(1 - s eta_c)) (Gamma);
   when every shape is 1 it is one standard exponential draw per cell, scaled
-  in place, otherwise one gamma draw per cell.
+  in place, otherwise one gamma draw per cell.  Given weights the scale
+  folds into them: the standard draw Z gives Z @ (scale * weights).
 * DiscreteFinite: with one slot per cell, one uniform per cell whose count of
   normalised cumulative probabilities at or below it is the atom index (the
   algorithm of numpy's ``Generator.choice``); with more, the occupation
   counts of the multinomial drawn as a chain of binomial draws, one per
-  atom, vectorised over all cells in blocks of rows.
+  atom, vectorised over all cells in blocks of rows.  Given weights, one-slot
+  cells of ascending values reduce the uniforms u through the cuts:
+  v_0 sum(w) + sum_j (v_(j+1) - v_j) ((u >= cut_j) @ w), every term
+  non-negative, with no atom index formed; other cells form S and reduce it.
 
 DiscreteFinite's per-cell parameters for one tilt (its cut table or its
 binomial conditionals) are built once per tilt, not once per block: the
@@ -105,24 +113,28 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _gamma_draws(rng, shapes, scales, size) -> np.ndarray:
+def _gamma_draws(rng, shapes, scales, size, weights=None) -> np.ndarray:
     """(size, cells) Gamma(shapes[c], scales[c]) draws; exponential draws when every shape is 1.
 
     numpy's gamma is the scale times the standard gamma, so scaling in place
     gives ``rng.gamma(shapes, scales, size)`` bit for bit without its temporaries.
+    Given weights, the (size,) row sums of those draws times weights: the
+    scale folds into the weights, so the scaled array is never formed.
     """
     if np.all(shapes == 1.0):
         out = rng.standard_exponential((size, len(shapes)))
     else:
         out = rng.standard_gamma(shapes, size=(size, len(shapes)))
+    if weights is not None:
+        return out @ (scales * weights)
     out *= scales
     return out
 
 
-def _row_blocks(out: np.ndarray):
-    """Slices of the rows of a 2-D array in blocks of about _BLOCK_CELLS cells."""
-    rows = max(1, _BLOCK_CELLS // max(out.shape[1], 1))
-    return (slice(r0, r0 + rows) for r0 in range(0, len(out), rows))
+def _row_blocks(size: int, cells: int):
+    """Slices of size rows of cells cells each, in blocks of about _BLOCK_CELLS cells."""
+    rows = max(1, _BLOCK_CELLS // max(cells, 1))
+    return (slice(r0, min(r0 + rows, size)) for r0 in range(0, size, rows))
 
 
 class EnvSpec:
@@ -190,16 +202,26 @@ class EnvSpec:
         return self._block_sums(rng, np.asarray(counts), size, None)
 
     def sample_block_sums_twisted(
-        self, etas: np.ndarray, rng: np.random.Generator, counts: np.ndarray, size: int
+        self,
+        etas: np.ndarray,
+        rng: np.random.Generator,
+        counts: np.ndarray,
+        size: int,
+        weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        """(size, len(counts)) sums of counts[b] i.i.d. draws tilted by etas[b]."""
+        """(size, len(counts)) sums of counts[b] i.i.d. draws tilted by etas[b];
+        given weights, the (size,) row sums S @ weights of that draw S, from
+        the same variates."""
         etas = np.asarray(etas, dtype=float)
         if etas.size and etas.max() >= self.theta_max * (1.0 - _BOUNDARY_PAD):
             raise DomainError("tilt at or beyond the MGF domain boundary")
-        return self._block_sums(rng, np.asarray(counts), size, etas)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+        return self._block_sums(rng, np.asarray(counts), size, etas, weights)
 
-    def _block_sums(self, rng, counts: np.ndarray, size: int, etas) -> np.ndarray:
-        """The one block-sum draw: tilted by etas, or the plain law when etas is None."""
+    def _block_sums(self, rng, counts: np.ndarray, size: int, etas, weights=None) -> np.ndarray:
+        """The one block-sum draw: tilted by etas, or the plain law when etas is
+        None; reduced to its row sums times weights when weights is given."""
         raise NotImplementedError
 
     def twisted_log_norm(self, etas: np.ndarray, counts: np.ndarray) -> float:
@@ -246,8 +268,9 @@ class Deterministic(EnvSpec):
     def sample(self, rng, size):
         return np.full(size, self.value)
 
-    def _block_sums(self, rng, counts, size, etas):
-        return np.broadcast_to(self.value * counts.astype(float), (size, len(counts))).copy()
+    def _block_sums(self, rng, counts, size, etas, weights=None):
+        out = np.broadcast_to(self.value * counts.astype(float), (size, len(counts))).copy()
+        return out if weights is None else out @ weights
 
     def to_json(self):
         return {"family": "deterministic", "value": self.value}
@@ -291,9 +314,9 @@ class Exponential(EnvSpec):
     def sample(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate, size=size)
 
-    def _block_sums(self, rng, counts, size, etas):
+    def _block_sums(self, rng, counts, size, etas, weights=None):
         rate = self.rate if etas is None else self.rate - etas
-        return _gamma_draws(rng, counts.astype(float), 1.0 / rate, size)
+        return _gamma_draws(rng, counts.astype(float), 1.0 / rate, size, weights)
 
     def to_json(self):
         return {"family": "exponential", "rate": self.rate}
@@ -338,9 +361,9 @@ class Gamma(EnvSpec):
     def sample(self, rng, size):
         return rng.gamma(shape=self.shape, scale=self.scale, size=size)
 
-    def _block_sums(self, rng, counts, size, etas):
+    def _block_sums(self, rng, counts, size, etas, weights=None):
         scale = self.scale if etas is None else self.scale / (1.0 - self.scale * etas)
-        return _gamma_draws(rng, self.shape * counts.astype(float), scale, size)
+        return _gamma_draws(rng, self.shape * counts.astype(float), scale, size, weights)
 
     def to_json(self):
         return {"family": "gamma", "shape": self.shape, "scale": self.scale}
@@ -362,6 +385,7 @@ class DiscreteFinite(EnvSpec):
             raise ValueError("probs must be non-negative and sum to 1 within 1e-12")
         self.values = values
         self.probs = probs / probs.sum()
+        self._ascending = bool(np.all(np.diff(values) >= 0))
         for a in (self.values, self.probs):  # _draw_table's memo of the plain law reads them once
             a.flags.writeable = False
         self._memo = None
@@ -437,25 +461,37 @@ class DiscreteFinite(EnvSpec):
             memo = self._memo = key, table
         return memo[1]
 
-    def _block_sums(self, rng, counts, size, etas):
-        out = np.empty((size, len(counts)))
+    def _block_sums(self, rng, counts, size, etas, weights=None):
+        cells = len(counts)
         if np.all(counts == 1):
             # one-slot cells: as in Generator.choice, the atom index is the number
             # of normalised cumulative probabilities at or below one uniform
             cuts = self._draw_table(etas, one_slot=True)
-            for rows in _row_blocks(out):
+            if weights is not None and self._ascending:
+                # so a value is v_0 + sum_j (v_(j+1) - v_j) [u >= cut_j], and a
+                # row's weighted sum v_0 sum(w) + sum_j (v_(j+1) - v_j) ((u >= cut_j) @ w):
+                # every term is non-negative for ascending values
+                out = np.full(size, self.values[0] * weights.sum())
+                for rows in _row_blocks(size, cells):
+                    u = rng.random((rows.stop - rows.start, cells))
+                    for c, step in zip(cuts, np.diff(self.values)):
+                        out[rows] += step * ((u >= c) @ weights)
+                return out
+            out = np.empty((size, cells))
+            for rows in _row_blocks(size, cells):
                 block = out[rows]
                 rng.random(out=block)
                 idx = np.zeros(block.shape, np.intp)
                 for c in cuts:
                     idx += block >= c
                 np.take(self.values, idx, out=block, mode="clip")
-            return out
+            return out if weights is None else out @ weights
         # the multinomial occupation counts as a chain of binomial draws, one per
         # atom: no (..., atoms) array is formed
+        out = np.empty((size, cells))
         cond = self._draw_table(etas, one_slot=False)
         counts = np.broadcast_to(counts.astype(np.int64), out.shape)
-        for rows in _row_blocks(out):
+        for rows in _row_blocks(size, cells):
             block, left = out[rows], counts[rows]
             block[:] = 0.0
             for j, value in enumerate(self.values[:-1]):
@@ -463,7 +499,7 @@ class DiscreteFinite(EnvSpec):
                 block += value * n_j
                 left = left - n_j
             block += self.values[-1] * left
-        return out
+        return out if weights is None else out @ weights
 
     def to_json(self):
         return {"family": "discrete", "values": self.values.tolist(), "probs": self.probs.tolist()}

@@ -64,6 +64,7 @@ from .ldp import (
     speed_value,
 )
 from .sim import (
+    _MAX_QUEUES,
     _WARM_DECADES,
     SimConfig,
     estimate_moments,
@@ -300,6 +301,11 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("clt-check runs on a single queue (d = 1)")
     if config.kind in ("fclt-check", "corr-check") and d < 2:
         raise ConfigError(f"{config.kind} needs at least two coupled queues")
+    if config.kind in ("simulate", "fclt-check") and d > _MAX_QUEUES:
+        raise ConfigError(
+            f"mu lists {d} queues; {config.kind} couples at most {_MAX_QUEUES}: its cell "
+            "table weighs all 2^d alive patterns, at a cost that grows as 4^d"
+        )
     if config.kind == "corr-check" and d > 2:
         raise ConfigError("corr-check compares exactly two coupled queues (d = 2)")
     if config.kind == "ldp-check" and d != 1:

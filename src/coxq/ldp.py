@@ -36,20 +36,22 @@ P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
 simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, from
 stream b alone.  Given the rate layer the count is Poisson(N kappa), with
 kappa = sum_c w_c S_c/n_c (w_c the cell's survival weight, n_c its slot
-count), so no count is drawn: one log likelihood ratio serves every regime,
-sum_c (n_c log M(eta_c) - eta_c S_c) + log P(Poisson(N kappa) >= m), the
-second term exact and in log space: the continued fractions of the incomplete
-gamma function, evaluated backward in numpy (``_log_poisson_tail``; within
-2.2e-13 relative of 40-digit values, and refused with ResourceError where a
-fraction would need more than 10^5 steps, near m past about 3.7e11).  Only
-the tilts differ: fast (eta = 0), slow (eta_c = theta* w_c / (n_c r),
-r = (1 - e^(-mu Delta_N))/mu) and intermediate
-(eta_c = N (w_c/n_c)(e^(theta*/Delta) - 1)).
+count), so no count is drawn.  Every regime tilts by eta_c = c w_c/n_c, one
+scalar c per run: fast c = 0, slow c = theta*/r (r = (1 - e^(-mu Delta_N))/mu)
+and intermediate c = N (e^(theta*/Delta) - 1).  So sum_c eta_c S_c = c kappa,
+and one log likelihood ratio serves every regime, depending on the rate layer
+only through kappa: log_norm - c kappa + log P(Poisson(N kappa) >= m), with
+log_norm = sum_c n_c log M(eta_c).  A block's draw returns its rows' kappa
+directly (``EnvSpec.sample_block_sums_twisted`` with weights), not the
+(rows, cells) slot sums.  The tail term is exact and in log space: the
+continued fractions of the incomplete gamma function, evaluated backward in
+numpy (``_log_poisson_tail``; within 2.2e-13 relative of 40-digit values, and
+refused with ResourceError where a fraction would need more than 10^5 steps,
+near m past about 3.7e11).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -199,11 +201,19 @@ def speed_value(speed: str, scaling: ScalingRegime) -> float:
 # Integrated log-MGF.
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """10-point Gauss-Legendre nodes and weights on [-1, 1], computed (and
-    numpy.polynomial loaded) on first use."""
-    return np.polynomial.legendre.leggauss(10)
+# The 10-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
+# numpy.polynomial.legendre.leggauss(10) bit for bit, written out so that no
+# command loads numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+])
 
 
 def _quad(f, lo: float, hi: float) -> tuple[float, float]:
@@ -216,12 +226,10 @@ def _quad(f, lo: float, hi: float) -> tuple[float, float]:
     error estimate sums the closed panels' disagreements, a bound on the
     coarser of the two estimates."""
 
-    nodes, weights = _gauss_legendre()
-
     def rule(a, b):  # the Gauss-Legendre estimate on each panel [a_i, b_i]
         half = 0.5 * (b - a)
-        x = (a + half)[:, None] + half[:, None] * nodes
-        return half * (f(x.ravel()).reshape(x.shape) @ weights)
+        x = (a + half)[:, None] + half[:, None] * _GL_NODES
+        return half * (f(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
 
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
     whole = rule(a, b)
@@ -471,9 +479,11 @@ def estimate_log_tail(
 def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndarray:
     """(replications,) log IS weights that ``estimate_log_tail`` reduces.
 
-    Weight r is log_norm - S_r . eta + log P(Poisson(N kappa_r) >= m): the
-    rate layer's likelihood ratio times the count's tail given that layer.
-    It is -inf only where kappa_r = 0.
+    The tilt is eta = c wk for one scalar c per regime, so the rate layer's
+    likelihood ratio is log_norm - c kappa_r, and weight r is that plus
+    log P(Poisson(N kappa_r) >= m), the count's tail given the layer: each
+    block's twisted draw returns its rows' kappa and nothing else.  A weight
+    is -inf only where kappa_r = 0.
 
     A constant rate layer (variance 0) is the same in every replication, and
     the tail is elementwise in kappa: one row is drawn from block 0's stream
@@ -492,17 +502,19 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     wk = table.weights[0][:, 0] / counts  # per-draw weight within each cell
     m = math.ceil(N * a - 1e-9)
 
+    # every regime tilts by eta = c wk, so eta . S = c kappa
     if regime == "fast":
-        etas = np.zeros_like(wk)
+        c = 0.0
     elif regime == "slow_unbounded":
-        etas = theta_star * wk / (-math.expm1(-mu * h) / mu)
+        c = theta_star / (-math.expm1(-mu * h) / mu)
     elif regime == "intermediate":
-        etas = N * wk * math.expm1(theta_star / delta)
+        c = N * math.expm1(theta_star / delta)
     else:
         raise RegimeError(
             "no importance sampler for the bounded slow branch; "
             "rate_slow_bounded gives the closed-form rate"
         )
+    etas = c * wk
     log_norm = env.twisted_log_norm(etas, counts)
 
     _check_replications(replications)
@@ -518,17 +530,15 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     # every replication of a constant layer has the same row: block 0's stream draws it
     _, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
     size = 1 if constant else rows
-    kappa, log_ratio = [], []
-    for rng in streams:
-        s = env.sample_block_sums_twisted(etas, rng, counts, size)
-        kappa.append(s @ wk)
-        log_ratio.append(log_norm - s @ etas)
+    kappa = np.concatenate(
+        [env.sample_block_sums_twisted(etas, rng, counts, size, weights=wk) for rng in streams]
+    )
     # one tail call for the whole run: its cost is mostly per call, not per row
     try:
-        tail = _log_poisson_tail(m, N * np.concatenate(kappa))
+        tail = _log_poisson_tail(m, N * kappa)
     except ResourceError as exc:
         raise ResourceError(f"count level N a = {N * a:.10g}: {exc}") from None
-    logw = np.concatenate(log_ratio) + tail
+    logw = (log_norm - c * kappa) + tail
     return np.repeat(logw, replications) if constant else logw[:replications]
 
 

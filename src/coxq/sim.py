@@ -82,6 +82,12 @@ __all__ = [
 # far below Monte Carlo noise at any feasible replication count.
 _WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
+# Most coupled queues a config may list: a cell table's alive-pattern weights
+# (_category_weights) take 4^d Python steps and a (cells, 2^d) array per grid
+# time.  Measured on 2 vCPUs at R = 2, configs/simulate.json's 6 grid times
+# run in 2.0 s at d = 10, 12.8 s at d = 12 and 42 s at d = 13; at d = 40 the
+# array cannot be allocated.
+_MAX_QUEUES = 12
 # Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
 _EVENT_BUDGET = 1e9
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;

@@ -208,6 +208,24 @@ def test_report_config_echo_reads_back(monkeypatch, doc):
 
 
 
+@pytest.mark.parametrize("stem", ["simulate", "fclt"])
+def test_simulate_and_fclt_check_take_up_to_the_queue_bound(monkeypatch, stem):
+    # validation admits _MAX_QUEUES queues and refuses one more, naming mu;
+    # the runner is stubbed, since a run at the bound takes seconds
+    doc = json.loads(next(p for p in CONFIGS if p.stem == stem).read_text())
+    monkeypatch.setitem(harness._RUNNERS, doc["kind"], lambda config, out_dir: ([], []))
+    for d in (coxq.sim._MAX_QUEUES, coxq.sim._MAX_QUEUES + 1):
+        change = {"queues": {"mu": [1.0] * d}}
+        if "initial_counts" in doc:
+            change["initial_counts"] = [0] * d
+        config = ExperimentConfig.from_json({**doc, **change})
+        if d <= coxq.sim._MAX_QUEUES:
+            harness.run(config)
+        else:
+            with pytest.raises(coxq.ConfigError, match=f"mu lists {d} queues"):
+                harness.run(config)
+
+
 CHILD_ADDRESS_SPACE = 3 * 2**30
 CHILD_TIMEOUT_S = 60
 
@@ -328,6 +346,15 @@ REFUSED = {
     # block_tol/sum(mu) falls below the slot length, so blocking turns off and
     # the warm-up 40/min(mu) = 20 needs 8e7 exact slots at N = 2000
     "corr-mu-2^53+1": ("corr", {"queues": {"mu": [2**53 + 1, 2.0]}}, "mu"),
+    # a cell table weighs 2^d alive patterns in 4^d steps: d = 13 ran 42 s,
+    # and at d = 40 numpy could not allocate the (cells, 2^40) array
+    "simulate-13-queues": (
+        "simulate", {"queues": {"mu": [1.0] * 13}, "initial_counts": [0] * 13}, "mu"
+    ),
+    "simulate-40-queues": (
+        "simulate", {"queues": {"mu": [1.0] * 40}, "initial_counts": [0] * 40}, "mu"
+    ),
+    "fclt-13-queues": ("fclt", {"queues": {"mu": [1.0] * 13}}, "mu"),
 }
 
 

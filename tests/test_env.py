@@ -23,6 +23,8 @@ from coxq.env import (
     spawn_streams,
 )
 from coxq.errors import DomainError
+from coxq.ldp import RateQuery, classify_regime, rate_intermediate, rate_slow
+from coxq.sim import cell_table
 
 FAMILIES = [
     Deterministic(2.0),
@@ -436,6 +438,81 @@ def test_gamma_block_sums_reproduce_numpy_gamma_bit_for_bit():
         expected = r1.gamma(shape=shapes, scale=scale, size=(rows, counts.size))
         assert np.array_equal(draw(r2), expected)
         assert r1.random() == r2.random()
+
+
+# Rate families for the etas of each importance-sampling regime: the last two
+# discrete laws list their values out of ascending order, and two have an atom at 0
+KAPPA_FAMILIES = [
+    Deterministic(1.0),
+    Exponential(1.0),
+    Gamma(2.0, 0.5),
+    Gamma(0.7, 1.5),
+    DiscreteFinite([0.5, 2.0], [0.5, 0.5]),
+    DiscreteFinite([0.0, 1.0, 3.0], [0.5, 0.3, 0.2]),
+    DiscreteFinite([2.0, 0.5], [0.5, 0.5]),
+    DiscreteFinite([1.0, 0.0, 3.0], [0.3, 0.5, 0.2]),
+]
+
+
+def ldp_tilts(env, one_slot):
+    """(regime, counts, wk, etas) of ldp-check's tilt eta = c wk on its cell
+    table at N = 10, mu = 1, t = 5, a = 1.5, for each regime env has an
+    importance sampler in: c = 0 (fast), theta*/r (slow) and
+    N expm1(theta*/delta) (intermediate).  one_slot turns blocking off (16 to
+    500 cells); at block_tol 0.5 the 7 or 8 cells hold 1 to 165 slots each."""
+    N, mu, t = 10, 1.0, 5.0
+    for alpha in (2.0, 0.5, 1.0):
+        query = RateQuery(env=env, mu=mu, delta=1.0, alpha=alpha, t=t, a=1.5)
+        regime = classify_regime(query)
+        if regime == "slow_bounded":  # a constant rate layer: no slow sampler
+            continue
+        h = ScalingRegime(N, alpha, 1.0).delta_n
+        table = cell_table((mu,), h, (t,), 1e-9 if one_slot else 0.5)
+        wk = table.weights[0][:, 0] / table.slots
+        if regime == "fast":
+            c = 0.0
+        elif regime == "slow_unbounded":
+            c = rate_slow(query).theta_star / (-math.expm1(-mu * h) / mu)
+        else:
+            c = N * math.expm1(rate_intermediate(query).theta_star)
+        yield regime, table.slots, wk, c * wk
+
+
+@pytest.mark.parametrize("one_slot", [True, False], ids=["one-slot", "multi-slot"])
+@pytest.mark.parametrize("env", KAPPA_FAMILIES, ids=repr)
+def test_weighted_twisted_draw_is_the_draws_weighted_row_sum(env, one_slot):
+    # given weights the twisted draw returns S @ weights, computed without
+    # forming S where the family can, from the same variates: the next draw
+    # from the stream is bit-identical, so the law is the unweighted draw's.
+    # 1000 rows of 500 one-slot cells span 8 of the discrete draw's row blocks
+    rows = 1000
+    seen = set()
+    for regime, counts, wk, etas in ldp_tilts(env, one_slot):
+        seen.add(regime)
+        assert np.all(counts == 1) == one_slot
+        r1, r2 = (spawn_streams(31, 1)[0] for _ in range(2))
+        want = env.sample_block_sums_twisted(etas, r1, counts, rows) @ wk
+        got = env.sample_block_sums_twisted(etas, r2, counts, rows, weights=wk)
+        assert got.shape == (rows,)
+        np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0, err_msg=regime)
+        assert np.all(got >= 0), regime  # kappa >= 0: the count's tail takes its log
+        assert r1.random() == r2.random(), regime
+    assert seen == ({"fast", "intermediate"} if env.variance == 0 else
+                    {"fast", "slow_unbounded", "intermediate"})
+
+
+def test_weighted_discrete_draw_is_exactly_0_where_every_cell_drew_0():
+    # a row whose every cell drew the atom at 0 sums to 0, not to a rounding
+    # residue, with the values in either order: its IS weight is then -inf,
+    # never the log of a tiny or a negative rate
+    wk, counts, etas = np.linspace(0.1, 0.9, 6), np.ones(6, np.int64), np.full(6, 0.1)
+    for values, probs in (([0.0, 3.0], [0.8, 0.2]), ([3.0, 0.0], [0.2, 0.8])):
+        env = DiscreteFinite(values, probs)
+        s = env.sample_block_sums_twisted(etas, spawn_streams(3, 1)[0], counts, 400)
+        got = env.sample_block_sums_twisted(etas, spawn_streams(3, 1)[0], counts, 400, weights=wk)
+        zero = np.all(s == 0.0, axis=1)
+        assert zero.sum() > 20, values
+        assert np.all(got[zero] == 0.0) and np.all(got[~zero] > 0.0), values
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,8 +6,10 @@ called; the Poisson tail of ``ldp-check`` is numpy's, the Anderson-Darling
 log cdf and log sf are ``math.erfc``'s, and the rate layer integrates and
 finds its root with numpy alone.  So importing the CLI and running any kind
 leaves neither ``scipy`` nor any of its submodules in ``sys.modules``, and
-``ldp-check`` runs with the scipy import blocked.  Each case runs in a fresh
-interpreter and reads ``sys.modules`` after it.
+``ldp-check`` runs with the scipy import blocked.  Its quadrature's
+Gauss-Legendre rule is written out, so it leaves ``numpy.polynomial``
+unloaded too.  Each case runs in a fresh interpreter and reads
+``sys.modules`` after it.
 """
 
 import json
@@ -80,12 +82,14 @@ def test_ldp_check_does_not_load_scipy_stats(tmp_path):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_slow_and_intermediate_ldp_check_load_no_quadrature_or_optimizer(tmp_path, alpha):
-    # the rate layer integrates and finds its root with numpy alone
+    # the rate layer integrates and finds its root with numpy alone, by a
+    # Gauss-Legendre rule written out, so numpy.polynomial stays unloaded too
     doc = {**json.loads((CONFIGS / "ldp_slow.json").read_text()), "alpha": alpha,
            "N_grid": [200, 400], "replications": 2000, "tolerances": {"slope_rel_tol": 1.0}}
     config = tmp_path / "ldp.json"
     config.write_text(json.dumps(doc))
-    loaded = loaded_scipy_modules(cli_statement("ldp-check", config, tmp_path / "out"))
+    statement = cli_statement("ldp-check", config, tmp_path / "out")
+    loaded = loaded_scipy_modules(f"{statement}\nassert 'numpy.polynomial' not in sys.modules")
     assert loaded == set()
 
 

@@ -16,6 +16,8 @@ import coxq.sim
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
 from coxq.errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from coxq.ldp import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     RateQuery,
     _ilm_prime,
     _log_poisson_tail,
@@ -42,6 +44,12 @@ def li2(x):
 
 
 # -- integrated log-MGF --------------------------------------------------------
+
+
+def test_gauss_legendre_rule_is_leggauss_10_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_ilm_deterministic_closed_form():
@@ -532,16 +540,14 @@ def _constant_log_weights_block_by_block(query, N, R, seed, theta, block_tol):
     table = cell_table((mu,), ScalingRegime(N, query.alpha, delta).delta_n, (query.t,), block_tol)
     counts = table.slots
     wk = table.weights[0][:, 0] / counts
-    if query.alpha == 1:
-        etas = N * wk * math.expm1(theta / delta)
-    else:
-        etas = np.zeros_like(wk)
+    c = N * math.expm1(theta / delta) if query.alpha == 1 else 0.0
+    etas = c * wk
     m = math.ceil(N * query.a - 1e-9)
     B = block_rows(counts.size)
     blocks = []
     for rng in spawn_streams(seed, -(-R // B)):
-        s = env.sample_block_sums_twisted(etas, rng, counts, 1)
-        logw = env.twisted_log_norm(etas, counts) - s @ etas + _log_poisson_tail(m, N * (s @ wk))
+        kappa = env.sample_block_sums_twisted(etas, rng, counts, 1, weights=wk)
+        logw = (env.twisted_log_norm(etas, counts) - c * kappa) + _log_poisson_tail(m, N * kappa)
         blocks.append(np.repeat(logw, B))
     return np.concatenate(blocks)[:R]
 
