@@ -58,7 +58,7 @@ the un-inflated slot rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -165,11 +165,7 @@ class EnvSpec:
         except (OverflowError, ZeroDivisionError):  # a Python float power or quotient
             finite = False
         if not finite:
-            params = ", ".join(f"{k} = {v!r}" for k, v in self.to_json().items() if k != "family")
-            raise ValueError(
-                f"{self.family} rates with {params}: the mean or the variance overflows "
-                "float arithmetic"
-            )
+            raise ValueError(f"{self.describe()}: the mean or the variance overflows float arithmetic")
 
     def _check_theta(self, theta) -> None:
         worst = np.max(theta)  # a float or an array of thetas
@@ -229,7 +225,14 @@ class EnvSpec:
         return float(np.sum(counts * self.log_mgf(etas)))
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """{"family": ..., **parameters}, the parameters being the dataclass fields."""
+        params = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {"family": self.family, **params}
+
+    def describe(self) -> str:
+        """'<family> rates with k = v, ...': the parameters, for error messages."""
+        params = ", ".join(f"{k} = {v!r}" for k, v in self.to_json().items() if k != "family")
+        return f"{self.family} rates with {params}"
 
 
 @dataclass(frozen=True)
@@ -271,9 +274,6 @@ class Deterministic(EnvSpec):
     def _block_sums(self, rng, counts, size, etas, weights=None):
         out = np.broadcast_to(self.value * counts.astype(float), (size, len(counts))).copy()
         return out if weights is None else out @ weights
-
-    def to_json(self):
-        return {"family": "deterministic", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,6 @@ class Exponential(EnvSpec):
         rate = self.rate if etas is None else self.rate - etas
         return _gamma_draws(rng, counts.astype(float), 1.0 / rate, size, weights)
 
-    def to_json(self):
-        return {"family": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Gamma(EnvSpec):
@@ -364,9 +361,6 @@ class Gamma(EnvSpec):
     def _block_sums(self, rng, counts, size, etas, weights=None):
         scale = self.scale if etas is None else self.scale / (1.0 - self.scale * etas)
         return _gamma_draws(rng, self.shape * counts.astype(float), scale, size, weights)
-
-    def to_json(self):
-        return {"family": "gamma", "shape": self.shape, "scale": self.scale}
 
 
 class DiscreteFinite(EnvSpec):

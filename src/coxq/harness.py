@@ -304,7 +304,7 @@ def _validate(config: ExperimentConfig) -> None:
     if config.kind in ("simulate", "fclt-check") and d > _MAX_QUEUES:
         raise ConfigError(
             f"mu lists {d} queues; {config.kind} couples at most {_MAX_QUEUES}: its cell "
-            "table weighs all 2^d alive patterns, at a cost that grows as 4^d"
+            "table holds a weight for each of the 2^d alive patterns of every cell"
         )
     if config.kind == "corr-check" and d > 2:
         raise ConfigError("corr-check compares exactly two coupled queues (d = 2)")
@@ -338,11 +338,7 @@ def _validate(config: ExperimentConfig) -> None:
             )
     if config.kind == "ldp-check":
         if not config.env.mean > 0:  # rho(t) = 0: no rate function to verify
-            params = ", ".join(f"{k} = {v!r}" for k, v in config.env.to_json().items() if k != "family")
-            raise ConfigError(
-                f"ldp-check needs a positive mean rate; {config.env.family} rates with {params} "
-                "have mean 0"
-            )
+            raise ConfigError(f"ldp-check needs a positive mean rate; {config.env.describe()} have mean 0")
         query = _ldp_query(config)  # it refuses a <= rho(t)
         regime = classify_regime(query)
         if regime == "slow_bounded":

@@ -83,11 +83,14 @@ __all__ = [
 _WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
 # Most coupled queues a config may list: a cell table's alive-pattern weights
-# (_category_weights) take 4^d Python steps and a (cells, 2^d) array per grid
-# time.  Measured on 2 vCPUs at R = 2, configs/simulate.json's 6 grid times
-# run in 2.0 s at d = 10, 12.8 s at d = 12 and 42 s at d = 13; at d = 40 the
-# array cannot be allocated.
+# (_category_weights) fill a (cells, 2^d) array per grid time and pass over it d times.
+# Measured on 2 vCPUs at R = 2, configs/simulate.json's 6 grid times run in
+# 0.15 s at d = 10, 0.58 s at d = 12 and 1.2 s at d = 13 (medians of 3).
 _MAX_QUEUES = 12
+# Alive-pattern weights (float64, 128 MiB) per cell table, summed over grid times of
+# cells x 2^d, above which cell_table refuses: 84x the largest tier-1 table's 2e5,
+# and at d = 1 every table that the exact-slot budget admits.
+_WEIGHT_BUDGET = 2**24
 # Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
 _EVENT_BUDGET = 1e9
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
@@ -208,8 +211,9 @@ def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> 
     """Per-cell weights for every non-empty alive pattern at t_end.
 
     Pattern S gets integral of prod_{i in S} p_i(s) prod_{i not in S} (1 - p_i(s))
-    with p_i(s) = exp(-mu_i (t_end - s)); expanded by inclusion-exclusion over
-    supersets into closed-form exponential integrals.
+    with p_i(s) = exp(-mu_i (t_end - s)).  ``sub`` first holds the closed-form
+    integrals for alive in at least T; the Moebius transform over supersets, one
+    in-place pass sub[T] -= sub[T | {i}] per queue i, leaves alive in exactly T.
     """
     d = len(mu)
     a = np.asarray(edges_a, dtype=float)
@@ -225,15 +229,11 @@ def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> 
             # the right weight, 0
             with np.errstate(over="ignore"):
                 sub[:, t_mask] = (np.exp(-mu_t * (t_end - b)) - np.exp(-mu_t * (t_end - a))) / mu_t
-    w = np.zeros((n_cells, 2**d - 1))
-    for s_mask in range(1, 2**d):
-        acc = np.zeros(n_cells)
-        for t_mask in range(2**d):
-            if t_mask & s_mask == s_mask:
-                sign = -1.0 if (bin(t_mask ^ s_mask).count("1") % 2) else 1.0
-                acc += sign * sub[:, t_mask]
-        w[:, s_mask - 1] = np.maximum(acc, 0.0)
-    return w
+    for i in range(d):
+        # axis 2 of this view is bit i of the pattern: [without i, with i]
+        pair = sub.reshape(n_cells, 2 ** (d - 1 - i), 2, 2**i)
+        pair[:, :, 0] -= pair[:, :, 1]
+    return np.maximum(sub[:, 1:], 0.0)
 
 
 def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellTable:
@@ -284,8 +284,8 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     room for; deterministic tests check the bound on the tables themselves.
     The exponent 2 mu_min/3 minimises the cell count, integral of da/W(a),
     at a fixed budget for the slowest entry's weight e^(-2 mu_min a).
-    More than 2^53 slots up to grid[-1], which float64 cannot index, raise
-    ResourceError.
+    More than 2^53 slots up to grid[-1], which float64 cannot index, or more
+    than _WEIGHT_BUDGET alive-pattern weights raise ResourceError.
     """
     span = grid[-1] / h
     if not span <= _MAX_EXACT_INT:  # also refuses inf
@@ -310,6 +310,7 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     starts: list[int] = []  # first slot of each cell
     end = 0  # slot after the last cell
     cells, weights = [], []
+    entries = 0  # alive-pattern weights so far
     prev = 0.0
     for t_end in grid:
         first = len(starts)
@@ -329,6 +330,12 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
             if max(end, whole) < j1:  # t_end straddles slot j1 - 1
                 starts.append(j1 - 1)
             end = max(end, j1)
+        entries += (len(starts) - first) * 2 ** len(mu)
+        if entries > _WEIGHT_BUDGET:
+            raise ResourceError(
+                f"{entries:.3e} or more alive-pattern weights (cells x 2^d) exceed the budget "
+                f"{_WEIGHT_BUDGET:.3e}; list fewer queues in mu or raise block_tol"
+            )
         bounds = np.array(starts[first:] + [end], dtype=float) * h
         a = np.maximum(bounds[:-1], prev)
         b = np.minimum(bounds[1:], t_end)

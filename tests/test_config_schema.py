@@ -346,8 +346,9 @@ REFUSED = {
     # block_tol/sum(mu) falls below the slot length, so blocking turns off and
     # the warm-up 40/min(mu) = 20 needs 8e7 exact slots at N = 2000
     "corr-mu-2^53+1": ("corr", {"queues": {"mu": [2**53 + 1, 2.0]}}, "mu"),
-    # a cell table weighs 2^d alive patterns in 4^d steps: d = 13 ran 42 s,
-    # and at d = 40 numpy could not allocate the (cells, 2^40) array
+    # the 12-queue bound: a cell table weighs 2^d alive patterns per cell, and
+    # d = 13 runs configs/simulate.json in 1.2 s at R = 2; at d = 40 numpy
+    # could not allocate the (cells, 2^40) array
     "simulate-13-queues": (
         "simulate", {"queues": {"mu": [1.0] * 13}, "initial_counts": [0] * 13}, "mu"
     ),
@@ -355,6 +356,14 @@ REFUSED = {
         "simulate", {"queues": {"mu": [1.0] * 40}, "initial_counts": [0] * 40}, "mu"
     ),
     "fclt-13-queues": ("fclt", {"queues": {"mu": [1.0] * 13}}, "mu"),
+    # 4*10^6 one-slot cells of 8 queues: 1.0e9 alive-pattern weights (7.6 GiB),
+    # far past the weight budget, which refuses them before allocating any
+    "simulate-8-queues-4e6-cells": (
+        "simulate",
+        {"queues": {"mu": [1.0] * 8}, "initial_counts": [0] * 8, "block_tol": 0, "alpha": 1,
+         "delta": 1, "N_grid": [1000000], "grid": [4.0], "horizon": 4.0},
+        "block_tol",
+    ),
 }
 
 

@@ -376,9 +376,10 @@ def test_csv_export_chunks_match_one_shot_bytes(tmp_path, monkeypatch, chunk, d)
 
 
 def test_csv_export_memory_does_not_grow_with_replications():
-    # R G d = 2^22 counts (32 MiB of int64): a one-shot conversion to Python
-    # ints holds about 160 MiB more; the chunked export holds one chunk of them
-    R, G, d = 2**15, 64, 2
+    # R G d = 2^19 counts (4 MiB of int64): a one-shot conversion to Python
+    # ints holds about 20 MiB more, ten times the bound; the chunked export
+    # holds one chunk of them
+    R, G, d = 2**12, 64, 2
     counts = np.random.default_rng(0).integers(0, 10**6, size=(R, G, d))
     traj = Trajectory(times=np.arange(1, G + 1) / 8.0, counts=counts)
     tracemalloc.start()
@@ -452,6 +453,59 @@ def test_cell_table_tiles_grid_and_reproduces_transient_mean(mu, h, block_tol, g
 def test_cell_table_exact_mode_slot_guard():
     with pytest.raises(ResourceError):
         cell_table((1.0,), 1e-7, (1.0,), 0.0)
+
+
+def test_cell_table_weight_budget_counts_cells_times_patterns_over_grid_times(monkeypatch):
+    # two intervals of 50 one-slot cells at d = 3: 100 x 2^3 = 800 weights
+    monkeypatch.setattr(sim, "_WEIGHT_BUDGET", 800)
+    cell_table((1.0, 2.0, 0.5), 0.01, (0.5, 1.0), 0.0)
+    monkeypatch.setattr(sim, "_WEIGHT_BUDGET", 799)
+    with pytest.raises(ResourceError, match="mu or raise block_tol"):
+        cell_table((1.0, 2.0, 0.5), 0.01, (0.5, 1.0), 0.0)
+
+
+def _inclusion_exclusion_weights(a, b, t_end, mu):
+    """The alive-pattern weights by inclusion-exclusion over supersets, 4^d
+    steps on the same 2^d subset integrals: the reference for the Moebius pass
+    of sim._category_weights."""
+    d = len(mu)
+    sub = np.empty((a.size, 2**d))
+    for t_mask in range(2**d):
+        mu_t = sum(mu[i] for i in range(d) if t_mask >> i & 1)
+        if mu_t == 0.0:
+            sub[:, t_mask] = b - a
+        else:
+            sub[:, t_mask] = (np.exp(-mu_t * (t_end - b)) - np.exp(-mu_t * (t_end - a))) / mu_t
+    w = np.zeros((a.size, 2**d - 1))
+    for s_mask in range(1, 2**d):
+        acc = np.zeros(a.size)
+        for t_mask in range(2**d):
+            if t_mask & s_mask == s_mask:
+                sign = -1.0 if (bin(t_mask ^ s_mask).count("1") % 2) else 1.0
+                acc += sign * sub[:, t_mask]
+        w[:, s_mask - 1] = np.maximum(acc, 0.0)
+    return w
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_category_weights_match_inclusion_exclusion(d):
+    # random cells tiling [t_start, t_end), read at t_end, service rates
+    # log-uniform in [0.05, 20]; the pass sums each weight's 2^(d - |S|) signed
+    # terms in another order, so it keeps every bit only at d <= 2 (one
+    # subtraction) and elsewhere stays within float64 rounding of the widths
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        t_end = rng.uniform(0.1, 10.0)
+        edges = np.append(np.sort(rng.uniform(0.0, t_end, 40)), t_end)
+        a, b = edges[:-1], edges[1:]
+        mu = tuple(np.exp(rng.uniform(math.log(0.05), math.log(20.0), d)))
+        w = sim._category_weights(a, b, t_end, mu)
+        ref = _inclusion_exclusion_weights(a, b, t_end, mu)
+        assert w.shape == ref.shape and w.flags.c_contiguous
+        if d <= 2:
+            assert np.array_equal(w, ref)
+        else:
+            assert np.all(np.abs(w - ref) <= 1e-15 * (b - a)[:, None])
 
 
 # -- cell table: deterministic covariance oracle ----------------------------------
