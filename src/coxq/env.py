@@ -11,21 +11,23 @@ closed rather than user-pluggable; the interface contract for an extension
 is: mean, variance, log_mgf (elementwise over a numpy array of thetas as
 well as on a float: the rate layer's quadrature evaluates it on every node
 at once), log_mgf_prime, sample (the independent per-slot law),
-_block_sums (the one block-sum draw), essential_sup, theta_max.
+_sampler (the prepared block-sum draw), essential_sup, theta_max.
 twisted_log_norm, sum_c counts[c] log M(etas[c]), is one array call of
 log_mgf for every family.
 
 The block-sum draw returns a (size, cells) float64 array S whose cell c sums
 counts[c] i.i.d. copies, tilted by etas[c] (density reweighted by
-exp(eta x) / M(eta)) or, with no tilts, of the plain law.  The simulator
-draws the plain law through ``sample_block_sums(rng, counts, size)``, where
-a one-slot cell is the exact per-slot draw; the importance sampler draws the
-tilted law through ``sample_block_sums_twisted(etas, rng, counts, size,
-weights)``.  Its tilt is c times the weights in every regime, so its
-likelihood ratio needs only the weighted row sums S @ weights: given
-weights, the twisted draw returns those (size,) sums, from the same variates
-as S.  Each family draws from the cheapest sampler with the exact law, into
-the result and temporaries that are small next to it:
+exp(eta x) / M(eta)) or, with no tilts, of the plain law.
+``block_sampler(counts, etas, weights)`` prepares it: every array operation
+on its arguments runs there once, and the ``draw(rng, size)`` it returns
+only draws and reduces, so the importance sampler prepares once per run.
+``sample_block_sums`` (the simulator's plain law, a one-slot cell being the
+exact per-slot draw) and ``sample_block_sums_twisted`` prepare and draw in
+one call.  The importance sampler's tilt is c times the weights, so its
+likelihood ratio needs only the row sums S @ weights: given weights, the
+draw returns those (size,) sums, from the same variates as S.  Each family
+draws from the cheapest sampler with the exact law, into the result and
+temporaries that are small next to it:
 
 * Deterministic: no draw; the constant block sums, repeated per row (and
   then reduced, given weights).
@@ -42,12 +44,6 @@ the result and temporaries that are small next to it:
   cells of ascending values reduce the uniforms u through the cuts:
   v_0 sum(w) + sum_j (v_(j+1) - v_j) ((u >= cut_j) @ w), every term
   non-negative, with no atom index formed; other cells form S and reduce it.
-
-DiscreteFinite's per-cell parameters for one tilt (its cut table or its
-binomial conditionals) are built once per tilt, not once per block: the
-importance sampler draws every block of a run with the same etas, and a
-one-entry memo on the instance keeps the last tilt's table.  Exponential's
-and Gamma's are one array operation per draw and are not kept.
 
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
@@ -85,6 +81,11 @@ _BOUNDARY_PAD = 1e-12
 # index and count temporaries stay small next to the float64 result.
 _BLOCK_CELLS = 1 << 16
 
+# A discrete law has at most this many atoms: its draws and tilt tables cost
+# time and memory in proportion to them: an ldp-check at N = 200 and 400, R = 2000
+# ran 1024 atoms in 1.0 s at 39 MB peak, 4096 in 3.4 s at 47 MB, 10^4 in 5.6 s at 67 MB.
+_MAX_ATOMS = 1024
+
 
 def log_sum_exp(a) -> np.ndarray:
     """log sum_j exp(a[..., j]) over the last axis, for a whose rows each hold
@@ -113,22 +114,26 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _gamma_draws(rng, shapes, scales, size, weights=None) -> np.ndarray:
-    """(size, cells) Gamma(shapes[c], scales[c]) draws; exponential draws when every shape is 1.
-
-    numpy's gamma is the scale times the standard gamma, so scaling in place
-    gives ``rng.gamma(shapes, scales, size)`` bit for bit without its temporaries.
-    Given weights, the (size,) row sums of those draws times weights: the
-    scale folds into the weights, so the scaled array is never formed.
-    """
-    if np.all(shapes == 1.0):
-        out = rng.standard_exponential((size, len(shapes)))
-    else:
-        out = rng.standard_gamma(shapes, size=(size, len(shapes)))
+def _gamma_sampler(shapes, scales, weights):
+    """draw(rng, size): (size, cells) Gamma(shapes[c], scales[c]) draws, exponential ones
+    when every shape is 1: standard draws scaled in place, ``rng.gamma(shapes, scales,
+    size)`` bit for bit without its temporaries.  Given weights, the (size,) row sums of
+    those draws times weights: the scale folds into the weights, and no scaled array forms."""
+    exponential, cells = bool(np.all(shapes == 1.0)), len(shapes)
     if weights is not None:
-        return out @ (scales * weights)
-    out *= scales
-    return out
+        weights = scales * weights
+
+    def draw(rng, size):
+        if exponential:
+            out = rng.standard_exponential((size, cells))
+        else:
+            out = rng.standard_gamma(shapes, size=(size, cells))
+        if weights is not None:
+            return out @ weights
+        out *= scales
+        return out
+
+    return draw
 
 
 def _row_blocks(size: int, cells: int):
@@ -191,33 +196,29 @@ class EnvSpec:
     def sample(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
-    def sample_block_sums(
-        self, rng: np.random.Generator, counts: np.ndarray, size: int
-    ) -> np.ndarray:
+    def sample_block_sums(self, rng: np.random.Generator, counts: np.ndarray, size: int) -> np.ndarray:
         """(size, len(counts)) sums of counts[b] i.i.d. draws of the plain law."""
-        return self._block_sums(rng, np.asarray(counts), size, None)
+        return self.block_sampler(counts)(rng, size)
 
-    def sample_block_sums_twisted(
-        self,
-        etas: np.ndarray,
-        rng: np.random.Generator,
-        counts: np.ndarray,
-        size: int,
-        weights: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def sample_block_sums_twisted(self, etas, rng, counts, size: int, weights=None) -> np.ndarray:
         """(size, len(counts)) sums of counts[b] i.i.d. draws tilted by etas[b];
         given weights, the (size,) row sums S @ weights of that draw S, from
         the same variates."""
-        etas = np.asarray(etas, dtype=float)
-        if etas.size and etas.max() >= self.theta_max * (1.0 - _BOUNDARY_PAD):
-            raise DomainError("tilt at or beyond the MGF domain boundary")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-        return self._block_sums(rng, np.asarray(counts), size, etas, weights)
+        return self.block_sampler(counts, etas, weights)(rng, size)
 
-    def _block_sums(self, rng, counts: np.ndarray, size: int, etas, weights=None) -> np.ndarray:
-        """The one block-sum draw: tilted by etas, or the plain law when etas is
-        None; reduced to its row sums times weights when weights is given."""
+    def block_sampler(self, counts: np.ndarray, etas=None, weights=None):
+        """draw(rng, size): the block-sum draw, tilted by etas (None: the plain law) and
+        reduced to S @ weights given weights.  The domain check and every array operation
+        on the arguments run here, once; draw reads nothing the caller may change later."""
+        if etas is not None:
+            etas = np.asarray(etas, dtype=float)
+            if etas.size and etas.max() >= self.theta_max * (1.0 - _BOUNDARY_PAD):
+                raise DomainError("tilt at or beyond the MGF domain boundary")
+        if weights is not None:
+            weights = np.array(weights, dtype=float)
+        return self._sampler(np.asarray(counts), etas, weights)
+
+    def _sampler(self, counts: np.ndarray, etas, weights):  # block_sampler's, on checked arrays
         raise NotImplementedError
 
     def twisted_log_norm(self, etas: np.ndarray, counts: np.ndarray) -> float:
@@ -271,9 +272,14 @@ class Deterministic(EnvSpec):
     def sample(self, rng, size):
         return np.full(size, self.value)
 
-    def _block_sums(self, rng, counts, size, etas, weights=None):
-        out = np.broadcast_to(self.value * counts.astype(float), (size, len(counts))).copy()
-        return out if weights is None else out @ weights
+    def _sampler(self, counts, etas, weights):
+        sums = self.value * counts.astype(float)
+
+        def draw(rng, size):
+            out = np.broadcast_to(sums, (size, len(sums))).copy()
+            return out if weights is None else out @ weights
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -314,9 +320,9 @@ class Exponential(EnvSpec):
     def sample(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate, size=size)
 
-    def _block_sums(self, rng, counts, size, etas, weights=None):
+    def _sampler(self, counts, etas, weights):
         rate = self.rate if etas is None else self.rate - etas
-        return _gamma_draws(rng, counts.astype(float), 1.0 / rate, size, weights)
+        return _gamma_sampler(counts.astype(float), 1.0 / rate, weights)
 
 
 @dataclass(frozen=True)
@@ -358,9 +364,9 @@ class Gamma(EnvSpec):
     def sample(self, rng, size):
         return rng.gamma(shape=self.shape, scale=self.scale, size=size)
 
-    def _block_sums(self, rng, counts, size, etas, weights=None):
+    def _sampler(self, counts, etas, weights):
         scale = self.scale if etas is None else self.scale / (1.0 - self.scale * etas)
-        return _gamma_draws(rng, self.shape * counts.astype(float), scale, size, weights)
+        return _gamma_sampler(self.shape * counts.astype(float), scale, weights)
 
 
 class DiscreteFinite(EnvSpec):
@@ -369,20 +375,18 @@ class DiscreteFinite(EnvSpec):
     family = "discrete"
 
     def __init__(self, values, probs):
-        values = np.array(values, dtype=float)  # a copy: it is made read-only below
+        values = np.array(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
             raise ValueError("values and probs must be equal-length non-empty 1-d sequences")
+        if values.size > _MAX_ATOMS:
+            raise ValueError(f"values lists {values.size} atoms; a law may have at most {_MAX_ATOMS}")
         if np.any(values < 0):
             raise ValueError("values must be non-negative")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be non-negative and sum to 1 within 1e-12")
         self.values = values
         self.probs = probs / probs.sum()
-        self._ascending = bool(np.all(np.diff(values) >= 0))
-        for a in (self.values, self.probs):  # _draw_table's memo of the plain law reads them once
-            a.flags.writeable = False
-        self._memo = None
         self._check_moments()
 
     def __repr__(self):
@@ -432,68 +436,63 @@ class DiscreteFinite(EnvSpec):
         idx = rng.choice(self.values.size, size=size, p=self.probs)
         return self.values[idx]
 
-    def _draw_table(self, etas, one_slot: bool) -> np.ndarray:
-        """The part of a block-sum draw that depends only on the tilts (None:
-        the plain law), built once per distinct etas.
-
-        One-slot cells: the normalised cumulative probabilities, one row of
-        cuts per atom but the last.  More slots: atom j's probability given
-        the draw is none of atoms 0..j-1, the binomial chain's conditionals.
-        A one-entry memo keyed by a copy of the tilts' bytes serves every
-        block of a run; tilts mutated in place are a new key."""
-        key = (one_slot, None if etas is None else (etas.shape, etas.tobytes()))
-        memo = self._memo  # read once: another thread may replace it meanwhile
-        if memo is None or memo[0] != key:
-            w = self.probs if etas is None else self._tilted_probs(etas)  # (atoms,) or (cells, atoms)
-            if one_slot:
-                cdf = np.cumsum(w, axis=-1)
-                cdf /= cdf[..., -1:]
-                table = np.moveaxis(cdf[..., :-1], -1, 0)
-            else:
-                rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
-                table = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
-            memo = self._memo = key, table
-        return memo[1]
-
-    def _block_sums(self, rng, counts, size, etas, weights=None):
-        cells = len(counts)
+    def _sampler(self, counts, etas, weights):
+        cells, values = len(counts), self.values
+        w = self.probs if etas is None else self._tilted_probs(etas)  # (atoms,) or (cells, atoms)
         if np.all(counts == 1):
             # one-slot cells: as in Generator.choice, the atom index is the number
-            # of normalised cumulative probabilities at or below one uniform
-            cuts = self._draw_table(etas, one_slot=True)
-            if weights is not None and self._ascending:
+            # of normalised cumulative probabilities at or below one uniform: the
+            # cuts, one row per atom but the last
+            cdf = np.cumsum(w, axis=-1)
+            cdf /= cdf[..., -1:]
+            cuts, steps = np.moveaxis(cdf[..., :-1], -1, 0), np.diff(values)
+            if weights is not None and np.all(steps >= 0):
                 # so a value is v_0 + sum_j (v_(j+1) - v_j) [u >= cut_j], and a
                 # row's weighted sum v_0 sum(w) + sum_j (v_(j+1) - v_j) ((u >= cut_j) @ w):
                 # every term is non-negative for ascending values
-                out = np.full(size, self.values[0] * weights.sum())
-                for rows in _row_blocks(size, cells):
-                    u = rng.random((rows.stop - rows.start, cells))
-                    for c, step in zip(cuts, np.diff(self.values)):
-                        out[rows] += step * ((u >= c) @ weights)
-                return out
-            out = np.empty((size, cells))
-            for rows in _row_blocks(size, cells):
-                block = out[rows]
+                base = values[0] * weights.sum()
+
+                def draw(rng, size):
+                    out = np.full(size, base)
+                    for rows in _row_blocks(size, cells):
+                        u = rng.random((rows.stop - rows.start, cells))
+                        for c, step in zip(cuts, steps):
+                            out[rows] += step * ((u >= c) @ weights)
+                    return out
+
+                return draw
+
+            def fill(rng, block):
                 rng.random(out=block)
                 idx = np.zeros(block.shape, np.intp)
                 for c in cuts:
                     idx += block >= c
-                np.take(self.values, idx, out=block, mode="clip")
+                np.take(values, idx, out=block, mode="clip")
+
+        else:
+            # the multinomial occupation counts as a chain of binomial draws, one per
+            # atom, each with atom j's probability given the draw is none of atoms
+            # 0..j-1: no (..., atoms) array is formed
+            rest = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+            cond = np.minimum(np.divide(w, rest, out=np.zeros_like(w), where=rest > 0), 1.0)
+            counts = counts.astype(np.int64)
+
+            def fill(rng, block):
+                left = np.broadcast_to(counts, block.shape)
+                block[:] = 0.0
+                for j, value in enumerate(values[:-1]):
+                    n_j = rng.binomial(left, cond[..., j])
+                    block += value * n_j
+                    left = left - n_j
+                block += values[-1] * left
+
+        def draw(rng, size):
+            out = np.empty((size, cells))
+            for rows in _row_blocks(size, cells):
+                fill(rng, out[rows])
             return out if weights is None else out @ weights
-        # the multinomial occupation counts as a chain of binomial draws, one per
-        # atom: no (..., atoms) array is formed
-        out = np.empty((size, cells))
-        cond = self._draw_table(etas, one_slot=False)
-        counts = np.broadcast_to(counts.astype(np.int64), out.shape)
-        for rows in _row_blocks(size, cells):
-            block, left = out[rows], counts[rows]
-            block[:] = 0.0
-            for j, value in enumerate(self.values[:-1]):
-                n_j = rng.binomial(left, cond[..., j])
-                block += value * n_j
-                left = left - n_j
-            block += self.values[-1] * left
-        return out if weights is None else out @ weights
+
+        return draw
 
     def to_json(self):
         return {"family": "discrete", "values": self.values.tolist(), "probs": self.probs.tolist()}

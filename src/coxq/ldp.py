@@ -41,13 +41,13 @@ scalar c per run: fast c = 0, slow c = theta*/r (r = (1 - e^(-mu Delta_N))/mu)
 and intermediate c = N (e^(theta*/Delta) - 1).  So sum_c eta_c S_c = c kappa,
 and one log likelihood ratio serves every regime, depending on the rate layer
 only through kappa: log_norm - c kappa + log P(Poisson(N kappa) >= m), with
-log_norm = sum_c n_c log M(eta_c).  A block's draw returns its rows' kappa
-directly (``EnvSpec.sample_block_sums_twisted`` with weights), not the
-(rows, cells) slot sums.  The tail term is exact and in log space: the
-continued fractions of the incomplete gamma function, evaluated backward in
-numpy (``_log_poisson_tail``; within 2.2e-13 relative of 40-digit values, and
-refused with ResourceError where a fraction would need more than 10^5 steps,
-near m past about 3.7e11).
+log_norm = sum_c n_c log M(eta_c).  The run prepares its draw once
+(``EnvSpec.block_sampler`` with the weights), and each block's draw returns
+its rows' kappa directly, not the (rows, cells) slot sums.  The tail term is
+exact and in log space: the continued fractions of the incomplete gamma
+function, evaluated backward in numpy (``_log_poisson_tail``; within 2.2e-13
+relative of 40-digit values, and refused with ResourceError where a fraction
+would need more than 10^5 steps, near m past about 3.7e11).
 """
 
 from __future__ import annotations
@@ -530,9 +530,8 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     # every replication of a constant layer has the same row: block 0's stream draws it
     _, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
     size = 1 if constant else rows
-    kappa = np.concatenate(
-        [env.sample_block_sums_twisted(etas, rng, counts, size, weights=wk) for rng in streams]
-    )
+    draw = env.block_sampler(counts, etas, wk)  # prepared once: each block only draws
+    kappa = np.concatenate([draw(rng, size) for rng in streams])
     # one tail call for the whole run: its cost is mostly per call, not per row
     try:
         tail = _log_poisson_tail(m, N * kappa)

@@ -343,6 +343,14 @@ REFUSED = {
         "analytic", {"env": {"family": "discrete", "values": [1e308, 0.0], "probs": [0.5, 0.5]}},
         "values",
     ),
+    # a discrete law's draws and tilt tables grow with its atoms (10^4 atoms
+    # ran an ldp-check of 2000 replications in 5.6 s at 67 MB)
+    "ldp_slow-values-1025-atoms": (
+        "ldp_slow",
+        {"env": {"family": "discrete", "values": [0.5 + k / 512 for k in range(1025)],
+                 "probs": [1 / 1025] * 1025}},
+        "values",
+    ),
     # block_tol/sum(mu) falls below the slot length, so blocking turns off and
     # the warm-up 40/min(mu) = 20 needs 8e7 exact slots at N = 2000
     "corr-mu-2^53+1": ("corr", {"queues": {"mu": [2**53 + 1, 2.0]}}, "mu"),

@@ -2,9 +2,6 @@
 
 import itertools
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -340,83 +337,51 @@ def test_one_slot_block_sums_reproduce_sample_bit_for_bit(env):
     "counts", [np.ones(5, np.int64), np.array([1, 2, 5, 40, 3])], ids=["one-slot", "multi-slot"]
 )
 def test_discrete_draws_through_the_tilt_memo_match_a_fresh_instance(counts):
-    # the per-tilt table is kept on the instance: tilts that alternate A, B, A
-    # with the plain law between, and A mutated in place, each draw the bits a
-    # fresh instance draws
-    args = ([0.0, 2.0, 5.0], [0.2, 0.5, 0.3])
-    env = DiscreteFinite(*args)
+    # every family's prepared draw, plain and tilted, with and without weights,
+    # is a fresh instance's and the one-call draw's, bit for bit (a discrete law
+    # with values out of ascending order too): tilts that alternate A, B, A
+    # with the plain law between share nothing, and a draw prepared before its
+    # tilts and weights are mutated in place keeps the ones it was given
     a = np.array([0.1, -0.2, 0.0, 0.25, 0.3])
     b = np.array([0.3, 0.0, -0.1, 0.2, 0.05])
 
-    def draw(e, etas):
-        rng = spawn_streams(22, 1)[0]
-        if etas is None:
-            return e.sample_block_sums(rng, counts, 300)
-        return e.sample_block_sums_twisted(etas, rng, counts, 300)
+    def rng():
+        return spawn_streams(22, 1)[0]
 
-    for etas in (a, b, a, None, b, None, a):
-        assert np.array_equal(draw(env, etas), draw(DiscreteFinite(*args), etas))
-    a[1] = 0.4  # A was drawn last: a stale table would serve the old tilt
-    assert np.array_equal(draw(env, a), draw(DiscreteFinite(*args), a))
-
-
-def test_discrete_tilt_memo_shared_by_threads_draws_each_threads_tilt():
-    # threads that share one instance and alternate two tilts each get their
-    # own tilt's draw: a table read back after another thread replaced the memo
-    # would draw the other tilt.  Storing the memo yields the interpreter, so
-    # another thread runs in that window
-    class YieldingStore(DiscreteFinite):
-        @property
-        def _memo(self):
-            return self.__dict__.get("memo")
-
-        @_memo.setter
-        def _memo(self, value):
-            self.__dict__["memo"] = value
-            time.sleep(1e-4)
-
-    args = ([0.5, 2.0, 3.0], [0.3, 0.3, 0.4])
-    env, counts = YieldingStore(*args), np.ones(40, np.int64)
-    tilts = [np.linspace(0.0, 0.5, 40), np.linspace(-2.0, 2.0, 40)]
-
-    def draw(e, etas):
-        return e.sample_block_sums_twisted(etas, spawn_streams(5, 1)[0], counts, 8)
-
-    want = [draw(DiscreteFinite(*args), etas) for etas in tilts]
-    bad = []
-
-    def work(k):
-        for i in range(100):
-            j = (i + k) % 2
-            if not np.array_equal(draw(env, tilts[j]), want[j]):
-                bad.append((k, i))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert bad == []
+    for env in FAMILIES + [DiscreteFinite([1.0, 0.0, 3.0], [0.3, 0.5, 0.2])]:
+        scale = min(1.0, env.theta_max)  # inside every family's MGF domain
+        for etas in (scale * a, scale * b, None, scale * a, None, scale * b):
+            for wk in (None, np.linspace(0.1, 0.9, 5)):
+                got = env.block_sampler(counts, etas, wk)(rng(), 300)
+                fresh = env_from_json(env.to_json()).block_sampler(counts, etas, wk)
+                assert np.array_equal(got, fresh(rng(), 300)), (env, etas, wk)
+                if etas is not None:
+                    one_call = env.sample_block_sums_twisted(etas, rng(), counts, 300, wk)
+                    assert np.array_equal(got, one_call)
+                elif wk is None:
+                    assert np.array_equal(got, env.sample_block_sums(rng(), counts, 300))
+        etas, wk = scale * a, np.linspace(0.1, 0.9, 5)
+        draw = env.block_sampler(counts, etas, wk)
+        want = env_from_json(env.to_json()).block_sampler(counts, etas.copy(), wk.copy())
+        etas[1], wk[1] = 0.4 * scale, 2.0
+        assert np.array_equal(draw(rng(), 300), want(rng(), 300)), env
+        fresh = env_from_json(env.to_json()).block_sampler(counts, etas, wk)
+        assert np.array_equal(env.block_sampler(counts, etas, wk)(rng(), 300), fresh(rng(), 300)), env
 
 
 def test_discrete_tilt_is_built_once_per_run(monkeypatch):
-    # every block of an IS run draws with the same etas: one tilt for all
+    # every block of an IS run draws with the same etas, from one prepared draw:
+    # one tilt for all
     env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
     built = []
     tilt = env._tilted_probs
     monkeypatch.setattr(env, "_tilted_probs", lambda etas: built.append(1) or tilt(etas))
-    etas = np.linspace(0.0, 0.3, 7)
-    for rng in spawn_streams(3, 4):
-        env.sample_block_sums_twisted(etas, rng, np.ones(7, np.int64), 50)
-    assert len(built) == 1
-    with pytest.raises(ValueError):  # the plain law's table reads them once
-        env.probs[0] = 0.25
+    for one_slot in (True, False):
+        counts = np.ones(7, np.int64) if one_slot else np.arange(1, 8)
+        draw = env.block_sampler(counts, np.linspace(0.0, 0.3, 7), np.linspace(0.1, 0.7, 7))
+        for rng in spawn_streams(3, 4):
+            draw(rng, 50)
+    assert len(built) == 2
 
 
 def test_gamma_block_sums_reproduce_numpy_gamma_bit_for_bit():

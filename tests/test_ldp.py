@@ -13,7 +13,15 @@ from scipy.special import logsumexp, spence
 from scipy.stats import poisson
 
 import coxq.sim
-from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime, spawn_streams
+from coxq.env import (
+    Deterministic,
+    DiscreteFinite,
+    EnvSpec,
+    Exponential,
+    Gamma,
+    ScalingRegime,
+    spawn_streams,
+)
 from coxq.errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from coxq.ldp import (
     _GL_NODES,
@@ -587,6 +595,36 @@ def test_is_spawns_one_stream_per_block(monkeypatch):
     query, theta, B = _is_shape(1.0, N)
     estimate_log_tail(query, N, R, 7, theta, 0.01)
     assert calls == [-(-R // B)]
+
+
+@pytest.mark.parametrize(
+    "env, alpha",
+    [(Exponential(1.0), 0.5), (DiscreteFinite([0.5, 2.0], [0.5, 0.5]), 0.5), (Deterministic(1.0), 2.0)],
+    ids=["exponential", "discrete", "deterministic"],
+)
+def test_is_prepares_its_draw_once_per_N_and_draws_once_per_drawn_block(monkeypatch, env, alpha):
+    # the ldp_slow, ldp_slow_discrete and ldp_fast shapes at two N: each run
+    # prepares one draw, which a random rate layer calls once per block and a
+    # constant one once
+    prepared, drawn = [], []
+    prepare = EnvSpec.block_sampler
+
+    def spy(self, *args):
+        draw = prepare(self, *args)
+        prepared.append(1)
+        return lambda rng, size: drawn.append(size) or draw(rng, size)
+
+    monkeypatch.setattr(EnvSpec, "block_sampler", spy)
+    R, a = 600, 1.5 if alpha < 1 else 2.0
+    query = q(env=env, alpha=alpha, t=5.0, a=a)
+    theta = (rate_slow(query) if alpha < 1 else rate_fast(query.rho_t, a)).theta_star
+    blocks = 0
+    for N in (200, 400):
+        B = block_rows(cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size)
+        blocks += 1 if env.variance == 0 else -(-R // B)
+        assert np.isfinite(_log_weights(query, N, R, 7, theta, 0.01)).any()
+    assert len(prepared) == 2
+    assert len(drawn) == blocks and blocks > (2 if env.variance else 1)
 
 
 # -- the count's conditional tail -------------------------------------------------
