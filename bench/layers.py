@@ -17,12 +17,21 @@ way ``bench/ldp_screen.py`` reads it):
 * ``_log_poisson_tail`` at 40,000 rates, the ldp_slow run's at N = 1600;
 * ``estimate_moments`` on the transient ``simulate`` trajectory, per
   replication;
-* ``rate_slow`` and ``rate_intermediate`` at the tail calls' queries.
+* ``rate_slow`` and ``rate_intermediate`` at the tail calls' queries;
+* both Monte Carlo engines per replication, each at W = 1 (``serial``) and at
+  the W that ``sim.block_workers`` gives here (``threaded``), with that W:
+  ``simulate`` at the clt, corr and fclt calls' shapes and the transient
+  ``simulate`` call's, and one ``ldp._log_weights`` at each tail call's
+  largest N.  ``simulate`` includes building its cell table, timed alone
+  beside it (``cell_table_us``): the block loop, where the thinning and
+  Poisson draws run, is the rest.  A checkout without ``block_workers``
+  runs every block serially, so there W reads 1.
 
 End to end, each ``configs/*.json`` runs through ``coxq.harness.run`` with no
-output directory.  The file is stamped with nproc, Python, numpy and the
-commit (``-dirty`` for a tree with changes not committed); compare files only
-from the same machine, and on a shared one only from interleaved runs.
+output directory.  The file is stamped with nproc, the CPUs and the most
+threads the block scheduler may use, Python, numpy and the commit (``-dirty``
+for a tree with changes not committed); compare files only from the same
+machine, and on a shared one only from interleaved runs.
 
     PYTHONPATH=src python bench/layers.py [--repeats 7] [--out BENCH_layers.json]
 """
@@ -30,6 +39,7 @@ from the same machine, and on a shared one only from interleaved runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -42,10 +52,11 @@ import time
 import numpy as np
 from ldp_screen import ROOT, load_workloads
 
-from coxq.analytic import QueueParams
+from coxq import sim
+from coxq.analytic import QueueParams, stationary_mean
 from coxq.env import ScalingRegime, env_from_json, spawn_streams
 from coxq.harness import ExperimentConfig, run
-from coxq.ldp import RateQuery, _log_poisson_tail, classify_regime, rate_intermediate, rate_slow
+from coxq.ldp import RateQuery, _log_poisson_tail, _log_weights, classify_regime, rate_intermediate, rate_slow
 from coxq.sim import _WARM_DECADES, SimConfig, block_rows, cell_table, estimate_moments, simulate
 
 SEED = 1  # the workload seed whose calls give the shapes
@@ -69,8 +80,35 @@ def stamp() -> dict:
                                 capture_output=True, text=True, timeout=10).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         commit = None
-    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+    return {"nproc": len(os.sched_getaffinity(0)), "block_cpus": getattr(sim, "_CPUS", 1),
+            "max_workers": getattr(sim, "_MAX_WORKERS", 1), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(), "commit": commit}
+
+
+@contextlib.contextmanager
+def serial():
+    """Every block on the calling thread, as on one CPU."""
+    saved = getattr(sim, "_CPUS", 1)
+    sim._CPUS = 1
+    try:
+        yield
+    finally:
+        sim._CPUS = saved
+
+
+def engine(out: dict, key: str, fn, reps: int, blocks: int, block_entries: int, repeats: int) -> None:
+    """fn, one engine run of reps replications in blocks of block_entries rate
+    draws, in us per replication at W = 1 and at this machine's W.  The two
+    alternate, so that a change in how much of a second CPU the machine gives
+    hits both alike."""
+    times = {"serial": [], "threaded": []}
+    for _ in range(repeats):
+        with serial():
+            times["serial"].append(median_s(fn, 1))
+        times["threaded"].append(median_s(fn, 1))
+    for label, seconds in times.items():
+        out[f"{key}.{label}_us_per_rep"] = 1e6 * statistics.median(seconds) / reps
+    out[f"{key}.workers"] = sim.block_workers(blocks, block_entries) if hasattr(sim, "block_workers") else 1
 
 
 def table_of(doc: dict, N: int, grid) -> tuple:
@@ -87,8 +125,9 @@ def warm_grid(doc: dict, N: int) -> tuple:
 
 
 def is_inputs(doc: dict, N: int):
-    """(query, counts, wk, etas, m) of the importance sampler's run at N, as
-    ldp._log_weights forms them."""
+    """(query, counts, wk, etas, m, theta*) of the importance sampler's run at N,
+    as ldp._log_weights forms them; theta* is 0 in the fast regime, which does not
+    tilt."""
     env, mu = env_from_json(doc["env"]), doc["queues"]["mu"][0]
     query = RateQuery(env=env, mu=mu, delta=doc["delta"], alpha=doc["alpha"], t=doc["t"], a=doc["a"])
     regime = classify_regime(query)
@@ -96,13 +135,14 @@ def is_inputs(doc: dict, N: int):
     counts = table.slots
     wk = table.weights[0][:, 0] / counts
     h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
+    theta, c = 0.0, 0.0
     if regime == "slow_unbounded":
-        c = rate_slow(query).theta_star / (-math.expm1(-mu * h) / mu)
+        theta = rate_slow(query).theta_star
+        c = theta / (-math.expm1(-mu * h) / mu)
     elif regime == "intermediate":
-        c = N * math.expm1(rate_intermediate(query).theta_star / doc["delta"])
-    else:
-        c = 0.0
-    return query, counts, wk, c * wk, math.ceil(N * doc["a"] - 1e-9)
+        theta = rate_intermediate(query).theta_star
+        c = N * math.expm1(theta / doc["delta"])
+    return query, counts, wk, c * wk, math.ceil(N * doc["a"] - 1e-9), theta
 
 
 def is_draw(env, counts, etas, weights):
@@ -140,7 +180,7 @@ def layers(repeats: int) -> dict:
     for name in ("ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
         doc = calls[name]
         for N in doc["N_grid"]:
-            query, counts, wk, etas, _ = is_inputs(doc, N)
+            query, counts, wk, etas, *_ = is_inputs(doc, N)
             env, rows, rng = query.env, block_rows(counts.size), spawn_streams(SEED, 1)[0]
             for label, weights in (("weights", wk), ("no_weights", None)):
                 key = f"twisted.{name}.N{N}.{label}"
@@ -156,7 +196,7 @@ def layers(repeats: int) -> dict:
 
     # the count's tail at 40,000 of the ldp_slow run's rates at its largest N
     N = slow["N_grid"][-1]
-    query, counts, wk, etas, m = is_inputs(slow, N)
+    query, counts, wk, etas, m, _ = is_inputs(slow, N)
     draw = is_draw(query.env, counts, etas, wk)
     rows = block_rows(counts.size)
     streams = spawn_streams(SEED, -(-40_000 // rows))
@@ -179,6 +219,42 @@ def layers(repeats: int) -> dict:
                        ("ldp_intermediate", rate_intermediate)):
         query = is_inputs(calls[name], calls[name]["N_grid"][0])[0]
         out[f"{rate.__name__}.{name}.ms"] = 1e3 * median_s(lambda: rate(query), repeats)
+
+    # the simulator at the shapes of the calls that simulate, as the harness runs
+    # them: clt and corr from empty to the stationary warm-up, fclt from the
+    # rounded stationary mean to its read time, the simulate call as written
+    fclt, transient = calls["fclt"], calls["simulate"]
+    fclt_env = env_from_json(fclt["env"])
+    shapes = [(name, N, warm_grid(calls[name], N), None)
+              for name in ("clt", "corr") for N in calls[name]["N_grid"]]
+    shapes += [("fclt", N, (fclt["t"],), tuple(round(N * stationary_mean(fclt_env, m)) for m in fclt["queues"]["mu"]))
+               for N in fclt["N_grid"]]
+    shapes.append(("simulate", transient["N_grid"][0], tuple(transient["grid"]),
+                   tuple(transient["initial_counts"])))
+    for name, N, grid, init in shapes:
+        doc = calls[name]
+        mu = tuple(doc["queues"]["mu"])
+        config = SimConfig(
+            env=env_from_json(doc["env"]), queues=QueueParams(mu),
+            scaling=ScalingRegime(N, doc["alpha"], doc["delta"]), grid=grid,
+            initial_counts=init or (0,) * len(mu), replications=doc["replications"], seed=doc["seed"],
+        )
+        table, rows = table_of(doc, N, grid)
+        key = f"simulate.{name}.N{N}"
+        out[f"{key}.cell_table_us"] = 1e6 * median_s(lambda: table_of(doc, N, grid), repeats)
+        engine(out, key, lambda: simulate(config), config.replications,
+               -(-config.replications // rows), rows * table.slots.size, repeats)
+
+    # the importance sampler's weights at each tail call's largest N
+    for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
+        doc = calls[name]
+        N, R = doc["N_grid"][-1], doc["replications"]
+        query, counts, *_, theta = is_inputs(doc, N)
+        rows = block_rows(counts.size)
+        blocks, size = (1, 1) if query.env.variance == 0 else (-(-R // rows), rows)
+        engine(out, f"_log_weights.{name}.N{N}",
+               lambda: _log_weights(query, N, R, doc["seed"], theta, doc.get("block_tol", 0.01)),
+               R, blocks, size * counts.size, repeats)
     return out
 
 

@@ -110,6 +110,14 @@ _SCHEMA = {
     "corr-check": _Schema(("block_tol",), (), {"corr_rel_tol": 0.10}),
 }
 KINDS = tuple(_SCHEMA)
+# Most N_grid entries: each is a whole Monte Carlo run within the simulator's and
+# the importance sampler's budgets, so their number multiplies the largest run
+# (every shipped config and benchmark call lists at most 4)
+_MAX_N_GRID = 32
+# Most grid times: each costs the cell table and every block of replications a
+# pass in Python (configs/simulate.json at R = 2 ran in 0.05, 0.27 and 0.82 s
+# with 100, 1000 and 3000 grid times on 2 vCPUs)
+_MAX_GRID = 1000
 _COMMON = ("kind", "env", "queues", "delta", "alpha", "N_grid", "replications", "seed", "tolerances")
 
 _PGF_Z_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -288,6 +296,11 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"{config.kind} needs {name}")
     if not config.N_grid:
         raise ConfigError("N_grid must be non-empty")
+    if len(config.N_grid) > _MAX_N_GRID:
+        raise ConfigError(
+            f"N_grid lists {len(config.N_grid)} entries; at most {_MAX_N_GRID}, "
+            "each a whole Monte Carlo run"
+        )
     if min(config.N_grid) < 1:
         raise ConfigError(f"N_grid entries must be positive integers, got {list(config.N_grid)}")
     if not config.delta > 0:  # else analytic refuses it as "mu and t must be positive"
@@ -319,6 +332,8 @@ def _validate(config: ExperimentConfig) -> None:
         )
         if config.grid and (min(config.grid) < 0 or max(config.grid) > horizon):
             raise ConfigError(f"grid times must lie in {span}")
+        if len(config.grid) > _MAX_GRID:
+            raise ConfigError(f"grid lists {len(config.grid)} times; simulate reads at most {_MAX_GRID}")
     if config.kind == "ldp-check" and len(config.N_grid) < 2:  # else the slope would read NaN
         raise ConfigError("ldp-check fits a slope over N_grid: it needs at least two entries")
     if config.kind in ("ldp-check", "clt-check", "corr-check"):

@@ -59,7 +59,14 @@ import numpy as np
 
 from .env import EnvSpec, ScalingRegime, log_sum_exp
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
-from .sim import _MAX_EXACT_INT, _check_replications, block_rows, cell_table, replication_blocks
+from .sim import (
+    _MAX_EXACT_INT,
+    _check_replications,
+    block_rows,
+    cell_table,
+    replication_blocks,
+    run_blocks,
+)
 
 __all__ = [
     "RateQuery",
@@ -472,7 +479,9 @@ def estimate_log_tail(
     # Var(W)/P^2 = R sum w^2/(sum w)^2 - 1 with w = W/max W in (0, 1]: equal
     # weights (a constant rate layer) give exactly 0
     w = np.exp(finite - finite.max())
-    rel_var = replications * float(w @ w) / float(w.sum()) ** 2 - 1.0
+    # np.square(w).sum(), not w @ w: BLAS splits a dot product across its threads,
+    # so its bits would depend on the BLAS thread count
+    rel_var = replications * float(np.square(w).sum()) / float(w.sum()) ** 2 - 1.0
     return log_mean, math.sqrt(max(rel_var, 0.0) / replications)
 
 
@@ -531,7 +540,7 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     _, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
     size = 1 if constant else rows
     draw = env.block_sampler(counts, etas, wk)  # prepared once: each block only draws
-    kappa = np.concatenate([draw(rng, size) for rng in streams])
+    kappa = np.concatenate(run_blocks(lambda b, rng: draw(rng, size), streams, size * counts.size))
     # one tail call for the whole run: its cost is mostly per call, not per row
     try:
         tail = _log_poisson_tail(m, N * kappa)

@@ -50,11 +50,20 @@ Every block is drawn in full and the output is cut to R rows, so replication
 r depends only on (seed, r): results are bit-identical across runs and
 across any block-level execution schedule, and a run with fewer replications
 is a prefix of a longer one at any R.  R > 2^24 is refused before any draw.
+
+Both engines run their blocks through ``run_blocks``, concurrently on up to
+W = min(CPUs, blocks, _BLOCK_DRAW // (B x cells), 8) threads, the caller
+included, so the rate draws in flight stay within one block's 2 MB budget.
+numpy's generators release the interpreter lock while they fill, and each
+block writes only its own rows, so the output bytes are those of the serial
+loop that one CPU runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +77,8 @@ __all__ = [
     "cell_table",
     "block_rows",
     "replication_blocks",
+    "block_workers",
+    "run_blocks",
     "SimConfig",
     "Trajectory",
     "MomentReport",
@@ -107,6 +118,11 @@ _MAX_EXACT_INT = 2**53
 # array of at most _BLOCK_DRAW entries (2 MB), and has at most _MAX_BLOCK_ROWS rows.
 _BLOCK_DRAW = 2**18
 _MAX_BLOCK_ROWS = 256
+# CPUs this process may run on, read once at import; run_blocks uses at most this
+# many threads, and at most _MAX_WORKERS, which bounds the threads' stacks and
+# allocator arenas under an address-space limit.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -388,6 +404,61 @@ def replication_blocks(seed: int, replications: int, n_cells: int) -> tuple[int,
     return rows, spawn_streams(seed, -(-replications // rows))
 
 
+def block_workers(blocks: int, block_entries: int) -> int:
+    """Threads for ``blocks`` blocks of ``block_entries`` rate draws each: at most
+    one per CPU and one per block, at most _BLOCK_DRAW entries in flight, at most
+    _MAX_WORKERS, and at least one."""
+    return max(1, min(_CPUS, blocks, _BLOCK_DRAW // max(block_entries, 1), _MAX_WORKERS))
+
+
+def run_blocks(fn, streams: list, block_entries: int) -> list:
+    """[fn(b, streams[b]) for every block b], in block order, on block_workers threads.
+
+    The calling thread takes blocks too; with one worker the loop is plain and
+    serial.  Block b reads only its own stream, so the results do not depend on
+    which thread ran which block.  fn may only draw and call numpy: numpy's
+    generators release the interpreter lock while they fill, which is where
+    the threads overlap.  If a block raises, no thread starts another block,
+    every thread is joined, and the first exception is raised here.
+    """
+    workers = block_workers(len(streams), block_entries)
+    if workers == 1:
+        return [fn(b, rng) for b, rng in enumerate(streams)]
+    results = [None] * len(streams)
+    errors = []
+    lock = threading.Lock()
+    todo = enumerate(streams)
+
+    def work():
+        while True:
+            with lock:
+                item = None if errors else next(todo, None)
+            if item is None:
+                return
+            try:
+                results[item[0]] = fn(*item)
+            except BaseException as exc:  # raised again below, once every thread is joined
+                with lock:
+                    errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work, name="coxq-block")
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the started ones and this one do the rest
+                break
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def simulate(config: SimConfig) -> Trajectory:
     """Simulate the coupled queues; exact in law given the documented blocking."""
     expected = config.scaling.N * config.env.mean * config.grid[-1] * config.replications
@@ -413,13 +484,16 @@ def simulate(config: SimConfig) -> Trajectory:
     # alive pattern (bitmask - 1) -> the queues it counts in
     member = np.array([[mask >> i & 1 for i in range(d)] for mask in range(1, 2**d)])
 
+    initial = np.asarray(config.initial_counts, dtype=np.int64)
     rows, streams = replication_blocks(config.seed, config.replications, table.slots.size)
     counts = np.empty((len(streams) * rows, len(config.grid), d), dtype=np.int64)
-    for b, rng in enumerate(streams):
+    draw = config.env.block_sampler(table.slots)  # prepared once: each block only draws
+
+    def block(b, rng):  # fills replications b*rows .. (b+1)*rows - 1 of counts
         # realized environment: the average slot rate of every cell, one row per replication
-        ravg = config.env.sample_block_sums(rng, table.slots, rows)
+        ravg = draw(rng, rows)
         ravg /= table.slots
-        q = np.tile(np.asarray(config.initial_counts, dtype=np.int64), (rows, 1))
+        q = np.tile(initial, (rows, 1))
         out = counts[b * rows : (b + 1) * rows]
         for g, (cells, cat_w) in enumerate(zip(table.cells, table.weights)):
             # every job alive in queue i survives the gap there independently
@@ -430,8 +504,8 @@ def simulate(config: SimConfig) -> Trajectory:
             if cat_w.shape[0]:
                 q += rng.poisson(N * (ravg[:, cells] @ cat_w)) @ member
             out[:, g] = q
-        del ravg  # so the next block's draw is not made while this one is held
 
+    run_blocks(block, streams, rows * table.slots.size)
     return Trajectory(times=np.asarray(config.grid), counts=counts[: config.replications])
 
 

@@ -70,11 +70,11 @@ def test_traced_calls_exit_0_with_every_counter_filled(bench_run, tmp_path, caps
             cfg = tmp_path / f"{kind}.json"
             cfg.write_text(json.dumps(doc))
             codes[kind] = coxq.cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
-        # the importance sampler draws through a prepared sampler, which no hook
-        # wraps, so the twisted-draw counter is reached by a direct call
-        coxq.env.Exponential(1.0).sample_block_sums_twisted(
-            [0.0, 0.5], coxq.env.spawn_streams(1, 1)[0], [1, 3], 4, weights=[1.0, 1.0]
-        )
+        # both engines draw through a prepared sampler, which no hook wraps, so
+        # the block-sum counters are reached by direct calls
+        rng = coxq.env.spawn_streams(1, 1)[0]
+        coxq.env.Exponential(1.0).sample_block_sums(rng, [1, 3], 4)
+        coxq.env.Exponential(1.0).sample_block_sums_twisted([0.0, 0.5], rng, [1, 3], 4, weights=[1.0, 1.0])
     finally:
         tracer.unpatch()
     capsys.readouterr()
@@ -90,6 +90,33 @@ def test_traced_calls_exit_0_with_every_counter_filled(bench_run, tmp_path, caps
     for name, key in (("env.spawn_streams", "streams"), ("env.sample_block_sums", "cells"),
                       ("env.sample_block_sums_twisted", "draws")):
         assert spans[name] and all(c[key] > 0 for c in spans[name]), name
+
+
+def test_traced_multi_block_clt_check_on_two_threads_exits_0(bench_run, tmp_path, monkeypatch, capsys):
+    # the tracer keeps one stack of open spans for the whole process, so a hooked
+    # name called from a block's worker thread would close a span out of order
+    monkeypatch.setattr(coxq.sim, "_CPUS", 2)
+    doc = {**json.loads((CONFIGS / "clt.json").read_text()), "replications": 2000}
+    for N in doc["N_grid"]:
+        h = coxq.env.ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
+        cells = coxq.sim.cell_table((1.0,), h, (40.0,), 0.01).slots.size
+        rows = coxq.sim.block_rows(cells)
+        assert coxq.sim.block_workers(-(-doc["replications"] // rows), rows * cells) == 2
+    cfg = tmp_path / "clt.json"
+    cfg.write_text(json.dumps(doc))
+    tracer = bench_run.Tracer()
+    bench_run.instrument(tracer, coxq)
+    try:
+        idx = tracer.open("cli.main")
+        try:
+            code = coxq.cli.main(["clt-check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        finally:
+            tracer.close(idx)
+    finally:
+        tracer.unpatch()
+    capsys.readouterr()
+    assert code == 0
+    assert [span.counts for span in tracer.spans if span.name == "sim.simulate"] == [{"reps": 2000}] * 2
 
 
 def test_harness_binds_the_ldp_functions_the_benchmark_wraps():

@@ -208,6 +208,23 @@ def test_report_config_echo_reads_back(monkeypatch, doc):
 
 
 
+@pytest.mark.parametrize("stem", ["simulate", "clt", "ldp_fast"])
+def test_grid_and_N_grid_take_up_to_their_bounds(monkeypatch, stem):
+    # validation admits _MAX_GRID grid times and _MAX_N_GRID system sizes and
+    # refuses one more, naming the field; the runner is stubbed
+    doc = json.loads(next(p for p in CONFIGS if p.stem == stem).read_text())
+    monkeypatch.setitem(harness._RUNNERS, doc["kind"], lambda config, out_dir: ([], []))
+    if stem == "simulate":
+        bound, field = harness._MAX_GRID, "grid"
+        lists = {n: {"grid": [3.0 * (k + 1) / n for k in range(n)]} for n in (bound, bound + 1)}
+    else:
+        bound, field = harness._MAX_N_GRID, "N_grid"
+        lists = {n: {"N_grid": [doc["N_grid"][0] + k for k in range(n)]} for n in (bound, bound + 1)}
+    harness.run(ExperimentConfig.from_json({**doc, **lists[bound]}))
+    with pytest.raises(coxq.ConfigError, match=f"^{field} lists {bound + 1} "):
+        harness.run(ExperimentConfig.from_json({**doc, **lists[bound + 1]}))
+
+
 @pytest.mark.parametrize("stem", ["simulate", "fclt"])
 def test_simulate_and_fclt_check_take_up_to_the_queue_bound(monkeypatch, stem):
     # validation admits _MAX_QUEUES queues and refuses one more, naming mu;
@@ -364,6 +381,14 @@ REFUSED = {
         "simulate", {"queues": {"mu": [1.0] * 40}, "initial_counts": [0] * 40}, "mu"
     ),
     "fclt-13-queues": ("fclt", {"queues": {"mu": [1.0] * 13}}, "mu"),
+    # long lists: each grid time costs a pass in Python per block (a 10^5-point
+    # grid ran configs/simulate.json at R = 2 for 25 s), and each N_grid entry
+    # is a whole Monte Carlo run
+    "simulate-grid-10^5": (
+        "simulate", {"grid": [3.0 * (k + 1) / 10**5 for k in range(10**5)]}, "grid lists 100000"
+    ),
+    "clt-N_grid-10^4": ("clt", {"N_grid": list(range(500, 10_500))}, "N_grid lists 10000"),
+    "ldp_fast-N_grid-10^4": ("ldp_fast", {"N_grid": list(range(50, 10_050))}, "N_grid lists 10000"),
     # 4*10^6 one-slot cells of 8 queues: 1.0e9 alive-pattern weights (7.6 GiB),
     # far past the weight budget, which refuses them before allocating any
     "simulate-8-queues-4e6-cells": (

@@ -10,6 +10,9 @@ library's erfc and lgamma, which clt-check and ldp-check read through
 was made with; under other versions the check is skipped with both sets
 named in the reason, never passed.
 
+The bytes must not depend on the BLAS thread count either: the last test runs
+two configs in child processes at one and at two BLAS threads.
+
 After a change that alters output bytes on purpose, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,7 +23,9 @@ and say in CHANGES.md which bytes changed and why.
 import hashlib
 import importlib.util
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,6 +34,7 @@ import numpy as np
 import pytest
 import scipy
 
+import coxq
 from coxq.cli import main as cli_main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -99,6 +105,38 @@ def test_shipped_config_exit_code_and_output_bytes(config, tmp_path):
 @pytest.mark.parametrize("name", sorted(BENCH))
 def test_benchmark_call_exit_code_and_output_bytes(name, tmp_path):
     assert bench_outputs(name, tmp_path) == golden_for_these_versions()["bench"][name]
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, which changes its
+    # bits; the importance sampler's weights (ldp_slow) and the simulator's
+    # rate-by-weight products (fclt) must not go through such a reduction
+    src = str(Path(coxq.__file__).parents[1])
+    runs = {}
+    for stem in ("ldp_slow", "fclt"):
+        config = ROOT / "configs" / f"{stem}.json"
+        kind = json.loads(config.read_text())["kind"]
+        for threads in ("1", "2"):
+            out = tmp_path / f"{stem}-{threads}"
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            runs[stem, threads] = out, subprocess.Popen(
+                [sys.executable, "-m", "coxq.cli", kind, "--config", str(config), "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+            )
+    hashes = {}
+    try:
+        for key, (out, proc) in runs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode in (0, 1), err
+            hashes[key] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    finally:
+        for _, proc in runs.values():
+            proc.kill()
+            proc.wait()
+    for stem in ("ldp_slow", "fclt"):
+        assert hashes[stem, "1"] == hashes[stem, "2"], stem
+        assert "report.json" in hashes[stem, "1"]
 
 
 if __name__ == "__main__":

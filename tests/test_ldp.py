@@ -627,6 +627,29 @@ def test_is_prepares_its_draw_once_per_N_and_draws_once_per_drawn_block(monkeypa
     assert len(drawn) == blocks and blocks > (2 if env.variance else 1)
 
 
+@pytest.mark.parametrize(
+    "env, alpha",
+    [(Exponential(1.0), 0.5), (DiscreteFinite([0.5, 2.0], [0.5, 0.5]), 0.5), (Deterministic(1.0), 2.0)],
+    ids=["exponential", "discrete", "deterministic"],
+)
+def test_is_weights_do_not_depend_on_the_thread_count(monkeypatch, env, alpha):
+    # the ldp_slow, ldp_slow_discrete and ldp_fast shapes at N = 1600, with an R
+    # that ends inside the 5th block; a constant layer draws one block either way
+    a = 1.5 if alpha < 1 else 2.0
+    query = q(env=env, alpha=alpha, t=5.0, a=a)
+    theta = (rate_slow(query) if alpha < 1 else rate_fast(query.rho_t, a)).theta_star
+    N = 1600
+    cells = cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size
+    B = block_rows(cells)
+    R = 4 * B + 7
+    monkeypatch.setattr(coxq.sim, "_CPUS", 1)
+    serial = _log_weights(query, N, R, 7, theta, 0.01)
+    monkeypatch.setattr(coxq.sim, "_CPUS", 4)
+    assert coxq.sim.block_workers(5, B * cells) == 4
+    np.testing.assert_array_equal(_log_weights(query, N, R, 7, theta, 0.01), serial)
+    assert np.isfinite(serial).any()
+
+
 # -- the count's conditional tail -------------------------------------------------
 
 

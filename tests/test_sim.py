@@ -3,6 +3,9 @@
 import itertools
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -294,6 +297,107 @@ def test_block_contract_any_replication_count_is_a_prefix():
     assert np.array_equal(part[2 * B :], full[2 * B : 2 * B + 3])
     # blocks draw from distinct streams
     assert not np.array_equal(full[:B], full[B : 2 * B])
+
+
+# -- the block scheduler: threads change no byte ----------------------------------
+
+
+def _workers(config) -> int:
+    """The threads simulate runs config's blocks on."""
+    n_cells = cell_table(config.queues.mu, config.scaling.delta_n, config.grid, config.block_tol).slots.size
+    rows = block_rows(n_cells)
+    return sim.block_workers(-(-config.replications // rows), rows * n_cells)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # d = 3 in exact per-slot mode on a 40-point grid: 57 cells, 6 blocks of 256 rows
+        make_config(queues=QueueParams((1.0, 2.0, 0.5)), scaling=ScalingRegime(200, 0.5, 1.0),
+                    grid=tuple(round(0.1 * k, 10) for k in range(1, 41)), initial_counts=(150, 60, 300),
+                    replications=1500, seed=11),
+        # d = 2 blocked over the stationary warm-up: 127 cells, 8 blocks of 256 rows
+        make_config(queues=QueueParams((1.0, 2.0)), scaling=ScalingRegime(2000, 2.0, 1.0),
+                    grid=(40.0,), initial_counts=(0, 0), block_tol=0.03, replications=2048, seed=12),
+        # 100 one-slot cells, a grid time inside a slot; R ends 3 rows into the 5th block
+        make_config(scaling=ScalingRegime(50, 1.0, 1.0), grid=(0.5, 1.23456, 2.0),
+                    initial_counts=(4,), block_tol=0.0, replications=4 * 256 + 3, seed=13),
+    ],
+    ids=["transient-exact-d3", "stationary-blocked-d2", "mid-block"],
+)
+def test_simulate_bytes_do_not_depend_on_the_thread_count(monkeypatch, config):
+    monkeypatch.setattr(sim, "_CPUS", 1)
+    assert _workers(config) == 1
+    serial = simulate(config).counts
+    monkeypatch.setattr(sim, "_CPUS", 4)
+    assert _workers(config) == 4
+    np.testing.assert_array_equal(simulate(config).counts, serial)
+
+
+def test_a_raising_block_raises_in_the_caller_after_every_thread_stops(monkeypatch):
+    monkeypatch.setattr(sim, "_CPUS", 4)
+    streams = sim.spawn_streams(1, 16)
+    boom = ValueError("block 5")
+    ran = []
+
+    def fn(b, rng):
+        ran.append(b)
+        if b == 5:
+            raise boom
+        time.sleep(0.01)  # the other blocks are still running when block 5 raises
+        return rng.random(8)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        sim.run_blocks(fn, streams, 8)
+    assert info.value is boom
+    assert threading.active_count() == before
+    assert 5 in ran and len(ran) < 16  # once a block raises, no thread takes another
+    # and without a raise, the results come back in block order
+    results = sim.run_blocks(lambda b, rng: (b, rng.random()), sim.spawn_streams(1, 16), 8)
+    assert [b for b, _ in results] == list(range(16))
+    assert [x for _, x in results] == [rng.random() for rng in sim.spawn_streams(1, 16)]
+    assert threading.active_count() == before
+
+
+def test_every_block_runs_once_under_forced_thread_switches(monkeypatch):
+    # 8 threads on fewer CPUs, switching every microsecond: a block taken twice
+    # or never, or a result stored in the wrong slot, breaks the equalities
+    monkeypatch.setattr(sim, "_CPUS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran = []
+        results = sim.run_blocks(lambda b, rng: ran.append(b) or b, [None] * 2000, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(2000))
+    assert sorted(ran) == list(range(2000))
+
+
+def test_blocks_run_on_the_caller_when_no_thread_can_start(monkeypatch):
+    monkeypatch.setattr(sim, "_CPUS", 4)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    results = sim.run_blocks(lambda b, rng: (threading.current_thread().name, rng.random()),
+                             sim.spawn_streams(2, 6), 8)
+    assert results == [(threading.current_thread().name, rng.random()) for rng in sim.spawn_streams(2, 6)]
+
+
+def test_block_workers_respects_every_cap(monkeypatch):
+    monkeypatch.setattr(sim, "_CPUS", 64)
+    assert sim.block_workers(100, 1) == sim._MAX_WORKERS == 8  # the fixed cap
+    assert sim.block_workers(3, 1) == 3  # one per block
+    assert sim.block_workers(100, sim._BLOCK_DRAW // 5) == 5  # _BLOCK_DRAW entries in flight
+    assert sim.block_workers(100, sim._BLOCK_DRAW) == 1
+    assert sim.block_workers(1, 1) == 1
+    monkeypatch.setattr(sim, "_CPUS", 2)
+    assert sim.block_workers(100, 1) == 2  # one per CPU
+    monkeypatch.setattr(sim, "_CPUS", 1)
+    assert sim.block_workers(100, 1) == 1
 
 
 @pytest.mark.parametrize(
