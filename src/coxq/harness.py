@@ -110,14 +110,17 @@ _SCHEMA = {
     "corr-check": _Schema(("block_tol",), (), {"corr_rel_tol": 0.10}),
 }
 KINDS = tuple(_SCHEMA)
-# Most N_grid entries: each is a whole Monte Carlo run within the simulator's and
-# the importance sampler's budgets, so their number multiplies the largest run
-# (every shipped config and benchmark call lists at most 4)
-_MAX_N_GRID = 32
-# Most grid times: each costs the cell table and every block of replications a
-# pass in Python (configs/simulate.json at R = 2 ran in 0.05, 0.27 and 0.82 s
-# with 100, 1000 and 3000 grid times on 2 vCPUs)
-_MAX_GRID = 1000
+# Each bound on a list's length sits at the longest list measured to run in under
+# 10 s (2 vCPUs, one BLAS thread); cost grew linearly in the length, memory did not
+# (N_grid) or stayed within 250 MB (grid).
+# Most N_grid entries, each a whole Monte Carlo run: configs/clt.json with 32, 128
+# and 512 system sizes from N = 500 ran 2.3, 9.2 and 35 s at 39 MB
+_MAX_N_GRID = 128
+# Most grid times, each a pass in Python per block of replications:
+# configs/simulate.json (one block) with 10^3, 10^4 and 3*10^4 grid times ran 0.5,
+# 4.0 and 13.4 s at 44, 112 and 244 MB; 10^4 times at R = 800, the most the output
+# budget admits at d = 2, ran 10.6 s at 246 MB
+_MAX_GRID = 10**4
 _COMMON = ("kind", "env", "queues", "delta", "alpha", "N_grid", "replications", "seed", "tolerances")
 
 _PGF_Z_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -119,8 +119,10 @@ _MAX_EXACT_INT = 2**53
 _BLOCK_DRAW = 2**18
 _MAX_BLOCK_ROWS = 256
 # CPUs this process may run on, read once at import; run_blocks uses at most this
-# many threads, and at most _MAX_WORKERS, which bounds the threads' stacks and
-# allocator arenas under an address-space limit.
+# many threads, and at most _MAX_WORKERS.  Only 1 and 2 threads were timed (on 2
+# vCPUs); whether more pay is unmeasured.  The cap bounds the threads' stacks and
+# allocator arenas: configs/ldp_slow.json on 8 threads runs within a 3 GiB
+# address-space limit (tests/test_config_schema.py).
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MAX_WORKERS = 8
 
@@ -414,16 +416,14 @@ def block_workers(blocks: int, block_entries: int) -> int:
 def run_blocks(fn, streams: list, block_entries: int) -> list:
     """[fn(b, streams[b]) for every block b], in block order, on block_workers threads.
 
-    The calling thread takes blocks too; with one worker the loop is plain and
-    serial.  Block b reads only its own stream, so the results do not depend on
-    which thread ran which block.  fn may only draw and call numpy: numpy's
-    generators release the interpreter lock while they fill, which is where
-    the threads overlap.  If a block raises, no thread starts another block,
-    every thread is joined, and the first exception is raised here.
+    The calling thread takes blocks too, so with one worker it runs them all in
+    order and starts no thread.  Block b reads only its own stream, so the
+    results do not depend on which thread ran which block.  fn may only draw and
+    call numpy: numpy's generators release the interpreter lock while they fill,
+    which is where the threads overlap.  If a block raises, no thread starts
+    another block, every thread is joined, and the first exception is raised here.
     """
     workers = block_workers(len(streams), block_entries)
-    if workers == 1:
-        return [fn(b, rng) for b, rng in enumerate(streams)]
     results = [None] * len(streams)
     errors = []
     lock = threading.Lock()

@@ -247,9 +247,10 @@ CHILD_ADDRESS_SPACE = 3 * 2**30
 CHILD_TIMEOUT_S = 60
 
 
-def start_child(kind, doc, work):
+def start_child(kind, doc, work, cpus=None):
     """``coxq <kind>`` on doc in a child process under CHILD_ADDRESS_SPACE bytes
-    of address space, writing into work/out."""
+    of address space, writing into work/out; with cpus, the block scheduler
+    takes that many CPUs as given."""
     cfg = work / "cfg.json"
     cfg.write_text(json.dumps(doc))
 
@@ -259,10 +260,38 @@ def start_child(kind, doc, work):
     src = str(Path(coxq.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    cli = ["-m", "coxq.cli"]
+    if cpus is not None:
+        cli = ["-c", f"import sys, coxq.sim; coxq.sim._CPUS = {cpus}; "
+                     "from coxq.cli import main; sys.exit(main(sys.argv[1:]))"]
     return subprocess.Popen(
-        [sys.executable, "-m", "coxq.cli", kind, "--config", str(cfg), "--out", str(work / "out")],
+        [sys.executable, *cli, kind, "--config", str(cfg), "--out", str(work / "out")],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, preexec_fn=limit, env=env,
     )
+
+
+def test_ldp_slow_on_eight_threads_runs_within_the_address_space(tmp_path):
+    # at N = 200 and 400 the importance sampler's 157 blocks take
+    # block_workers' cap of 8 threads when 8 CPUs are given; their stacks and
+    # allocator arenas fit under CHILD_ADDRESS_SPACE, and the bytes are those
+    # of one thread
+    doc = json.loads(next(p for p in CONFIGS if p.stem == "ldp_slow").read_text())
+    runs = {}
+    for cpus in (8, 1):
+        work = tmp_path / f"cpus-{cpus}"
+        work.mkdir()
+        runs[cpus] = start_child(doc["kind"], doc, work, cpus), work
+    written = {}
+    try:
+        for cpus, (proc, work) in runs.items():
+            _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+            assert proc.returncode == 0, err
+            written[cpus] = {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+    finally:
+        for proc, _ in runs.values():
+            proc.kill()
+            proc.wait()
+    assert "report.json" in written[8] and written[8] == written[1]
 
 
 @pytest.fixture(scope="module")
