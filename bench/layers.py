@@ -14,7 +14,9 @@ way ``bench/ldp_screen.py`` reads it):
   preparation per run.  A checkout without ``block_sampler`` draws every
   block through the one call, so there the two per-block lines read the same
   and the preparation about 0;
-* ``_log_poisson_tail`` at 40,000 rates, the ldp_slow run's at N = 1600;
+* ``_log_poisson_tail`` at every tail call's (m, R): the count's tail of
+  each N's R rates (one rate for a constant layer), the stage that the
+  importance sampler's pipeline runs while the next N's blocks draw;
 * ``estimate_moments`` on the transient ``simulate`` trajectory, per
   replication;
 * ``rate_slow`` and ``rate_intermediate`` at the tail calls' queries;
@@ -22,16 +24,21 @@ way ``bench/ldp_screen.py`` reads it):
   the W that ``sim.block_workers`` gives here (``threaded``), with that W:
   ``simulate`` at the clt, corr and fclt calls' shapes and the transient
   ``simulate`` call's, and one ``ldp._log_weights`` at each tail call's
-  largest N.  ``simulate`` includes building its cell table, timed alone
-  beside it (``cell_table_us``): the block loop, where the thinning and
-  Poisson draws run, is the rest.  A checkout without ``block_workers``
-  runs every block serially, so there W reads 1.
+  largest N, and ``estimate_log_tails`` over each tail call's whole N grid
+  (``workers`` the most W of its N).  ``simulate`` includes building its cell
+  table, timed alone beside it (``cell_table_us``): the block loop, where the
+  thinning and Poisson draws run, is the rest.  A checkout without
+  ``block_workers`` runs every block serially, so there W reads 1, and one
+  without ``estimate_log_tails`` runs the grid as a loop of
+  ``estimate_log_tail``.
 
 End to end, each ``configs/*.json`` runs through ``coxq.harness.run`` with no
-output directory.  The file is stamped with nproc, the CPUs and the most
-threads the block scheduler may use, Python, numpy and the commit (``-dirty``
-for a tree with changes not committed); compare files only from the same
-machine, and on a shared one only from interleaved runs.
+output directory, and once more through the CLI in a fresh process per
+repeat, whose peak RSS (the median over repeats) is ``max_rss_mb``.  The
+file is stamped with nproc, the CPUs and the most threads the block
+scheduler may use, Python, numpy and the commit (``-dirty`` for a tree with
+changes not committed); compare files only from the same machine, and on a
+shared one only from interleaved runs.
 
     PYTHONPATH=src python bench/layers.py [--repeats 7] [--out BENCH_layers.json]
 """
@@ -47,12 +54,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 from ldp_screen import ROOT, load_workloads
 
-from coxq import sim
+from coxq import ldp, sim
 from coxq.analytic import QueueParams, stationary_mean
 from coxq.env import ScalingRegime, env_from_json, spawn_streams
 from coxq.harness import ExperimentConfig, run
@@ -108,7 +116,12 @@ def engine(out: dict, key: str, fn, reps: int, blocks: int, block_entries: int, 
         times["threaded"].append(median_s(fn, 1))
     for label, seconds in times.items():
         out[f"{key}.{label}_us_per_rep"] = 1e6 * statistics.median(seconds) / reps
-    out[f"{key}.workers"] = sim.block_workers(blocks, block_entries) if hasattr(sim, "block_workers") else 1
+    out[f"{key}.workers"] = workers(blocks, block_entries)
+
+
+def workers(blocks: int, block_entries: int) -> int:
+    """The threads the block scheduler takes here; 1 on a checkout without it."""
+    return sim.block_workers(blocks, block_entries) if hasattr(sim, "block_workers") else 1
 
 
 def table_of(doc: dict, N: int, grid) -> tuple:
@@ -194,15 +207,19 @@ def layers(repeats: int) -> dict:
                     lambda: is_draw(env, counts, etas, weights), repeats, 20)
             out[f"twisted.{name}.N{N}.rows_x_cells"] = [rows, int(counts.size)]
 
-    # the count's tail at 40,000 of the ldp_slow run's rates at its largest N
-    N = slow["N_grid"][-1]
-    query, counts, wk, etas, m, _ = is_inputs(slow, N)
-    draw = is_draw(query.env, counts, etas, wk)
-    rows = block_rows(counts.size)
-    streams = spawn_streams(SEED, -(-40_000 // rows))
-    lam = N * np.concatenate([draw(rng, rows) for rng in streams])[:40_000]
-    out["_log_poisson_tail.ldp_slow.40000_rates.ms"] = 1e3 * median_s(
-        lambda: _log_poisson_tail(m, lam), repeats)
+    # the count's tail at each tail call's (m, R): R of its rates at each N, one
+    # for a constant rate layer, as the importance sampler weighs them
+    for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
+        doc = calls[name]
+        for N in doc["N_grid"]:
+            query, counts, wk, etas, m, _ = is_inputs(doc, N)
+            size = 1 if query.env.variance == 0 else doc["replications"]
+            draw = is_draw(query.env, counts, etas, wk)
+            rows = block_rows(counts.size)
+            streams = spawn_streams(SEED, -(-size // rows))
+            lam = N * np.concatenate([draw(rng, rows) for rng in streams])[:size]
+            out[f"_log_poisson_tail.{name}.N{N}.ms"] = 1e3 * median_s(
+                lambda: _log_poisson_tail(m, lam), repeats)
 
     # estimate_moments on the transient simulate call's trajectory
     doc = calls["simulate"]
@@ -255,7 +272,52 @@ def layers(repeats: int) -> dict:
         engine(out, f"_log_weights.{name}.N{N}",
                lambda: _log_weights(query, N, R, doc["seed"], theta, doc.get("block_tol", 0.01)),
                R, blocks, size * counts.size, repeats)
+
+    # the importance sampler over each tail call's whole N grid, per replication of
+    # every N; workers is the most W of its N
+    for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
+        doc = calls[name]
+        R, tol = doc["replications"], doc.get("block_tol", 0.01)
+        points = [(N, 1000 + N) for N in doc["N_grid"]]
+        query, *_, theta = is_inputs(doc, points[0][0])
+        shapes = []  # (blocks, rate draws per block) at each N
+        for N, _ in points:
+            cells = is_inputs(doc, N)[1].size
+            rows = block_rows(cells)
+            shapes.append((1, cells) if query.env.variance == 0 else (-(-R // rows), rows * cells))
+        blocks, entries = max(shapes, key=lambda shape: workers(*shape))
+        engine(out, f"estimate_log_tails.{name}", lambda: grid_tails(query, points, R, theta, tol),
+               R * len(points), blocks, entries, repeats)
     return out
+
+
+def grid_tails(query, points, R, theta, block_tol):
+    """The importance sampler over an N grid: ``estimate_log_tails``, or a loop of
+    ``estimate_log_tail`` on a checkout without it."""
+    if hasattr(ldp, "estimate_log_tails"):
+        return ldp.estimate_log_tails(query, points, R, theta, block_tol)
+    return [ldp.estimate_log_tail(query, N, R, seed, theta, block_tol) for N, seed in points]
+
+
+# a fresh interpreter runs one CLI call and prints its own peak RSS in KiB last:
+# VmHWM, since Linux carries ru_maxrss over from the forking process through exec
+RSS_PROBE = ("import sys; from coxq.cli import main; code = main(sys.argv[1:]); "
+             "print(next(line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('VmHWM:'))); sys.exit(code)")
+
+
+def fresh_max_rss_mb(config, path, repeats: int) -> float:
+    """Median peak RSS in MB of ``coxq <kind> --config path`` in a fresh process."""
+    peaks = []
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as out:
+            proc = subprocess.run([sys.executable, "-c", RSS_PROBE, config.kind, "--config", str(path),
+                                   "--out", out], env=env, capture_output=True, text=True, timeout=600)
+        if proc.returncode not in (0, 1):  # 1: a criterion failed, the run completed
+            raise RuntimeError(f"{path.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)
+    return statistics.median(peaks)
 
 
 def end_to_end(repeats: int) -> dict:
@@ -263,6 +325,7 @@ def end_to_end(repeats: int) -> dict:
     for path in sorted(ROOT.glob("configs/*.json")):
         config = ExperimentConfig.from_json(json.loads(path.read_text()))
         out[f"harness.run.{path.stem}.s"] = median_s(lambda: run(config), repeats)
+        out[f"harness.run.{path.stem}.max_rss_mb"] = fresh_max_rss_mb(config, path, repeats)
     return out
 
 

@@ -49,6 +49,7 @@ from .ldp import (
     RateResult,
     classify_regime,
     estimate_log_tail,
+    estimate_log_tails,
     integrated_log_mgf,
     rate_fast,
     rate_intermediate,

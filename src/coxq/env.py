@@ -44,6 +44,8 @@ temporaries that are small next to it:
   cells of ascending values reduce the uniforms u through the cuts:
   v_0 sum(w) + sum_j (v_(j+1) - v_j) ((u >= cut_j) @ w), every term
   non-negative, with no atom index formed; other cells form S and reduce it.
+  Its log-MGF, and so its tilt, forms a (points, atoms) table, refused with
+  ResourceError past ``_TABLE_BUDGET`` entries before it is allocated.
 
 Scaling: the system-size parameter N inflates the rate (L -> N L) and the
 sampling frequency (1/delta -> N^alpha / delta), so the scaled slot length is
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 __all__ = [
     "EnvSpec",
@@ -85,6 +87,14 @@ _BLOCK_CELLS = 1 << 16
 # time and memory in proportion to them: an ldp-check at N = 200 and 400, R = 2000
 # ran 1024 atoms in 1.0 s at 39 MB peak, 4096 in 3.4 s at 47 MB, 10^4 in 5.6 s at 67 MB.
 _MAX_ATOMS = 1024
+
+# Points x atoms of a discrete law's (points, atoms) log-MGF table above which it
+# refuses (float64, 128 MiB): the importance sampler's tilt takes one point per
+# cell.  Measured at 1024 atoms on one-slot cells, preparing a tilted draw
+# (twisted_log_norm and block_sampler) took 0.25 s at 130 MB peak for 4096 cells,
+# 1.0 s at 430 MB for 16,384 (this budget) and 3.4 s at 1.6 GB for 65,536.  The
+# rate layer's quadrature evaluates at most 322 points a call at 1024 atoms.
+_TABLE_BUDGET = 2**24
 
 
 def log_sum_exp(a) -> np.ndarray:
@@ -421,7 +431,15 @@ class DiscreteFinite(EnvSpec):
         return float(self.values @ w)
 
     def _log_weights(self, eta) -> np.ndarray:
-        """eta v_j + log p_j per atom; an array of etas gives one row each."""
+        """eta v_j + log p_j per atom; an array of etas gives one row each.
+        ResourceError, naming values, past _TABLE_BUDGET entries."""
+        entries = np.size(eta) * self.values.size
+        if entries > _TABLE_BUDGET:
+            raise ResourceError(
+                f"{np.size(eta)} points x {self.values.size} atoms ({entries:.3e} log-MGF terms) "
+                f"exceed a discrete law's budget {_TABLE_BUDGET:.3e}; list fewer values (the "
+                "importance sampler tilts each cell: raise block_tol or shrink N^alpha for fewer)"
+            )
         with np.errstate(divide="ignore"):
             return np.multiply.outer(eta, self.values) + np.log(self.probs)
 

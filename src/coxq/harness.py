@@ -55,7 +55,7 @@ from .errors import ConfigError, DomainError
 from .ldp import (
     RateQuery,
     classify_regime,
-    estimate_log_tail,
+    estimate_log_tails,
     integrated_log_mgf,
     legendre_argument,
     rate_fast,
@@ -729,11 +729,13 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 
     xs, ys, ses = [], [], []
     warn = config.tol("rel_err_warn")
-    for N, scaling, seed, _ in _per_n(config):
-        log_p, rel_err = estimate_log_tail(
-            query, N, config.replications, seed, rate_res.theta_star, config.block_tol
-        )
-        x = speed_value(rate_res.speed, scaling)
+    # the points are taken lazily, so an N whose slot underflows is refused after the N before it
+    points = ((N, seed) for N, _, seed, _ in _per_n(config))
+    estimates = estimate_log_tails(
+        query, points, config.replications, rate_res.theta_star, config.block_tol
+    )
+    for N, (log_p, rel_err) in zip(config.N_grid, estimates):
+        x = speed_value(rate_res.speed, ScalingRegime(N, config.alpha, config.delta))
         row = {
             "N": N,
             "log_prob": log_p,

@@ -48,6 +48,18 @@ exact and in log space: the continued fractions of the incomplete gamma
 function, evaluated backward in numpy (``_log_poisson_tail``; within 2.2e-13
 relative of 40-digit values, and refused with ResourceError where a fraction
 would need more than 10^5 steps, near m past about 3.7e11).
+
+``estimate_log_tails`` runs an N grid through three stages per N: prepare
+(every check and refusal, the cell table, the tilt, the streams and the
+prepared draw), draw (the blocks, on ``sim.start_blocks``' threads) and weigh
+(the count's tail, the weights and their reduction).  It overlaps them
+across N: while the worker threads draw N_k's blocks the calling thread
+prepares N_(k+1); it then takes its share of N_k's blocks and joins N_k's
+threads, starts N_(k+1)'s, and weighs N_k while those draw.  Each N's bits
+are those of running it alone (``estimate_log_tail`` is the grid at one
+point), and errors surface in the serial loop's order: an earlier N before a
+later one, and within an N prepare, then draw, then weigh.  Every block
+thread is joined before the call returns or raises.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ from .sim import (
     cell_table,
     replication_blocks,
     run_blocks,
+    start_blocks,
 )
 
 __all__ = [
@@ -79,6 +92,7 @@ __all__ = [
     "rate_intermediate",
     "classify_regime",
     "estimate_log_tail",
+    "estimate_log_tails",
     "rate_multivariate",
     "speed_value",
 ]
@@ -459,7 +473,8 @@ def estimate_log_tail(
     theta_star: float,
     block_tol: float,
 ) -> tuple[float, float]:
-    """log P(M^(N)(t) >= N a) from an empty queue, and its relative SE, by IS.
+    """log P(M^(N)(t) >= N a) from an empty queue, and its relative SE, by IS:
+    ``estimate_log_tails`` at the one point (N, seed).
 
     The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,);
     ``theta_star`` is the optimizer of the query's rate function.  Each
@@ -469,9 +484,61 @@ def estimate_log_tail(
     past 2^53, which float64 cannot index, raises ResourceError, as does a run
     that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates or whose
     count tail needs more than ``_CF_STEPS`` continued-fraction steps (a rate
-    near N a past about 3.7e11).
+    near N a past about 3.7e11).  The stages run in order, prepare (where
+    every refusal is raised), draw and weigh, and every block thread is
+    joined before the call returns or raises.
     """
-    logw = _log_weights(query, N, replications, seed, theta_star, block_tol)
+    return estimate_log_tails(query, [(N, seed)], replications, theta_star, block_tol)[0]
+
+
+def estimate_log_tails(
+    query: RateQuery, points, replications: int, theta_star: float, block_tol: float
+) -> list[tuple[float, float]]:
+    """[``estimate_log_tail``(query, N, replications, seed, theta_star, block_tol)
+    for (N, seed) in points], the same bits, with the N pipelined (see the
+    module docstring).
+
+    points is read lazily, one point ahead, in N_(k+1)'s prepare stage; an
+    error there (a refusal, or one that reading the point raised) is raised
+    once N_k is drawn and weighed.  An error in N_k's weighing lets no thread
+    take another of N_(k+1)'s blocks and joins them before it is raised.  With
+    one worker the same stages run in the caller, in the same order.
+    """
+    points = iter(points)
+    out = []
+    drawing = None  # (finish, weigh) of the N whose blocks draw
+    try:
+        while True:
+            job = error = None
+            try:
+                point = next(points, None)
+                if point is not None:
+                    job = _prepare(query, *point, replications, theta_star, block_tol)
+            except Exception as exc:  # raised below, once the N before it is drawn and weighed
+                error = exc
+            drawn = None  # (weigh, kappas) of the N whose blocks were drawing
+            if drawing is not None:
+                finish, weigh = drawing
+                drawing = None  # finish joins its threads even when a block raised
+                drawn = weigh, finish()
+            if job is not None:
+                block, streams, entries, weigh = job
+                drawing = start_blocks(block, streams, entries), weigh
+            if drawn is not None:  # while the next N's blocks draw
+                weigh, kappas = drawn
+                out.append(_reduce(weigh(kappas)))
+            if error is not None:
+                raise error
+            if drawing is None:
+                return out
+    finally:
+        if drawing is not None:  # an error in the last N's weighing: stop this N's blocks
+            drawing[0](cancel=True)
+
+
+def _reduce(logw: np.ndarray) -> tuple[float, float]:
+    """(log of the mean weight, relative SE of that mean) of one N's log weights."""
+    replications = logw.size
     finite = logw[np.isfinite(logw)]
     if finite.size == 0:
         return -math.inf, math.inf
@@ -486,7 +553,16 @@ def estimate_log_tail(
 
 
 def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndarray:
-    """(replications,) log IS weights that ``estimate_log_tail`` reduces.
+    """(replications,) log IS weights at one N, its three stages in a row: the
+    weights that ``estimate_log_tail`` reduces."""
+    block, streams, entries, weigh = _prepare(query, N, seed, replications, theta_star, block_tol)
+    return weigh(run_blocks(block, streams, entries))
+
+
+def _prepare(query, N, seed, replications, theta_star, block_tol):
+    """The prepare stage of one N: (block, streams, block_entries, weigh), where
+    ``run_blocks(block, streams, block_entries)`` draws the blocks' kappa and
+    weigh(those) returns the (replications,) log weights.
 
     The tilt is eta = c wk for one scalar c per regime, so the rate layer's
     likelihood ratio is log_norm - c kappa_r, and weight r is that plus
@@ -540,14 +616,18 @@ def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndar
     _, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
     size = 1 if constant else rows
     draw = env.block_sampler(counts, etas, wk)  # prepared once: each block only draws
-    kappa = np.concatenate(run_blocks(lambda b, rng: draw(rng, size), streams, size * counts.size))
-    # one tail call for the whole run: its cost is mostly per call, not per row
-    try:
-        tail = _log_poisson_tail(m, N * kappa)
-    except ResourceError as exc:
-        raise ResourceError(f"count level N a = {N * a:.10g}: {exc}") from None
-    logw = (log_norm - c * kappa) + tail
-    return np.repeat(logw, replications) if constant else logw[:replications]
+
+    def weigh(kappas):
+        kappa = np.concatenate(kappas)
+        # one tail call for the whole run: its cost is mostly per call, not per row
+        try:
+            tail = _log_poisson_tail(m, N * kappa)
+        except ResourceError as exc:
+            raise ResourceError(f"count level N a = {N * a:.10g}: {exc}") from None
+        logw = (log_norm - c * kappa) + tail
+        return np.repeat(logw, replications) if constant else logw[:replications]
+
+    return (lambda b, rng: draw(rng, size)), streams, size * counts.size, weigh
 
 
 def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:

@@ -56,7 +56,13 @@ W = min(CPUs, blocks, _BLOCK_DRAW // (B x cells), 8) threads, the caller
 included, so the rate draws in flight stay within one block's 2 MB budget.
 numpy's generators release the interpreter lock while they fill, and each
 block writes only its own rows, so the output bytes are those of the serial
-loop that one CPU runs.
+loop that one CPU runs.  ``run_blocks`` is ``start_blocks``, which starts the
+W - 1 worker threads, then the ``finish()`` it returns, which runs the
+caller's share of the blocks, joins every thread and raises the first error a
+block raised; no thread outlives finish.  Between the two the caller may do
+other work: ``ldp.estimate_log_tails`` prepares the next N and weighs the last
+one there, and starts an N's blocks only once the previous N's threads are
+joined, so at most W blocks draw at any moment.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ __all__ = [
     "replication_blocks",
     "block_workers",
     "run_blocks",
+    "start_blocks",
     "SimConfig",
     "Trajectory",
     "MomentReport",
@@ -416,18 +423,33 @@ def block_workers(blocks: int, block_entries: int) -> int:
 def run_blocks(fn, streams: list, block_entries: int) -> list:
     """[fn(b, streams[b]) for every block b], in block order, on block_workers threads.
 
-    The calling thread takes blocks too, so with one worker it runs them all in
-    order and starts no thread.  Block b reads only its own stream, so the
-    results do not depend on which thread ran which block.  fn may only draw and
-    call numpy: numpy's generators release the interpreter lock while they fill,
-    which is where the threads overlap.  If a block raises, no thread starts
-    another block, every thread is joined, and the first exception is raised here.
+    ``start_blocks`` then its ``finish()``: the calling thread takes blocks too,
+    so with one worker it runs them all in order and starts no thread.  Block b
+    reads only its own stream, so the results do not depend on which thread ran
+    which block.  fn may only draw and call numpy: numpy's generators release
+    the interpreter lock while they fill, which is where the threads overlap.
+    If a block raises, no thread starts another block, every thread is joined,
+    and the first exception is raised here.
+    """
+    return start_blocks(fn, streams, block_entries)()
+
+
+def start_blocks(fn, streams: list, block_entries: int):
+    """Start ``run_blocks``' W - 1 worker threads on its blocks and return finish.
+
+    finish() runs the calling thread's share of the blocks, joins every thread,
+    raises the first exception a block raised, and returns the results in block
+    order.  finish(cancel=True) lets no thread start another block, joins them
+    and returns None.  Between the two the caller may do other work while the
+    workers draw; it must call finish once, in either form, on every path, so no
+    thread outlives the caller's run.
     """
     workers = block_workers(len(streams), block_entries)
     results = [None] * len(streams)
     errors = []
     lock = threading.Lock()
     todo = enumerate(streams)
+    threads = []
 
     def work():
         while True:
@@ -437,11 +459,25 @@ def run_blocks(fn, streams: list, block_entries: int) -> list:
                 return
             try:
                 results[item[0]] = fn(*item)
-            except BaseException as exc:  # raised again below, once every thread is joined
+            except BaseException as exc:  # raised again in finish, once every thread is joined
                 with lock:
                     errors.append(exc)
 
-    threads = []
+    def finish(cancel: bool = False):
+        nonlocal todo
+        try:
+            if cancel:
+                with lock:
+                    todo = iter(())
+            else:
+                work()
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors and not cancel:
+            raise errors[0]
+        return None if cancel else results
+
     try:
         for _ in range(workers - 1):
             thread = threading.Thread(target=work, name="coxq-block")
@@ -450,13 +486,10 @@ def run_blocks(fn, streams: list, block_entries: int) -> list:
             except RuntimeError:  # no thread to be had: the started ones and this one do the rest
                 break
             threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    except BaseException:  # such as an interrupt: stop the started threads before it leaves
+        finish(cancel=True)
+        raise
+    return finish
 
 
 def simulate(config: SimConfig) -> Trajectory:

@@ -397,6 +397,16 @@ REFUSED = {
                  "probs": [1 / 1025] * 1025}},
         "values",
     ),
+    # block_tol 0 leaves 500,000 one-slot cells at N = 10^10, and tilting a
+    # 1024-atom law on each would take a (500000, 1024) table, 3.8 GiB; the
+    # table budget refuses it before the table is allocated
+    "ldp_slow-1024-atoms-5e5-cells": (
+        "ldp_slow",
+        {"env": {"family": "discrete", "values": [0.5 + 2.5 * k / 1024 for k in range(1024)],
+                 "probs": [1 / 1024] * 1024},
+         "a": 2.0, "block_tol": 0, "N_grid": [10**10, 4 * 10**10], "replications": 400},
+        "values",
+    ),
     # block_tol/sum(mu) falls below the slot length, so blocking turns off and
     # the warm-up 40/min(mu) = 20 needs 8e7 exact slots at N = 2000
     "corr-mu-2^53+1": ("corr", {"queues": {"mu": [2**53 + 1, 2.0]}}, "mu"),

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -13,6 +15,7 @@ from scipy.special import logsumexp, spence
 from scipy.stats import poisson
 
 import coxq.sim
+from coxq import ldp
 from coxq.env import (
     Deterministic,
     DiscreteFinite,
@@ -32,6 +35,7 @@ from coxq.ldp import (
     _log_weights,
     classify_regime,
     estimate_log_tail,
+    estimate_log_tails,
     integrated_log_mgf,
     rate_fast,
     rate_intermediate,
@@ -648,6 +652,159 @@ def test_is_weights_do_not_depend_on_the_thread_count(monkeypatch, env, alpha):
     assert coxq.sim.block_workers(5, B * cells) == 4
     np.testing.assert_array_equal(_log_weights(query, N, R, 7, theta, 0.01), serial)
     assert np.isfinite(serial).any()
+
+
+# -- the N grid's pipeline ---------------------------------------------------------
+
+# the tail calls' shapes at small R: (env, alpha, a, N grid)
+GRID_SHAPES = {
+    "fast-deterministic": (Deterministic(1.0), 2.0, 2.0, [50, 100, 200]),
+    "slow-exponential": (Exponential(1.0), 0.5, 1.5, [200, 400, 800]),
+    "intermediate-exponential": (Exponential(1.0), 1.0, 1.5, [50, 100, 200]),
+    "slow-discrete": (DiscreteFinite([0.5, 2.0], [0.5, 0.5]), 0.5, 1.5, [200, 400, 800]),
+}
+
+
+def _grid_query(shape):
+    env, alpha, a, grid = GRID_SHAPES[shape]
+    query = q(env=env, alpha=alpha, t=5.0, a=a)
+    rate = {2.0: lambda: rate_fast(query.rho_t, a), 1.0: lambda: rate_intermediate(query)}
+    theta = rate.get(alpha, lambda: rate_slow(query))().theta_star
+    return query, theta, [(N, 11 + N) for N in grid]
+
+
+def _serial_log_tails(query, points, R, theta):
+    """The unpipelined loop: each N prepared, drawn and weighed before the next."""
+    return [ldp._reduce(_log_weights(query, N, R, seed, theta, 0.01)) for N, seed in points]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_pipelined_grid_is_the_serial_loop_bit_for_bit(monkeypatch, shape, cpus):
+    # R = 1500 ends inside a block at every N; 8 CPUs take up to 8 threads
+    query, theta, points = _grid_query(shape)
+    R = 1500
+    monkeypatch.setattr(coxq.sim, "_CPUS", cpus)
+    baseline = threading.active_count()
+    got = estimate_log_tails(query, iter(points), R, theta, 0.01)
+    assert threading.active_count() == baseline
+    per_n = [estimate_log_tail(query, N, R, seed, theta, 0.01) for N, seed in points]
+    want = _serial_log_tails(query, points, R, theta)
+    assert all(math.isfinite(log_p) for log_p, _ in got)
+    assert repr(got) == repr(per_n) == repr(want)
+
+
+def test_a_refusal_at_the_second_N_is_raised_after_the_first_is_weighed(monkeypatch):
+    # the draw budget admits N = 200's draws and refuses N = 400's, as the
+    # serial loop does once N = 200 is done; a refusal that would allocate
+    # surfaces in the prepare stage, before anything of N = 400 is drawn
+    query, theta, points = _grid_query("slow-exponential")
+    R = 2000
+    monkeypatch.setattr(coxq.sim, "_CPUS", 2)
+    cells = [cell_table((1.0,), ScalingRegime(N, 0.5, 1.0).delta_n, (5.0,), 0.01).slots.size
+             for N, _ in points[:2]]
+    rows = [block_rows(c) for c in cells]
+    draws = [c * B * -(-R // B) for c, B in zip(cells, rows)]
+    assert draws[0] < draws[1]
+    monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", draws[0])
+    tails = []
+    tail = ldp._log_poisson_tail
+    monkeypatch.setattr(ldp, "_log_poisson_tail", lambda m, lam: tails.append(lam.size) or tail(m, lam))
+    baseline = threading.active_count()
+    with pytest.raises(ResourceError, match="at N = 400 exceed the budget"):
+        estimate_log_tails(query, points, R, theta, 0.01)
+    assert threading.active_count() == baseline
+    assert tails == [-(-R // rows[0]) * rows[0]]  # N = 200 drawn and weighed first
+
+
+def test_an_error_in_the_first_weighing_stops_the_second_N_and_wins(monkeypatch):
+    # N = 400's blocks are held until N = 200's weighing raises, so they are
+    # drawing then; the error is raised once their threads are joined, and no
+    # thread takes another block of N = 400.  A refusal at N = 800 comes later
+    # in the serial loop and is not raised.
+    query, theta, points = _grid_query("slow-exponential")
+    monkeypatch.setattr(coxq.sim, "_CPUS", 2)
+    prepare = ldp._prepare
+    gate, drawn = threading.Event(), []
+
+    def spy(query, N, *args):
+        monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", 1 if N == 800 else 2**28)
+        block, streams, entries, weigh = prepare(query, N, *args)
+        if N == 400:
+            block = lambda b, rng, draw=block: gate.wait(10) and drawn.append(b) or draw(b, rng)
+        return block, streams, entries, weigh
+
+    def injected(m, lam):
+        alive.extend(t.name for t in threading.enumerate())
+        gate.set()
+        raise RuntimeError("injected into the weighing")
+
+    alive = []
+    monkeypatch.setattr(ldp, "_prepare", spy)
+    monkeypatch.setattr(ldp, "_log_poisson_tail", injected)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected"):
+        estimate_log_tails(query, points, 2000, theta, 0.01)
+    assert "coxq-block" in alive  # N = 400's worker was drawing
+    assert threading.active_count() == baseline
+    assert len(drawn) <= 1  # at most the block the worker held at the gate
+
+
+def test_a_draw_error_at_the_first_N_wins_over_a_refusal_at_the_second(monkeypatch):
+    query, theta, points = _grid_query("slow-exponential")
+    monkeypatch.setattr(coxq.sim, "_CPUS", 2)
+    prepare = ldp._prepare
+
+    def spy(query, N, *args):
+        if N == 400:
+            raise ResourceError("refused at the second N")
+        block, streams, entries, weigh = prepare(query, N, *args)
+
+        def failing(b, rng):
+            if b == 3:
+                raise FloatingPointError("block 3")
+            return block(b, rng)
+
+        return failing, streams, entries, weigh
+
+    monkeypatch.setattr(ldp, "_prepare", spy)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block 3"):
+        estimate_log_tails(query, points, 2000, theta, 0.01)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("shape", ["slow-exponential", "slow-discrete"])
+def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
+    # a spy around every block's draw counts the draws in flight, across N:
+    # the next N's blocks start only once the last N's threads are joined
+    query, theta, points = _grid_query(shape)
+    R = 3000
+    monkeypatch.setattr(coxq.sim, "_CPUS", 8)
+    prepare = ldp._prepare
+    lock, state, workers = threading.Lock(), {"now": 0, "most": 0}, []
+
+    def spy(query, N, *args):
+        block, streams, entries, weigh = prepare(query, N, *args)
+        workers.append(coxq.sim.block_workers(len(streams), entries))
+
+        def counted(b, rng):
+            with lock:
+                state["now"] += 1
+                state["most"] = max(state["most"], state["now"])
+            try:
+                time.sleep(0.002)  # holds the draw open, so overlaps show
+                return block(b, rng)
+            finally:
+                with lock:
+                    state["now"] -= 1
+
+        return counted, streams, entries, weigh
+
+    monkeypatch.setattr(ldp, "_prepare", spy)
+    estimate_log_tails(query, points, R, theta, 0.01)
+    assert min(workers) >= 2
+    assert 2 <= state["most"] <= max(workers)
 
 
 # -- the count's conditional tail -------------------------------------------------
