@@ -34,7 +34,10 @@ way ``bench/ldp_screen.py`` reads it):
 
 End to end, each ``configs/*.json`` runs through ``coxq.harness.run`` with no
 output directory, and once more through the CLI in a fresh process per
-repeat, whose peak RSS (the median over repeats) is ``max_rss_mb``.  The
+repeat, whose peak RSS (the median over repeats) is ``max_rss_mb``.  Last,
+the tier-1 tests run once in a fresh process (``TIER1``, from the repository
+root): ``tier1.wall_s`` is that process's wall time, beside the counts its
+summary line gives (``tier1.passed``, ``tier1.xfailed`` and any other).  The
 file is stamped with nproc, the CPUs and the most threads the block
 scheduler may use, Python, numpy and the commit (``-dirty`` for a tree with
 changes not committed); compare files only from the same machine, and on a
@@ -51,6 +54,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -329,6 +333,22 @@ def end_to_end(repeats: int) -> dict:
     return out
 
 
+# the tier-1 test command, run from the repository root with src on PYTHONPATH
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def tier1() -> dict:
+    """Wall time of one fresh-process run of the tier-1 tests, and its outcome counts."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=1800)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.strip().splitlines()[-1]  # such as "647 passed, 2 xfailed in 32.18s"
+    counts = {"passed": 0, "xfailed": 0, **{w: int(n) for n, w in re.findall(r"(\d+) (\w+)", summary)}}
+    return {"tier1.wall_s": wall, **{f"tier1.{w}": n for w, n in counts.items()}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="at least 5")
@@ -337,7 +357,7 @@ def main(argv=None) -> int:
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
     doc = {"machine": stamp(), "repeats": args.repeats, "workload_seed": SEED,
-           "layers": layers(args.repeats), "end_to_end": end_to_end(args.repeats)}
+           "layers": layers(args.repeats), "end_to_end": {**end_to_end(args.repeats), **tier1()}}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -729,8 +729,7 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 
     xs, ys, ses = [], [], []
     warn = config.tol("rel_err_warn")
-    # the points are taken lazily, so an N whose slot underflows is refused after the N before it
-    points = ((N, seed) for N, _, seed, _ in _per_n(config))
+    points = [(N, seed) for N, _, seed, _ in _per_n(config)]
     estimates = estimate_log_tails(
         query, points, config.replications, rate_res.theta_star, config.block_tol
     )

@@ -52,20 +52,27 @@ would need more than 10^5 steps, near m past about 3.7e11).
 ``estimate_log_tails`` runs an N grid through three stages per N: prepare
 (every check and refusal, the cell table, the tilt, the streams and the
 prepared draw), draw (the blocks, on ``sim.start_blocks``' threads) and weigh
-(the count's tail, the weights and their reduction).  It overlaps them
-across N: while the worker threads draw N_k's blocks the calling thread
-prepares N_(k+1); it then takes its share of N_k's blocks and joins N_k's
-threads, starts N_(k+1)'s, and weighs N_k while those draw.  Each N's bits
-are those of running it alone (``estimate_log_tail`` is the grid at one
-point), and errors surface in the serial loop's order: an earlier N before a
-later one, and within an N prepare, then draw, then weigh.  Every block
-thread is joined before the call returns or raises.
+(the count's tail, the weights and their reduction).  It checks every N
+before it weighs any: N_1 is prepared and its blocks start, and while they
+draw the calling thread runs each later N's checks (``_tilt``, where every
+prepare-stage refusal is raised) and keeps nothing of them.  Then for each k
+it prepares N_(k+1) while N_k's blocks draw, takes its share of N_k's blocks
+and joins N_k's threads, starts N_(k+1)'s, and weighs N_k while those draw.
+So a prepare-stage refusal at any N (a count level past 2^53, the draw
+budget, the tilt's MGF domain or a discrete law's table budget) is raised
+before any N's count tail is computed, and wins over an error in an earlier
+N's draw; a tail refused for its continued fraction is raised when its N is
+weighed.  At most two N's prepared draws are alive at once, and on any error
+the one N still drawing is cancelled and joined.  Each N's bits are those of
+running it alone (``estimate_log_tail`` is the grid at one point), and every
+block thread is joined before the call returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -484,9 +491,10 @@ def estimate_log_tail(
     past 2^53, which float64 cannot index, raises ResourceError, as does a run
     that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates or whose
     count tail needs more than ``_CF_STEPS`` continued-fraction steps (a rate
-    near N a past about 3.7e11).  The stages run in order, prepare (where
-    every refusal is raised), draw and weigh, and every block thread is
-    joined before the call returns or raises.
+    near N a past about 3.7e11).  Every refusal but the last is raised in the
+    prepare stage, before any block draws (over a grid, before any N is
+    weighed); the continued-fraction refusal is raised when the N is weighed.
+    Every block thread is joined before the call returns or raises.
     """
     return estimate_log_tails(query, [(N, seed)], replications, theta_star, block_tol)[0]
 
@@ -495,45 +503,32 @@ def estimate_log_tails(
     query: RateQuery, points, replications: int, theta_star: float, block_tol: float
 ) -> list[tuple[float, float]]:
     """[``estimate_log_tail``(query, N, replications, seed, theta_star, block_tol)
-    for (N, seed) in points], the same bits, with the N pipelined (see the
-    module docstring).
-
-    points is read lazily, one point ahead, in N_(k+1)'s prepare stage; an
-    error there (a refusal, or one that reading the point raised) is raised
-    once N_k is drawn and weighed.  An error in N_k's weighing lets no thread
-    take another of N_(k+1)'s blocks and joins them before it is raised.  With
-    one worker the same stages run in the caller, in the same order.
+    for (N, seed) in points], the same bits, with the N pipelined as the module
+    docstring says: every N's prepare-stage refusals are raised before any N is
+    weighed, and at most two N's prepared draws are alive at once.  With one
+    worker the same stages run in the caller, in order.
     """
-    points = iter(points)
-    out = []
-    drawing = None  # (finish, weigh) of the N whose blocks draw
+    points = list(points)
+    if not points:
+        return []
+    job = _prepare(query, *points[0], replications, theta_star, block_tol)
+    drawing = start_blocks(job.block, job.streams, job.entries)
     try:
-        while True:
-            job = error = None
-            try:
-                point = next(points, None)
-                if point is not None:
-                    job = _prepare(query, *point, replications, theta_star, block_tol)
-            except Exception as exc:  # raised below, once the N before it is drawn and weighed
-                error = exc
-            drawn = None  # (weigh, kappas) of the N whose blocks were drawing
-            if drawing is not None:
-                finish, weigh = drawing
-                drawing = None  # finish joins its threads even when a block raised
-                drawn = weigh, finish()
-            if job is not None:
-                block, streams, entries, weigh = job
-                drawing = start_blocks(block, streams, entries), weigh
-            if drawn is not None:  # while the next N's blocks draw
-                weigh, kappas = drawn
-                out.append(_reduce(weigh(kappas)))
-            if error is not None:
-                raise error
-            if drawing is None:
-                return out
+        for N, _ in points[1:]:  # while N_1's blocks draw: each later N's refusals, nothing kept
+            _tilt(query, N, replications, theta_star, block_tol)
+        out = []
+        for point in points[1:] + [None]:  # N_(k+1), prepared while N_k's blocks draw
+            after = point and _prepare(query, *point, replications, theta_star, block_tol)
+            finish, drawing = drawing, None  # called once: it joins even when a block raised
+            kappas = finish()
+            if after is not None:
+                drawing = start_blocks(after.block, after.streams, after.entries)
+            out.append(_reduce(job.weigh(kappas)))  # while N_(k+1)'s blocks draw
+            job, finish = after, None  # so at most two N's prepared draws are alive at once
+        return out
     finally:
-        if drawing is not None:  # an error in the last N's weighing: stop this N's blocks
-            drawing[0](cancel=True)
+        if drawing is not None:
+            drawing(cancel=True)
 
 
 def _reduce(logw: np.ndarray) -> tuple[float, float]:
@@ -555,26 +550,27 @@ def _reduce(logw: np.ndarray) -> tuple[float, float]:
 def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndarray:
     """(replications,) log IS weights at one N, its three stages in a row: the
     weights that ``estimate_log_tail`` reduces."""
-    block, streams, entries, weigh = _prepare(query, N, seed, replications, theta_star, block_tol)
-    return weigh(run_blocks(block, streams, entries))
+    job = _prepare(query, N, seed, replications, theta_star, block_tol)
+    return job.weigh(run_blocks(job.block, job.streams, job.entries))
 
 
-def _prepare(query, N, seed, replications, theta_star, block_tol):
-    """The prepare stage of one N: (block, streams, block_entries, weigh), where
-    ``run_blocks(block, streams, block_entries)`` draws the blocks' kappa and
-    weigh(those) returns the (replications,) log weights.
+class _Prepared(NamedTuple):  # one N's prepare stage
+    block: Callable  # block(b, rng) draws block b's rows' kappa, as run_blocks calls it
+    streams: list  # one per block
+    entries: int  # the cell draws of one block
+    weigh: Callable  # weigh(every block's kappa) returns the (replications,) log weights
+
+
+def _tilt(query, N, replications, theta_star, block_tol):
+    """One N's checks, where every refusal of its prepare stage is raised:
+    (cells' slot counts, per-draw weights wk, tilt scale c, log_norm).
 
     The tilt is eta = c wk for one scalar c per regime, so the rate layer's
     likelihood ratio is log_norm - c kappa_r, and weight r is that plus
     log P(Poisson(N kappa_r) >= m), the count's tail given the layer: each
     block's twisted draw returns its rows' kappa and nothing else.  A weight
-    is -inf only where kappa_r = 0.
-
-    A constant rate layer (variance 0) is the same in every replication, and
-    the tail is elementwise in kappa: one row is drawn from block 0's stream
-    (``replication_blocks`` for one replication), its weight is evaluated
-    once and repeated R times.  The draw budget still counts one row per block.  A
-    constant rate never reaches slow_unbounded, which needs kappa per row."""
+    is -inf only where kappa_r = 0.  The draw budget counts one drawn row per
+    block for a constant rate layer (see ``_prepare``)."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
     if not N * a <= _MAX_EXACT_INT:  # also refuses inf
         raise ResourceError(
@@ -585,7 +581,6 @@ def _prepare(query, N, seed, replications, theta_star, block_tol):
     table = cell_table((mu,), h, (t,), block_tol)
     counts = table.slots
     wk = table.weights[0][:, 0] / counts  # per-draw weight within each cell
-    m = math.ceil(N * a - 1e-9)
 
     # every regime tilts by eta = c wk, so eta . S = c kappa
     if regime == "fast":
@@ -599,23 +594,35 @@ def _prepare(query, N, seed, replications, theta_star, block_tol):
             "no importance sampler for the bounded slow branch; "
             "rate_slow_bounded gives the closed-form rate"
         )
-    etas = c * wk
-    log_norm = env.twisted_log_norm(etas, counts)
+    log_norm = env.twisted_log_norm(c * wk, counts)  # raises the tilt's domain and table refusals
 
     _check_replications(replications)
     rows = block_rows(counts.size)
-    constant = env.variance == 0
-    # the budget counts one drawn row per block for a constant rate layer
-    draws = counts.size * (1 if constant else rows) * -(-replications // rows)
+    draws = counts.size * (1 if env.variance == 0 else rows) * -(-replications // rows)
     if draws > _IS_DRAW_BUDGET:
         raise ResourceError(
             f"{draws:.3e} tilted cell draws ({counts.size} cells x drawn rows) at N = {N} "
             f"exceed the budget {_IS_DRAW_BUDGET:.3e}; shrink the replications, N or t"
         )
+    return counts, wk, c, log_norm
+
+
+def _prepare(query, N, seed, replications, theta_star, block_tol) -> _Prepared:
+    """The prepare stage of one N: ``_tilt``, then the streams and the prepared draw.
+
+    A constant rate layer (variance 0) is the same in every replication, and
+    the tail is elementwise in kappa: one row is drawn from block 0's stream
+    (``replication_blocks`` for one replication), its weight is evaluated
+    once and repeated R times.  A constant rate never reaches slow_unbounded,
+    which needs kappa per row."""
+    counts, wk, c, log_norm = _tilt(query, N, replications, theta_star, block_tol)
+    env, a = query.env, query._scalar_a
+    m = math.ceil(N * a - 1e-9)
+    constant = env.variance == 0
     # every replication of a constant layer has the same row: block 0's stream draws it
-    _, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
+    rows, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
     size = 1 if constant else rows
-    draw = env.block_sampler(counts, etas, wk)  # prepared once: each block only draws
+    draw = env.block_sampler(counts, c * wk, wk)  # prepared once: each block only draws
 
     def weigh(kappas):
         kappa = np.concatenate(kappas)
@@ -627,7 +634,7 @@ def _prepare(query, N, seed, replications, theta_star, block_tol):
         logw = (log_norm - c * kappa) + tail
         return np.repeat(logw, replications) if constant else logw[:replications]
 
-    return (lambda b, rng: draw(rng, size)), streams, size * counts.size, weigh
+    return _Prepared(lambda b, rng: draw(rng, size), streams, size * counts.size, weigh)
 
 
 def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:

@@ -60,9 +60,11 @@ loop that one CPU runs.  ``run_blocks`` is ``start_blocks``, which starts the
 W - 1 worker threads, then the ``finish()`` it returns, which runs the
 caller's share of the blocks, joins every thread and raises the first error a
 block raised; no thread outlives finish.  Between the two the caller may do
-other work: ``ldp.estimate_log_tails`` prepares the next N and weighs the last
-one there, and starts an N's blocks only once the previous N's threads are
-joined, so at most W blocks draw at any moment.
+other work: ``ldp.estimate_log_tails`` checks its whole N grid while the
+first N draws, prepares each next N while the last one draws and weighs each
+N while the next draws, and starts an N's blocks only once the previous N's
+threads are joined, so at most W blocks draw at any moment; on an error it
+cancels the N still drawing (``finish(cancel=True)``).
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import spawn_streams
-from .errors import ResourceError
-from .sim import SimConfig, Trajectory
+from coxq.env import spawn_streams
+from coxq.errors import ResourceError
+from coxq.sim import SimConfig, Trajectory
 
 __all__ = ["EventLog", "simulate_events"]
 

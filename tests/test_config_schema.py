@@ -270,6 +270,15 @@ def start_child(kind, doc, work, cpus=None):
     )
 
 
+def stop_children(procs):
+    """Kill each child process, reap it and close its stderr pipe, which a
+    test that never read it leaves open."""
+    for proc in procs:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 def test_ldp_slow_on_eight_threads_runs_within_the_address_space(tmp_path):
     # at N = 200 and 400 the importance sampler's 157 blocks take
     # block_workers' cap of 8 threads when 8 CPUs are given; their stacks and
@@ -288,9 +297,7 @@ def test_ldp_slow_on_eight_threads_runs_within_the_address_space(tmp_path):
             assert proc.returncode == 0, err
             written[cpus] = {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
     finally:
-        for proc, _ in runs.values():
-            proc.kill()
-            proc.wait()
+        stop_children(proc for proc, _ in runs.values())
     assert "report.json" in written[8] and written[8] == written[1]
 
 
@@ -303,9 +310,7 @@ def underflow_runs(tmp_path_factory):
         work = tmp_path_factory.mktemp(kind)
         runs[kind] = start_child(kind, {**base_doc(kind), "alpha": 1e308}, work), work
     yield runs
-    for proc, _ in runs.values():
-        proc.kill()
-        proc.wait()
+    stop_children(proc for proc, _ in runs.values())
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -340,9 +345,7 @@ def child_runs(cases, tmp_path_factory):
         work = tmp_path_factory.mktemp(case)
         runs[case] = start_child(doc["kind"], doc, work), work
     yield runs
-    for proc, _ in runs.values():
-        proc.kill()
-        proc.wait()
+    stop_children(proc for proc, _ in runs.values())
 
 
 @pytest.fixture(scope="module")

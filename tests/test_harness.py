@@ -393,7 +393,7 @@ def test_harness_uses_only_public_interfaces():
     # no attribute access to any private name: the harness consumes only
     # public operation outputs of the computational modules
     assert not re.search(r"\.\s*_[A-Za-z]", src)
-    private_imports = re.findall(r"from \.(?:env|analytic|sim|ldp|reference) import ([^\n]+)", src)
+    private_imports = re.findall(r"from \.(?:env|analytic|sim|ldp) import ([^\n]+)", src)
     for imports in private_imports:
         for name in imports.split(","):
             assert not name.strip().startswith("_"), name

@@ -5,6 +5,7 @@ import math
 import threading
 import time
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -694,45 +695,42 @@ def test_pipelined_grid_is_the_serial_loop_bit_for_bit(monkeypatch, shape, cpus)
     assert repr(got) == repr(per_n) == repr(want)
 
 
-def test_a_refusal_at_the_second_N_is_raised_after_the_first_is_weighed(monkeypatch):
-    # the draw budget admits N = 200's draws and refuses N = 400's, as the
-    # serial loop does once N = 200 is done; a refusal that would allocate
-    # surfaces in the prepare stage, before anything of N = 400 is drawn
+@pytest.mark.parametrize("refused", [1, 2], ids=["second", "last"])
+def test_a_refusal_at_a_later_N_is_raised_before_any_N_is_weighed(monkeypatch, refused):
+    # the draw budget admits the draws of every N before the refused one and
+    # refuses its own; every N is prepared before any is weighed, so no count
+    # tail is computed, and the first N's blocks are cancelled and joined
     query, theta, points = _grid_query("slow-exponential")
     R = 2000
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
     cells = [cell_table((1.0,), ScalingRegime(N, 0.5, 1.0).delta_n, (5.0,), 0.01).slots.size
-             for N, _ in points[:2]]
-    rows = [block_rows(c) for c in cells]
-    draws = [c * B * -(-R // B) for c, B in zip(cells, rows)]
-    assert draws[0] < draws[1]
-    monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", draws[0])
+             for N, _ in points]
+    draws = [c * B * -(-R // B) for c, B in zip(cells, map(block_rows, cells))]
+    assert draws == sorted(set(draws))
+    monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", draws[refused - 1])
     tails = []
-    tail = ldp._log_poisson_tail
-    monkeypatch.setattr(ldp, "_log_poisson_tail", lambda m, lam: tails.append(lam.size) or tail(m, lam))
+    monkeypatch.setattr(ldp, "_log_poisson_tail", lambda m, lam: tails.append(lam.size))
     baseline = threading.active_count()
-    with pytest.raises(ResourceError, match="at N = 400 exceed the budget"):
+    with pytest.raises(ResourceError, match=f"at N = {points[refused][0]} exceed the budget"):
         estimate_log_tails(query, points, R, theta, 0.01)
     assert threading.active_count() == baseline
-    assert tails == [-(-R // rows[0]) * rows[0]]  # N = 200 drawn and weighed first
+    assert tails == []
 
 
-def test_an_error_in_the_first_weighing_stops_the_second_N_and_wins(monkeypatch):
+def test_an_error_in_the_first_weighing_cancels_the_second_N_and_wins(monkeypatch):
     # N = 400's blocks are held until N = 200's weighing raises, so they are
     # drawing then; the error is raised once their threads are joined, and no
-    # thread takes another block of N = 400.  A refusal at N = 800 comes later
-    # in the serial loop and is not raised.
+    # thread takes another block of N = 400
     query, theta, points = _grid_query("slow-exponential")
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
     prepare = ldp._prepare
     gate, drawn = threading.Event(), []
 
     def spy(query, N, *args):
-        monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", 1 if N == 800 else 2**28)
-        block, streams, entries, weigh = prepare(query, N, *args)
-        if N == 400:
-            block = lambda b, rng, draw=block: gate.wait(10) and drawn.append(b) or draw(b, rng)
-        return block, streams, entries, weigh
+        job = prepare(query, N, *args)
+        if N != 400:
+            return job
+        return job._replace(block=lambda b, rng: gate.wait(10) and drawn.append(b) or job.block(b, rng))
 
     def injected(m, lam):
         alive.extend(t.name for t in threading.enumerate())
@@ -750,28 +748,59 @@ def test_an_error_in_the_first_weighing_stops_the_second_N_and_wins(monkeypatch)
     assert len(drawn) <= 1  # at most the block the worker held at the gate
 
 
-def test_a_draw_error_at_the_first_N_wins_over_a_refusal_at_the_second(monkeypatch):
+def test_a_refusal_at_the_second_N_wins_over_a_draw_error_at_the_first(monkeypatch):
+    # N = 200's block 3 raises while N = 400's checks run; the refusal is raised
+    # and N = 200's blocks are cancelled, so their error is never raised
     query, theta, points = _grid_query("slow-exponential")
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
-    prepare = ldp._prepare
+    prepare, tilt = ldp._prepare, ldp._tilt
+    failed = threading.Event()
+
+    def refusing(query, N, *args):
+        if N == 400:
+            failed.wait(10)
+            raise ResourceError("refused at the second N")
+        return tilt(query, N, *args)
 
     def spy(query, N, *args):
-        if N == 400:
-            raise ResourceError("refused at the second N")
-        block, streams, entries, weigh = prepare(query, N, *args)
+        job = prepare(query, N, *args)
 
         def failing(b, rng):
             if b == 3:
+                failed.set()
                 raise FloatingPointError("block 3")
-            return block(b, rng)
+            return job.block(b, rng)
 
-        return failing, streams, entries, weigh
+        return job._replace(block=failing)
 
+    monkeypatch.setattr(ldp, "_tilt", refusing)
     monkeypatch.setattr(ldp, "_prepare", spy)
     baseline = threading.active_count()
-    with pytest.raises(FloatingPointError, match="block 3"):
+    with pytest.raises(ResourceError, match="refused at the second N"):
         estimate_log_tails(query, points, 2000, theta, 0.01)
+    assert failed.is_set()
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_at_most_two_prepared_draws_are_alive_at_once(monkeypatch, cpus):
+    # each N's prepared draw (its cell tables, up to 2^24 entries) is let go once
+    # the N is weighed, so a long grid holds no more of them than a short one
+    query, theta, _ = _grid_query("slow-discrete")
+    points = [(N, 11 + N) for N in (200, 300, 400, 600, 800)]
+    monkeypatch.setattr(coxq.sim, "_CPUS", cpus)
+    prepare, alive, most = ldp._prepare, [], []
+
+    def spy(*args):
+        job = prepare(*args)
+        alive.append(weakref.ref(job.block))
+        most.append(sum(ref() is not None for ref in alive))
+        return job
+
+    monkeypatch.setattr(ldp, "_prepare", spy)
+    got = estimate_log_tails(query, points, 1500, theta, 0.01)
+    assert len(most) == len(points) and max(most) == 2
+    assert repr(got) == repr(_serial_log_tails(query, points, 1500, theta))
 
 
 @pytest.mark.parametrize("shape", ["slow-exponential", "slow-discrete"])
@@ -785,8 +814,8 @@ def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
     lock, state, workers = threading.Lock(), {"now": 0, "most": 0}, []
 
     def spy(query, N, *args):
-        block, streams, entries, weigh = prepare(query, N, *args)
-        workers.append(coxq.sim.block_workers(len(streams), entries))
+        job = prepare(query, N, *args)
+        workers.append(coxq.sim.block_workers(len(job.streams), job.entries))
 
         def counted(b, rng):
             with lock:
@@ -794,12 +823,12 @@ def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
                 state["most"] = max(state["most"], state["now"])
             try:
                 time.sleep(0.002)  # holds the draw open, so overlaps show
-                return block(b, rng)
+                return job.block(b, rng)
             finally:
                 with lock:
                     state["now"] -= 1
 
-        return counted, streams, entries, weigh
+        return job._replace(block=counted)
 
     monkeypatch.setattr(ldp, "_prepare", spy)
     estimate_log_tails(query, points, R, theta, 0.01)

@@ -27,7 +27,6 @@ from coxq.analytic import (
 )
 from coxq.env import Deterministic, DiscreteFinite, Exponential, Gamma, ScalingRegime
 from coxq.errors import InsufficientData, RangeError, ResourceError
-from coxq.reference import simulate_events
 from coxq.sim import (
     SimConfig,
     Trajectory,
@@ -39,6 +38,8 @@ from coxq.sim import (
     simulate,
     trajectory_to_csv,
 )
+
+from reference import simulate_events
 
 
 def make_config(**kw):
