@@ -11,9 +11,8 @@ way ``bench/ldp_screen.py`` reads it):
   draw, prepared once, outside the timing), with and without weights, at
   the ldp_slow, ldp_slow_discrete and ldp_intermediate tables, each N;
   beside it the one-call ``sample_block_sums_twisted`` per block and the
-  preparation per run.  A checkout without ``block_sampler`` draws every
-  block through the one call, so there the two per-block lines read the same
-  and the preparation about 0;
+  preparation per run.  The cell counts, the weights and the tilt are
+  ``ldp._tilt``'s;
 * ``_log_poisson_tail`` at every tail call's (m, R): the count's tail of
   each N's R rates (one rate for a constant layer), the stage that the
   importance sampler's pipeline runs while the next N's blocks draw;
@@ -23,14 +22,11 @@ way ``bench/ldp_screen.py`` reads it):
 * both Monte Carlo engines per replication, each at W = 1 (``serial``) and at
   the W that ``sim.block_workers`` gives here (``threaded``), with that W:
   ``simulate`` at the clt, corr and fclt calls' shapes and the transient
-  ``simulate`` call's, and one ``ldp._log_weights`` at each tail call's
-  largest N, and ``estimate_log_tails`` over each tail call's whole N grid
-  (``workers`` the most W of its N).  ``simulate`` includes building its cell
-  table, timed alone beside it (``cell_table_us``): the block loop, where the
-  thinning and Poisson draws run, is the rest.  A checkout without
-  ``block_workers`` runs every block serially, so there W reads 1, and one
-  without ``estimate_log_tails`` runs the grid as a loop of
-  ``estimate_log_tail``.
+  ``simulate`` call's, and ``estimate_log_tails`` at each tail call's
+  largest N alone and over its whole N grid (``workers`` the most W of its
+  N).  ``simulate`` includes building its cell table, timed alone beside it
+  (``cell_table_us``): the block loop, where the thinning and Poisson draws
+  run, is the rest.
 
 End to end, each ``configs/*.json`` runs through ``coxq.harness.run`` with no
 output directory, and once more through the CLI in a fresh process per
@@ -64,11 +60,12 @@ import time
 import numpy as np
 from ldp_screen import ROOT, load_workloads
 
-from coxq import ldp, sim
+from coxq import sim
 from coxq.analytic import QueueParams, stationary_mean
 from coxq.env import ScalingRegime, env_from_json, spawn_streams
 from coxq.harness import ExperimentConfig, run
-from coxq.ldp import RateQuery, _log_poisson_tail, _log_weights, classify_regime, rate_intermediate, rate_slow
+from coxq.ldp import (RateQuery, _log_poisson_tail, _tilt, classify_regime, estimate_log_tails,
+                      rate_intermediate, rate_slow)
 from coxq.sim import _WARM_DECADES, SimConfig, block_rows, cell_table, estimate_moments, simulate
 
 SEED = 1  # the workload seed whose calls give the shapes
@@ -92,15 +89,15 @@ def stamp() -> dict:
                                 capture_output=True, text=True, timeout=10).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         commit = None
-    return {"nproc": len(os.sched_getaffinity(0)), "block_cpus": getattr(sim, "_CPUS", 1),
-            "max_workers": getattr(sim, "_MAX_WORKERS", 1), "python": platform.python_version(),
+    return {"nproc": len(os.sched_getaffinity(0)), "block_cpus": sim._CPUS,
+            "max_workers": sim._MAX_WORKERS, "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(), "commit": commit}
 
 
 @contextlib.contextmanager
 def serial():
     """Every block on the calling thread, as on one CPU."""
-    saved = getattr(sim, "_CPUS", 1)
+    saved = sim._CPUS
     sim._CPUS = 1
     try:
         yield
@@ -120,12 +117,7 @@ def engine(out: dict, key: str, fn, reps: int, blocks: int, block_entries: int, 
         times["threaded"].append(median_s(fn, 1))
     for label, seconds in times.items():
         out[f"{key}.{label}_us_per_rep"] = 1e6 * statistics.median(seconds) / reps
-    out[f"{key}.workers"] = workers(blocks, block_entries)
-
-
-def workers(blocks: int, block_entries: int) -> int:
-    """The threads the block scheduler takes here; 1 on a checkout without it."""
-    return sim.block_workers(blocks, block_entries) if hasattr(sim, "block_workers") else 1
+    out[f"{key}.workers"] = sim.block_workers(blocks, block_entries)
 
 
 def table_of(doc: dict, N: int, grid) -> tuple:
@@ -142,32 +134,15 @@ def warm_grid(doc: dict, N: int) -> tuple:
 
 
 def is_inputs(doc: dict, N: int):
-    """(query, counts, wk, etas, m, theta*) of the importance sampler's run at N,
-    as ldp._log_weights forms them; theta* is 0 in the fast regime, which does not
-    tilt."""
-    env, mu = env_from_json(doc["env"]), doc["queues"]["mu"][0]
-    query = RateQuery(env=env, mu=mu, delta=doc["delta"], alpha=doc["alpha"], t=doc["t"], a=doc["a"])
-    regime = classify_regime(query)
-    table, _ = table_of(doc, N, (doc["t"],))
-    counts = table.slots
-    wk = table.weights[0][:, 0] / counts
-    h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
-    theta, c = 0.0, 0.0
-    if regime == "slow_unbounded":
-        theta = rate_slow(query).theta_star
-        c = theta / (-math.expm1(-mu * h) / mu)
-    elif regime == "intermediate":
-        theta = rate_intermediate(query).theta_star
-        c = N * math.expm1(theta / doc["delta"])
+    """(query, counts, wk, etas, m, theta*) of the importance sampler's run at N:
+    counts, wk and the tilt scale c are ``ldp._tilt``'s, and etas = c wk; theta*
+    is 0 in the fast regime, which does not tilt."""
+    query = RateQuery(env=env_from_json(doc["env"]), mu=doc["queues"]["mu"][0], delta=doc["delta"],
+                      alpha=doc["alpha"], t=doc["t"], a=doc["a"])
+    rate = {"slow_unbounded": rate_slow, "intermediate": rate_intermediate}.get(classify_regime(query))
+    theta = rate(query).theta_star if rate else 0.0
+    counts, wk, c, _ = _tilt(query, N, doc["replications"], theta, doc.get("block_tol", 0.01))
     return query, counts, wk, c * wk, math.ceil(N * doc["a"] - 1e-9), theta
-
-
-def is_draw(env, counts, etas, weights):
-    """The importance sampler's per-block draw: block_sampler's, prepared here,
-    or the one-call draw on a checkout without it."""
-    if hasattr(env, "block_sampler"):
-        return env.block_sampler(counts, etas, weights)
-    return lambda rng, size: env.sample_block_sums_twisted(etas, rng, counts, size, weights)
 
 
 def layers(repeats: int) -> dict:
@@ -201,14 +176,14 @@ def layers(repeats: int) -> dict:
             env, rows, rng = query.env, block_rows(counts.size), spawn_streams(SEED, 1)[0]
             for label, weights in (("weights", wk), ("no_weights", None)):
                 key = f"twisted.{name}.N{N}.{label}"
-                draw = is_draw(env, counts, etas, weights)
+                draw = env.block_sampler(counts, etas, weights)
                 out[f"{key}.is_draw_us_per_block"] = 1e6 * median_s(
                     lambda: draw(rng, rows), repeats, 20)
                 out[f"{key}.one_call_us_per_block"] = 1e6 * median_s(
                     lambda: env.sample_block_sums_twisted(etas, rng, counts, rows, weights),
                     repeats, 20)
                 out[f"{key}.prepare_us_per_run"] = 1e6 * median_s(
-                    lambda: is_draw(env, counts, etas, weights), repeats, 20)
+                    lambda: env.block_sampler(counts, etas, weights), repeats, 20)
             out[f"twisted.{name}.N{N}.rows_x_cells"] = [rows, int(counts.size)]
 
     # the count's tail at each tail call's (m, R): R of its rates at each N, one
@@ -218,7 +193,7 @@ def layers(repeats: int) -> dict:
         for N in doc["N_grid"]:
             query, counts, wk, etas, m, _ = is_inputs(doc, N)
             size = 1 if query.env.variance == 0 else doc["replications"]
-            draw = is_draw(query.env, counts, etas, wk)
+            draw = query.env.block_sampler(counts, etas, wk)
             rows = block_rows(counts.size)
             streams = spawn_streams(SEED, -(-size // rows))
             lam = N * np.concatenate([draw(rng, rows) for rng in streams])[:size]
@@ -266,15 +241,16 @@ def layers(repeats: int) -> dict:
         engine(out, key, lambda: simulate(config), config.replications,
                -(-config.replications // rows), rows * table.slots.size, repeats)
 
-    # the importance sampler's weights at each tail call's largest N
+    # the importance sampler at each tail call's largest N alone
     for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
         doc = calls[name]
         N, R = doc["N_grid"][-1], doc["replications"]
         query, counts, *_, theta = is_inputs(doc, N)
         rows = block_rows(counts.size)
         blocks, size = (1, 1) if query.env.variance == 0 else (-(-R // rows), rows)
-        engine(out, f"_log_weights.{name}.N{N}",
-               lambda: _log_weights(query, N, R, doc["seed"], theta, doc.get("block_tol", 0.01)),
+        point = [(N, doc["seed"])]
+        engine(out, f"estimate_log_tails.{name}.N{N}",
+               lambda: estimate_log_tails(query, point, R, theta, doc.get("block_tol", 0.01)),
                R, blocks, size * counts.size, repeats)
 
     # the importance sampler over each tail call's whole N grid, per replication of
@@ -289,18 +265,10 @@ def layers(repeats: int) -> dict:
             cells = is_inputs(doc, N)[1].size
             rows = block_rows(cells)
             shapes.append((1, cells) if query.env.variance == 0 else (-(-R // rows), rows * cells))
-        blocks, entries = max(shapes, key=lambda shape: workers(*shape))
-        engine(out, f"estimate_log_tails.{name}", lambda: grid_tails(query, points, R, theta, tol),
+        blocks, entries = max(shapes, key=lambda shape: sim.block_workers(*shape))
+        engine(out, f"estimate_log_tails.{name}", lambda: estimate_log_tails(query, points, R, theta, tol),
                R * len(points), blocks, entries, repeats)
     return out
-
-
-def grid_tails(query, points, R, theta, block_tol):
-    """The importance sampler over an N grid: ``estimate_log_tails``, or a loop of
-    ``estimate_log_tail`` on a checkout without it."""
-    if hasattr(ldp, "estimate_log_tails"):
-        return ldp.estimate_log_tails(query, points, R, theta, block_tol)
-    return [ldp.estimate_log_tail(query, N, R, seed, theta, block_tol) for N, seed in points]
 
 
 # a fresh interpreter runs one CLI call and prints its own peak RSS in KiB last:

@@ -48,7 +48,6 @@ from .ldp import (
     RateQuery,
     RateResult,
     classify_regime,
-    estimate_log_tail,
     estimate_log_tails,
     integrated_log_mgf,
     rate_fast,

@@ -85,10 +85,6 @@ class SurvivalConstants:
         object.__setattr__(self, "r", one_minus_p / self.mu)
         object.__setattr__(self, "c_ratio", one_minus_p / (1.0 + p))
 
-    @property
-    def p_bar(self) -> float:
-        return -math.expm1(-self.mu * self.t)
-
 
 @dataclass
 class LimitCovariance:
@@ -159,7 +155,7 @@ def stationary_pgf(
     Infinite product over slot ages k of the per-slot mixed-Poisson factors
     E exp(-L r_delta p^k (1-z)); the log-product is accumulated until a term
     falls below 1e-14, with the geometric tail bounded by
-    exp(E[L] r (1-z) p^k / (1-p)) - 1.
+    exp(E[L] (1-z) p^k / mu) - 1.
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError("z must lie in [0, 1]")
@@ -175,7 +171,7 @@ def stationary_pgf(
         pk *= sc.p
         if abs(term) < 1e-14:
             return math.exp(log_phi)
-    tail = math.expm1(env.mean * sc.r * one_minus_z * pk / sc.p_bar)
+    tail = math.expm1(env.mean * one_minus_z * pk / mu)
     if tail > 1e-9:
         raise ConvergenceError(
             f"PGF product not converged after {k_max} factors (tail bound {tail:.3e})"

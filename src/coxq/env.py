@@ -118,7 +118,7 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
 
     Stream ``i`` depends only on (seed, i), so the units of work that draw
     from it (a block of replications in ``sim.simulate`` and in
-    ``ldp.estimate_log_tail``, one replication in the test oracle
+    ``ldp.estimate_log_tails``, one replication in the test oracle
     ``tests/reference.py``) may run in any order or concurrently and still
     reproduce bit-identically; ``sim.run_blocks`` runs the blocks on several
     threads.  A generator is not safe to share between threads, so each

@@ -30,7 +30,7 @@ reported.  Multivariate rectangle queries use the limiting log-MGFs of the
 coupled model, integrated by the same rule, and a projected quasi-Newton
 search.
 
-The importance-sampling estimator ``estimate_log_tail`` targets
+The importance-sampling estimator ``estimate_log_tails`` targets
 P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
 (``sim.replication_blocks``): block b draws its rows' rate layers on the
 simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, from
@@ -64,8 +64,8 @@ before any N's count tail is computed, and wins over an error in an earlier
 N's draw; a tail refused for its continued fraction is raised when its N is
 weighed.  At most two N's prepared draws are alive at once, and on any error
 the one N still drawing is cancelled and joined.  Each N's bits are those of
-running it alone (``estimate_log_tail`` is the grid at one point), and every
-block thread is joined before the call returns or raises.
+running the grid at that one point, and every block thread is joined before
+the call returns or raises.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .sim import (
     block_rows,
     cell_table,
     replication_blocks,
-    run_blocks,
     start_blocks,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "rate_slow_bounded",
     "rate_intermediate",
     "classify_regime",
-    "estimate_log_tail",
     "estimate_log_tails",
     "rate_multivariate",
     "speed_value",
@@ -112,8 +110,8 @@ _QUAD_RTOL = 1e-13
 _QUAD_ATOL = 1e-15
 # Panels a quadrature may evaluate before it raises ConvergenceError.
 _QUAD_PANELS = 4096
-# Tilted cell draws (cells x drawn rows) per importance-sampling run above
-# which estimate_log_tail refuses: 33x the largest any shipped config,
+# Tilted cell draws (cells x drawn rows) at one N above which
+# estimate_log_tails refuses: 33x the largest any shipped config,
 # benchmark workload or test draws (8,038,400: the ldp_slow shape at N = 1600,
 # 200 cells x 40,192 rows).
 _IS_DRAW_BUDGET = 2**28
@@ -472,41 +470,28 @@ def classify_regime(query: RateQuery) -> str:
 # Importance sampling.
 
 
-def estimate_log_tail(
-    query: RateQuery,
-    N: int,
-    replications: int,
-    seed: int,
-    theta_star: float,
-    block_tol: float,
-) -> tuple[float, float]:
-    """log P(M^(N)(t) >= N a) from an empty queue, and its relative SE, by IS:
-    ``estimate_log_tails`` at the one point (N, seed).
+def estimate_log_tails(
+    query: RateQuery, points, replications: int, theta_star: float, block_tol: float
+) -> list[tuple[float, float]]:
+    """[(log P(M^(N)(t) >= N a) from an empty queue, its relative SE) for (N,
+    seed) in points], by IS, with the N pipelined as the module docstring says.
 
     The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,);
     ``theta_star`` is the optimizer of the query's rate function.  Each
     replication's weight holds the exact conditional tail given its rate
-    layer, so it is finite unless that layer is all zero (kappa = 0); the
-    estimate is -inf only when every replication's is.  A count level N a
-    past 2^53, which float64 cannot index, raises ResourceError, as does a run
-    that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates or whose
-    count tail needs more than ``_CF_STEPS`` continued-fraction steps (a rate
-    near N a past about 3.7e11).  Every refusal but the last is raised in the
-    prepare stage, before any block draws (over a grid, before any N is
-    weighed); the continued-fraction refusal is raised when the N is weighed.
-    Every block thread is joined before the call returns or raises.
-    """
-    return estimate_log_tails(query, [(N, seed)], replications, theta_star, block_tol)[0]
-
-
-def estimate_log_tails(
-    query: RateQuery, points, replications: int, theta_star: float, block_tol: float
-) -> list[tuple[float, float]]:
-    """[``estimate_log_tail``(query, N, replications, seed, theta_star, block_tol)
-    for (N, seed) in points], the same bits, with the N pipelined as the module
-    docstring says: every N's prepare-stage refusals are raised before any N is
-    weighed, and at most two N's prepared draws are alive at once.  With one
-    worker the same stages run in the caller, in order.
+    layer, so it is finite unless that layer is all zero (kappa = 0); an N's
+    estimate is -inf only when every one of its replications' is.  A count
+    level N a past 2^53, which float64 cannot index, raises ResourceError, as
+    does an N that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates
+    or whose count tail needs more than ``_CF_STEPS`` continued-fraction steps
+    (a rate near N a past about 3.7e11); the bounded slow branch, which has no
+    sampler, raises RegimeError.  Every refusal but the continued fraction's is
+    raised in its N's prepare stage, before any N is weighed (at the first N,
+    before any block draws); the continued-fraction refusal is raised when its
+    N is weighed.  Each N's bits are those of the grid at that one point, and
+    at most two N's prepared draws are alive at once.  With one worker the same
+    stages run in the caller, in order.  Every block thread is joined before
+    the call returns or raises.
     """
     points = list(points)
     if not points:
@@ -547,13 +532,6 @@ def _reduce(logw: np.ndarray) -> tuple[float, float]:
     return log_mean, math.sqrt(max(rel_var, 0.0) / replications)
 
 
-def _log_weights(query, N, replications, seed, theta_star, block_tol) -> np.ndarray:
-    """(replications,) log IS weights at one N, its three stages in a row: the
-    weights that ``estimate_log_tail`` reduces."""
-    job = _prepare(query, N, seed, replications, theta_star, block_tol)
-    return job.weigh(run_blocks(job.block, job.streams, job.entries))
-
-
 class _Prepared(NamedTuple):  # one N's prepare stage
     block: Callable  # block(b, rng) draws block b's rows' kappa, as run_blocks calls it
     streams: list  # one per block
@@ -569,8 +547,8 @@ def _tilt(query, N, replications, theta_star, block_tol):
     likelihood ratio is log_norm - c kappa_r, and weight r is that plus
     log P(Poisson(N kappa_r) >= m), the count's tail given the layer: each
     block's twisted draw returns its rows' kappa and nothing else.  A weight
-    is -inf only where kappa_r = 0.  The draw budget counts one drawn row per
-    block for a constant rate layer (see ``_prepare``)."""
+    is -inf only where kappa_r = 0.  The draw budget counts the one row that
+    ``_prepare`` draws for a constant rate layer."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
     if not N * a <= _MAX_EXACT_INT:  # also refuses inf
         raise ResourceError(
@@ -598,7 +576,7 @@ def _tilt(query, N, replications, theta_star, block_tol):
 
     _check_replications(replications)
     rows = block_rows(counts.size)
-    draws = counts.size * (1 if env.variance == 0 else rows) * -(-replications // rows)
+    draws = counts.size * (1 if env.variance == 0 else rows * -(-replications // rows))
     if draws > _IS_DRAW_BUDGET:
         raise ResourceError(
             f"{draws:.3e} tilted cell draws ({counts.size} cells x drawn rows) at N = {N} "

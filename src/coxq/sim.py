@@ -20,7 +20,7 @@ with the exact finite-dimensional laws; initial jobs are thinned the same
 way.
 
 Rates are drawn per cell of ``cell_table``, a time-ordered list of cells of
-whole slots shared by every replication (and by ``ldp.estimate_log_tail``),
+whole slots shared by every replication (and by ``ldp.estimate_log_tails``),
 as one ``env.sample_block_sums`` draw of every cell's slot-rate sum.
 When the scaled slot length h is below block_tol/sum(mu), the whole slots of
 each inter-grid interval form cells that widen with their age a, measured
@@ -42,7 +42,7 @@ within block_tol^2/12 sqrt(C_ii C_kk) of the exact per-slot value, which
 deterministic tests check on the table itself.
 
 One RNG contract, ``replication_blocks``, serves both Monte Carlo engines,
-``simulate`` and the importance sampler ``ldp.estimate_log_tail``: R
+``simulate`` and the importance sampler ``ldp.estimate_log_tails``: R
 replications run in blocks of B = block_rows(cells) rows, B a fixed function
 of the cell table alone (never of R), and block b draws every layer for its
 B rows (rates, counts, thinning) from the b-th stream spawned from the seed.

@@ -162,8 +162,9 @@ def test_pgf_monotone_in_z():
 def test_pgf_truncation_guard():
     from coxq.errors import ConvergenceError
 
-    # slot decay p = e^-0.001: far more than 3 factors are needed
-    with pytest.raises(ConvergenceError):
+    # slot decay p = e^-0.001: far more than 3 factors are needed; the tail
+    # bound is exp(E[L] (1 - z) p^3/mu) - 1 = expm1(0.5 e^-0.003)
+    with pytest.raises(ConvergenceError, match=r"tail bound 6\.463e-01"):
         stationary_pgf(Exponential(1.0), 1.0, 0.001, 0.5, k_max=3)
 
 

@@ -1,0 +1,56 @@
+"""The scripts under ``bench/`` still load against the package.
+
+They import ``coxq`` names, private ones too (``bench/layers.py`` takes the
+importance sampler's cell counts, weights and tilt from ``ldp._tilt``), and no
+command runs them, so a rename or a deletion in ``src/`` would otherwise
+surface only when a script is next run.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coxq.env import ScalingRegime
+from coxq.ldp import rate_slow
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SCRIPTS = ("ldp_screen", "diff_outputs", "reach", "layers")  # ldp_screen first: the others import it
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """Every bench script loaded as a module under its own name, as the scripts
+    import one another; sys.path and sys.modules are restored after."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    modules = {}
+    for name in SCRIPTS:
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    return modules
+
+
+def test_every_bench_script_imports(bench):
+    assert sorted(bench) == sorted(path.stem for path in BENCH.glob("*.py"))
+
+
+def test_layers_takes_the_slow_tilt_from_the_sampler(bench):
+    # the ldp_slow tail call at its smallest N: the simulator's cell table, and
+    # eta = c w with c = theta*/r, r = (1 - e^(-mu h))/mu
+    layers = bench["layers"]
+    calls = bench["ldp_screen"].load_workloads().make_calls("tail", layers.SEED)
+    doc = next(call.doc for call in calls if call.name == "ldp_slow")
+    N, mu = doc["N_grid"][0], doc["queues"]["mu"][0]
+    query, counts, wk, etas, m, theta = layers.is_inputs(doc, N)
+    table, _ = layers.table_of(doc, N, (doc["t"],))
+    np.testing.assert_array_equal(counts, table.slots)
+    np.testing.assert_array_equal(wk, table.weights[0][:, 0] / counts)
+    assert theta == rate_slow(query).theta_star > 0
+    h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
+    np.testing.assert_allclose(etas, theta / (-math.expm1(-mu * h) / mu) * wk, rtol=1e-15)
+    assert m == math.ceil(N * doc["a"] - 1e-9)

@@ -80,7 +80,7 @@ def test_log_mgf_discrete_is_bitwise_scipy_logsumexp():
 
 
 def test_log_sum_exp_is_bitwise_scipy_logsumexp_on_long_vectors():
-    # the shape estimate_log_tail reduces: one finite log weight per replication
+    # the shape estimate_log_tails reduces: one finite log weight per replication
     rng = np.random.default_rng(1)
     for trial in range(300):
         n = int(rng.integers(1, 50_001))

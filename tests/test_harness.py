@@ -354,7 +354,7 @@ def test_tail_estimators_unbiased_vs_plain_simulation():
     # all three IS routes against a plain count of P(M >= N a) from the
     # exact-law simulator, at a non-rare instance where plain MC is feasible
     from coxq import Exponential, RateQuery, ScalingRegime, SimConfig, simulate
-    from coxq import estimate_log_tail, rate_fast, rate_intermediate, rate_slow
+    from coxq import estimate_log_tails, rate_fast, rate_intermediate, rate_slow
 
     env, t, a, N = Exponential(1.0), 2.0, 1.2, 30
     m = math.ceil(N * a - 1e-9)
@@ -366,7 +366,7 @@ def test_tail_estimators_unbiased_vs_plain_simulation():
             theta = rate_intermediate(query).theta_star
         else:
             theta = rate_slow(query).theta_star
-        log_p, rel = estimate_log_tail(query, N, 40_000, 101, theta, 0.01)
+        log_p, rel = estimate_log_tails(query, [(N, 101)], 40_000, theta, 0.01)[0]
         p_is = math.exp(log_p)
 
         sim_cfg = SimConfig(

@@ -33,9 +33,7 @@ from coxq.ldp import (
     RateQuery,
     _ilm_prime,
     _log_poisson_tail,
-    _log_weights,
     classify_regime,
-    estimate_log_tail,
     estimate_log_tails,
     integrated_log_mgf,
     rate_fast,
@@ -471,7 +469,7 @@ def test_is_discrete_matches_exact_tail():
         np.prod(env.probs[list(pat)]) * poisson.sf(m - 1, N * float(env.values[list(pat)] @ w))
         for pat in itertools.product(range(2), repeat=4)
     )
-    log_p, rel_se = estimate_log_tail(query, N, 200_000, 8, rate_slow(query).theta_star, 0.01)
+    log_p, rel_se = estimate_log_tails(query, [(N, 8)], 200_000, rate_slow(query).theta_star, 0.01)[0]
     assert abs(math.exp(log_p - math.log(exact)) - 1.0) < 4 * rel_se
 
 
@@ -495,7 +493,7 @@ def test_is_discrete_near_rate_ceiling_matches_exact_tail():
     )
     assert exact == pytest.approx(0.19012, abs=1e-5)
     theta = rate_slow(query).theta_star
-    runs = [estimate_log_tail(query, N, 200_000, seed, theta, 0.01) for seed in range(1, 11)]
+    runs = estimate_log_tails(query, [(N, seed) for seed in range(1, 11)], 200_000, theta, 0.01)
     err = np.array([math.exp(log_p - math.log(exact)) - 1.0 for log_p, _ in runs])
     rel_se = np.array([rel for _, rel in runs])
     assert np.all(np.abs(err) <= 4 * rel_se)
@@ -504,12 +502,24 @@ def test_is_discrete_near_rate_ceiling_matches_exact_tail():
 
 def test_is_degenerate_query():
     with pytest.raises(DomainError):
-        estimate_log_tail(q(t=5.0, a=0.5), 100, 10, 0, 1.0, 0.01)
+        estimate_log_tails(q(t=5.0, a=0.5), [(100, 0)], 10, 1.0, 0.01)
 
 
 def test_is_rejects_bounded_slow_branch():
     with pytest.raises(RegimeError):
-        estimate_log_tail(q(env=Deterministic(1.0), t=5.0, a=1.5), 100, 10, 0, 1.0, 0.01)
+        estimate_log_tails(q(env=Deterministic(1.0), t=5.0, a=1.5), [(100, 0)], 10, 1.0, 0.01)
+
+
+def test_the_draw_budget_counts_the_one_row_of_a_constant_rate_layer():
+    # N = 50, t = 40 in exact mode (block_tol 0): 100,000 one-slot cells, two
+    # rows per block.  A constant layer draws one row in all (1e5 cell draws,
+    # not one row per block, 1e9), a random one R rows (2e9, past the budget);
+    # neither check draws
+    R = 20_000
+    counts, *_ = ldp._tilt(q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0), 50, R, 0.0, 0.0)
+    assert counts.size == 100_000 and block_rows(counts.size) == 2
+    with pytest.raises(ResourceError, match=r"2\.000e\+09 tilted cell draws"):
+        ldp._tilt(q(alpha=2.0, t=40.0, a=2.0), 50, R, 0.0, 0.0)
 
 
 def _is_shape(alpha, N):
@@ -520,15 +530,22 @@ def _is_shape(alpha, N):
     return query, theta, block_rows(cell_table((1.0,), h, (5.0,), 0.01).slots.size)
 
 
+def _replication_log_weights(query, N, R, seed, theta):
+    """(R,) log IS weights at one N, prepared, drawn and weighed in a row: the
+    weights that ``estimate_log_tails`` reduces at the point (N, seed)."""
+    job = ldp._prepare(query, N, seed, R, theta, 0.01)
+    return job.weigh(coxq.sim.run_blocks(job.block, job.streams, job.entries))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_is_replications_are_a_prefix_of_longer_runs(alpha):
     # replication r depends only on (seed, r): block b draws from stream b alone
     N = 100
     query, theta, B = _is_shape(alpha, N)
-    full = _log_weights(query, N, 2 * B + 3, 7, theta, 0.01)
+    full = _replication_log_weights(query, N, 2 * B + 3, 7, theta)
     assert np.isfinite(full).sum() > 10
     for R in (B - 1, B + 1):
-        np.testing.assert_array_equal(_log_weights(query, N, R, 7, theta, 0.01), full[:R])
+        np.testing.assert_array_equal(_replication_log_weights(query, N, R, 7, theta), full[:R])
 
 
 def test_is_memory_stays_at_one_block():
@@ -538,7 +555,7 @@ def test_is_memory_stays_at_one_block():
     query, theta, _ = _is_shape(0.5, N)
     tracemalloc.start()
     try:
-        log_p, _ = estimate_log_tail(query, N, 40_000, 3, theta, 0.01)
+        log_p, _ = estimate_log_tails(query, [(N, 3)], 40_000, theta, 0.01)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -581,7 +598,7 @@ def test_is_constant_rate_draws_one_row_from_one_stream(monkeypatch, env, alpha)
     calls = []
     spawn = coxq.sim.spawn_streams
     monkeypatch.setattr(coxq.sim, "spawn_streams", lambda s, n: calls.append(n) or spawn(s, n))
-    got = _log_weights(query, N, R, 7, theta, 0.01)
+    got = _replication_log_weights(query, N, R, 7, theta)
     assert calls == [1]
     assert np.isfinite(want).all()
     np.testing.assert_array_equal(got, want)
@@ -598,7 +615,7 @@ def test_is_spawns_one_stream_per_block(monkeypatch):
     monkeypatch.setattr(coxq.sim, "spawn_streams", spy)
     N, R = 100, 600
     query, theta, B = _is_shape(1.0, N)
-    estimate_log_tail(query, N, R, 7, theta, 0.01)
+    estimate_log_tails(query, [(N, 7)], R, theta, 0.01)
     assert calls == [-(-R // B)]
 
 
@@ -627,7 +644,7 @@ def test_is_prepares_its_draw_once_per_N_and_draws_once_per_drawn_block(monkeypa
     for N in (200, 400):
         B = block_rows(cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size)
         blocks += 1 if env.variance == 0 else -(-R // B)
-        assert np.isfinite(_log_weights(query, N, R, 7, theta, 0.01)).any()
+        assert math.isfinite(estimate_log_tails(query, [(N, 7)], R, theta, 0.01)[0][0])
     assert len(prepared) == 2
     assert len(drawn) == blocks and blocks > (2 if env.variance else 1)
 
@@ -648,10 +665,10 @@ def test_is_weights_do_not_depend_on_the_thread_count(monkeypatch, env, alpha):
     B = block_rows(cells)
     R = 4 * B + 7
     monkeypatch.setattr(coxq.sim, "_CPUS", 1)
-    serial = _log_weights(query, N, R, 7, theta, 0.01)
+    serial = _replication_log_weights(query, N, R, 7, theta)
     monkeypatch.setattr(coxq.sim, "_CPUS", 4)
     assert coxq.sim.block_workers(5, B * cells) == 4
-    np.testing.assert_array_equal(_log_weights(query, N, R, 7, theta, 0.01), serial)
+    np.testing.assert_array_equal(_replication_log_weights(query, N, R, 7, theta), serial)
     assert np.isfinite(serial).any()
 
 
@@ -676,7 +693,7 @@ def _grid_query(shape):
 
 def _serial_log_tails(query, points, R, theta):
     """The unpipelined loop: each N prepared, drawn and weighed before the next."""
-    return [ldp._reduce(_log_weights(query, N, R, seed, theta, 0.01)) for N, seed in points]
+    return [ldp._reduce(_replication_log_weights(query, N, R, seed, theta)) for N, seed in points]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
@@ -689,7 +706,7 @@ def test_pipelined_grid_is_the_serial_loop_bit_for_bit(monkeypatch, shape, cpus)
     baseline = threading.active_count()
     got = estimate_log_tails(query, iter(points), R, theta, 0.01)
     assert threading.active_count() == baseline
-    per_n = [estimate_log_tail(query, N, R, seed, theta, 0.01) for N, seed in points]
+    per_n = [estimate_log_tails(query, [point], R, theta, 0.01)[0] for point in points]
     want = _serial_log_tails(query, points, R, theta)
     assert all(math.isfinite(log_p) for log_p, _ in got)
     assert repr(got) == repr(per_n) == repr(want)
@@ -928,7 +945,7 @@ def test_is_fast_constant_rate_is_the_exact_poisson_tail(N):
     # also where scipy's logsf underflows (N = 4000: -1549.9)
     query = q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0)
     theta = rate_fast(query.rho_t, 2.0).theta_star
-    log_p, rel_err = estimate_log_tail(query, N, 2000, 7, theta, 0.01)
+    log_p, rel_err = estimate_log_tails(query, [(N, 7)], 2000, theta, 0.01)[0]
     h = ScalingRegime(N, 2.0, 1.0).delta_n
     kappa = cell_table((1.0,), h, (40.0,), 0.01).weights[0][:, 0].sum()
     want = _log_poisson_tail(math.ceil(N * 2.0 - 1e-9), np.array([N * kappa]))[0]
@@ -948,8 +965,8 @@ def test_is_count_integrated_out_keeps_rel_err_small(alpha, n_grid, R):
     # and 0.015-0.026 (fast)
     query = q(alpha=alpha, t=5.0, a=1.5)
     theta = (rate_intermediate(query) if alpha == 1 else rate_fast(query.rho_t, 1.5)).theta_star
-    for N in n_grid:
-        log_p, rel_err = estimate_log_tail(query, N, R, 7, theta, 0.01)
+    points = [(N, 7) for N in n_grid]
+    for N, (log_p, rel_err) in zip(n_grid, estimate_log_tails(query, points, R, theta, 0.01)):
         assert math.isfinite(log_p)
         assert rel_err < 0.01, (N, rel_err)
 
