@@ -13,7 +13,7 @@ way ``bench/ldp_screen.py`` reads it):
   beside it the one-call ``sample_block_sums_twisted`` per block and the
   preparation per run.  The cell counts, the weights and the tilt are
   ``ldp._tilt``'s;
-* ``_log_poisson_tail`` at every tail call's (m, R): the count's tail of
+* ``special.log_poisson_tail`` at every tail call's (m, R): the count's tail of
   each N's R rates (one rate for a constant layer), the stage that the
   importance sampler's pipeline runs while the next N's blocks draw;
 * ``estimate_moments`` on the transient ``simulate`` trajectory, per
@@ -64,9 +64,9 @@ from coxq import sim
 from coxq.analytic import QueueParams, stationary_mean
 from coxq.env import ScalingRegime, env_from_json, spawn_streams
 from coxq.harness import ExperimentConfig, run
-from coxq.ldp import (RateQuery, _log_poisson_tail, _tilt, classify_regime, estimate_log_tails,
-                      rate_intermediate, rate_slow)
-from coxq.sim import _WARM_DECADES, SimConfig, block_rows, cell_table, estimate_moments, simulate
+from coxq.ldp import RateQuery, _tilt, classify_regime, estimate_log_tails, rate_intermediate, rate_slow
+from coxq.sim import WARM_DECADES, SimConfig, block_rows, cell_table, estimate_moments, simulate
+from coxq.special import log_poisson_tail
 
 SEED = 1  # the workload seed whose calls give the shapes
 
@@ -130,7 +130,7 @@ def table_of(doc: dict, N: int, grid) -> tuple:
 def warm_grid(doc: dict, N: int) -> tuple:
     """The stationary kinds' one read time: the warm-up 40/min(mu) in whole slots."""
     h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
-    return (math.ceil(_WARM_DECADES / min(doc["queues"]["mu"]) / h - 1e-9) * h,)
+    return (math.ceil(WARM_DECADES / min(doc["queues"]["mu"]) / h - 1e-9) * h,)
 
 
 def is_inputs(doc: dict, N: int):
@@ -197,8 +197,8 @@ def layers(repeats: int) -> dict:
             rows = block_rows(counts.size)
             streams = spawn_streams(SEED, -(-size // rows))
             lam = N * np.concatenate([draw(rng, rows) for rng in streams])[:size]
-            out[f"_log_poisson_tail.{name}.N{N}.ms"] = 1e3 * median_s(
-                lambda: _log_poisson_tail(m, lam), repeats)
+            out[f"log_poisson_tail.{name}.N{N}.ms"] = 1e3 * median_s(
+                lambda: log_poisson_tail(m, lam), repeats)
 
     # estimate_moments on the transient simulate call's trajectory
     doc = calls["simulate"]

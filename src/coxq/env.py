@@ -61,6 +61,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, ResourceError
+from .special import log_sum_exp
 
 __all__ = [
     "EnvSpec",
@@ -70,7 +71,6 @@ __all__ = [
     "DiscreteFinite",
     "ScalingRegime",
     "env_from_json",
-    "log_sum_exp",
     "spawn_streams",
 ]
 
@@ -95,22 +95,6 @@ _MAX_ATOMS = 1024
 # 1.0 s at 430 MB for 16,384 (this budget) and 3.4 s at 1.6 GB for 65,536.  The
 # rate layer's quadrature evaluates at most 322 points a call at 1024 atoms.
 _TABLE_BUDGET = 2**24
-
-
-def log_sum_exp(a) -> np.ndarray:
-    """log sum_j exp(a[..., j]) over the last axis, for a whose rows each hold
-    a finite entry.
-
-    The summation scipy.special.logsumexp does, bit for bit, without its
-    per-call overhead (the rate layer's bisection evaluates a discrete
-    log-MGF about 55 times): the largest terms are factored out, so large
-    entries cannot overflow, and the rest enter through log1p."""
-    a = np.asarray(a)
-    top = a.max(axis=-1)
-    is_top = a == top[..., None]
-    rest = np.where(is_top, 0.0, np.exp(a - top[..., None])).sum(axis=-1)
-    count = is_top.sum(axis=-1)
-    return np.log1p(rest / count) + np.log(count) + top
 
 
 def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:

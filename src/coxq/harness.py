@@ -64,14 +64,15 @@ from .ldp import (
     speed_value,
 )
 from .sim import (
-    _MAX_QUEUES,
-    _WARM_DECADES,
+    MAX_QUEUES,
+    WARM_DECADES,
     SimConfig,
     estimate_moments,
     normalized_endpoint,
     sample_stationary,
     simulate,
 )
+from .special import normal_log_cdf_sf
 
 __all__ = [
     "ExperimentConfig",
@@ -317,9 +318,9 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("clt-check runs on a single queue (d = 1)")
     if config.kind in ("fclt-check", "corr-check") and d < 2:
         raise ConfigError(f"{config.kind} needs at least two coupled queues")
-    if config.kind in ("simulate", "fclt-check") and d > _MAX_QUEUES:
+    if config.kind in ("simulate", "fclt-check") and d > MAX_QUEUES:
         raise ConfigError(
-            f"mu lists {d} queues; {config.kind} couples at most {_MAX_QUEUES}: its cell "
+            f"mu lists {d} queues; {config.kind} couples at most {MAX_QUEUES}: its cell "
             "table holds a weight for each of the 2^d alive patterns of every cell"
         )
     if config.kind == "corr-check" and d > 2:
@@ -345,7 +346,7 @@ def _validate(config: ExperimentConfig) -> None:
         if config.kind == "ldp-check":
             horizon, what = config.t, f"the read time t = {config.t}"
         else:
-            horizon = _WARM_DECADES / min(config.queues.mu)
+            horizon = WARM_DECADES / min(config.queues.mu)
             what = f"the stationary warm-up 40/min(mu) = {horizon:.6g}"
         N = config.N_grid[0]  # the slot delta N^(-alpha) is longest at the smallest N
         slot = ScalingRegime(N, config.alpha, config.delta).delta_n
@@ -420,47 +421,20 @@ def _sim_config(
 # Anderson-Darling normality test (parameters estimated from the sample).
 
 
-def _normal_log_cdf_sf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log Phi(z) and log Phi(-z) (the standard normal log cdf and log sf) of a
-    1-D float array, from one ``math.erfc`` per point.
-
-    With t = |z| and e = erfc(t/sqrt(2)) = 2 Phi(-t), the tail side is
-    log(e/2) and the central side log1p(-e/2), each without cancellation.
-    erfc underflows past t of about 37.5; for t > 37 the tail side is the
-    asymptotic series -t^2/2 - log t - log(2 pi)/2 + log(1 - 1/t^2 + 3/t^4
-    - 15/t^6 + 105/t^8 - 945/t^10), whose first omitted term is below 2e-15
-    there, so no point gives -inf.  The tail side is within a few ulp of the
-    exact value.  The central side, about -e/2 at large t, carries e's
-    relative error: about t^2 ulp, from the one rounding of the erfc argument
-    (d log erfc(x)/dx is about -2x), which any erfc-based form shares."""
-    t = np.abs(z)
-    e = np.fromiter(map(math.erfc, (t * math.sqrt(0.5)).tolist()), float, t.size) / 2
-    with np.errstate(divide="ignore"):
-        tail = np.log(e)
-    central = np.log1p(-e)
-    far = t > 37.0
-    if far.any():
-        r = 1.0 / t[far] ** 2
-        series = -r * (1 - 3 * r * (1 - 5 * r * (1 - 7 * r * (1 - 9 * r))))
-        tail[far] = -0.5 * t[far] ** 2 - np.log(t[far]) - 0.5 * math.log(2 * math.pi) + np.log1p(series)
-    below = z < 0
-    return np.where(below, tail, central), np.where(below, central, tail)
-
-
 def anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
     """A^2* statistic and approximate p-value (D'Agostino & Stephens 1986).
 
     With z_(1) <= ... <= z_(n) the points standardized by the sample mean and
     standard deviation, A^2 = -n - (1/n) sum_i (2i - 1) (log Phi(z_(i)) +
     log Phi(-z_(n+1-i))) and A^2* = A^2 (1 + 0.75/n + 2.25/n^2), with the
-    log cdf and log sf from ``_normal_log_cdf_sf``.  The sum is about -n^2
-    and cancels to A^2, so a few ulp of change in each term moves A^2* by
+    log cdf and log sf from ``special.normal_log_cdf_sf``.  The sum is about
+    -n^2 and cancels to A^2, so a few ulp of change in each term moves A^2* by
     about n ulp absolute: 2e-12 at n = 10,000 between two erfc
     implementations."""
     x = np.sort(np.asarray(x, dtype=float))
     n = x.size
     z = (x - x.mean()) / x.std(ddof=1)
-    log_cdf, log_sf = _normal_log_cdf_sf(z)
+    log_cdf, log_sf = normal_log_cdf_sf(z)
     i = np.arange(1, n + 1)
     a2 = -n - np.sum((2 * i - 1) * (log_cdf + log_sf[::-1])) / n
     a2_star = a2 * (1 + 0.75 / n + 2.25 / n**2)

@@ -19,10 +19,8 @@ in its argument map, x(theta) = theta or Delta (e^(theta/Delta) - 1)
 (``legendre_argument``); the fast and bounded-slow rates are one Poisson
 (Cramer) rate.  The integrated log-MGF I(x) = int_0^t log M(x e^(-mu s)) ds
 is evaluated two ways, direct in s and via u = x e^(-mu s), by one numpy
-rule (``_quad``): 10-point Gauss-Legendre panels, each bisected until its
-halves agree with it, every open panel's nodes evaluated in one array call
-of ``log_mgf``.  The dual-route gap is reported as a criterion.  The same
-substitution gives the derivative in closed form, for every family,
+rule (``special.quad``), and the dual-route gap is reported as a criterion.
+The same substitution gives the derivative in closed form, for every family,
 dI/dx = (log M(x) - log M(x e^(-mu t)))/(mu x), so the supremum (strict
 concavity) is the root of theta -> a - x'(theta) dI/dx, found by bisection
 inside a bracket with no quadrature per step; the stationarity residual is
@@ -44,10 +42,8 @@ only through kappa: log_norm - c kappa + log P(Poisson(N kappa) >= m), with
 log_norm = sum_c n_c log M(eta_c).  The run prepares its draw once
 (``EnvSpec.block_sampler`` with the weights), and each block's draw returns
 its rows' kappa directly, not the (rows, cells) slot sums.  The tail term is
-exact and in log space: the continued fractions of the incomplete gamma
-function, evaluated backward in numpy (``_log_poisson_tail``; within 2.2e-13
-relative of 40-digit values, and refused with ResourceError where a fraction
-would need more than 10^5 steps, near m past about 3.7e11).
+exact (``special.log_poisson_tail``); the ``coxq.special`` docstring describes
+it and the quadrature rule.
 
 ``estimate_log_tails`` runs an N grid through three stages per N: prepare
 (every check and refusal, the cell table, the tilt, the streams and the
@@ -76,7 +72,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .env import EnvSpec, ScalingRegime, log_sum_exp
+from .env import EnvSpec, ScalingRegime
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from .sim import (
     _MAX_EXACT_INT,
@@ -86,6 +82,7 @@ from .sim import (
     replication_blocks,
     start_blocks,
 )
+from .special import log_poisson_tail, log_sum_exp, quad
 
 __all__ = [
     "RateQuery",
@@ -102,29 +99,11 @@ __all__ = [
     "speed_value",
 ]
 
-# A panel closes when its halves' sum agrees with its own estimate to
-# _QUAD_RTOL relative, or to _QUAD_ATOL absolute: the floor for integrands
-# whose rounding is absolute, such as a discrete log M(u)/u at small u,
-# where no relative agreement is reachable.
-_QUAD_RTOL = 1e-13
-_QUAD_ATOL = 1e-15
-# Panels a quadrature may evaluate before it raises ConvergenceError.
-_QUAD_PANELS = 4096
 # Tilted cell draws (cells x drawn rows) at one N above which
 # estimate_log_tails refuses: 33x the largest any shipped config,
 # benchmark workload or test draws (8,038,400: the ldp_slow shape at N = 1600,
 # 200 cells x 40,192 rows).
 _IS_DRAW_BUDGET = 2**28
-# Continued-fraction steps a probe of the count's Poisson tail may take before
-# it refuses: the depth peaks at lam = m and grows there about as m^0.31 (7,013
-# steps at m = 1e8, 65,167 at 1e11), so the bound admits m up to about 3.7e11.
-_CF_STEPS = 10**5
-# log m! - (m log m - m) = log(2 pi m)/2 + sum_k B_2k/(2k (2k - 1) m^(2k - 1)),
-# k <= 6: the first term left out is below 2e-18 from m = 16 on.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-# log1p(d) - d = u (2 u^2 sum_k u^(2k)/(2k + 3) - d), u = d/(2 + d): for
-# |d| <= 1/2, u^2 <= 1/9 and 17 terms reach 1e-17.
-_LOG1PMX = tuple(1.0 / (2 * k + 3) for k in range(17))
 
 SPEED_N = "N"
 SPEED_SLOW = "N^alpha/Delta"
@@ -227,61 +206,10 @@ def speed_value(speed: str, scaling: ScalingRegime) -> float:
 # Integrated log-MGF.
 
 
-# The 10-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
-# numpy.polynomial.legendre.leggauss(10) bit for bit, written out so that no
-# command loads numpy.polynomial.
-_GL_NODES = np.array([
-    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
-    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
-    0.8650633666889845, 0.9739065285171717,
-])
-_GL_WEIGHTS = np.array([
-    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
-    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
-    0.1494513491505804, 0.06667134430868814,
-])
-
-
-def _quad(f, lo: float, hi: float) -> tuple[float, float]:
-    """(int_lo^hi f, error estimate) by adaptive 10-point Gauss-Legendre.
-
-    f maps an array of points to an array of values.  Each round bisects
-    every open panel and evaluates all the halves in one call of f; a panel
-    closes when its halves' sum agrees with its own estimate (``_QUAD_RTOL``,
-    ``_QUAD_ATOL``), and the estimate sums the closed panels' halves.  The
-    error estimate sums the closed panels' disagreements, a bound on the
-    coarser of the two estimates."""
-
-    def rule(a, b):  # the Gauss-Legendre estimate on each panel [a_i, b_i]
-        half = 0.5 * (b - a)
-        x = (a + half)[:, None] + half[:, None] * _GL_NODES
-        return half * (f(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
-
-    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
-    whole = rule(a, b)
-    parts, errs, panels = [], [], 1
-    while a.size:
-        panels += 2 * a.size
-        if panels > _QUAD_PANELS:
-            raise ConvergenceError(f"quadrature unresolved after {_QUAD_PANELS} panels")
-        m = 0.5 * (a + b)
-        halves = rule(np.concatenate([a, m]), np.concatenate([m, b]))
-        left, right = halves[: a.size], halves[a.size :]
-        pair = left + right
-        gap = np.abs(whole - pair)
-        done = gap <= np.maximum(_QUAD_RTOL * np.abs(pair), _QUAD_ATOL)
-        parts.append(pair[done])
-        errs.append(gap[done])
-        more = ~done
-        a, b = np.concatenate([a[more], m[more]]), np.concatenate([m[more], b[more]])
-        whole = np.concatenate([left[more], right[more]])
-    return math.fsum(np.concatenate(parts)), float(np.concatenate(errs).sum())
-
-
 def integrated_log_mgf(
     env: EnvSpec, mu: float, t: float, theta: float, route: str = "time"
 ) -> float:
-    """int_0^t log M(theta e^(-mu s)) ds by adaptive quadrature (``_quad``).
+    """int_0^t log M(theta e^(-mu s)) ds by adaptive quadrature (``special.quad``).
 
     route="time" integrates in s directly; route="substitution" uses
     u = theta e^(-mu s), giving (1/mu) int_{theta e^(-mu t)}^{theta} log M(u)/u du.
@@ -296,9 +224,9 @@ def _ilm_with_err(env, mu, t, theta, route="time"):
     if theta > 0:
         env.log_mgf(theta)  # probe: raises DomainError outside the domain
     if route == "time":
-        return _quad(lambda s: env.log_mgf(theta * np.exp(-mu * s)), 0.0, t)
+        return quad(lambda s: env.log_mgf(theta * np.exp(-mu * s)), 0.0, t)
     if route == "substitution":
-        val, err = _quad(lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta)
+        val, err = quad(lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta)
         return val / mu, err / mu
     raise ValueError(f"unknown route {route!r}")
 
@@ -483,7 +411,7 @@ def estimate_log_tails(
     estimate is -inf only when every one of its replications' is.  A count
     level N a past 2^53, which float64 cannot index, raises ResourceError, as
     does an N that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates
-    or whose count tail needs more than ``_CF_STEPS`` continued-fraction steps
+    or whose count tail needs more than ``special._CF_STEPS`` continued-fraction steps
     (a rate near N a past about 3.7e11); the bounded slow branch, which has no
     sampler, raises RegimeError.  Every refusal but the continued fraction's is
     raised in its N's prepare stage, before any N is weighed (at the first N,
@@ -508,7 +436,7 @@ def estimate_log_tails(
             kappas = finish()
             if after is not None:
                 drawing = start_blocks(after.block, after.streams, after.entries)
-            out.append(_reduce(job.weigh(kappas)))  # while N_(k+1)'s blocks draw
+            out.append(_reduce(job.weigh(kappas), replications))  # while N_(k+1)'s blocks draw
             job, finish = after, None  # so at most two N's prepared draws are alive at once
         return out
     finally:
@@ -516,15 +444,16 @@ def estimate_log_tails(
             drawing(cancel=True)
 
 
-def _reduce(logw: np.ndarray) -> tuple[float, float]:
-    """(log of the mean weight, relative SE of that mean) of one N's log weights."""
-    replications = logw.size
+def _reduce(logw: np.ndarray, replications: int) -> tuple[float, float]:
+    """(log of the mean weight, its relative SE) of one N's R log weights, or of R copies of one."""
     finite = logw[np.isfinite(logw)]
     if finite.size == 0:
         return -math.inf, math.inf
+    if logw.size == 1:  # log_sum_exp of R copies of x is (log1p(0) + log R) + x
+        return float(np.log(np.int64(replications)) + finite[0]) - math.log(replications), 0.0
     log_mean = float(log_sum_exp(finite)) - math.log(replications)
     # Var(W)/P^2 = R sum w^2/(sum w)^2 - 1 with w = W/max W in (0, 1]: equal
-    # weights (a constant rate layer) give exactly 0
+    # weights give exactly 0
     w = np.exp(finite - finite.max())
     # np.square(w).sum(), not w @ w: BLAS splits a dot product across its threads,
     # so its bits would depend on the BLAS thread count
@@ -536,7 +465,7 @@ class _Prepared(NamedTuple):  # one N's prepare stage
     block: Callable  # block(b, rng) draws block b's rows' kappa, as run_blocks calls it
     streams: list  # one per block
     entries: int  # the cell draws of one block
-    weigh: Callable  # weigh(every block's kappa) returns the (replications,) log weights
+    weigh: Callable  # weigh(every block's kappa): the (replications,) log weights, or one
 
 
 def _tilt(query, N, replications, theta_star, block_tol):
@@ -590,8 +519,8 @@ def _prepare(query, N, seed, replications, theta_star, block_tol) -> _Prepared:
 
     A constant rate layer (variance 0) is the same in every replication, and
     the tail is elementwise in kappa: one row is drawn from block 0's stream
-    (``replication_blocks`` for one replication), its weight is evaluated
-    once and repeated R times.  A constant rate never reaches slow_unbounded,
+    (``replication_blocks`` for one replication), and its one weight stands
+    for all R (``_reduce``).  A constant rate never reaches slow_unbounded,
     which needs kappa per row."""
     counts, wk, c, log_norm = _tilt(query, N, replications, theta_star, block_tol)
     env, a = query.env, query._scalar_a
@@ -606,140 +535,13 @@ def _prepare(query, N, seed, replications, theta_star, block_tol) -> _Prepared:
         kappa = np.concatenate(kappas)
         # one tail call for the whole run: its cost is mostly per call, not per row
         try:
-            tail = _log_poisson_tail(m, N * kappa)
+            tail = log_poisson_tail(m, N * kappa)
         except ResourceError as exc:
             raise ResourceError(f"count level N a = {N * a:.10g}: {exc}") from None
         logw = (log_norm - c * kappa) + tail
-        return np.repeat(logw, replications) if constant else logw[:replications]
+        return logw[:replications]
 
     return _Prepared(lambda b, rng: draw(rng, size), streams, size * counts.size, weigh)
-
-
-def _log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:
-    """log P(Poisson(lam) >= m), elementwise; finite wherever lam > 0.
-
-    The tail is the regularized gamma P(m, lam), and l = log(m pmf(m, lam))
-    (``_log_m_pmf``) is its prefactor: below lam = m it is l - log F, F the
-    continued fraction of gamma(m, lam) in its contracted (Jacobi) form
-    m - lam + 1 lam/(m + 1 - lam + 2 lam/(m + 2 - lam + ...)); at or above m it
-    is log1p(-e^l / G), e^l / G = P(X <= m - 1) and G Legendre's fraction of
-    Gamma(m, lam), lam + 1 - m + 1 (m - 1)/(lam + 3 - m + 2 (m - 2)/(...)).
-    Both fractions have positive terms, so their backward recurrence is stable
-    (``_tail_fraction``), and the log is never taken of an underflowed tail.
-    Against 40-digit mpmath, over m from 1 to 10^6 and lam/m in [1e-6, 40],
-    the error is at most 3.2e-15 relative below m and 2.2e-13 at or above it,
-    where the rounding of l (up to 745 in size before e^l underflows) sets it;
-    near lam = m it stays within 1e-14 up to m = 1e10 (against the fractions
-    at 50 digits).  A fraction that needs more than ``_CF_STEPS`` steps, near
-    lam = m past m of about 3.7e11, raises ResourceError."""
-    if m <= 0:  # a count is never below 0
-        return np.zeros_like(lam)
-    order = np.argsort(lam)
-    s = lam[order]
-    ell = _log_m_pmf(m, s)
-    k = int(np.searchsorted(s, m))
-    tail = np.empty_like(s)
-    below = np.ascontiguousarray(s[:k][::-1])  # nearest m first; a strided view is slower
-    tail[:k][::-1] = ell[:k][::-1] - np.log(_tail_fraction(m, below, upper=False))
-    tail[k:] = np.log1p(-np.exp(ell[k:]) / _tail_fraction(m, s[k:], upper=True))
-    out = np.empty_like(lam)
-    out[order] = tail
-    return out
-
-
-def _log_m_pmf(m: int, s: np.ndarray) -> np.ndarray:
-    """log(m pmf(m, s)) = m log s - s - log (m-1)! for s sorted ascending, m >= 1.
-
-    With d = s/m - 1 it is m (log1p(d) - d) - E(m) + log m, E(m) = log m! -
-    (m log m - m), so no large terms cancel: below s = m/2, where d loses s,
-    m log(s/m) - (s - m) stands for m (log1p(d) - d); for |d| <= 1/2 the
-    ``_LOG1PMX`` series stands for log1p(d) - d, which cancels there."""
-    lo, hi = np.searchsorted(s, (0.5 * m, 1.5 * m), side="right")
-    out = np.empty_like(s)
-    far, near, high = s[:lo], s[lo:hi], s[hi:]
-    with np.errstate(divide="ignore"):  # a zero rate has log pmf -inf
-        out[:lo] = m * np.log(far / m) - (far - m)
-    d = (near - m) / m  # near - m is exact
-    u = d / (2.0 + d)
-    u2 = u * u
-    series = np.full_like(u2, _LOG1PMX[-1])
-    for c in _LOG1PMX[-2::-1]:
-        series *= u2
-        series += c
-    out[lo:hi] = m * (u * (2.0 * u2 * series - d))
-    d = (high - m) / m
-    with np.errstate(over="ignore"):  # log pmf -inf at a rate near float max
-        out[hi:] = m * (np.log1p(d) - d)
-    if m < 16:
-        rest = math.lgamma(m + 1) - (m * math.log(m) - m)
-    else:
-        series = 0.0
-        for c in _STIRLING[::-1]:
-            series = c + series / (m * m)
-        rest = 0.5 * math.log(2.0 * math.pi * m) + series / m
-    return out + (math.log(m) - rest)
-
-
-def _fraction_steps(m: int, x: float, upper: bool) -> int | None:
-    """Steps until the modified Lentz evaluation of ``_tail_fraction``'s
-    fraction at x changes by less than rounding, or None past ``_CF_STEPS``.
-    Every term is positive (the upper fraction ends at step m), so no
-    denominator is 0."""
-    shift = x + 1.0 - m if upper else m - x
-    c, d = shift, 0.0
-    for n in range(1, _CF_STEPS + 1):
-        a, b = (n * (m - n), shift + 2 * n) if upper else (n * x, shift + n)
-        d = 1.0 / (b + a * d)
-        c = b + a / c
-        if abs(c * d - 1.0) < 2.0**-53:
-            return n
-    return None
-
-
-def _tail_fraction(m: int, x: np.ndarray, upper: bool) -> np.ndarray:
-    """F (x < m) or G (x >= m) of ``_log_poisson_tail`` at each x, x ordered
-    nearest m (slowest to converge) first.
-
-    The x fall into runs by their distance from m: [0, e_1), [e_1, e_2), ...,
-    e_j = sqrt(m) 2^(j - 4), the last run open.  A Lentz probe at each run's
-    near edge gives its depth (the depth falls with the distance); one
-    backward recurrence serves every run, each joining it at that depth plus
-    2 (and no less than a farther run's), so a level costs a few array
-    operations over the runs deep enough to need it, and each value depends
-    only on its own x and m."""
-    shift = x + (1.0 - m) if upper else m - x
-    edges = [0.0]
-    while edges[-1] < m:
-        edges.append(math.sqrt(m) * 2.0 ** (len(edges) - 4))
-    bounds = np.searchsorted(shift, np.add(edges, 1.0 if upper else 0.0)).tolist() + [x.size]
-    first = next((j for j in range(len(edges)) if bounds[j] < bounds[j + 1]), len(edges))
-    starts = []
-    for e in edges[first:]:
-        near = m + e if upper else max(m - e, 0.0) if e else math.nextafter(m, 0.0)
-        steps = _fraction_steps(m, near, upper)
-        if steps is None:
-            raise ResourceError(
-                f"log P(Poisson(lam) >= {m}) needs more than {_CF_STEPS} "
-                f"continued-fraction steps at lam = {near:.10g}"
-            )
-        starts.append(steps + 2)
-    starts = np.maximum.accumulate(starts[::-1])[::-1].tolist()  # non-increasing
-    f = np.empty_like(x)
-    run = 0
-    for n in range(starts[0] if starts else 0, 0, -1):
-        while run < len(starts) and starts[run] == n:  # the runs that join at level n
-            lo, hi = bounds[first + run], bounds[first + run + 1]
-            np.add(shift[lo:hi], 2 * n if upper else n, out=f[lo:hi])
-            run += 1
-            xs, ss, fs = x[:hi], shift[:hi], f[:hi]
-        if upper:  # f <- x + 1 - m + 2 (n - 1) + n (m - n)/f
-            np.divide(n * (m - n), fs, out=fs)
-        else:  # f <- m - x + n - 1 + n x/f
-            np.divide(xs, fs, out=fs)
-            fs *= n
-        fs += ss
-        fs += 2 * (n - 1) if upper else n - 1
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +560,7 @@ def _mv_limit_log_mgf(query: RateQuery):
                 decay = np.exp(-np.multiply.outer(s, mu))
                 return np.prod(decay * np.expm1(theta) + 1.0, axis=-1)
 
-            return env.mean * (_quad(integrand, 0.0, t)[0] - t)
+            return env.mean * (quad(integrand, 0.0, t)[0] - t)
 
         def in_domain(theta):
             return True
@@ -774,7 +576,7 @@ def _mv_limit_log_mgf(query: RateQuery):
                 decay = np.exp(-np.multiply.outer(s, mu))
                 return env.log_mgf(delta * (np.prod(decay * scaled + 1.0, axis=-1) - 1.0))
 
-            return _quad(integrand, 0.0, t)[0]
+            return quad(integrand, 0.0, t)[0]
 
         def in_domain(theta):
             worst = delta * (np.prod(np.expm1(theta / delta) + 1.0) - 1.0)
@@ -786,7 +588,7 @@ def _mv_limit_log_mgf(query: RateQuery):
         def integrand(s):
             return env.log_mgf(np.exp(-np.multiply.outer(s, mu)) @ theta)
 
-        return _quad(integrand, 0.0, t)[0]
+        return quad(integrand, 0.0, t)[0]
 
     def in_domain(theta):
         return float(theta.sum()) < env.theta_max - 1e-11

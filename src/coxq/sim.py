@@ -100,13 +100,13 @@ __all__ = [
 
 # Warm-up of 40/mu mean residual lifetimes leaves a relative bias <= e^-40,
 # far below Monte Carlo noise at any feasible replication count.
-_WARM_DECADES = 40.0
+WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
 # Most coupled queues a config may list: a cell table's alive-pattern weights
 # (_category_weights) fill a (cells, 2^d) array per grid time and pass over it d times.
 # Measured on 2 vCPUs at R = 2, configs/simulate.json's 6 grid times run in
 # 0.15 s at d = 10, 0.58 s at d = 12 and 1.2 s at d = 13 (medians of 3).
-_MAX_QUEUES = 12
+MAX_QUEUES = 12
 # Alive-pattern weights (float64, 128 MiB) per cell table, summed over grid times of
 # cells x 2^d, above which cell_table refuses: 84x the largest tier-1 table's 2e5,
 # and at d = 1 every table that the exact-slot budget admits.
@@ -554,7 +554,7 @@ def sample_stationary(config: SimConfig) -> Trajectory:
     and ``simulate`` runs as for any other grid, for every d.
     """
     h = config.scaling.delta_n
-    warm = math.ceil(_WARM_DECADES / min(config.queues.mu) / h - 1e-9) * h
+    warm = math.ceil(WARM_DECADES / min(config.queues.mu) / h - 1e-9) * h
     return simulate(replace(config, grid=(warm,), initial_counts=(0,) * config.queues.d))
 
 

@@ -227,16 +227,16 @@ def test_grid_and_N_grid_take_up_to_their_bounds(monkeypatch, stem):
 
 @pytest.mark.parametrize("stem", ["simulate", "fclt"])
 def test_simulate_and_fclt_check_take_up_to_the_queue_bound(monkeypatch, stem):
-    # validation admits _MAX_QUEUES queues and refuses one more, naming mu;
+    # validation admits MAX_QUEUES queues and refuses one more, naming mu;
     # the runner is stubbed, since a run at the bound takes seconds
     doc = json.loads(next(p for p in CONFIGS if p.stem == stem).read_text())
     monkeypatch.setitem(harness._RUNNERS, doc["kind"], lambda config, out_dir: ([], []))
-    for d in (coxq.sim._MAX_QUEUES, coxq.sim._MAX_QUEUES + 1):
+    for d in (coxq.sim.MAX_QUEUES, coxq.sim.MAX_QUEUES + 1):
         change = {"queues": {"mu": [1.0] * d}}
         if "initial_counts" in doc:
             change["initial_counts"] = [0] * d
         config = ExperimentConfig.from_json({**doc, **change})
-        if d <= coxq.sim._MAX_QUEUES:
+        if d <= coxq.sim.MAX_QUEUES:
             harness.run(config)
         else:
             with pytest.raises(coxq.ConfigError, match=f"mu lists {d} queues"):

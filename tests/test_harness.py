@@ -1,5 +1,6 @@
 """Experiment runners, report schema, criteria wiring, and the CLI."""
 
+import ast
 import json
 import math
 import re
@@ -17,7 +18,6 @@ from coxq.cli import main as cli_main
 from coxq.errors import ConfigError
 from coxq.harness import (
     ExperimentConfig,
-    _normal_log_cdf_sf,
     _wls_slope,
     anderson_darling_normal,
     run,
@@ -131,25 +131,6 @@ def _anderson_darling_by_norm(x):
     i = np.arange(1, n + 1)
     a2 = -n - np.sum((2 * i - 1) * (log_cdf + log_sf[::-1])) / n
     return a2 * (1 + 0.75 / n + 2.25 / n**2)
-
-
-def test_log_ndtr_is_norm_logcdf_and_logsf():
-    # _normal_log_cdf_sf against scipy.stats.norm, 1e-14 relative.  Past
-    # |z| = 8 the central side is about -Phi(-|z|), whose relative error in
-    # any erfc-based form is about z^2 ulp (one rounding of the erfc
-    # argument), and scipy's erfc adds its own (the two differ by 5.7e-14 at
-    # |z| = 37), so there the bound is z^2 eps/2.  The absolute floor, the smallest normal float,
-    # only matters where a value is subnormal.
-    z = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, -0.0, 1e-300, -1e-300]])
-    log_cdf, log_sf = _normal_log_cdf_sf(z)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    for got, want, central in (
-        (log_cdf, stats.norm.logcdf(z), z > 0),
-        (log_sf, stats.norm.logsf(z), z < 0),
-    ):
-        assert np.all(np.isfinite(got))
-        rtol = np.where(central, np.maximum(1e-14, z**2 * eps / 2), 1e-14)
-        assert np.all(np.abs(got - want) <= rtol * np.abs(want) + tiny)
 
 
 @pytest.mark.parametrize(
@@ -393,10 +374,13 @@ def test_harness_uses_only_public_interfaces():
     # no attribute access to any private name: the harness consumes only
     # public operation outputs of the computational modules
     assert not re.search(r"\.\s*_[A-Za-z]", src)
-    private_imports = re.findall(r"from \.(?:env|analytic|sim|ldp) import ([^\n]+)", src)
-    for imports in private_imports:
-        for name in imports.split(","):
-            assert not name.strip().startswith("_"), name
+    modules = {"env", "analytic", "sim", "ldp", "special"}
+    imported = [(node.module, alias.name) for node in ast.walk(ast.parse(src))
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules
+                for alias in node.names]
+    assert {module for module, _ in imported} == modules  # every import seen, parenthesized too
+    for module, name in imported:
+        assert not name.startswith("_"), (module, name)
 
 
 # -- CLI ----------------------------------------------------------------------------

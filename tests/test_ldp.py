@@ -7,12 +7,11 @@ import time
 import tracemalloc
 import weakref
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import logsumexp, spence
+from scipy.special import spence
 from scipy.stats import poisson
 
 import coxq.sim
@@ -28,11 +27,8 @@ from coxq.env import (
 )
 from coxq.errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from coxq.ldp import (
-    _GL_NODES,
-    _GL_WEIGHTS,
     RateQuery,
     _ilm_prime,
-    _log_poisson_tail,
     classify_regime,
     estimate_log_tails,
     integrated_log_mgf,
@@ -43,6 +39,7 @@ from coxq.ldp import (
     rate_slow_bounded,
 )
 from coxq.sim import block_rows, cell_table
+from coxq.special import log_poisson_tail
 
 
 def q(env=None, mu=1.0, delta=1.0, alpha=0.5, t=40.0, a=2.0):
@@ -55,12 +52,6 @@ def li2(x):
 
 
 # -- integrated log-MGF --------------------------------------------------------
-
-
-def test_gauss_legendre_rule_is_leggauss_10_bit_for_bit():
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    assert _GL_NODES.tobytes() == nodes.tobytes()
-    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_ilm_deterministic_closed_form():
@@ -531,8 +522,8 @@ def _is_shape(alpha, N):
 
 
 def _replication_log_weights(query, N, R, seed, theta):
-    """(R,) log IS weights at one N, prepared, drawn and weighed in a row: the
-    weights that ``estimate_log_tails`` reduces at the point (N, seed)."""
+    """(R,) log IS weights at one N (one for a constant rate layer), prepared,
+    drawn and weighed in a row: what ``estimate_log_tails`` reduces at (N, seed)."""
     job = ldp._prepare(query, N, seed, R, theta, 0.01)
     return job.weigh(coxq.sim.run_blocks(job.block, job.streams, job.entries))
 
@@ -577,7 +568,7 @@ def _constant_log_weights_block_by_block(query, N, R, seed, theta, block_tol):
     blocks = []
     for rng in spawn_streams(seed, -(-R // B)):
         kappa = env.sample_block_sums_twisted(etas, rng, counts, 1, weights=wk)
-        logw = (env.twisted_log_norm(etas, counts) - c * kappa) + _log_poisson_tail(m, N * kappa)
+        logw = (env.twisted_log_norm(etas, counts) - c * kappa) + log_poisson_tail(m, N * kappa)
         blocks.append(np.repeat(logw, B))
     return np.concatenate(blocks)[:R]
 
@@ -587,8 +578,9 @@ def _constant_log_weights_block_by_block(query, N, R, seed, theta, block_tol):
     "env", [Deterministic(1.0), DiscreteFinite([2.0], [1.0])], ids=["deterministic", "one-atom"]
 )
 def test_is_constant_rate_draws_one_row_from_one_stream(monkeypatch, env, alpha):
-    # a constant rate layer is drawn once, from block 0's stream, and its weight
-    # repeated: the bits of drawing every block, at an R that is no multiple of B
+    # a constant rate layer is drawn once, from block 0's stream, and its one
+    # weight stands for all R: it is every block's weight when each block draws,
+    # at an R that is no multiple of B, and it reduces as those R weights do
     query = q(env=env, alpha=alpha, t=5.0, a=3.0)
     theta = (rate_fast(query.rho_t, 3.0) if alpha == 2 else rate_intermediate(query)).theta_star
     N = 100
@@ -601,7 +593,9 @@ def test_is_constant_rate_draws_one_row_from_one_stream(monkeypatch, env, alpha)
     got = _replication_log_weights(query, N, R, 7, theta)
     assert calls == [1]
     assert np.isfinite(want).all()
-    np.testing.assert_array_equal(got, want)
+    assert got.shape == (1,)
+    np.testing.assert_array_equal(want, np.full(R, got[0]))
+    assert ldp._reduce(got, R) == ldp._reduce(want, R)
 
 
 def test_is_spawns_one_stream_per_block(monkeypatch):
@@ -693,7 +687,7 @@ def _grid_query(shape):
 
 def _serial_log_tails(query, points, R, theta):
     """The unpipelined loop: each N prepared, drawn and weighed before the next."""
-    return [ldp._reduce(_replication_log_weights(query, N, R, seed, theta)) for N, seed in points]
+    return [ldp._reduce(_replication_log_weights(query, N, R, seed, theta), R) for N, seed in points]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
@@ -726,7 +720,7 @@ def test_a_refusal_at_a_later_N_is_raised_before_any_N_is_weighed(monkeypatch, r
     assert draws == sorted(set(draws))
     monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", draws[refused - 1])
     tails = []
-    monkeypatch.setattr(ldp, "_log_poisson_tail", lambda m, lam: tails.append(lam.size))
+    monkeypatch.setattr(ldp, "log_poisson_tail", lambda m, lam: tails.append(lam.size))
     baseline = threading.active_count()
     with pytest.raises(ResourceError, match=f"at N = {points[refused][0]} exceed the budget"):
         estimate_log_tails(query, points, R, theta, 0.01)
@@ -756,7 +750,7 @@ def test_an_error_in_the_first_weighing_cancels_the_second_N_and_wins(monkeypatc
 
     alive = []
     monkeypatch.setattr(ldp, "_prepare", spy)
-    monkeypatch.setattr(ldp, "_log_poisson_tail", injected)
+    monkeypatch.setattr(ldp, "log_poisson_tail", injected)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="injected"):
         estimate_log_tails(query, points, 2000, theta, 0.01)
@@ -856,88 +850,6 @@ def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
 # -- the count's conditional tail -------------------------------------------------
 
 
-POISSON_LEVELS = [1, 7, 60, 400, 2000, 7600, 10**6]
-
-
-@pytest.mark.parametrize("m", POISSON_LEVELS)
-def test_log_poisson_tail_is_scipy_logsf_where_finite(m):
-    # scipy's logsf is the log of a rounded sf, so where log P is near 0
-    # (lam >> m) its error is absolute: the two agree to 1e-14 relative above 1
-    # in size and 1e-14 absolute below (largest gap 6e-15)
-    lam = np.geomspace(1e-3, 4.0 * m, 200)
-    want = poisson.logsf(m - 1, lam)
-    assert np.isfinite(want).any()
-    got = _log_poisson_tail(m, lam)
-    finite = np.isfinite(want)
-    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
-    assert np.all(np.isfinite(got))
-
-
-def _mpmath_log_poisson_tail(m, lam):
-    """log P(Poisson(lam) >= m) at 40 digits.  At or above m it is log1p(-Q),
-    Q = P(X <= m - 1): log(1 - Q) at 40 digits would lose a Q below 1e-40."""
-    with mpmath.workdps(40):
-        x = mpmath.mpf(float(lam))
-        if lam < m:
-            return float(mpmath.log(mpmath.gammainc(m, 0, x, regularized=True)))
-        return float(mpmath.log1p(-mpmath.gammainc(m, x, mpmath.inf, regularized=True)))
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 15, 16, 60, 400, 2000, 7600, 30_000, 10**6])
-def test_log_poisson_tail_is_mpmath_to_40_digits_within_its_bound(m):
-    # lam/m over [1e-6, 40], plus random lam within 1e-6 to 0.5 of m, where the
-    # fractions are deepest.  Below m the error is at most 3.2e-15 relative; at
-    # or above m, log P = log1p(-e^l/G) inherits the rounding of l, up to 745
-    # in size before e^l underflows: at most 2.2e-13 (measured over 19 levels
-    # from 1 to 1e6).  A tail below 1e-290 in size is compared absolutely.
-    rng = np.random.default_rng(m)
-    near = 1.0 + rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-6.0, -0.3, 100)
-    lam = m * np.concatenate([np.geomspace(1e-6, 40.0, 200), near])
-    want = np.array([_mpmath_log_poisson_tail(m, x) for x in lam])
-    got = _log_poisson_tail(m, lam)
-    tiny = np.abs(want) < 1e-290
-    for side, rtol in ((lam < m) & ~tiny, 5e-15), ((lam >= m) & ~tiny, 3e-13):
-        np.testing.assert_allclose(got[side], want[side], rtol=rtol, atol=0)
-    np.testing.assert_allclose(got[tiny], want[tiny], rtol=0, atol=1e-300)
-
-
-def test_log_poisson_tail_at_ten_million_is_the_40_digit_value():
-    # scipy's pdtrc gives -22.82733658564460 here, so its P is 1.4% off; the
-    # value below is log pmf(m) + log sum_k prod_{i<=k} lam/(m+i) at 50 digits
-    got = _log_poisson_tail(10**7, np.array([0.998e7]))[0]
-    assert got == pytest.approx(-22.81364128554411863, rel=1e-14)
-
-
-def test_log_poisson_tail_past_its_work_bound_raises_resource_error():
-    # near lam = m the fraction's depth grows about as m^0.31 (65,167 steps
-    # at m = 1e11) and passes _CF_STEPS = 10^5 at about m = 3.7e11; far from m
-    # it stays shallow
-    with pytest.raises(ResourceError, match="continued-fraction steps"):
-        _log_poisson_tail(10**12, np.array([1e12 - 1e3]))
-    assert np.all(np.isfinite(_log_poisson_tail(10**12, np.array([0.5e12, 2e12]))))
-
-
-def test_log_poisson_tail_of_a_level_at_most_0_is_0():
-    lam = np.array([0.0, 1e-3, 5.0])
-    for m in (0, -3):
-        np.testing.assert_array_equal(_log_poisson_tail(m, lam), poisson.logsf(m - 1, lam))
-
-
-@pytest.mark.parametrize(
-    "lam, m, want", [(3800.0, 7600, -1472.6126), (50.0, 2000, -5432.4530)]
-)
-def test_log_poisson_tail_below_logsf_underflow_matches_direct_sum(lam, m, want):
-    assert poisson.logsf(m - 1, lam) == -math.inf
-    direct = logsumexp(poisson.logpmf(np.arange(m, m + 5000), lam))
-    got = _log_poisson_tail(m, np.array([lam]))[0]
-    assert got == pytest.approx(direct, rel=1e-12)
-    assert got == pytest.approx(want, abs=1e-4)
-
-
-def test_log_poisson_tail_of_a_zero_rate_is_minus_inf():
-    assert _log_poisson_tail(5, np.array([0.0]))[0] == -math.inf
-
-
 @pytest.mark.parametrize("N", [50, 400, 1900, 4000])
 def test_is_fast_constant_rate_is_the_exact_poisson_tail(N):
     # a constant rate leaves only the count random, and the IS integrates it
@@ -948,7 +860,7 @@ def test_is_fast_constant_rate_is_the_exact_poisson_tail(N):
     log_p, rel_err = estimate_log_tails(query, [(N, 7)], 2000, theta, 0.01)[0]
     h = ScalingRegime(N, 2.0, 1.0).delta_n
     kappa = cell_table((1.0,), h, (40.0,), 0.01).weights[0][:, 0].sum()
-    want = _log_poisson_tail(math.ceil(N * 2.0 - 1e-9), np.array([N * kappa]))[0]
+    want = log_poisson_tail(math.ceil(N * 2.0 - 1e-9), np.array([N * kappa]))[0]
     assert math.isfinite(log_p)
     assert log_p == pytest.approx(want, rel=1e-12)
     assert rel_err == 0.0
