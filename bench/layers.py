@@ -40,6 +40,19 @@ changes not committed); compare files only from the same machine, and on a
 shared one only from interleaved runs.
 
     PYTHONPATH=src python bench/layers.py [--repeats 7] [--out BENCH_layers.json]
+
+With ``--against PATH`` the script compares this checkout with the one at
+PATH instead, and writes ``BENCH_ab.json``.  Each of ``--pairs`` pairs runs
+this script's layers and the configs through ``coxq.harness.run`` (timings
+only: no peak RSS, no tier-1) once on each checkout's ``src``, each in a
+fresh process, the two in alternating order from pair to pair; every pair is
+run with one worker (the child pins itself to one CPU with
+``os.sched_setaffinity`` before it imports ``coxq``) and with every CPU.  Per
+setting and timing the file holds the per-pair ratios this/PATH, their
+median, in how many pairs this checkout was lower, and PATH's quartiles; it
+is stamped with both commits.
+
+    PYTHONPATH=src python bench/layers.py --against ../parent [--pairs 5] [--repeats 7]
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 from ldp_screen import ROOT, load_workloads
@@ -82,16 +96,19 @@ def median_s(fn, repeats: int, inner: int = 1) -> float:
     return statistics.median(times)
 
 
-def stamp() -> dict:
+def commit(root) -> str | None:
+    """The commit checked out at root, "-dirty" when the tree holds changes not committed."""
     try:
-        # the commit, "-dirty" when the tree holds changes not committed
-        commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=ROOT,
-                                capture_output=True, text=True, timeout=10).stdout.strip() or None
+        return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=root,
+                              capture_output=True, text=True, timeout=10).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
-        commit = None
+        return None
+
+
+def stamp() -> dict:
     return {"nproc": len(os.sched_getaffinity(0)), "block_cpus": sim._CPUS,
             "max_workers": sim._MAX_WORKERS, "python": platform.python_version(),
-            "numpy": np.__version__, "machine": platform.machine(), "commit": commit}
+            "numpy": np.__version__, "machine": platform.machine(), "commit": commit(ROOT)}
 
 
 @contextlib.contextmanager
@@ -292,12 +309,13 @@ def fresh_max_rss_mb(config, path, repeats: int) -> float:
     return statistics.median(peaks)
 
 
-def end_to_end(repeats: int) -> dict:
+def end_to_end(repeats: int, rss: bool = True) -> dict:
     out = {}
     for path in sorted(ROOT.glob("configs/*.json")):
         config = ExperimentConfig.from_json(json.loads(path.read_text()))
         out[f"harness.run.{path.stem}.s"] = median_s(lambda: run(config), repeats)
-        out[f"harness.run.{path.stem}.max_rss_mb"] = fresh_max_rss_mb(config, path, repeats)
+        if rss:
+            out[f"harness.run.{path.stem}.max_rss_mb"] = fresh_max_rss_mb(config, path, repeats)
     return out
 
 
@@ -317,16 +335,82 @@ def tier1() -> dict:
     return {"tier1.wall_s": wall, **{f"tier1.{w}": n for w, n in counts.items()}}
 
 
+def timings(repeats: int) -> dict:
+    """Every timing of ``layers`` and of the configs through ``harness.run``, in seconds or us."""
+    rows = {**layers(repeats), **end_to_end(repeats, rss=False)}
+    return {key: value for key, value in rows.items() if isinstance(value, float)}
+
+
+# a fresh interpreter that pins itself to its first argv[1] CPUs (0: all of them)
+# before it imports coxq, so the block scheduler reads that many, then prints
+# timings() of this script against the src on its PYTHONPATH as JSON
+AB_CHILD = ("import json, os, sys; cpus = int(sys.argv[1]); "
+            "cpus and os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus]); "
+            "sys.path.insert(0, sys.argv[2]); import layers; "
+            "print(json.dumps(layers.timings(int(sys.argv[3]))))")
+AB_SETTINGS = {"one_worker": 1, "all_cpus": 0}
+
+
+def ab_child(root, cpus: int, repeats: int) -> dict:
+    """timings() of the checkout at root, in a fresh process on cpus CPUs (0: all)."""
+    proc = subprocess.run([sys.executable, "-c", AB_CHILD, str(cpus), str(ROOT / "bench"), str(repeats)],
+                          env=dict(os.environ, PYTHONPATH=str(Path(root) / "src")),
+                          capture_output=True, text=True, timeout=3600)
+    if proc.returncode:
+        raise RuntimeError(f"{root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def ab_summary(mine: list[dict], theirs: list[dict]) -> dict:
+    """Per timing that both sides have, over the pairs (mine[i], theirs[i]): the
+    ratios mine/theirs, their median, in how many pairs mine was lower, and the
+    quartiles of theirs."""
+    out = {}
+    for key in sorted(mine[0].keys() & theirs[0].keys()):
+        ratios = [a[key] / b[key] for a, b in zip(mine, theirs)]
+        out[key] = {"ratios": ratios, "median_ratio": statistics.median(ratios),
+                    "lower": sum(ratio < 1 for ratio in ratios),
+                    "against_quartiles": statistics.quantiles([b[key] for b in theirs], n=4)}
+    return out
+
+
+def ab(other, pairs: int, repeats: int) -> dict:
+    """BENCH_ab.json's document: this checkout against the one at other."""
+    runs = {name: ([], []) for name in AB_SETTINGS}  # (this checkout's, other's)
+    for i in range(pairs):
+        order = (1, 0) if i % 2 == 0 else (0, 1)  # the other checkout first in even pairs
+        for name, cpus in AB_SETTINGS.items():
+            for side in order:
+                runs[name][side].append(ab_child((ROOT, other)[side], cpus, repeats))
+    return {"machine": stamp(), "against": {"path": str(other), "commit": commit(other)},
+            "pairs": pairs, "repeats": repeats, "workload_seed": SEED,
+            **{name: ab_summary(mine, theirs) for name, (mine, theirs) in runs.items()}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="at least 5")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    parser.add_argument("--out", default=None, help="default BENCH_layers.json, or BENCH_ab.json with --against")
+    parser.add_argument("--against", help="another checkout's root, to compare this one with")
+    parser.add_argument("--pairs", type=int, default=5, help="with --against: at least 3")
     args = parser.parse_args(argv)
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
+    if args.against:
+        if args.pairs < 3:
+            parser.error("--pairs must be at least 3")
+        doc = ab(Path(args.against).resolve(), args.pairs, args.repeats)
+        with open(args.out or ROOT / "BENCH_ab.json", "w") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
+        for name in AB_SETTINGS:
+            for key, row in doc[name].items():
+                print(f"{name:<11} {key:<64} x{row['median_ratio']:.3f}  lower {row['lower']}/{args.pairs}  "
+                      f"against q {' '.join(f'{q:.4g}' for q in row['against_quartiles'])}")
+        return 0
     doc = {"machine": stamp(), "repeats": args.repeats, "workload_seed": SEED,
            "layers": layers(args.repeats), "end_to_end": {**end_to_end(args.repeats), **tier1()}}
-    with open(args.out, "w") as f:
+    with open(args.out or ROOT / "BENCH_layers.json", "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
     for section in ("layers", "end_to_end"):

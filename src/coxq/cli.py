@@ -40,6 +40,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """ConfigError unless --out is a directory or can be made one: a path that
+    is not empty, whose nearest existing ancestor is a directory.  Nothing is
+    created."""
+    if not path:
+        raise ConfigError("--out is empty; name a directory")
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {path!r}: {probe!r} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -60,6 +73,7 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.replications is not None:
             config = replace(config, replications=args.replications)
+        _check_out(args.out)
         report = run(config, out_dir=args.out)
     except (CoxqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,9 +104,10 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     from it (a block of replications in ``sim.simulate`` and in
     ``ldp.estimate_log_tails``, one replication in the test oracle
     ``tests/reference.py``) may run in any order or concurrently and still
-    reproduce bit-identically; ``sim.run_blocks`` runs the blocks on several
-    threads.  A generator is not safe to share between threads, so each
-    stream is drawn by one at a time.
+    reproduce bit-identically; ``sim.run_blocks`` draws the blocks on its
+    worker threads and the calling thread, and joins them before it returns.
+    A generator is not safe to share between threads, so each stream is drawn
+    by one thread, and the streams themselves are spawned on the calling thread.
     """
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 

@@ -47,21 +47,14 @@ it and the quadrature rule.
 
 ``estimate_log_tails`` runs an N grid through three stages per N: prepare
 (every check and refusal, the cell table, the tilt, the streams and the
-prepared draw), draw (the blocks, on ``sim.start_blocks``' threads) and weigh
-(the count's tail, the weights and their reduction).  It checks every N
-before it weighs any: N_1 is prepared and its blocks start, and while they
-draw the calling thread runs each later N's checks (``_tilt``, where every
-prepare-stage refusal is raised) and keeps nothing of them.  Then for each k
-it prepares N_(k+1) while N_k's blocks draw, takes its share of N_k's blocks
-and joins N_k's threads, starts N_(k+1)'s, and weighs N_k while those draw.
-So a prepare-stage refusal at any N (a count level past 2^53, the draw
-budget, the tilt's MGF domain or a discrete law's table budget) is raised
-before any N's count tail is computed, and wins over an error in an earlier
-N's draw; a tail refused for its continued fraction is raised when its N is
-weighed.  At most two N's prepared draws are alive at once, and on any error
-the one N still drawing is cancelled and joined.  Each N's bits are those of
-running the grid at that one point, and every block thread is joined before
-the call returns or raises.
+prepared draw), draw (the blocks, one ``sim.run_blocks`` call per N) and
+weigh (the count's tail, the weights and their reduction).  The calling
+thread prepares N_1; then N_k's ``run_blocks`` call runs, alongside its
+draws, round 1's checks of every later N (``_tilt``, keeping nothing) or
+round k's weighing of N_(k-1), and then the preparation of N_(k+1); N_K is
+weighed last.  So a prepare-stage refusal at any N is raised before any N is
+weighed, at most two N's prepared draws are alive at once, and each N's bits
+are those of the grid at that one point.
 """
 
 from __future__ import annotations
@@ -80,7 +73,7 @@ from .sim import (
     block_rows,
     cell_table,
     replication_blocks,
-    start_blocks,
+    run_blocks,
 )
 from .special import log_poisson_tail, log_sum_exp, quad
 
@@ -411,37 +404,37 @@ def estimate_log_tails(
     estimate is -inf only when every one of its replications' is.  A count
     level N a past 2^53, which float64 cannot index, raises ResourceError, as
     does an N that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates
-    or whose count tail needs more than ``special._CF_STEPS`` continued-fraction steps
-    (a rate near N a past about 3.7e11); the bounded slow branch, which has no
-    sampler, raises RegimeError.  Every refusal but the continued fraction's is
-    raised in its N's prepare stage, before any N is weighed (at the first N,
-    before any block draws); the continued-fraction refusal is raised when its
-    N is weighed.  Each N's bits are those of the grid at that one point, and
-    at most two N's prepared draws are alive at once.  With one worker the same
-    stages run in the caller, in order.  Every block thread is joined before
-    the call returns or raises.
+    or whose count tail needs more than ``special._CF_STEPS`` continued-fraction
+    steps (a rate near N a past about 3.7e11); the bounded slow branch, which
+    has no sampler, raises RegimeError.  Every refusal but the continued
+    fraction's is raised in its N's prepare stage, before any N is weighed;
+    the continued-fraction refusal is raised when its N is weighed.  Of several
+    errors the first in this serial order is raised: N_1's preparation, then
+    per N_k its alongside work and its blocks in block order, then N_K's weighing.
     """
     points = list(points)
+    out = []
     if not points:
-        return []
-    job = _prepare(query, *points[0], replications, theta_star, block_tol)
-    drawing = start_blocks(job.block, job.streams, job.entries)
-    try:
-        for N, _ in points[1:]:  # while N_1's blocks draw: each later N's refusals, nothing kept
-            _tilt(query, N, replications, theta_star, block_tol)
-        out = []
-        for point in points[1:] + [None]:  # N_(k+1), prepared while N_k's blocks draw
-            after = point and _prepare(query, *point, replications, theta_star, block_tol)
-            finish, drawing = drawing, None  # called once: it joins even when a block raised
-            kappas = finish()
-            if after is not None:
-                drawing = start_blocks(after.block, after.streams, after.entries)
-            out.append(_reduce(job.weigh(kappas), replications))  # while N_(k+1)'s blocks draw
-            job, finish = after, None  # so at most two N's prepared draws are alive at once
         return out
-    finally:
-        if drawing is not None:
-            drawing(cancel=True)
+    job = _prepare(query, *points[0], replications, theta_star, block_tol)
+    weigh = kappas = after = None  # N_(k-1)'s weighing and draws; N_(k+1)'s _Prepared
+
+    def alongside():  # on the calling thread, while N_k's blocks draw
+        nonlocal after
+        if k == 0:  # every later N's refusals, nothing kept
+            for N, _ in points[1:]:
+                _tilt(query, N, replications, theta_star, block_tol)
+        else:
+            out.append(_reduce(weigh(kappas), replications))
+        if k + 1 < len(points):
+            after = _prepare(query, *points[k + 1], replications, theta_star, block_tol)
+
+    for k in range(len(points)):
+        kappas_k = run_blocks(job.block, job.streams, job.entries, alongside)
+        # keep N_k's weigh and kappas, not its _Prepared: two prepared draws at most
+        weigh, kappas, job, after = job.weigh, kappas_k, after, None
+    out.append(_reduce(weigh(kappas), replications))
+    return out
 
 
 def _reduce(logw: np.ndarray, replications: int) -> tuple[float, float]:

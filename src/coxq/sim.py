@@ -56,15 +56,11 @@ W = min(CPUs, blocks, _BLOCK_DRAW // (B x cells), 8) threads, the caller
 included, so the rate draws in flight stay within one block's 2 MB budget.
 numpy's generators release the interpreter lock while they fill, and each
 block writes only its own rows, so the output bytes are those of the serial
-loop that one CPU runs.  ``run_blocks`` is ``start_blocks``, which starts the
-W - 1 worker threads, then the ``finish()`` it returns, which runs the
-caller's share of the blocks, joins every thread and raises the first error a
-block raised; no thread outlives finish.  Between the two the caller may do
-other work: ``ldp.estimate_log_tails`` checks its whole N grid while the
-first N draws, prepares each next N while the last one draws and weighs each
-N while the next draws, and starts an N's blocks only once the previous N's
-threads are joined, so at most W blocks draw at any moment; on an error it
-cancels the N still drawing (``finish(cancel=True)``).
+loop that one CPU runs.  ``run_blocks`` is fork-join: it starts the W - 1
+workers, runs the caller's ``alongside()`` on the calling thread while they
+draw, lets the caller take blocks too, and joins every thread before it
+returns or raises what the serial loop would raise first.
+``ldp.estimate_log_tails`` uses alongside to prepare and weigh its other N.
 """
 
 from __future__ import annotations
@@ -87,7 +83,6 @@ __all__ = [
     "replication_blocks",
     "block_workers",
     "run_blocks",
-    "start_blocks",
     "SimConfig",
     "Trajectory",
     "MomentReport",
@@ -422,33 +417,24 @@ def block_workers(blocks: int, block_entries: int) -> int:
     return max(1, min(_CPUS, blocks, _BLOCK_DRAW // max(block_entries, 1), _MAX_WORKERS))
 
 
-def run_blocks(fn, streams: list, block_entries: int) -> list:
+def run_blocks(fn, streams: list, block_entries: int, alongside=None) -> list:
     """[fn(b, streams[b]) for every block b], in block order, on block_workers threads.
 
-    ``start_blocks`` then its ``finish()``: the calling thread takes blocks too,
-    so with one worker it runs them all in order and starts no thread.  Block b
+    Fork-join: the W - 1 worker threads start, ``alongside()`` (if given) runs
+    on the calling thread while they draw, then the calling thread takes blocks
+    too, and every thread is joined before the call returns or raises.  With one
+    worker no thread starts and the blocks run in order after alongside.  Block b
     reads only its own stream, so the results do not depend on which thread ran
     which block.  fn may only draw and call numpy: numpy's generators release
     the interpreter lock while they fill, which is where the threads overlap.
-    If a block raises, no thread starts another block, every thread is joined,
-    and the first exception is raised here.
-    """
-    return start_blocks(fn, streams, block_entries)()
-
-
-def start_blocks(fn, streams: list, block_entries: int):
-    """Start ``run_blocks``' W - 1 worker threads on its blocks and return finish.
-
-    finish() runs the calling thread's share of the blocks, joins every thread,
-    raises the first exception a block raised, and returns the results in block
-    order.  finish(cancel=True) lets no thread start another block, joins them
-    and returns None.  Between the two the caller may do other work while the
-    workers draw; it must call finish once, in either form, on every path, so no
-    thread outlives the caller's run.
+    Once alongside or a block raises, no thread takes another block.  The error
+    raised is the one the serial ``alongside(); [fn(b, s) for b, s in
+    enumerate(streams)]`` raises first: alongside's, else the lowest block's
+    (blocks are taken in order, so every lower block has run).
     """
     workers = block_workers(len(streams), block_entries)
     results = [None] * len(streams)
-    errors = []
+    errors = {}  # block -> what it raised
     lock = threading.Lock()
     todo = enumerate(streams)
     threads = []
@@ -461,24 +447,9 @@ def start_blocks(fn, streams: list, block_entries: int):
                 return
             try:
                 results[item[0]] = fn(*item)
-            except BaseException as exc:  # raised again in finish, once every thread is joined
+            except BaseException as exc:  # raised below, once every thread is joined
                 with lock:
-                    errors.append(exc)
-
-    def finish(cancel: bool = False):
-        nonlocal todo
-        try:
-            if cancel:
-                with lock:
-                    todo = iter(())
-            else:
-                work()
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors and not cancel:
-            raise errors[0]
-        return None if cancel else results
+                    errors[item[0]] = exc
 
     try:
         for _ in range(workers - 1):
@@ -488,10 +459,19 @@ def start_blocks(fn, streams: list, block_entries: int):
             except RuntimeError:  # no thread to be had: the started ones and this one do the rest
                 break
             threads.append(thread)
-    except BaseException:  # such as an interrupt: stop the started threads before it leaves
-        finish(cancel=True)
+        if alongside is not None:
+            alongside()
+        work()
+    except BaseException:  # alongside raised, or an interrupt: no thread takes another block
+        with lock:
+            todo = iter(())
         raise
-    return finish
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def simulate(config: SimConfig) -> Trajectory:

@@ -54,3 +54,16 @@ def test_layers_takes_the_slow_tilt_from_the_sampler(bench):
     h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
     np.testing.assert_allclose(etas, theta / (-math.expm1(-mu * h) / mu) * wk, rtol=1e-15)
     assert m == math.ceil(N * doc["a"] - 1e-9)
+
+
+def test_layers_ab_summary_reads_each_pair_as_this_over_against(bench):
+    # three pairs of one timing: this checkout lower in two, and a key that only
+    # one side has (a layer one checkout lacks) is left out
+    mine = [{"t": 1.0, "new": 1.0}, {"t": 3.0, "new": 1.0}, {"t": 2.0, "new": 1.0}]
+    theirs = [{"t": 2.0}, {"t": 2.0}, {"t": 4.0}]
+    summary = bench["layers"].ab_summary(mine, theirs)
+    assert list(summary) == ["t"]
+    assert summary["t"]["ratios"] == [0.5, 1.5, 0.5]
+    assert summary["t"]["median_ratio"] == 0.5
+    assert summary["t"]["lower"] == 2
+    assert summary["t"]["against_quartiles"] == [2.0, 2.0, 4.0]

@@ -442,6 +442,27 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
         assert not (tmp_path / "o3").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, config, out, why",
+    [("analytic", "analytic", "file", "is not a directory"),
+     ("simulate", "simulate", "file/sub", "is not a directory"),
+     ("ldp-check", "ldp_fast", "file", "is not a directory"),
+     ("analytic", "analytic", "", "is empty")],
+)
+def test_cli_out_under_a_file_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, kind, config, out, why):
+    # an --out that is a file, lies under one or is empty is refused before the
+    # run starts, naming --out, and nothing is written
+    (tmp_path / "file").write_text("kept\n")
+    monkeypatch.setattr("coxq.cli.run", lambda *a, **k: pytest.fail("the run started"))
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{config}.json"
+    code = cli_main([kind, "--config", str(path), "--out", str(tmp_path / out) if out else out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--out" in err and why in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_cli_kind_mismatch(tmp_path):
     cfg = write_config(tmp_path, analytic_doc())
     assert cli_main(["clt-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,11 +1,13 @@
 """Rate functions: closed forms, Legendre transforms, and the IS estimator."""
 
 import itertools
+import json
 import math
 import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from coxq.env import (
     spawn_streams,
 )
 from coxq.errors import ConvergenceError, DomainError, RegimeError, ResourceError
+from coxq.harness import ExperimentConfig, run
 from coxq.ldp import (
     RateQuery,
     _ilm_prime,
@@ -845,6 +848,24 @@ def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
     estimate_log_tails(query, points, R, theta, 0.01)
     assert min(workers) >= 2
     assert 2 <= state["most"] <= max(workers)
+
+
+def test_ldp_check_calls_no_hooked_name_off_the_calling_thread(monkeypatch):
+    # a tracer of the hooked names keeps one span stack per process, so every
+    # stage the pipeline runs alongside the draws stays on the calling thread;
+    # configs/ldp_slow.json at R = 3000 is 12 blocks per N on two threads
+    monkeypatch.setattr(coxq.sim, "_CPUS", 2)
+    calls = []
+    for module, name in ((coxq.sim, "spawn_streams"), (ldp, "cell_table"), (ldp, "log_poisson_tail")):
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls.append((_name, threading.current_thread()))
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "ldp_slow.json").read_text())
+    assert run(ExperimentConfig.from_json({**doc, "replications": 3000})).passed
+    assert {name for name, _ in calls} == {"spawn_streams", "cell_table", "log_poisson_tail"}
+    assert all(thread is threading.main_thread() for _, thread in calls)
 
 
 # -- the count's conditional tail -------------------------------------------------

@@ -361,6 +361,68 @@ def test_a_raising_block_raises_in_the_caller_after_every_thread_stops(monkeypat
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_the_lowest_raising_block_wins_whatever_raises_first(monkeypatch, cpus):
+    # blocks 2 and 5 raise; on threads, block 2 waits until block 5 has raised,
+    # yet block 2's error is raised, as in the serial loop
+    monkeypatch.setattr(sim, "_CPUS", cpus)
+    five = threading.Event()
+
+    def fn(b, rng):
+        if b == 2:
+            assert cpus == 1 or five.wait(10)
+            raise ValueError("block 2")
+        if b == 5:
+            five.set()
+            raise ValueError("block 5")
+        return b
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 2"):
+            sim.run_blocks(fn, [None] * 16, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert five.is_set() == (cpus > 1)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_alongside_error_wins_and_no_block_starts_after_it(monkeypatch, error):
+    # 3 workers each hold a block until the caller joins them; alongside raises
+    # once all 3 have started, and block 1 raises after that: alongside's error
+    # is raised, every thread is joined, and blocks 3.. never start
+    monkeypatch.setattr(sim, "_CPUS", 4)
+    started, gate, barrier = [], threading.Event(), threading.Barrier(4, timeout=10)
+    join = threading.Thread.join
+
+    def joining(self, *args, **kwargs):
+        gate.set()
+        return join(self, *args, **kwargs)
+
+    def fn(b, rng):
+        started.append(b)
+        barrier.wait()
+        assert gate.wait(10)
+        if b == 1:
+            raise RuntimeError("block 1")
+        return b
+
+    def alongside():
+        assert threading.current_thread() is threading.main_thread()
+        barrier.wait()
+        raise error("alongside")
+
+    monkeypatch.setattr(threading.Thread, "join", joining)
+    before = threading.active_count()
+    with pytest.raises(error, match="alongside"):
+        sim.run_blocks(fn, [None] * 32, 1, alongside)
+    assert threading.active_count() == before
+    assert sorted(started) == [0, 1, 2]
+
+
 def test_every_block_runs_once_under_forced_thread_switches(monkeypatch):
     # 8 threads on fewer CPUs, switching every microsecond: a block taken twice
     # or never, or a result stored in the wrong slot, breaks the equalities
