@@ -22,18 +22,14 @@ every entry of the moments' mean.  Exit codes that differ are printed too.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
 
-from ldp_screen import ROOT, load_workloads, seed_range
-
-from coxq.cli import main as cli_main
+from ldp_screen import ROOT, load_workloads, run_cli, seed_range
 
 LEAF_FILES = ("report.json", "rates.json", "moments.json")
 
@@ -55,10 +51,7 @@ def numeric_leaves(value, path: str = "") -> dict:
 
 def run_call(doc: dict, work: Path) -> dict:
     """Exit code, and per output file its SHA-256 and numeric leaves, of one config document."""
-    config, out = work / "config.json", work / "out"
-    config.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main([doc["kind"], "--config", str(config), "--out", str(out)])
+    code, out = run_cli(doc, work)
     files = {}
     for path in sorted(out.iterdir()) if out.exists() else []:
         data = path.read_bytes()
@@ -129,9 +122,7 @@ def main(argv=None) -> int:
     record = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, doc) in enumerate(runs.items()):
-            work = Path(tmp) / str(i)
-            work.mkdir()
-            record[name] = run_call(doc, work)
+            record[name] = run_call(doc, Path(tmp) / str(i))
     if args.json:
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
     if args.against:

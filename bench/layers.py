@@ -19,8 +19,9 @@ way ``bench/ldp_screen.py`` reads it):
 * ``estimate_moments`` on the transient ``simulate`` trajectory, per
   replication;
 * ``rate_slow`` and ``rate_intermediate`` at the tail calls' queries;
-* both Monte Carlo engines per replication, each at W = 1 (``serial``) and at
-  the W that ``sim.block_workers`` gives here (``threaded``), with that W:
+* both Monte Carlo engines per replication, each at W = 1 (``serial``) and, on
+  more than one CPU, at the W that ``sim.block_workers`` gives here
+  (``threaded``), with that W:
   ``simulate`` at the clt, corr and fclt calls' shapes and the transient
   ``simulate`` call's, and ``estimate_log_tails`` at each tail call's
   largest N alone and over its whole N grid (``workers`` the most W of its
@@ -29,8 +30,10 @@ way ``bench/ldp_screen.py`` reads it):
   run, is the rest.
 
 End to end, each ``configs/*.json`` runs through ``coxq.harness.run`` with no
-output directory, and once more through the CLI in a fresh process per
-repeat, whose peak RSS (the median over repeats) is ``max_rss_mb``.  Last,
+output directory, beside the draw work ``sim.check_work`` predicts at each of
+its N (``work``) and the run's ns per unit of that work (``ns_per_work``), and
+once more through the CLI in a fresh process per repeat, whose peak RSS (the
+median over repeats) is ``max_rss_mb``.  Last,
 the tier-1 tests run once in a fresh process (``TIER1``, from the repository
 root): ``tier1.wall_s`` is that process's wall time, beside the counts its
 summary line gives (``tier1.passed``, ``tier1.xfailed`` and any other).  The
@@ -124,14 +127,14 @@ def serial():
 
 def engine(out: dict, key: str, fn, reps: int, blocks: int, block_entries: int, repeats: int) -> None:
     """fn, one engine run of reps replications in blocks of block_entries rate
-    draws, in us per replication at W = 1 and at this machine's W.  The two
-    alternate, so that a change in how much of a second CPU the machine gives
-    hits both alike."""
-    times = {"serial": [], "threaded": []}
+    draws, in us per replication at W = 1 and, on more than one CPU, at this
+    machine's W.  The two alternate, so that a change in how much of a second
+    CPU the machine gives hits both alike."""
+    times = {"serial": [], "threaded": []} if sim._CPUS > 1 else {"serial": []}
     for _ in range(repeats):
-        with serial():
-            times["serial"].append(median_s(fn, 1))
-        times["threaded"].append(median_s(fn, 1))
+        for label, seconds in times.items():
+            with serial() if label == "serial" else contextlib.nullcontext():
+                seconds.append(median_s(fn, 1))
     for label, seconds in times.items():
         out[f"{key}.{label}_us_per_rep"] = 1e6 * statistics.median(seconds) / reps
     out[f"{key}.workers"] = sim.block_workers(blocks, block_entries)
@@ -142,6 +145,25 @@ def table_of(doc: dict, N: int, grid) -> tuple:
     h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
     table = cell_table(tuple(doc["queues"]["mu"]), h, tuple(grid), doc.get("block_tol", 0.01))
     return table, block_rows(table.slots.size)
+
+
+def predicted_work(doc: dict) -> list[int]:
+    """``sim.check_work`` at each N of a config document, on the cell table its kind
+    draws: the simulate grid, the read time t, or the stationary warm-up."""
+    kind, env = doc["kind"], env_from_json(doc["env"])
+    if kind == "analytic":  # no Monte Carlo
+        return []
+    works = []
+    for N in doc["N_grid"]:
+        if kind in ("fclt-check", "ldp-check"):
+            grid = (doc["t"],)
+        elif kind == "simulate":
+            grid = tuple(doc["grid"])
+        else:
+            grid = warm_grid(doc, N)
+        one_row = kind == "ldp-check" and env.variance == 0  # a constant rate layer
+        works.append(sim.check_work(table_of(doc, N, grid)[0], env, doc["replications"], N, one_row))
+    return works
 
 
 def warm_grid(doc: dict, N: int) -> tuple:
@@ -312,8 +334,13 @@ def fresh_max_rss_mb(config, path, repeats: int) -> float:
 def end_to_end(repeats: int, rss: bool = True) -> dict:
     out = {}
     for path in sorted(ROOT.glob("configs/*.json")):
-        config = ExperimentConfig.from_json(json.loads(path.read_text()))
-        out[f"harness.run.{path.stem}.s"] = median_s(lambda: run(config), repeats)
+        doc = json.loads(path.read_text())
+        config = ExperimentConfig.from_json(doc)
+        seconds = out[f"harness.run.{path.stem}.s"] = median_s(lambda: run(config), repeats)
+        work = predicted_work(doc)
+        if work:
+            out[f"harness.run.{path.stem}.work"] = work
+            out[f"harness.run.{path.stem}.ns_per_work"] = 1e9 * seconds / sum(work)
         if rss:
             out[f"harness.run.{path.stem}.max_rss_mb"] = fresh_max_rss_mb(config, path, repeats)
     return out

@@ -41,12 +41,19 @@ def load_workloads():
     return workloads
 
 
-def slope_error(doc: dict, work: Path) -> tuple[int, float]:
-    """(exit code, |slope - rate|/|rate|) of one ldp-check config document."""
+def run_cli(doc: dict, work: Path) -> tuple[int, Path]:
+    """(exit code, output directory) of ``coxq <kind>`` on one config document, run
+    in this process with its printing captured; work, made here, holds both files."""
+    work.mkdir()
     config, out = work / "config.json", work / "out"
     config.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(["ldp-check", "--config", str(config), "--out", str(out)])
+        return cli_main([doc["kind"], "--config", str(config), "--out", str(out)]), out
+
+
+def slope_error(doc: dict, work: Path) -> tuple[int, float]:
+    """(exit code, |slope - rate|/|rate|) of one ldp-check config document."""
+    code, out = run_cli(doc, work)
     if not (out / "report.json").exists():
         return code, float("nan")
     criteria = json.loads((out / "report.json").read_text())["criteria"]
@@ -71,9 +78,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for call in workloads.make_calls("tail", seed):
-                work = Path(tmp) / f"{call.name}-{seed}"
-                work.mkdir()
-                code, err = slope_error(call.doc, work)
+                code, err = slope_error(call.doc, Path(tmp) / f"{call.name}-{seed}")
                 errors.setdefault(call.name, {})[str(seed)] = err
                 codes.setdefault(call.name, set()).add(code)
     other = json.loads(Path(args.against).read_text()) if args.against else None

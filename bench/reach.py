@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import importlib.util
-import io
 import json
 import os
 import sys
@@ -76,10 +74,8 @@ def run_traced(seeds: str) -> tuple[set, Counter]:
     sys.settrace(trace)
     threading.settrace(trace)
     try:
-        # bench/ldp_screen.py imports coxq as it loads, so both are imported here
-        from ldp_screen import ROOT, load_workloads, seed_range
-
-        from coxq.cli import main as cli_main
+        # bench/ldp_screen.py imports coxq.cli as it loads, so both are imported here
+        from ldp_screen import ROOT, load_workloads, run_cli, seed_range
 
         workloads = load_workloads()
         docs = [(p.stem, json.loads(p.read_text())) for p in sorted((ROOT / "configs").glob("*.json"))]
@@ -87,12 +83,7 @@ def run_traced(seeds: str) -> tuple[set, Counter]:
                  for workload in workloads.WORKLOADS for call in workloads.make_calls(workload, seed)]
         with tempfile.TemporaryDirectory() as tmp:
             for name, doc in docs:
-                work = Path(tmp) / name
-                work.mkdir()
-                config = work / "config.json"
-                config.write_text(json.dumps(doc))
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    codes[cli_main([doc["kind"], "--config", str(config), "--out", str(work / "out")])] += 1
+                codes[run_cli(doc, Path(tmp) / name)[0]] += 1
     finally:
         sys.settrace(None)
         threading.settrace(None)

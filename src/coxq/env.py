@@ -11,7 +11,7 @@ closed rather than user-pluggable; the interface contract for an extension
 is: mean, variance, log_mgf (elementwise over a numpy array of thetas as
 well as on a float: the rate layer's quadrature evaluates it on every node
 at once), log_mgf_prime, sample (the independent per-slot law),
-_sampler (the prepared block-sum draw), essential_sup, theta_max.
+_sampler (the prepared block-sum draw), essential_sup, theta_max, draw_cost.
 twisted_log_norm, sum_c counts[c] log M(etas[c]), is one array call of
 log_mgf for every family.
 
@@ -144,6 +144,7 @@ class EnvSpec:
     """Base class for the rate distribution."""
 
     family: str
+    draw_cost = 1  # a cell draw's cost in sim.check_work's unit; a discrete law's is its atoms
 
     # -- moments -----------------------------------------------------------
     @property
@@ -385,6 +386,7 @@ class DiscreteFinite(EnvSpec):
             raise ValueError("probs must be non-negative and sum to 1 within 1e-12")
         self.values = values
         self.probs = probs / probs.sum()
+        self.draw_cost = values.size  # one comparison or binomial draw per atom
         self._check_moments()
 
     def __repr__(self):

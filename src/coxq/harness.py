@@ -318,6 +318,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("clt-check runs on a single queue (d = 1)")
     if config.kind in ("fclt-check", "corr-check") and d < 2:
         raise ConfigError(f"{config.kind} needs at least two coupled queues")
+    if config.kind == "fclt-check" and not config.t > 0:  # t = 0 would pass vacuously
+        raise ConfigError(f"t must be positive, got {config.t}")
     if config.kind in ("simulate", "fclt-check") and d > MAX_QUEUES:
         raise ConfigError(
             f"mu lists {d} queues; {config.kind} couples at most {MAX_QUEUES}: its cell "

@@ -67,14 +67,7 @@ import numpy as np
 
 from .env import EnvSpec, ScalingRegime
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
-from .sim import (
-    _MAX_EXACT_INT,
-    _check_replications,
-    block_rows,
-    cell_table,
-    replication_blocks,
-    run_blocks,
-)
+from .sim import _MAX_EXACT_INT, cell_table, check_work, replication_blocks, run_blocks
 from .special import log_poisson_tail, log_sum_exp, quad
 
 __all__ = [
@@ -91,12 +84,6 @@ __all__ = [
     "rate_multivariate",
     "speed_value",
 ]
-
-# Tilted cell draws (cells x drawn rows) at one N above which
-# estimate_log_tails refuses: 33x the largest any shipped config,
-# benchmark workload or test draws (8,038,400: the ldp_slow shape at N = 1600,
-# 200 cells x 40,192 rows).
-_IS_DRAW_BUDGET = 2**28
 
 SPEED_N = "N"
 SPEED_SLOW = "N^alpha/Delta"
@@ -403,7 +390,7 @@ def estimate_log_tails(
     layer, so it is finite unless that layer is all zero (kappa = 0); an N's
     estimate is -inf only when every one of its replications' is.  A count
     level N a past 2^53, which float64 cannot index, raises ResourceError, as
-    does an N that would draw more than ``_IS_DRAW_BUDGET`` tilted cell rates
+    does an N whose predicted draw work passes ``sim.check_work``'s budget
     or whose count tail needs more than ``special._CF_STEPS`` continued-fraction
     steps (a rate near N a past about 3.7e11); the bounded slow branch, which
     has no sampler, raises RegimeError.  Every refusal but the continued
@@ -463,14 +450,9 @@ class _Prepared(NamedTuple):  # one N's prepare stage
 
 def _tilt(query, N, replications, theta_star, block_tol):
     """One N's checks, where every refusal of its prepare stage is raised:
-    (cells' slot counts, per-draw weights wk, tilt scale c, log_norm).
-
-    The tilt is eta = c wk for one scalar c per regime, so the rate layer's
-    likelihood ratio is log_norm - c kappa_r, and weight r is that plus
-    log P(Poisson(N kappa_r) >= m), the count's tail given the layer: each
-    block's twisted draw returns its rows' kappa and nothing else.  A weight
-    is -inf only where kappa_r = 0.  The draw budget counts the one row that
-    ``_prepare`` draws for a constant rate layer."""
+    (cells' slot counts, per-draw weights wk, tilt scale c, log_norm), the tilt
+    being eta = c wk (see the module docstring).  The work budget
+    (``sim.check_work``) counts the one row ``_prepare`` draws for a constant layer."""
     env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
     if not N * a <= _MAX_EXACT_INT:  # also refuses inf
         raise ResourceError(
@@ -496,14 +478,7 @@ def _tilt(query, N, replications, theta_star, block_tol):
         )
     log_norm = env.twisted_log_norm(c * wk, counts)  # raises the tilt's domain and table refusals
 
-    _check_replications(replications)
-    rows = block_rows(counts.size)
-    draws = counts.size * (1 if env.variance == 0 else rows * -(-replications // rows))
-    if draws > _IS_DRAW_BUDGET:
-        raise ResourceError(
-            f"{draws:.3e} tilted cell draws ({counts.size} cells x drawn rows) at N = {N} "
-            f"exceed the budget {_IS_DRAW_BUDGET:.3e}; shrink the replications, N or t"
-        )
+    check_work(table, env, replications, N, one_row=env.variance == 0)
     return counts, wk, c, log_norm
 
 

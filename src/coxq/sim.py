@@ -49,18 +49,17 @@ B rows (rates, counts, thinning) from the b-th stream spawned from the seed.
 Every block is drawn in full and the output is cut to R rows, so replication
 r depends only on (seed, r): results are bit-identical across runs and
 across any block-level execution schedule, and a run with fewer replications
-is a prefix of a longer one at any R.  R > 2^24 is refused before any draw.
+is a prefix of a longer one at any R.  Before any stream is spawned, both
+engines check R (at most 2^24) and each N's predicted draw work: ``check_work``.
 
 Both engines run their blocks through ``run_blocks``, concurrently on up to
 W = min(CPUs, blocks, _BLOCK_DRAW // (B x cells), 8) threads, the caller
 included, so the rate draws in flight stay within one block's 2 MB budget.
 numpy's generators release the interpreter lock while they fill, and each
 block writes only its own rows, so the output bytes are those of the serial
-loop that one CPU runs.  ``run_blocks`` is fork-join: it starts the W - 1
-workers, runs the caller's ``alongside()`` on the calling thread while they
-draw, lets the caller take blocks too, and joins every thread before it
-returns or raises what the serial loop would raise first.
-``ldp.estimate_log_tails`` uses alongside to prepare and weigh its other N.
+loop that one CPU runs.  ``run_blocks`` is fork-join, and its ``alongside()``
+runs on the calling thread while the workers draw: ``ldp.estimate_log_tails``
+uses it to prepare and weigh its other N.
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ __all__ = [
     "CellTable",
     "cell_table",
     "block_rows",
+    "check_work",
     "replication_blocks",
     "block_workers",
     "run_blocks",
@@ -106,10 +106,16 @@ MAX_QUEUES = 12
 # cells x 2^d, above which cell_table refuses: 84x the largest tier-1 table's 2e5,
 # and at d = 1 every table that the exact-slot budget admits.
 _WEIGHT_BUDGET = 2**24
-# Expected arrival events per run (N E[L] grid[-1] R) above which simulate refuses.
-_EVENT_BUDGET = 1e9
+# Predicted draw work per N (check_work) above which both engines refuse, in units of
+# the slowest cell draw measured (2 vCPUs, one BLAS thread), an 8-atom law's binomial
+# chain at 38 ns: 2.5e8 units ran 9.4 s there, 1.8 s as exponential draws and 0.6 s as
+# one-slot two-atom draws.  The most any shipped config or bench call predicts is 2.4e7
+# (ldp_slow_discrete at N = 1600).  A block's Python pass per grid time costs _PASS_COST
+# units: 23 us at d = 1 and 35 us at d = 3; 2.5e8 units of 10^4-time passes ran 5.1 and 8.2 s.
+_WORK_BUDGET = 250_000_000
+_PASS_COST = 1000
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
-# also the most replications that replication_blocks schedules.  The CSV export
+# also the most replications that check_work admits.  The CSV export
 # streams them (see _CSV_CHUNK), so it adds no multiple of the count array.
 _OUTPUT_BUDGET = 2**24
 # trajectory_to_csv formats whole replications of at most this many counts at a
@@ -394,18 +400,32 @@ def block_rows(n_cells: int) -> int:
     return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_DRAW // max(n_cells, 1)))
 
 
-def _check_replications(replications: int) -> None:
-    """ResourceError past the most replications that replication_blocks schedules."""
+def check_work(table: CellTable, env: EnvSpec, replications: int, N: int, one_row=False) -> int:
+    """One N's predicted draw work, blocks x (B x (cells x env.draw_cost + pattern
+    weights) + G x _PASS_COST) with B = block_rows(cells) rows in each of ceil(R/B)
+    blocks, or one row in one block (one_row, the importance sampler's constant
+    layer).  ResourceError past _WORK_BUDGET or past _OUTPUT_BUDGET replications."""
     if replications > _OUTPUT_BUDGET:
         raise ResourceError(
             f"{replications} replications exceed the budget {_OUTPUT_BUDGET:.3e}; "
             "shrink the replications"
         )
+    cells = table.slots.size
+    B = 1 if one_row else block_rows(cells)
+    blocks = 1 if one_row else -(-replications // B)
+    draws = cells * env.draw_cost + sum(w.size for w in table.weights)
+    work = blocks * (B * draws + len(table.cells) * _PASS_COST)
+    if work > _WORK_BUDGET:
+        raise ResourceError(
+            f"predicted draw work {work:.3e} at N = {N} ({blocks} blocks of {B} rows x {cells} "
+            f"cells; grid times: {len(table.cells)}) exceeds the budget {_WORK_BUDGET:.3e}; shrink "
+            "the replications, N_grid, t or grid, raise block_tol or list fewer values"
+        )
+    return work
 
 
 def replication_blocks(seed: int, replications: int, n_cells: int) -> tuple[int, list]:
     """(B, streams): B = block_rows(n_cells) rows per block, ceil(R/B) streams from seed."""
-    _check_replications(replications)
     rows = block_rows(n_cells)
     return rows, spawn_streams(seed, -(-replications // rows))
 
@@ -476,13 +496,14 @@ def run_blocks(fn, streams: list, block_entries: int, alongside=None) -> list:
 
 def simulate(config: SimConfig) -> Trajectory:
     """Simulate the coupled queues; exact in law given the documented blocking."""
-    expected = config.scaling.N * config.env.mean * config.grid[-1] * config.replications
-    if expected > _EVENT_BUDGET:
+    N, d = config.scaling.N, config.queues.d
+    expected = N * config.env.mean * config.grid[-1]  # so every count stays exact, far from int64
+    if not expected <= _MAX_EXACT_INT:
         raise ResourceError(
-            f"expected {expected:.3e} arrival events exceeds the budget "
-            f"{_EVENT_BUDGET:.3e}; shrink N, the last grid time or the replications"
+            f"expected arrivals per replication N E[L] grid[-1] = {expected:.3e} exceed 2^53, "
+            "the most that float64 holds exactly; shrink N_grid or the last grid time"
         )
-    entries = config.replications * len(config.grid) * config.queues.d
+    entries = config.replications * len(config.grid) * d
     if entries > _OUTPUT_BUDGET:
         raise ResourceError(
             f"{entries:.3e} output counts (replications x grid times x queues) exceed "
@@ -490,9 +511,8 @@ def simulate(config: SimConfig) -> Trajectory:
         )
     mu = config.queues.mu
     table = cell_table(mu, config.scaling.delta_n, config.grid, config.block_tol)
+    check_work(table, config.env, config.replications, N)
 
-    d = config.queues.d
-    N = config.scaling.N
     # survival probabilities over each inter-grid gap, per queue
     dts = [t - s for s, t in zip((0.0,) + config.grid, config.grid)]
     p_step = np.array([[math.exp(-m * dt) for m in mu] for dt in dts])

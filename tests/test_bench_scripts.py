@@ -7,6 +7,7 @@ surface only when a script is next run.
 """
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coxq.sim
 from coxq.env import ScalingRegime
 from coxq.ldp import rate_slow
 
@@ -67,3 +69,15 @@ def test_layers_ab_summary_reads_each_pair_as_this_over_against(bench):
     assert summary["t"]["median_ratio"] == 0.5
     assert summary["t"]["lower"] == 2
     assert summary["t"]["against_quartiles"] == [2.0, 2.0, 4.0]
+
+
+def test_every_shipped_config_and_bench_call_sits_far_inside_the_work_budget(bench):
+    # the predicted draw work of every N stays within a tenth of the budget, at
+    # workload seeds 1-20; the largest is ldp_slow_discrete's at N = 1600
+    layers, screen = bench["layers"], bench["ldp_screen"]
+    workloads = screen.load_workloads()
+    docs = [json.loads(p.read_text()) for p in sorted((screen.ROOT / "configs").glob("*.json"))]
+    docs += [call.doc for seed in range(1, 21) for workload in workloads.WORKLOADS
+             for call in workloads.make_calls(workload, seed)]
+    worst = max(max(layers.predicted_work(doc), default=0) for doc in docs)
+    assert 2e7 < worst <= coxq.sim._WORK_BUDGET / 10

@@ -141,9 +141,15 @@ def test_one_mutation_exits_0_1_or_2_cleanly(tmp_path, capsys, monkeypatch, case
     assert code == 2 or may_pass, (code, doc)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_shrunk_budgets_admit_every_base_doc(tmp_path, capsys, monkeypatch, kind):
+    shrink_budgets(monkeypatch)
+    assert exits_cleanly(kind, base_doc(kind), "config", tmp_path, capsys) in (0, 1)
+
+
 def shrink_budgets(monkeypatch):
     """Simulator budgets small enough that any accepted config stays tiny."""
-    monkeypatch.setattr(coxq.sim, "_EVENT_BUDGET", 1e6)
+    monkeypatch.setattr(coxq.sim, "_WORK_BUDGET", 10**6)
     monkeypatch.setattr(coxq.sim, "_OUTPUT_BUDGET", 2**14)
 
 
@@ -431,6 +437,28 @@ REFUSED = {
     ),
     "clt-N_grid-10^4": ("clt", {"N_grid": list(range(500, 10_500))}, "N_grid lists 10000"),
     "ldp_fast-N_grid-10^4": ("ldp_fast", {"N_grid": list(range(50, 10_050))}, "N_grid lists 10000"),
+    # draw work past the work budget, refused before any stream is spawned: 1e10
+    # cell draws of 5e6 one-slot cells at N = 500 (blocking off, one row per
+    # block), which ran without end; 2^24 blocks of one row, whose 2^24 streams
+    # ran out of address space while they were spawned; and 1677 blocks of one
+    # row with a Python pass at each of 10^4 grid times, about 450 s
+    "clt-exact-mode-1e10-draws": (
+        "clt", {"block_tol": 0, "alpha": 2.0, "N_grid": [250, 500], "replications": 2000}, "block_tol"
+    ),
+    "simulate-2^24-streams": (
+        "simulate",
+        {"env": {"family": "exponential", "rate": 1000.0}, "queues": {"mu": [1.0]}, "alpha": 2.0,
+         "delta": 1.0, "N_grid": [100], "block_tol": 0, "grid": [400.0], "horizon": 400.0,
+         "initial_counts": [0], "replications": 2**24},
+        "replications",
+    ),
+    "simulate-10^4-passes": (
+        "simulate",
+        {"queues": {"mu": [1.0]}, "alpha": 2.0, "delta": 1.0, "N_grid": [100], "block_tol": 0,
+         "grid": [30.0 * (k + 1) / 10**4 for k in range(10**4)], "horizon": 30.0,
+         "initial_counts": [0], "replications": 1677},
+        "grid",
+    ),
     # 4*10^6 one-slot cells of 8 queues: 1.0e9 alive-pattern weights (7.6 GiB),
     # far past the weight budget, which refuses them before allocating any
     "simulate-8-queues-4e6-cells": (
@@ -454,3 +482,16 @@ def test_a_boundary_value_past_a_budget_or_float_range_exits_2(refused_runs, cas
     assert proc.returncode == 2, err
     assert "Traceback" not in err and REFUSED[case][2] in err, err
     assert not (work / "out" / "report.json").exists()
+
+
+def test_a_clt_check_of_little_draw_work_at_a_large_N_runs(tmp_path):
+    # 2e9 expected arrival events at N = 5000, but 269 cells: 2.75e6 cell draws
+    # in 0.1 s, far inside the work budget
+    doc = {**json.loads(next(p for p in CONFIGS if p.stem == "clt").read_text()), "N_grid": [500, 5000]}
+    proc = start_child(doc["kind"], doc, tmp_path)
+    try:
+        _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+    finally:
+        stop_children([proc])
+    assert proc.returncode in (0, 1), err
+    assert (tmp_path / "out" / "report.json").exists()

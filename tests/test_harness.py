@@ -212,6 +212,7 @@ def test_run_clt_check_deterministic_fast_regime():
 
 
 def test_run_fclt_check_zero_time():
+    # at t = 0 the covariance and its target are both 0, a pass that checks nothing
     cfg = make_config(
         kind="fclt-check",
         queues=QueueParams((1.0, 2.0)),
@@ -221,9 +222,8 @@ def test_run_fclt_check_zero_time():
         replications=100,
         seed=15,
     )
-    report = run(cfg)
-    assert report.results[-1]["max_rel_error"] == 0.0
-    assert report.passed
+    with pytest.raises(ConfigError, match=r"^t must be positive, got 0\.0$"):
+        run(cfg)
 
 
 def test_run_fclt_check_small():
@@ -550,6 +550,17 @@ def test_cli_simulate_grid_outside_horizon(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, simulate_doc(grid=grid))
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "grid times must lie in [0, horizon]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0])
+def test_cli_fclt_check_refuses_a_read_time_that_is_not_positive(tmp_path, capsys, t):
+    # t = -1 was refused as a grid time, a field fclt-check does not have, and
+    # t = 0 passed against the covariance target 0
+    doc = {**json.loads((Path(__file__).parent.parent / "configs" / "fclt.json").read_text()), "t": t}
+    cfg = write_config(tmp_path, doc)
+    assert cli_main(["fclt-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: t must be positive, got {t}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_without_horizon_runs_to_last_grid_time(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -506,13 +507,14 @@ def test_is_rejects_bounded_slow_branch():
 
 def test_the_draw_budget_counts_the_one_row_of_a_constant_rate_layer():
     # N = 50, t = 40 in exact mode (block_tol 0): 100,000 one-slot cells, two
-    # rows per block.  A constant layer draws one row in all (1e5 cell draws,
-    # not one row per block, 1e9), a random one R rows (2e9, past the budget);
-    # neither check draws
+    # rows per block.  A constant layer draws one row in all (1e5 cell draws and
+    # 1e5 weights, not one row per block), a random one R rows in 10^4 blocks
+    # (4e9, past the work budget); neither check draws
     R = 20_000
     counts, *_ = ldp._tilt(q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0), 50, R, 0.0, 0.0)
     assert counts.size == 100_000 and block_rows(counts.size) == 2
-    with pytest.raises(ResourceError, match=r"2\.000e\+09 tilted cell draws"):
+    work = 10_000 * (2 * 200_000 + coxq.sim._PASS_COST)
+    with pytest.raises(ResourceError, match=re.escape(f"predicted draw work {work:.3e} at N = 50 (")):
         ldp._tilt(q(alpha=2.0, t=40.0, a=2.0), 50, R, 0.0, 0.0)
 
 
@@ -711,21 +713,20 @@ def test_pipelined_grid_is_the_serial_loop_bit_for_bit(monkeypatch, shape, cpus)
 
 @pytest.mark.parametrize("refused", [1, 2], ids=["second", "last"])
 def test_a_refusal_at_a_later_N_is_raised_before_any_N_is_weighed(monkeypatch, refused):
-    # the draw budget admits the draws of every N before the refused one and
+    # the work budget admits the draws of every N before the refused one and
     # refuses its own; every N is prepared before any is weighed, so no count
     # tail is computed, and the first N's blocks are cancelled and joined
     query, theta, points = _grid_query("slow-exponential")
     R = 2000
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
-    cells = [cell_table((1.0,), ScalingRegime(N, 0.5, 1.0).delta_n, (5.0,), 0.01).slots.size
-             for N, _ in points]
-    draws = [c * B * -(-R // B) for c, B in zip(cells, map(block_rows, cells))]
-    assert draws == sorted(set(draws))
-    monkeypatch.setattr(ldp, "_IS_DRAW_BUDGET", draws[refused - 1])
+    works = [coxq.sim.check_work(cell_table((1.0,), ScalingRegime(N, 0.5, 1.0).delta_n, (5.0,), 0.01),
+                                 query.env, R, N) for N, _ in points]
+    assert works == sorted(set(works))
+    monkeypatch.setattr(coxq.sim, "_WORK_BUDGET", works[refused - 1])
     tails = []
     monkeypatch.setattr(ldp, "log_poisson_tail", lambda m, lam: tails.append(lam.size))
     baseline = threading.active_count()
-    with pytest.raises(ResourceError, match=f"at N = {points[refused][0]} exceed the budget"):
+    with pytest.raises(ResourceError, match=re.escape(f"at N = {points[refused][0]} (")):
         estimate_log_tails(query, points, R, theta, 0.01)
     assert threading.active_count() == baseline
     assert tails == []

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -80,12 +81,43 @@ def test_initial_counts_bound():
 
 
 def test_event_budget_guard():
-    # N E[L] grid[-1] R = 1e9 * 1 * 2 * 10 expected arrivals is over the budget
-    with pytest.raises(ResourceError, match="arrival events"):
-        simulate(make_config(scaling=ScalingRegime(10**9, 0.0, 1.0), replications=10))
+    # 2e9 expected arrivals per replication on a 2-cell table are little draw
+    # work; past 2^53 per replication a count could lose exactness
+    traj = simulate(make_config(scaling=ScalingRegime(10**9, 0.0, 1.0), replications=10))
+    assert traj.counts.shape == (10, 1, 1) and traj.counts.min() > 0
+    with pytest.raises(ResourceError, match=r"N E\[L\] grid\[-1\] = 1\.801e\+16 exceed 2\^53"):
+        simulate(make_config(scaling=ScalingRegime(2**52, 0.0, 1.0), grid=(4.0,)))
     # (2^23 + 1) R x 2 G x 1 d counts are just over the output budget of 2^24
     with pytest.raises(ResourceError, match="output counts"):
         simulate(make_config(grid=(1.0, 2.0), replications=2**23 + 1))
+
+
+def test_check_work_counts_draws_pattern_weights_and_passes():
+    # h = 0.5 up to grid (1, 2, 2), one slot a cell: 2 + 2 + 0 cells, each with
+    # 2^2 - 1 pattern weights at its grid time; 256 rows a block, so R = 300
+    # takes 2 blocks, and a constant IS layer one row in one block
+    table = cell_table((1.0, 2.0), 0.5, (1.0, 2.0, 2.0), 0.0)
+    assert table.slots.size == 4 and sum(w.size for w in table.weights) == 12
+    passes = 3 * sim._PASS_COST
+    assert sim.check_work(table, Exponential(1.0), 300, 1) == 2 * (256 * (4 + 12) + passes)
+    five_atoms = DiscreteFinite([0.0, 1.0, 2.0, 3.0, 4.0], [0.2] * 5)
+    assert five_atoms.draw_cost == 5 and Gamma(2.0, 1.0).draw_cost == 1
+    assert sim.check_work(table, five_atoms, 300, 1) == 2 * (256 * (5 * 4 + 12) + passes)
+    assert sim.check_work(table, Deterministic(1.0), 300, 1, one_row=True) == 4 + 12 + passes
+
+
+def test_check_work_refuses_past_its_budgets(monkeypatch):
+    table = cell_table((1.0,), 0.5, (2.0,), 0.0)  # 4 cells and 4 weights: 2^11 per block and a pass
+    monkeypatch.setattr(sim, "_WORK_BUDGET", 2 * (2**11 + sim._PASS_COST))
+    assert sim.check_work(table, Exponential(1.0), 512, 7) == sim._WORK_BUDGET
+    work = f"{3 * (2**11 + sim._PASS_COST):.3e}"
+    with pytest.raises(ResourceError, match=re.escape(
+        f"predicted draw work {work} at N = 7 (3 blocks of 256 rows x 4 cells; grid times: 1) "
+        f"exceeds the budget {sim._WORK_BUDGET:.3e}; shrink the replications"
+    )):
+        sim.check_work(table, Exponential(1.0), 513, 7)
+    with pytest.raises(ResourceError, match=r"^16777217 replications exceed the budget"):
+        sim.check_work(table, Exponential(1.0), 2**24 + 1, 7, one_row=True)
 
 
 # -- basic laws ---------------------------------------------------------------
