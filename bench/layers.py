@@ -17,7 +17,9 @@ way ``bench/ldp_screen.py`` reads it):
   each N's R rates (one rate for a constant layer), the stage that the
   importance sampler's pipeline runs while the next N's blocks draw;
 * ``estimate_moments`` on the transient ``simulate`` trajectory, per
-  replication;
+  replication, and ``trajectory_to_csv`` of that trajectory to a file in a
+  temporary directory, per CSV row (one row per replication, grid time and
+  queue);
 * ``rate_slow`` and ``rate_intermediate`` at the tail calls' queries;
 * both Monte Carlo engines per replication, each at W = 1 (``serial``) and, on
   more than one CPU, at the W that ``sim.block_workers`` gives here
@@ -249,6 +251,10 @@ def layers(repeats: int) -> dict:
     traj = simulate(config)
     out["estimate_moments.transient.us_per_rep"] = (
         1e6 * median_s(lambda: estimate_moments(traj), repeats) / traj.replications)
+    with tempfile.TemporaryDirectory() as tmp:
+        out["trajectory_to_csv.transient.us_per_row"] = 1e6 * median_s(
+            lambda: sim.trajectory_to_csv(traj, os.path.join(tmp, "trajectories.csv")), repeats
+        ) / traj.counts.size
 
     for name, rate in (("ldp_slow", rate_slow), ("ldp_slow_discrete", rate_slow),
                        ("ldp_intermediate", rate_intermediate)):

@@ -536,8 +536,8 @@ def run_simulate(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 
     _, scaling, seed, _ = next(_per_n(config))
     traj = simulate(_sim_config(config, scaling, seed, config.grid, config.initial_counts))
-    moments = estimate_moments(traj)
-    results = [moments.to_json()]
+    moments = estimate_moments(traj).to_json()
+    results = [moments]
     files = {}
     if out_dir is not None:
         import json
@@ -545,8 +545,7 @@ def run_simulate(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
         os.makedirs(out_dir, exist_ok=True)
         trajectory_to_csv(traj, os.path.join(out_dir, "trajectories.csv"))
         with open(os.path.join(out_dir, "moments.json"), "w") as f:
-            doc = _finite_or_null(moments.to_json())
-            json.dump(doc, f, indent=1, sort_keys=True, allow_nan=False)
+            json.dump(_finite_or_null(moments), f, indent=1, sort_keys=True, allow_nan=False)
         files = {"trajectories": "trajectories.csv", "moments": "moments.json"}
     results.append({"files": files})
     return results, []

@@ -98,20 +98,24 @@ __all__ = [
 WARM_DECADES = 40.0
 _MAX_EXACT_SLOTS = 5_000_000
 # Most coupled queues a config may list: a cell table's alive-pattern weights
-# (_category_weights) fill a (cells, 2^d) array per grid time and pass over it d times.
+# (_category_weights) fill a (cells, 2^d) array per pass and pass over it d times.
 # Measured on 2 vCPUs at R = 2, configs/simulate.json's 6 grid times run in
-# 0.15 s at d = 10, 0.58 s at d = 12 and 1.2 s at d = 13 (medians of 3).
+# 0.06 s at d = 10, 0.23 s at d = 12 and 0.40 s at d = 13 (medians of 3).
 MAX_QUEUES = 12
 # Alive-pattern weights (float64, 128 MiB) per cell table, summed over grid times of
 # cells x 2^d, above which cell_table refuses: 84x the largest tier-1 table's 2e5,
 # and at d = 1 every table that the exact-slot budget admits.
 _WEIGHT_BUDGET = 2**24
+# cell_table computes the weights of consecutive grid times in one pass of at most
+# this many (2 MB), so a many-time grid pays the per-pattern numpy calls once per pass.
+_WEIGHT_PASS = 2**18
 # Predicted draw work per N (check_work) above which both engines refuse, in units of
 # the slowest cell draw measured (2 vCPUs, one BLAS thread), an 8-atom law's binomial
 # chain at 38 ns: 2.5e8 units ran 9.4 s there, 1.8 s as exponential draws and 0.6 s as
 # one-slot two-atom draws.  The most any shipped config or bench call predicts is 2.4e7
-# (ldp_slow_discrete at N = 1600).  A block's Python pass per grid time costs _PASS_COST
-# units: 23 us at d = 1 and 35 us at d = 3; 2.5e8 units of 10^4-time passes ran 5.1 and 8.2 s.
+# (ldp_slow_discrete at N = 1600).  A block's Python pass per grid time is priced at
+# _PASS_COST units (38 us) and takes 21 us at d = 1 and at d = 3, on one thread; 10^4-time
+# passes ran 4.4 s for 2.3e8 units at d = 1 and 4.1 s for 2.5e8 at d = 3.
 _WORK_BUDGET = 250_000_000
 _PASS_COST = 1000
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
@@ -235,28 +239,34 @@ class CellTable:
     weights: tuple[np.ndarray, ...]
 
 
-def _category_weights(edges_a, edges_b, t_end: float, mu: tuple[float, ...]) -> np.ndarray:
-    """Per-cell weights for every non-empty alive pattern at t_end.
+def _category_weights(edges_a, edges_b, t_end, mu: tuple[float, ...]) -> np.ndarray:
+    """Per-cell weights for every non-empty alive pattern at t_end, one read
+    time for every cell or one per cell.
 
     Pattern S gets integral of prod_{i in S} p_i(s) prod_{i not in S} (1 - p_i(s))
     with p_i(s) = exp(-mu_i (t_end - s)).  ``sub`` first holds the closed-form
     integrals for alive in at least T; the Moebius transform over supersets, one
     in-place pass sub[T] -= sub[T | {i}] per queue i, leaves alive in exactly T.
+    Every step is elementwise per cell, so a cell's weights do not depend on
+    the other cells of the call.
     """
     d = len(mu)
     a = np.asarray(edges_a, dtype=float)
     b = np.asarray(edges_b, dtype=float)
+    age_a, age_b = t_end - a, t_end - b
     n_cells = a.size
     sub = np.empty((n_cells, 2**d))
-    for t_mask in range(2**d):
-        mu_t = sum(mu[i] for i in range(d) if t_mask >> i & 1)
-        if mu_t == 0.0:
-            sub[:, t_mask] = b - a
-        else:
-            # mu_t (t_end - s) may overflow to inf (mu near 1e308): exp gives
-            # the right weight, 0
-            with np.errstate(over="ignore"):
-                sub[:, t_mask] = (np.exp(-mu_t * (t_end - b)) - np.exp(-mu_t * (t_end - a))) / mu_t
+    rates = [0.0]  # rates[T] = sum of mu_i over the queues i in T, in increasing i
+    for m in mu:
+        rates += [r + m for r in rates]
+    # mu_t (t_end - s) may overflow to inf (mu near 1e308): exp gives the right
+    # weight, 0
+    with np.errstate(over="ignore"):
+        for t_mask, mu_t in enumerate(rates):
+            if mu_t == 0.0:
+                sub[:, t_mask] = b - a
+            else:
+                sub[:, t_mask] = (np.exp(-mu_t * age_b) - np.exp(-mu_t * age_a)) / mu_t
     for i in range(d):
         # axis 2 of this view is bit i of the pattern: [without i, with i]
         pair = sub.reshape(n_cells, 2 ** (d - 1 - i), 2, 2**i)
@@ -281,7 +291,10 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     e^(-2 mu T)).  Otherwise every cell is one slot.  A slot that straddles a
     grid time is a single-slot cell shared by both intervals, so the pieces
     tile each interval exactly.  Grid times within 1e-12 max(h, 1) of a slot
-    boundary count as on the boundary.
+    boundary count as on the boundary.  The cells are cut grid time by grid
+    time; their alive-pattern weights are then computed in one pass over the
+    grid (passes of at most _WEIGHT_PASS weights), each piece read at its own
+    grid time, which gives the floats of one call per grid time.
 
     The widths bound the rate-layer covariance of the table, per unit
     N^2 Var[L], within block_tol^2/12 sqrt(C_ii C_kk) of the per-slot table's
@@ -337,8 +350,9 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
     tiny = 1e-12 * max(h, 1.0)
     starts: list[int] = []  # first slot of each cell
     end = 0  # slot after the last cell
-    cells, weights = [], []
-    entries = 0  # alive-pattern weights so far
+    cells = []  # per grid time, its cells
+    passes = [[]]  # per grid time, its cells' pieces (a, b, t_end), in weight passes
+    entries = pass_entries = 0  # alive-pattern weights so far, and in the last pass
     prev = 0.0
     for t_end in grid:
         first = len(starts)
@@ -358,20 +372,35 @@ def cell_table(mu: tuple[float, ...], h: float, grid, block_tol: float) -> CellT
             if max(end, whole) < j1:  # t_end straddles slot j1 - 1
                 starts.append(j1 - 1)
             end = max(end, j1)
-        entries += (len(starts) - first) * 2 ** len(mu)
+        n = (len(starts) - first) * 2 ** len(mu)
+        entries += n
         if entries > _WEIGHT_BUDGET:
             raise ResourceError(
                 f"{entries:.3e} or more alive-pattern weights (cells x 2^d) exceed the budget "
                 f"{_WEIGHT_BUDGET:.3e}; list fewer queues in mu or raise block_tol"
             )
+        if passes[-1] and pass_entries + n > _WEIGHT_PASS:
+            passes.append([])
+            pass_entries = 0
+        pass_entries += n
         bounds = np.array(starts[first:] + [end], dtype=float) * h
-        a = np.maximum(bounds[:-1], prev)
-        b = np.minimum(bounds[1:], t_end)
         cells.append(slice(first, len(starts)))
-        weights.append(_category_weights(a, b, t_end, mu))
+        passes[-1].append((np.maximum(bounds[:-1], prev), np.minimum(bounds[1:], t_end), t_end))
         prev = t_end
     slots = np.diff(np.array(starts + [end], dtype=np.int64))
+    weights = [w for pieces in passes for w in _weight_pass(pieces, mu)]
     return CellTable(slots=slots, cells=tuple(cells), weights=tuple(weights))
+
+
+def _weight_pass(pieces: list, mu: tuple[float, ...]) -> list[np.ndarray]:
+    """``_category_weights`` of consecutive grid times' pieces (a, b, t_end) in
+    one call, each grid time's weights a slice of the result."""
+    if len(pieces) == 1:  # one read time, a scalar: no per-cell copy of it
+        return [_category_weights(*pieces[0], mu)]
+    a, b, t_end = zip(*pieces)
+    sizes = [x.size for x in a]
+    w = _category_weights(np.concatenate(a), np.concatenate(b), np.repeat(t_end, sizes), mu)
+    return np.split(w, np.cumsum(sizes)[:-1])
 
 
 def _aged_cell_starts(mu, h, lo: int, hi: int, t_start: float, t_end: float, block_tol: float):
@@ -531,10 +560,10 @@ def simulate(config: SimConfig) -> Trajectory:
         q = np.tile(initial, (rows, 1))
         out = counts[b * rows : (b + 1) * rows]
         for g, (cells, cat_w) in enumerate(zip(table.cells, table.weights)):
-            # every job alive in queue i survives the gap there independently
+            # every job alive in queue i survives the gap there independently: one
+            # draw, which walks queue 0's rows first, then queue 1's, and so on
             if dts[g] > 0:
-                for i in range(d):
-                    q[:, i] = rng.binomial(q[:, i], p_step[g, i])
+                q.T[:] = rng.binomial(q.T, p_step[g][:, None])
             # new arrivals alive at t_g, drawn by pattern and counted per queue
             if cat_w.shape[0]:
                 q += rng.poisson(N * (ravg[:, cells] @ cat_w)) @ member
@@ -609,19 +638,21 @@ def normalized_endpoint(
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write counts as CSV rows replication,time,queue,count (queue is 0-based).
 
-    The counts become Python ints a chunk at a time: whole replications
-    holding at most _CSV_CHUNK counts, or one replication when a single one
-    holds more.  So what the export holds at once is one chunk's ints and
-    lines plus one replication's row template, O(_CSV_CHUNK + G d) and never
-    a copy that grows with R.  The bytes do not depend on the chunk.
+    The file is written in binary mode, so every line ends in LF, never CRLF,
+    on every platform.  The counts become Python ints a chunk at a time: whole
+    replications holding at most _CSV_CHUNK counts, or one replication when a
+    single one holds more, and each chunk's lines go out in one write.  So what
+    the export holds at once is one chunk's ints and lines plus one
+    replication's row template, O(_CSV_CHUNK + G d) and never a copy that grows
+    with R.  The bytes do not depend on the chunk.
     """
     # one replication's rows in (grid time, queue) order; "\0" stands for its number
-    template = "".join(f"\0,{float(t)!r},{i},%d\n" for t in traj.times for i in range(traj.d))
+    template = "".join(f"\0,{float(t)!r},{i},%d\n" for t in traj.times for i in range(traj.d)).encode()
     per_rep = traj.counts.shape[1] * traj.d
     step = max(1, _CSV_CHUNK // per_rep)
-    with open(path, "w") as f:
-        f.write("replication,time,queue,count\n")
+    with open(path, "wb") as f:
+        f.write(b"replication,time,queue,count\n")
         for r0 in range(0, traj.replications, step):
             rows = traj.counts[r0 : r0 + step].reshape(-1, per_rep).tolist()
-            for r, row in enumerate(rows, r0):
-                f.write((template % tuple(row)).replace("\0", str(r)))
+            f.write(b"".join((template % tuple(row)).replace(b"\0", b"%d" % r)
+                             for r, row in enumerate(rows, r0)))

@@ -332,6 +332,54 @@ def test_block_contract_any_replication_count_is_a_prefix():
     assert not np.array_equal(full[:B], full[B : 2 * B])
 
 
+class _RecordingGenerator:
+    """A numpy Generator that records every binomial(n, p) call and delegates
+    everything else.  With per_queue it draws each call row by row instead,
+    one call per queue as a loop over queues would."""
+
+    def __init__(self, rng, calls, per_queue=False):
+        self._rng, self._calls, self._per_queue = rng, calls, per_queue
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def binomial(self, n, p):
+        self._calls.append((np.array(n), np.array(p, dtype=float)))
+        if self._per_queue:
+            return np.stack([self._rng.binomial(n[i], p[i, 0]) for i in range(len(n))])
+        return self._rng.binomial(n, p)
+
+
+def _recorded_simulate(monkeypatch, config, per_queue=False):
+    """simulate(config) on recording generators: (counts, binomial calls)."""
+    calls, spawn = [], sim.spawn_streams
+    monkeypatch.setattr(sim, "spawn_streams", lambda seed, n: [
+        _RecordingGenerator(rng, calls, per_queue) for rng in spawn(seed, n)])
+    return simulate(config).counts, calls
+
+
+def test_thinning_is_one_binomial_per_grid_time_with_the_per_queue_loops_draws(monkeypatch):
+    # one exact-mode block of 256 rows at d = 3, grid times on (0.5, 1.0) and off
+    # the slot lattice, a repeated time (no gap, no draw) and nonzero initial counts
+    mu = (1.0, 2.0, 0.5)
+    config = make_config(queues=QueueParams(mu), scaling=ScalingRegime(20, 1.0, 1.0),
+                         grid=(0.5, 0.5, 0.73, 1.0, 1.2345), initial_counts=(40, 7, 120),
+                         block_tol=0.0, replications=256, seed=3)
+    assert block_rows(cell_table(mu, config.scaling.delta_n, config.grid, 0.0).slots.size) == 256
+    counts, calls = _recorded_simulate(monkeypatch, config)
+    prev, before = 0.0, np.tile(config.initial_counts, (256, 1))
+    drawn = iter(calls)
+    for g, t in enumerate(config.grid):
+        if t > prev:
+            n, p = next(drawn)
+            np.testing.assert_array_equal(n, before.T)  # queue i's counts in row i
+            np.testing.assert_allclose(p[:, 0], np.exp(-np.array(mu) * (t - prev)), rtol=4e-15, atol=0)
+        prev, before = t, counts[:, g]
+    assert next(drawn, None) is None
+    per_queue, _ = _recorded_simulate(monkeypatch, config, per_queue=True)
+    np.testing.assert_array_equal(counts, per_queue)
+
+
 # -- the block scheduler: threads change no byte ----------------------------------
 
 
@@ -602,6 +650,34 @@ def test_csv_export_deterministic(tmp_path):
     assert lines[1].startswith("0,1.0,0,")
 
 
+def _naive_csv(traj) -> bytes:
+    """The export written row by row, the reference bytes."""
+    lines = ["replication,time,queue,count\n"]
+    for r in range(traj.replications):
+        for g, t in enumerate(traj.times):
+            for i in range(traj.d):
+                lines.append(f"{r},{float(t)!r},{i},{traj.counts[r, g, i]}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize(
+    "R, G, d",
+    [(390, 7, 3), (1024, 8, 1), (1025, 8, 1), (3, 4100, 2)],
+    ids=["below-chunk", "at-chunk", "above-chunk", "replication-over-chunk"],
+)
+def test_csv_export_bytes_equal_a_naive_writer(tmp_path, R, G, d):
+    # R G d = 8190, 8192, 8200 and 24600 counts against _CSV_CHUNK = 8192; the
+    # last holds 8200 counts in each replication
+    assert sim._CSV_CHUNK == 8192
+    times = np.array([0.1, 1.0 / 3.0, 1e-7, 2.5, 1e22, 7.0])[np.arange(G) % 6] + np.arange(G)
+    counts = np.random.default_rng(R + G + d).integers(0, 2**53, size=(R, G, d))
+    traj = Trajectory(times=times, counts=counts)
+    trajectory_to_csv(traj, tmp_path / "t.csv")
+    written = (tmp_path / "t.csv").read_bytes()
+    assert b"\r" not in written
+    assert written == _naive_csv(traj)
+
+
 # -- cell table: deterministic mean oracle ----------------------------------------
 
 
@@ -705,6 +781,79 @@ def test_category_weights_match_inclusion_exclusion(d):
             assert np.array_equal(w, ref)
         else:
             assert np.all(np.abs(w - ref) <= 1e-15 * (b - a)[:, None])
+
+
+def _per_interval_weights(a, b, t_end, mu):
+    """One grid time's alive-pattern weights, one call per grid time: the
+    reference for cell_table's one pass over every grid time."""
+    d = len(mu)
+    sub = np.empty((a.size, 2**d))
+    for t_mask in range(2**d):
+        mu_t = sum(mu[i] for i in range(d) if t_mask >> i & 1)
+        if mu_t == 0.0:
+            sub[:, t_mask] = b - a
+        else:
+            sub[:, t_mask] = (np.exp(-mu_t * (t_end - b)) - np.exp(-mu_t * (t_end - a))) / mu_t
+    for i in range(d):
+        pair = sub.reshape(a.size, 2 ** (d - 1 - i), 2, 2**i)
+        pair[:, :, 0] -= pair[:, :, 1]
+    return np.maximum(sub[:, 1:], 0.0)
+
+
+@st.composite
+def _weight_pass_cases(draw):
+    d = draw(st.integers(1, 4))
+    mu = tuple(draw(st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.7])) for _ in range(d))
+    h = draw(st.sampled_from([1e-3, 0.01, 0.037, 0.1]))
+    block_tol = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3]))  # blocked where h < block_tol/sum(mu)
+    times = [k * h for k in draw(st.lists(st.integers(1, 300), max_size=12))]  # on the lattice
+    times += draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=12))  # off it, mostly
+    if draw(st.booleans()):
+        times.append(0.0)
+    if draw(st.booleans()):
+        times.append(times[0])  # a repeated grid time
+    # 0 gives each grid time with cells a pass of its own; 16 and 256 cut passes mid-grid
+    limit = draw(st.sampled_from([0, 16, 256, sim._WEIGHT_PASS]))
+    return mu, h, tuple(sorted(times)), block_tol, limit
+
+
+def _assert_one_pass_weights_equal_per_interval_calls(mu, h, grid, block_tol, limit):
+    with mock.patch.object(sim, "_WEIGHT_PASS", limit):
+        table = cell_table(mu, h, grid, block_tol)
+    with mock.patch.object(sim, "_WEIGHT_PASS", 0):
+        alone = cell_table(mu, h, grid, block_tol)
+    assert np.array_equal(table.slots, alone.slots) and table.slots.dtype == alone.slots.dtype
+    assert table.cells == alone.cells
+    edges = np.array([0, *np.cumsum(table.slots)], dtype=float) * h
+    prev = 0.0
+    assert len(table.weights) == len(grid)
+    for cells, w, t_end in zip(table.cells, table.weights, grid):
+        bounds = edges[cells.start : cells.stop + 1]
+        ref = _per_interval_weights(np.maximum(bounds[:-1], prev), np.minimum(bounds[1:], t_end), t_end, mu)
+        assert w.shape == ref.shape == (cells.stop - cells.start, 2 ** len(mu) - 1)
+        assert np.array_equal(w, ref)
+        prev = t_end
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_weight_pass_cases())
+def test_one_pass_weights_equal_per_interval_calls(case):
+    # d 1-4, exact and blocked, grid times on and off the slot lattice, at 0 and
+    # repeated, cut into passes at several limits: bit for bit the weights of
+    # one call per grid time
+    _assert_one_pass_weights_equal_per_interval_calls(*case)
+
+
+def test_one_pass_weights_cross_the_pass_limit_bit_for_bit():
+    # 4e5 weights (cells x 2^d) at d = 1, one per slot of 1e-5: the first pass
+    # holds the grid times up to the repeated 1.0 (2e5), the second the rest
+    grid = (0.5, 1.0, 1.0, 1.5, 1.7, 2.0)
+    table = cell_table((1.0,), 1e-5, grid, 0.0)
+    assert 2 * table.slots.size > sim._WEIGHT_PASS
+    first, second = table.weights[0].base, table.weights[3].base
+    assert first is not second
+    assert all(w.base is first for w in table.weights[:3]) and all(w.base is second for w in table.weights[3:])
+    _assert_one_pass_weights_equal_per_interval_calls((1.0,), 1e-5, grid, 0.0, sim._WEIGHT_PASS)
 
 
 # -- cell table: deterministic covariance oracle ----------------------------------
