@@ -4,12 +4,14 @@ Each runner builds its Monte Carlo instances from one ExperimentConfig,
 records every estimate with an uncertainty, and derives pass/fail criteria
 only from the recorded numbers, with thresholds from the config's tolerances
 (defaults merged).  One table, ``_SCHEMA``, names the optional fields each
-kind reads, those it needs, and its tolerances with their defaults;
-``from_json`` refuses any other key and ``_validate`` any other set field.
-Every runner has the signature ``run_*(config, out_dir)`` and returns
-(results, criteria); ``run`` times it and builds the Report.  Reports
-serialize to a versioned JSON schema; the wall clock is kept out of the file
-so reruns with one seed are byte-stable.
+kind reads, those it needs, its tolerances with their defaults and the range
+of queue counts it runs on; ``from_json`` refuses any other key and
+``_validate`` any other set field or queue count.  Every runner has the
+signature ``run_*(config, out_dir)`` and returns (results, criteria); ``run``
+times it and builds the Report.  Reports serialize to a versioned JSON
+schema; the wall clock is kept out of the file so reruns with one seed are
+byte-stable.  The Monte Carlo moment kinds share one read step, ``_moment_reads``,
+and one second-moment reduction, ``sim.estimate_moments``.
 
 Checks:
 
@@ -67,6 +69,7 @@ from .sim import (
     MAX_QUEUES,
     WARM_DECADES,
     SimConfig,
+    Trajectory,
     estimate_moments,
     normalized_endpoint,
     sample_stationary,
@@ -93,22 +96,25 @@ class _Schema(NamedTuple):
     reads: tuple  # the optional fields the kind reads
     needs: tuple  # those of them it cannot run without
     tolerances: dict  # its criteria's thresholds, with their defaults
+    queues: tuple  # (fewest, most) queues it runs on
 
 
 # What each kind reads beyond the _COMMON fields, which every kind reads; a
-# config with any other key exits 2
+# config with any other key exits 2.  A simulated kind couples at most MAX_QUEUES
+# queues: its cell table holds a weight for each of the 2^d alive patterns of every cell
 _SCHEMA = {
-    "analytic": _Schema(("t",), (), {"pgf_abs_tol": 1e-10, "trichotomy_rel_tol": 0.02}),
-    "simulate": _Schema(("horizon", "grid", "initial_counts", "block_tol"), ("grid",), {}),
-    "clt-check": _Schema(("block_tol",), (), {"variance_rel_tol": 0.10, "ad_pvalue_min": 0.01}),
-    "fclt-check": _Schema(("t", "block_tol"), ("t",), {"cov_rel_tol": 0.10}),
+    "analytic": _Schema(("t",), (), {"pgf_abs_tol": 1e-10, "trichotomy_rel_tol": 0.02}, (1, math.inf)),
+    "simulate": _Schema(("horizon", "grid", "initial_counts", "block_tol"), ("grid",), {}, (1, MAX_QUEUES)),
+    "clt-check": _Schema(("block_tol",), (), {"variance_rel_tol": 0.10, "ad_pvalue_min": 0.01}, (1, 1)),
+    "fclt-check": _Schema(("t", "block_tol"), ("t",), {"cov_rel_tol": 0.10}, (2, MAX_QUEUES)),
     "ldp-check": _Schema(
         ("t", "a", "block_tol"),
         ("t", "a"),
         {"slope_rel_tol": 0.10, "rel_err_warn": 0.30, "stationarity_residual_max": 1e-6,
          "quad_route_tol": 1e-9},
+        (1, 1),
     ),
-    "corr-check": _Schema(("block_tol",), (), {"corr_rel_tol": 0.10}),
+    "corr-check": _Schema(("block_tol",), (), {"corr_rel_tol": 0.10}, (2, 2)),
 }
 KINDS = tuple(_SCHEMA)
 # Each bound on a list's length sits at the longest list measured to run in under
@@ -313,22 +319,12 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("N_grid must be strictly increasing")
     if config.replications < 2 and config.kind != "analytic":
         raise ConfigError("replications must be at least 2")
-    d = config.queues.d
-    if config.kind == "clt-check" and d != 1:
-        raise ConfigError("clt-check runs on a single queue (d = 1)")
-    if config.kind in ("fclt-check", "corr-check") and d < 2:
-        raise ConfigError(f"{config.kind} needs at least two coupled queues")
+    fewest, most = _SCHEMA[config.kind].queues
+    if not fewest <= config.queues.d <= most:
+        span = f"exactly {fewest}" if fewest == most else f"{fewest} to {most}"
+        raise ConfigError(f"mu lists {config.queues.d} queues; {config.kind} runs on {span}")
     if config.kind == "fclt-check" and not config.t > 0:  # t = 0 would pass vacuously
         raise ConfigError(f"t must be positive, got {config.t}")
-    if config.kind in ("simulate", "fclt-check") and d > MAX_QUEUES:
-        raise ConfigError(
-            f"mu lists {d} queues; {config.kind} couples at most {MAX_QUEUES}: its cell "
-            "table holds a weight for each of the 2^d alive patterns of every cell"
-        )
-    if config.kind == "corr-check" and d > 2:
-        raise ConfigError("corr-check compares exactly two coupled queues (d = 2)")
-    if config.kind == "ldp-check" and d != 1:
-        raise ConfigError("ldp-check runs on a single queue (d = 1)")
     if config.kind == "simulate":
         if len(config.N_grid) != 1:
             raise ConfigError("simulate runs one system size: N_grid must have exactly one entry")
@@ -552,27 +548,42 @@ def run_simulate(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# clt-check
+# clt-check, fclt-check and corr-check: one read step, one moment reduction
+
+
+def _moment_reads(config: ExperimentConfig):
+    """Yield (N, scaling, spare_seed, start, u, moments) for every point of N_grid: u the
+    (R, d) read N^(beta/2) (counts/N - center), moments its ``estimate_moments``.
+
+    A kind that reads no t (clt-check, corr-check) starts empty (start 0) and reads
+    at the stationary warm-up, centred on E[L]/mu_i; fclt-check starts at
+    round(N E[L]/mu_i) = N start_i and reads at t, centred on the fluid limit."""
+    env, mu = config.env, config.queues.mu
+    for N, scaling, seed, spare_seed in _per_n(config):
+        if config.t is None:
+            traj = sample_stationary(_sim_config(config, scaling, seed))
+            start, center = np.zeros(len(mu)), [stationary_mean(env, m) for m in mu]
+        else:
+            t = float(config.t)
+            init = tuple(int(round(N * stationary_mean(env, m))) for m in mu)
+            start = np.array(init, dtype=float) / N
+            traj = simulate(_sim_config(config, scaling, seed, (t,), init))
+            center = [fluid_limit(rho, env, m, t) for rho, m in zip(start, mu)]
+        u = normalized_endpoint(traj, scaling, center, traj.times[0])
+        yield N, scaling, spare_seed, start, u, estimate_moments(Trajectory(traj.times, u[:, None]))
 
 
 def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha = config.env, config.delta, config.alpha
-    mu = config.queues.mu[0]
-    sigma2 = clt_sigma2(env, mu, delta, alpha)
-    center = stationary_mean(env, mu)
+    sigma2 = clt_sigma2(env, config.queues.mu[0], delta, alpha)
     results = []
-    for N, scaling, seed, dither_seed in _per_n(config):
-        traj = sample_stationary(_sim_config(config, scaling, seed))
-        u = normalized_endpoint(traj, scaling, [center], traj.times[0])[:, 0]
-        var = float(u.var(ddof=1))
-        R = u.size
-        m4 = float(((u - u.mean()) ** 4).mean())
-        se_var = math.sqrt(max(m4 - (R - 3) / (R - 1) * var**2, 0.0) / R)
+    for N, scaling, dither_seed, _, u, moments in _moment_reads(config):
+        var = float(moments.variance[0, 0])
         # uniform half-job dither removes the integer lattice before the
-        # continuity-based normality test; the variance uses raw counts
+        # continuity-based normality test; the variance uses the undithered read
         drng = np.random.Generator(np.random.PCG64(dither_seed))
-        dither = drng.uniform(-0.5, 0.5, size=traj.counts.shape[0])
-        u_d = u + N ** (scaling.beta / 2.0) * dither / N
+        dither = drng.uniform(-0.5, 0.5, size=u.shape[0])
+        u_d = u[:, 0] + N ** (scaling.beta / 2.0) * dither / N
         a2, pval = anderson_darling_normal(u_d)
         results.append(
             {
@@ -580,7 +591,7 @@ def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
                 "variance": var,
                 "sigma2": sigma2,
                 "ratio": var / sigma2,
-                "ratio_se": se_var / sigma2,
+                "ratio_se": float(moments.se_variance[0, 0]) / sigma2,
                 "ad_stat": a2,
                 "ad_pvalue": pval,
             }
@@ -595,22 +606,12 @@ def run_clt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     return results, criteria
 
 
-# ---------------------------------------------------------------------------
-# fclt-check
-
-
 def run_fclt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha, t = config.env, config.delta, config.alpha, float(config.t)
-    queues = config.queues
     results = []
-    for N, scaling, seed, _ in _per_n(config):
-        init = tuple(int(round(N * stationary_mean(env, m))) for m in queues.mu)
-        rho0 = np.array(init, dtype=float) / N
-        traj = simulate(_sim_config(config, scaling, seed, (t,), init))
-        center = [fluid_limit(rho0[i], env, queues.mu[i], t) for i in range(queues.d)]
-        u = normalized_endpoint(traj, scaling, center, t)
-        emp = np.cov(u.T, ddof=1)
-        target = fclt_covariance(env, queues, delta, alpha, rho0, t).matrix
+    for N, _, _, start, _, moments in _moment_reads(config):
+        emp = moments.covariance[0]
+        target = fclt_covariance(env, config.queues, delta, alpha, start, t).matrix
         denom = np.where(np.abs(target) > 1e-12, np.abs(target), 1.0)
         rel = np.abs(emp - target) / denom
         # Gaussian-approximation SEs of the covariance entries
@@ -632,20 +633,14 @@ def run_fclt_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     return results, criteria
 
 
-# ---------------------------------------------------------------------------
-# corr-check
-
-
 def run_corr_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     env, delta, alpha = config.env, config.delta, config.alpha
     mu_i, mu_k = config.queues.mu[0], config.queues.mu[1]
     target, c_const = stationary_correlation(env, mu_i, mu_k, delta, alpha)
     results = []
-    for N, scaling, seed, _ in _per_n(config):
-        mom = estimate_moments(sample_stationary(_sim_config(config, scaling, seed)))
-        corr = float(
-            mom.covariance[0, 0, 1] / math.sqrt(mom.variance[0, 0] * mom.variance[0, 1])
-        )
+    for N, *_, moments in _moment_reads(config):
+        var = moments.variance[0]
+        corr = float(moments.covariance[0, 0, 1] / math.sqrt(var[0] * var[1]))
         corr_se = (1.0 - corr**2) / math.sqrt(config.replications)
         results.append(
             {

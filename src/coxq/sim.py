@@ -114,10 +114,10 @@ _WEIGHT_PASS = 2**18
 # chain at 38 ns: 2.5e8 units ran 9.4 s there, 1.8 s as exponential draws and 0.6 s as
 # one-slot two-atom draws.  The most any shipped config or bench call predicts is 2.4e7
 # (ldp_slow_discrete at N = 1600).  A block's Python pass per grid time is priced at
-# _PASS_COST units (38 us) and takes 21 us at d = 1 and at d = 3, on one thread; 10^4-time
-# passes ran 4.4 s for 2.3e8 units at d = 1 and 4.1 s for 2.5e8 at d = 3.
+# _PASS_COST units (22 us: the least of 15 one-thread runs at d = 1 and 3, medians 23 and
+# 26 us); the largest 10^4-time one-row runs it admits (R = 39, 30) ran 10.2 and 7.0 s.
 _WORK_BUDGET = 250_000_000
-_PASS_COST = 1000
+_PASS_COST = 580
 # Output counts per run (R G d, int64: 128 MiB) above which simulate refuses;
 # also the most replications that check_work admits.  The CSV export
 # streams them (see _CSV_CHUNK), so it adds no multiple of the count array.
@@ -178,10 +178,10 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Queue counts per replication on the grid."""
+    """Queue counts per replication on the grid, or a read normalized for ``estimate_moments``."""
 
     times: np.ndarray  # (G,)
-    counts: np.ndarray  # (R, G, d) non-negative integers
+    counts: np.ndarray  # (R, G, d) non-negative integers, or a normalized read
 
     @property
     def replications(self) -> int:
@@ -588,7 +588,8 @@ def sample_stationary(config: SimConfig) -> Trajectory:
 
 
 def estimate_moments(traj: Trajectory) -> MomentReport:
-    """Unbiased sample moments per grid time with standard errors."""
+    """Unbiased sample moments per grid time with standard errors, the one second-moment
+    reduction; numpy's pairwise sums make a d = 1 variance ``x.var(ddof=1)`` bit for bit."""
     R = traj.replications
     if R < 2:
         raise InsufficientData("at least 2 replications are required")

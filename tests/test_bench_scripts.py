@@ -20,7 +20,8 @@ from coxq.env import ScalingRegime
 from coxq.ldp import rate_slow
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-SCRIPTS = ("ldp_screen", "diff_outputs", "reach", "layers")  # ldp_screen first: the others import it
+# ldp_screen first: the others import it
+SCRIPTS = ("ldp_screen", "diff_outputs", "reach", "layers", "stationary_screen")
 
 
 @pytest.fixture
@@ -69,6 +70,37 @@ def test_layers_ab_summary_reads_each_pair_as_this_over_against(bench):
     assert summary["t"]["median_ratio"] == 0.5
     assert summary["t"]["lower"] == 2
     assert summary["t"]["against_quartiles"] == [2.0, 2.0, 4.0]
+
+
+def test_stationary_screen_reads_each_criterion_as_a_share_of_its_tolerance(bench):
+    screen = bench["stationary_screen"]
+
+    def share(name, observed, target, tol):
+        return screen.share({"name": name, "observed": observed, "target": target, "tolerance": tol})
+
+    assert share("clt_variance_ratio", 1.05, 1.0, 0.1) == pytest.approx(0.5)
+    assert share("fclt_covariance_entries", 0.02, 0.0, 0.1) == pytest.approx(0.2)
+    assert share("stationary_correlation", 0.38, 0.4, 0.1) == pytest.approx(0.5)  # relative tolerance
+    assert share("clt_normality_pvalue", 0.005, 0.01, 0.01) == 2.0  # p must exceed the level
+    assert share("clt_normality_pvalue", 0.0, 0.01, 0.01) == math.inf
+    # Wilson score 95% intervals
+    assert screen.wilson(0, 10) == pytest.approx((0.0, 0.278), abs=1e-3)
+    assert screen.wilson(13, 300) == pytest.approx((0.0255, 0.0727), abs=1e-4)
+
+
+def test_stationary_screen_against_names_the_seeds_whose_failing_criteria_moved(bench):
+    def run(code, **passed):
+        shares = {k: {"passed": v, "share": 0.5 if v else 2.0} for k, v in passed.items()}
+        return {"exit": code, "criteria": shares}
+
+    mine = {"1": run(0, a=True, b=True), "2": run(1, a=False, b=True), "3": run(1, a=True, b=False)}
+    theirs = {"1": run(0, a=True, b=True), "2": run(1, a=False, b=True), "3": run(1, a=False, b=True)}
+    lines, bad = bench["stationary_screen"].summary(mine, theirs)
+    assert bad and "  against: 1 of 3 seeds moved (3)" in lines
+    assert "FAIL at 2 of 3 seeds" in lines[0]
+    assert any(line.startswith("  a ") and line.endswith("fails at seeds 2") for line in lines)
+    lines, bad = bench["stationary_screen"].summary(theirs, theirs)
+    assert not bad and "  against: 0 of 3 seeds moved" in lines
 
 
 def test_every_shipped_config_and_bench_call_sits_far_inside_the_work_budget(bench):

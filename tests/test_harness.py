@@ -676,14 +676,15 @@ def test_cli_rejects_fields_only_simulate_reads(tmp_path, capsys, doc, message):
         # ldp-check estimates the tail of one queue: mu[1] would be ignored
         (
             analytic_doc(kind="ldp-check", queues={"mu": [1.0, 5.0]}, t=5.0, a=1.5),
-            "ldp-check runs on a single queue",
+            "mu lists 2 queues; ldp-check runs on exactly 1",
         ),
         # corr-check compares two queues: mu[2] would be ignored
         (
             analytic_doc(kind="corr-check", queues={"mu": [1.0, 2.0, 3.0]}),
-            "corr-check compares exactly two coupled queues",
+            "mu lists 3 queues; corr-check runs on exactly 2",
         ),
     ],
+    ids=["ldp-check-2-queues", "corr-check-3-queues"],
 )
 def test_cli_rejects_queues_a_check_would_ignore(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)

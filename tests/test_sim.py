@@ -1,5 +1,6 @@
 """Simulator law checks against analytic oracles and the event-level reference."""
 
+import collections
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -252,6 +253,44 @@ def test_estimate_moments_match_whole_array_formulas_within_one_grid_time_of_mem
     assert peak <= counts.nbytes  # a few float copies of one grid time, not of the output
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    R=st.integers(2, 3000),
+    d=st.integers(1, 4),
+    level=st.floats(0.5, 1e6),
+    N=st.integers(1, 10**6),
+    beta=st.floats(0.0, 2.0),
+    offset=st.floats(0.5, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_moments_of_a_normalized_read_matches_the_reductions_it_replaced(
+    R, d, level, N, beta, offset, seed
+):
+    # clt-check, fclt-check and corr-check reduce the read u = N^(beta/2) (counts/N -
+    # center) with estimate_moments; before, clt-check took u.var(ddof=1) with a
+    # pow-4 SE, fclt-check np.cov, and corr-check the correlation of the raw counts
+    rng = np.random.default_rng(seed)
+    shared = rng.poisson(level, size=(R, 1))  # a common part, so the queues correlate
+    counts = shared + rng.poisson(level * rng.uniform(0.1, 2.0, size=d), size=(R, d))
+    assume(np.all(counts.min(axis=0) < counts.max(axis=0)))  # every variance positive
+    u = N ** (beta / 2) * (counts / N - offset * counts.mean(axis=0) / N)
+    mom = estimate_moments(Trajectory(np.zeros(1), u[:, None]))
+    cov, var = mom.covariance[0], mom.variance[0]
+    scale = np.sqrt(np.outer(var, var))  # entry (i, k)'s size, also where it is near 0
+    assert np.all(np.abs(cov - np.atleast_2d(np.cov(u.T, ddof=1))) <= 1e-12 * scale)
+    raw = estimate_moments(_traj_from_counts(counts[:, None]))
+    raw_corr = raw.covariance[0] / np.sqrt(np.outer(raw.variance[0], raw.variance[0]))
+    assert np.all(np.abs(cov / scale - raw_corr) <= 1e-12)  # correlations: their scale is 1
+    for i in range(d):
+        x = u[:, i]
+        v = x.var(ddof=1)
+        m4 = ((x - x.mean()) ** 4).mean()
+        se = math.sqrt(max(m4 - (R - 3) / (R - 1) * v**2, 0.0) / R)
+        assert mom.se_variance[0, i] == pytest.approx(se, rel=1e-12)
+    if d == 1:
+        assert var[0] == u[:, 0].var(ddof=1)  # bit for bit: clt-check's variance bytes
+
+
 def test_disjoint_streams_have_zero_covariance():
     # Fixture: two d=1 simulations with independent seeds stacked as d=2.
     a = simulate(make_config(replications=5000, seed=21)).counts
@@ -333,9 +372,11 @@ def test_block_contract_any_replication_count_is_a_prefix():
 
 
 class _RecordingGenerator:
-    """A numpy Generator that records every binomial(n, p) call and delegates
-    everything else.  With per_queue it draws each call row by row instead,
-    one call per queue as a loop over queues would."""
+    """A numpy Generator that records, by method name, the arguments of every
+    binomial(n, p) and poisson(lam) call and every standard exponential draw (the
+    rate layer of an exponential law), and delegates everything else.  With
+    per_queue it draws each binomial row by row instead, one call per queue as a
+    loop over queues would."""
 
     def __init__(self, rng, calls, per_queue=False):
         self._rng, self._calls, self._per_queue = rng, calls, per_queue
@@ -344,15 +385,24 @@ class _RecordingGenerator:
         return getattr(self._rng, name)
 
     def binomial(self, n, p):
-        self._calls.append((np.array(n), np.array(p, dtype=float)))
+        self._calls["binomial"].append((np.array(n), np.array(p, dtype=float)))
         if self._per_queue:
             return np.stack([self._rng.binomial(n[i], p[i, 0]) for i in range(len(n))])
         return self._rng.binomial(n, p)
 
+    def poisson(self, lam):
+        self._calls["poisson"].append(np.array(lam))
+        return self._rng.poisson(lam)
+
+    def standard_exponential(self, size):
+        out = self._rng.standard_exponential(size)
+        self._calls["standard_exponential"].append(out.copy())  # its caller scales it in place
+        return out
+
 
 def _recorded_simulate(monkeypatch, config, per_queue=False):
-    """simulate(config) on recording generators: (counts, binomial calls)."""
-    calls, spawn = [], sim.spawn_streams
+    """simulate(config) on recording generators: (counts, {method: its recorded calls})."""
+    calls, spawn = collections.defaultdict(list), sim.spawn_streams
     monkeypatch.setattr(sim, "spawn_streams", lambda seed, n: [
         _RecordingGenerator(rng, calls, per_queue) for rng in spawn(seed, n)])
     return simulate(config).counts, calls
@@ -368,7 +418,7 @@ def test_thinning_is_one_binomial_per_grid_time_with_the_per_queue_loops_draws(m
     assert block_rows(cell_table(mu, config.scaling.delta_n, config.grid, 0.0).slots.size) == 256
     counts, calls = _recorded_simulate(monkeypatch, config)
     prev, before = 0.0, np.tile(config.initial_counts, (256, 1))
-    drawn = iter(calls)
+    drawn = iter(calls["binomial"])
     for g, t in enumerate(config.grid):
         if t > prev:
             n, p = next(drawn)
@@ -378,6 +428,36 @@ def test_thinning_is_one_binomial_per_grid_time_with_the_per_queue_loops_draws(m
     assert next(drawn, None) is None
     per_queue, _ = _recorded_simulate(monkeypatch, config, per_queue=True)
     np.testing.assert_array_equal(counts, per_queue)
+
+
+def test_poisson_intensities_are_per_slot_integrals_of_rate_times_pattern_survival(monkeypatch):
+    # exact mode at d = 3 with slots of h = 0.25 and grid times on (0.5, 1.0) and off
+    # (0.6, 1.3) them: pattern S's intensity over [t_(g-1), t_g) must be N times the sum,
+    # over the slots k meeting it, of slot k's rate times the integral over its piece of
+    # prod_(i in S) e^(-mu_i (t_g - s)) prod_(i not in S) (1 - e^(-mu_i (t_g - s))),
+    # here by 30-node Gauss-Legendre on each piece, with no cell table
+    mu, N, grid = (1.0, 2.0, 0.5), 16, (0.5, 0.6, 1.0, 1.3)
+    config = make_config(env=Exponential(2.0), queues=QueueParams(mu), scaling=ScalingRegime(N, 0.5, 1.0),
+                         grid=grid, initial_counts=(5, 7, 2), block_tol=0.0, replications=5, seed=4)
+    h = config.scaling.delta_n
+    assert h == 0.25
+    _, calls = _recorded_simulate(monkeypatch, config)
+    (standard,) = calls["standard_exponential"]  # one block: one draw, a column per slot
+    rates = standard / config.env.rate
+    assert rates.shape[1] == math.ceil(grid[-1] / h)
+    nodes, node_weights = np.polynomial.legendre.leggauss(30)
+    alive = (np.arange(1, 2**3)[:, None] >> np.arange(3)) & 1  # (pattern, queue), pattern = mask - 1
+    assert len(calls["poisson"]) == len(grid)
+    for prev, t, lam in zip((0.0,) + grid, grid, calls["poisson"]):
+        expected = np.zeros_like(lam)
+        for k in range(math.floor(prev / h), math.ceil(t / h)):
+            a, b = max(k * h, prev), min((k + 1) * h, t)
+            survive = np.exp(-np.outer(t - ((a + b) / 2 + (b - a) / 2 * nodes), mu))  # (node, queue)
+            pattern = np.where(alive[:, None, :] == 1, survive, 1.0 - survive).prod(axis=2)
+            expected += N * rates[:, [k]] * ((b - a) / 2 * (pattern @ node_weights))
+        # the table's Mobius sums of exponentials cancel on a short piece whose jobs must
+        # have left some queue: 1.6e-12 relative on [1.25, 1.3), 2e-14 on whole slots
+        np.testing.assert_allclose(lam, expected, rtol=1e-11, atol=0)
 
 
 # -- the block scheduler: threads change no byte ----------------------------------
