@@ -57,7 +57,7 @@ setting and timing the file holds the per-pair ratios this/PATH, their
 median, in how many pairs this checkout was lower, and PATH's quartiles; it
 is stamped with both commits.
 
-    PYTHONPATH=src python bench/layers.py --against ../parent [--pairs 5] [--repeats 7]
+    PYTHONPATH=src python bench/layers.py --against ../parent [--pairs 10] [--repeats 7]
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=7, help="at least 5")
     parser.add_argument("--out", default=None, help="default BENCH_layers.json, or BENCH_ab.json with --against")
     parser.add_argument("--against", help="another checkout's root, to compare this one with")
-    parser.add_argument("--pairs", type=int, default=5, help="with --against: at least 3")
+    parser.add_argument("--pairs", type=int, default=10, help="with --against: at least 3")
     args = parser.parse_args(argv)
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")

@@ -4,13 +4,14 @@ The arrival intensity is a piecewise-constant process: every slot of length
 ``delta`` an i.i.d. copy of a non-negative random variable with finite first
 two moments is drawn and held.  Four closed-form families are supported;
 each provides its moments, the log moment generating function
-log M(theta) = log E exp(theta L) and its derivative, one block-sum draw of
+log M(theta) = log E exp(theta L) and two derivatives, one block-sum draw of
 the plain and the exponentially twisted law, and its essential supremum.
 Downstream modules need exact transforms, which is why the families are
 closed rather than user-pluggable; the interface contract for an extension
 is: mean, variance, log_mgf (elementwise over a numpy array of thetas as
 well as on a float: the rate layer's quadrature evaluates it on every node
-at once), log_mgf_prime, sample (the independent per-slot law),
+at once), log_mgf_derivatives (likewise, and in a given gap theta_max - theta
+where the domain is bounded), sample (the independent per-slot law),
 _sampler (the prepared block-sum draw), essential_sup, theta_max, draw_cost.
 twisted_log_norm, sum_c counts[c] log M(etas[c]), is one array call of
 log_mgf for every family.
@@ -184,8 +185,11 @@ class EnvSpec:
         """log M(theta), elementwise when theta is an array."""
         raise NotImplementedError
 
-    def log_mgf_prime(self, theta: float) -> float:
-        """d/dtheta log M(theta), the mean under the theta-tilted law."""
+    def log_mgf_derivatives(self, theta, gap=None):
+        """(log M', log M'') at theta, elementwise: the theta-tilted law's mean and variance.
+
+        ``gap``, where given, is theta_max - theta held to a precision that theta itself loses
+        near a finite boundary; a bounded family's derivatives are then taken in it alone."""
         raise NotImplementedError
 
     def essential_sup(self) -> float:
@@ -262,8 +266,8 @@ class Deterministic(EnvSpec):
     def log_mgf(self, theta):
         return theta * self.value
 
-    def log_mgf_prime(self, theta: float) -> float:
-        return self.value
+    def log_mgf_derivatives(self, theta, gap=None):
+        return np.full(np.shape(theta), self.value), np.zeros(np.shape(theta))
 
     def essential_sup(self) -> float:
         return self.value
@@ -309,9 +313,10 @@ class Exponential(EnvSpec):
         self._check_theta(theta)
         return -np.log1p(-theta / self.rate)
 
-    def log_mgf_prime(self, theta: float) -> float:
+    def log_mgf_derivatives(self, theta, gap=None):
         self._check_theta(theta)
-        return 1.0 / (self.rate - theta)
+        first = 1.0 / (self.rate - theta if gap is None else gap)
+        return first, first**2
 
     def essential_sup(self) -> float:
         return math.inf
@@ -353,9 +358,10 @@ class Gamma(EnvSpec):
         self._check_theta(theta)
         return -self.shape * np.log1p(-self.scale * theta)
 
-    def log_mgf_prime(self, theta: float) -> float:
+    def log_mgf_derivatives(self, theta, gap=None):
         self._check_theta(theta)
-        return self.shape * self.scale / (1.0 - self.scale * theta)
+        gap = self.theta_max - theta if gap is None else gap
+        return self.shape / gap, self.shape / gap**2
 
     def essential_sup(self) -> float:
         return math.inf
@@ -414,9 +420,9 @@ class DiscreteFinite(EnvSpec):
     def log_mgf(self, theta):
         return log_sum_exp(self._log_weights(theta))
 
-    def log_mgf_prime(self, theta: float) -> float:
+    def log_mgf_derivatives(self, theta, gap=None):
         w = self._tilted_probs(theta)
-        return float(self.values @ w)
+        return (first := w @ self.values), ((self.values - first[..., None]) ** 2 * w).sum(axis=-1)
 
     def _log_weights(self, eta) -> np.ndarray:
         """eta v_j + log p_j per atom; an array of etas gives one row each.

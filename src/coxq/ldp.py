@@ -24,9 +24,8 @@ The same substitution gives the derivative in closed form, for every family,
 dI/dx = (log M(x) - log M(x e^(-mu t)))/(mu x), so the supremum (strict
 concavity) is the root of theta -> a - x'(theta) dI/dx, found by bisection
 inside a bracket with no quadrature per step; the stationarity residual is
-reported.  Multivariate rectangle queries use the limiting log-MGFs of the
-coupled model, integrated by the same rule, and a projected quasi-Newton
-search.
+reported.  A rectangle over several queues takes a projected Newton search over
+the same quadrature rule (``rate_multivariate``).
 
 The importance-sampling estimator ``estimate_log_tails`` targets
 P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
@@ -59,13 +58,14 @@ are those of the grid at that one point.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .env import EnvSpec, ScalingRegime
+from .env import Deterministic, EnvSpec, ScalingRegime
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from .sim import _MAX_EXACT_INT, cell_table, check_work, replication_blocks, run_blocks
 from .special import log_poisson_tail, log_sum_exp, quad
@@ -516,117 +516,111 @@ def _prepare(query, N, seed, replications, theta_star, block_tol) -> _Prepared:
 # Multivariate (coupled queues, rectangular sets).
 
 
-def _mv_limit_log_mgf(query: RateQuery):
-    """Limiting log-MGF Gamma(theta) and the per-theta domain guard."""
-    env, t, delta = query.env, query.t, query.delta
-    mu = np.asarray(query.mu, dtype=float)
+class _Limit(NamedTuple):  # Gamma(theta) = int_0^t K(x(theta, s)) ds, as rate_multivariate's
+    K: EnvSpec
+    mu: np.ndarray
+    t: float
+    w: float  # 1/Delta, and 0 in the slow regime
 
-    if query.alpha > 1:
+    def terms(self, theta, s):
+        """x(theta, s), P and g with dx/dtheta_i = P g_i, and theta_max - x, at the points s.
 
-        def gamma(theta):
-            def integrand(s):
-                decay = np.exp(-np.multiply.outer(s, mu))
-                return np.prod(decay * np.expm1(theta) + 1.0, axis=-1)
+        theta_max - x is x(0)'s gap plus x(0) - x(s), a sum of positive terms, so it keeps its
+        relative precision where x(s) nears the boundary: x(0) - x(s) is sum_i theta_i f_i in
+        the slow regime, f_i = 1 - e^(-mu_i s), and otherwise telescopes to sum_i prod_(j < i)
+        q_j(s) expm1(theta_i w) f_i prod_(j > i) q_j(0) / w, q_j = 1 + e^(-mu_j s) expm1(theta_j w)."""
+        decay = -np.multiply.outer(s, self.mu)
+        e, f = np.exp(decay), -np.expm1(decay)
+        if not self.w:
+            return e @ theta, np.ones(len(s)), e, (self.K.theta_max - theta.sum()) + f @ theta
+        c = np.expm1(theta * self.w)
+        q = 1.0 + e * c
+        P = q.prod(axis=-1)
+        before = np.cumprod(np.concatenate([np.ones((len(s), 1)), q[:, :-1]], axis=1), axis=1)
+        after = np.append(np.cumprod(1.0 + c[:0:-1])[::-1], 1.0)
+        fall = (before * c * f * after).sum(axis=-1) / self.w
+        gap = (self.K.theta_max - (np.prod(1.0 + c) - 1.0) / self.w) + fall
+        return (P - 1.0) / self.w, P, e * np.exp(theta * self.w) / q, gap
 
-            return env.mean * (quad(integrand, 0.0, t)[0] - t)
+    def objective(self, theta, a) -> float:
+        """theta . a - Gamma(theta); DomainError where x(theta, 0), its peak, leaves the domain."""
+        self.K.log_mgf(self.terms(theta, np.zeros(1))[0])
+        return float(theta @ a) - quad(lambda s: self.K.log_mgf(self.terms(theta, s)[0]), 0, self.t)[0]
 
-        def in_domain(theta):
-            return True
+    def derivatives(self, theta, a):
+        """a - grad Gamma, and Gamma's Hessian: x_ij = w P (g_i g_j + [i = j] g_i (1 - g_i)).
 
-        return gamma, in_domain, "fast", SPEED_N
+        K' and K'' take ``terms``' precise gap to a bounded domain: in x, its rounding costs
+        1e-16/gap relative, which no quadrature near the boundary resolves."""
 
-    if query.alpha == 1:
+        def term(i, j, s):  # the gradient's integrand when j is None, else the Hessian's
+            x, P, g, gap = self.terms(theta, s)
+            k1, k2 = self.K.log_mgf_derivatives(x, gap)
+            if j is None:
+                return k1 * P * g[:, i]
+            w = self.w * k1
+            return P * g[:, i] * ((k2 * P + w) * g[:, j] + (i == j) * w * (1.0 - g[:, i]))
 
-        def gamma(theta):
-            scaled = np.expm1(theta / delta)
+        d = range(len(a))
+        grad = a - [quad(lambda s: term(i, None, s), 0, self.t)[0] for i in d]
+        return grad, np.array([[quad(lambda s: term(i, j, s), 0, self.t)[0] for j in d] for i in d])
 
-            def integrand(s):
-                decay = np.exp(-np.multiply.outer(s, mu))
-                return env.log_mgf(delta * (np.prod(decay * scaled + 1.0, axis=-1) - 1.0))
-
-            return quad(integrand, 0.0, t)[0]
-
-        def in_domain(theta):
-            worst = delta * (np.prod(np.expm1(theta / delta) + 1.0) - 1.0)
-            return worst < env.theta_max - 1e-11
-
-        return gamma, in_domain, "intermediate", SPEED_INTERMEDIATE
-
-    def gamma(theta):
-        def integrand(s):
-            return env.log_mgf(np.exp(-np.multiply.outer(s, mu)) @ theta)
-
-        return quad(integrand, 0.0, t)[0]
-
-    def in_domain(theta):
-        return float(theta.sum()) < env.theta_max - 1e-11
-
-    return gamma, in_domain, "slow_unbounded", SPEED_SLOW
+    def newton(self, a):
+        """(theta*, objective, steps, projected gradient norm) of projected Newton from 0: least-
+        squares steps on the free coordinates (theta_i > 0 or a positive gradient), projected onto
+        theta >= 0 and halved until it moves theta and the objective is defined and no lower, to
+        rounding.  Equal mu_i make the Hessian singular: once its step predicts no gain, the
+        objective is linear along the gradient's part that the Hessian does not see, which the step
+        then walks onto the first face.  It stops when the predicted gain is below rounding and the
+        gradient below 1e-9 max(a), or when the full step no longer moves theta and the gradient is
+        below 1e-6 (near the boundary the Hessian, about 1/gap, makes theta's own rounding the limit)."""
+        theta, value = np.zeros(len(a)), 0.0
+        for steps in range(100):
+            grad, hess = self.derivatives(theta, a)
+            free = (theta > 0) | (grad > 0)
+            step = np.zeros(len(a))
+            step[free] = np.linalg.lstsq(hess[np.ix_(free, free)], grad[free], rcond=None)[0]
+            norm, ulp = float(np.abs(grad[free]).max(initial=0.0)), 1e-15 * max(1.0, abs(value))
+            if grad @ step <= ulp and norm <= 1e-9 * a.max():
+                return theta, value, steps, norm
+            unseen = np.where(free, grad - hess @ step, 0.0)  # where the Hessian is blind
+            if grad @ step <= ulp and np.abs(unseen).max() > 1e-9 * a.max():
+                reach = theta[unseen < 0] / -unseen[unseen < 0] * (1.0 + 1e-12)  # past its rounding
+                step = unseen * (reach.min() if reach.size else 1.0)
+            if np.all(theta + step == theta) and norm <= 1e-6:
+                return theta, value, steps, norm
+            for _ in range(60):
+                trial = np.maximum(theta + step, 0.0)
+                with contextlib.suppress(DomainError):
+                    if np.any(trial != theta) and (trial_value := self.objective(trial, a)) >= value - ulp:
+                        break
+                step /= 2
+            else:
+                raise ConvergenceError(f"gradient {norm:.2e}, but no step from theta {theta} raises the rate")
+            theta, value = trial, trial_value
+        raise ConvergenceError(f"no Newton convergence in 100 steps: gradient {norm:.2e} at theta {theta}")
 
 
 def rate_multivariate(query: RateQuery) -> RateResult:
-    """Decay rate of the rectangle prod_i [a_i, inf) for the coupled model.
+    """Decay rate of the rectangle prod_i [a_i, inf) for the coupled model: -sup_{theta >= 0}
+    (theta . a - Gamma(theta)) at its corner a, Gamma(theta) = int_0^t K(x(theta, s)) ds:
 
-    The objective sum_i theta_i a_i - Gamma(theta) is increasing in each a_i,
-    so the outer infimum over the rectangle is attained at the corner a; the
-    inner supremum runs over theta >= 0 (projected quasi-Newton, numeric
-    gradients over the quadrature).
+    * slow: K = log M, x = sum_i theta_i e_i, e_i = e^(-mu_i s);
+    * intermediate: K = log M, x = Delta (prod_i (1 + e_i expm1(theta_i/Delta)) - 1);
+    * fast: K(x) = E[L] x, and x as intermediate at Delta = 1.
+
+    A slow corner past a queue's rate ceiling u_i(t) raises RegimeError; ``_Limit.newton``
+    searches for the rest.
     """
-    a = np.atleast_1d(np.asarray(query.a, dtype=float))
-    gamma, in_domain, regime, speed = _mv_limit_log_mgf(query)
-    d = a.size
-    penalty = 1e50
-
-    def neg_objective(theta):
-        theta = np.asarray(theta)
-        if np.any(theta < 0) or not in_domain(theta):
-            return penalty * (1.0 + float(np.abs(theta).sum()))
-        return -(float(theta @ a) - gamma(theta))
-
-    x0 = np.full(d, 1e-3)
-    bounds = [(0.0, None)] * d
-    if math.isfinite(query.env.theta_max):
-        cap = None
-        if regime == "slow_unbounded":
-            cap = query.env.theta_max * (1.0 - 1e-9)
-        elif regime == "intermediate":
-            cap = query.delta * math.log1p(query.env.theta_max / query.delta) * (1.0 - 1e-9)
-        bounds = [(0.0, cap)] * d
-    import scipy.optimize  # loaded only here: no command reaches this optimizer
-
-    res = scipy.optimize.minimize(
-        neg_objective,
-        x0,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options=dict(maxiter=500, maxfun=20_000, ftol=1e-15, gtol=1e-9, eps=1e-7),
-    )
-    theta = np.maximum(res.x, 0.0)
-    # projected-gradient residual by central differences
-    grad = np.empty(d)
-    step = 1e-5
-    for i in range(d):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += step
-        dn[i] = max(dn[i] - step, 0.0)
-        width = up[i] - dn[i]
-        grad[i] = (neg_objective(up) - neg_objective(dn)) / width
-    projected = np.where((theta <= 1e-12) & (grad > 0), 0.0, grad)
-    gnorm = float(np.abs(projected).max())
-    if gnorm > 1e-6:
-        raise ConvergenceError(
-            f"projected gradient norm {gnorm:.2e} > 1e-6 after {res.nit} iterations"
-        )
-    value = -neg_objective(theta)
-    return RateResult(
-        rate=min(0.0, -value),
-        theta_star=theta,
-        regime=regime,
-        speed=speed,
-        diagnostics={
-            "iterations": res.nit,
-            "projected_grad_norm": gnorm,
-            "corner": a.tolist(),
-        },
-    )
+    env, mu, a = query.env, np.atleast_1d(query.mu).astype(float), np.atleast_1d(query.a).astype(float)
+    queues = [RateQuery(env, mu_i, query.delta, query.alpha, query.t, a_i) for mu_i, a_i in zip(mu, a)]
+    for i, queue in enumerate(queues):
+        if classify_regime(queue) == "slow_bounded":
+            raise RegimeError(f"queue {i}: u(t) = {queue.u_t} < a = {queue.a}: the rate cannot reach it")
+    regime = classify_regime(queues[0])
+    speed = {"fast": SPEED_N, "intermediate": SPEED_INTERMEDIATE}.get(regime, SPEED_SLOW)
+    w = {"fast": 1.0, "intermediate": 1 / query.delta}.get(regime, 0.0)
+    limit = _Limit(Deterministic(env.mean) if regime == "fast" else env, mu, query.t, w)
+    theta, value, steps, norm = limit.newton(a)
+    diagnostics = {"iterations": steps, "projected_grad_norm": norm, "corner": a.tolist()}
+    return RateResult(min(0.0, -value), theta, regime, speed, diagnostics)

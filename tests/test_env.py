@@ -91,7 +91,7 @@ def test_mgf_domain_boundary_raises(env, bad):
     with pytest.raises(DomainError):
         env.log_mgf(bad)
     with pytest.raises(DomainError):
-        env.log_mgf_prime(bad)
+        env.log_mgf_derivatives(bad)
 
 
 @pytest.mark.parametrize("env", FAMILIES)
@@ -105,11 +105,30 @@ def test_log_mgf_derivatives_match_moments(env):
 
 
 @pytest.mark.parametrize("env", FAMILIES)
+def test_log_mgf_derivatives_in_a_given_gap(env):
+    # a caller's gap theta_max - theta gives theta's derivatives (inf where unbounded)
+    theta = np.array([0.0, min(0.3, 0.5 * env.theta_max)])
+    given, own = env.log_mgf_derivatives(theta, env.theta_max - theta), env.log_mgf_derivatives(theta)
+    np.testing.assert_allclose(given, own, rtol=1e-15)
+
+
+@pytest.mark.parametrize("env", FAMILIES)
 def test_log_mgf_prime_matches_finite_difference(env):
+    # log_mgf_derivatives: (log M)' against log M's central difference, (log M)''
+    # against (log M)''s; elementwise on an array, and the mean and variance at 0
     theta = min(0.3, 0.5 * env.theta_max)
     h = 1e-6
+    first, second = env.log_mgf_derivatives(theta)
     fd = (env.log_mgf(theta + h) - env.log_mgf(theta - h)) / (2 * h)
-    assert env.log_mgf_prime(theta) == pytest.approx(fd, rel=1e-6)
+    assert first == pytest.approx(fd, rel=1e-6)
+    up, down = env.log_mgf_derivatives(theta + h)[0], env.log_mgf_derivatives(theta - h)[0]
+    assert second == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-9)
+    firsts, seconds = env.log_mgf_derivatives(np.array([0.0, theta]))
+    assert firsts.shape == seconds.shape == (2,)
+    assert firsts[1] == pytest.approx(first, rel=1e-14)
+    assert seconds[1] == pytest.approx(second, rel=1e-12, abs=1e-15)
+    assert firsts[0] == pytest.approx(env.mean, rel=1e-12)
+    assert seconds[0] == pytest.approx(env.variance, rel=1e-12, abs=1e-15)
 
 
 # -- essential supremum ------------------------------------------------------
@@ -192,7 +211,7 @@ def test_twisted_mean_matches_log_mgf_prime(env):
     rng = spawn_streams(11, 1)[0]
     x = twisted_draws(env, eta, rng, 200_000)
     se = x.std(ddof=1) / math.sqrt(x.size)
-    assert abs(x.mean() - env.log_mgf_prime(eta)) < 4 * se + 1e-12
+    assert abs(x.mean() - env.log_mgf_derivatives(eta)[0]) < 4 * se + 1e-12
 
 
 @pytest.mark.parametrize("env", FAMILIES)
@@ -204,7 +223,7 @@ def test_twisted_block_sums_mean_matches_log_mgf_prime(env):
     assert x.shape == (100_000, 3)
     for b in range(3):
         se = x[:, b].std(ddof=1) / math.sqrt(x.shape[0])
-        assert abs(x[:, b].mean() - counts[b] * env.log_mgf_prime(etas[b])) < 4 * se + 1e-12
+        assert abs(x[:, b].mean() - counts[b] * env.log_mgf_derivatives(etas[b])[0]) < 4 * se + 1e-12
 
 
 @pytest.mark.parametrize("env", [Exponential(1.0), Gamma(2.0, 0.5), DiscreteFinite([1.0, 3.0], [0.5, 0.5])])

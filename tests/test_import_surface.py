@@ -1,12 +1,11 @@
-"""No coxq command imports scipy.
+"""No coxq code imports scipy, which only the tests use.
 
-The package's only scipy call left is ``ldp.rate_multivariate``'s optimizer,
-which no command reaches and which imports ``scipy.optimize`` where it is
-called; the Poisson tail of ``ldp-check`` is numpy's, the Anderson-Darling
-log cdf and log sf are ``math.erfc``'s, and the rate layer integrates and
-finds its root with numpy alone.  So importing the CLI and running any kind
-leaves neither ``scipy`` nor any of its submodules in ``sys.modules``, and
-``ldp-check`` runs with the scipy import blocked.  Its quadrature's
+The Poisson tail of ``ldp-check`` is numpy's, the Anderson-Darling log cdf
+and log sf are ``math.erfc``'s, the rate layer integrates and finds its root
+with numpy alone, and ``ldp.rate_multivariate`` is a numpy projected Newton
+search.  So importing the CLI and running any kind leaves neither ``scipy``
+nor any of its submodules in ``sys.modules``, and ``ldp-check`` and every
+rate function run with the scipy import blocked.  The quadrature's
 Gauss-Legendre rule is written out, so it leaves ``numpy.polynomial``
 unloaded too.  Each case runs in a fresh interpreter and reads
 ``sys.modules`` after it.
@@ -115,3 +114,24 @@ def test_ldp_check_runs_with_the_scipy_import_blocked(tmp_path):
         "ldp-check", CONFIGS / "ldp_slow.json", tmp_path / "out")
     run_fresh(statement)
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_every_rate_function_runs_with_the_scipy_import_blocked():
+    # rate_multivariate at d = 2 in each regime, and every other rate_* of ldp.__all__
+    statement = """sys.modules["scipy"] = None
+from coxq import ldp
+from coxq.env import DiscreteFinite, Exponential
+
+def q(alpha, mu, a, env=Exponential(1.0)):
+    return ldp.RateQuery(env=env, mu=mu, delta=1.0, alpha=alpha, t=5.0, a=a)
+
+for alpha in (0.5, 1.0, 2.0):
+    assert ldp.rate_multivariate(q(alpha, (1.0, 2.0), (1.5, 0.8))).rate < 0
+assert ldp.rate_fast(q(2.0, 1.0, 1.5).rho_t, 1.5).rate < 0
+assert ldp.rate_slow(q(0.5, 1.0, 1.5)).rate < 0
+assert ldp.rate_intermediate(q(1.0, 1.0, 1.5)).rate < 0
+assert ldp.rate_slow_bounded(q(0.5, 1.0, 1.995, DiscreteFinite([0.5, 2.0], [0.5, 0.5]))).rate < 0
+called = {"rate_multivariate", "rate_fast", "rate_slow", "rate_intermediate", "rate_slow_bounded"}
+assert called == {name for name in ldp.__all__ if name.startswith("rate_")}
+"""
+    run_fresh(statement)

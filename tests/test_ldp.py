@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -422,6 +423,121 @@ def test_multivariate_domain_error():
             q(mu=mu, a=a, t=5.0)
 
 
+# Rectangle rates at Exp(1), delta 1, t 5.  The slow corners on a face are the
+# univariate rate of the queue at mu = 2 (a face optimum), and at mu = (1, 1) the
+# objective depends on theta_1 + theta_2 alone, so the rate is rate_slow at a_0.
+MULTIVARIATE_CASES = [
+    ((1.0, 1.0), (1.4, 1.4), 0.5, -0.12129938154128),
+    ((1.0, 1.0), (3.0, 3.0), 0.5, -1.41642190646818),
+    ((1.0, 1.0), (8.0, 8.0), 0.5, -6.36214894007122),
+    # equal mu: the objective is linear along theta_1 = -theta_2, and the larger a_i's face wins
+    ((1.0, 1.0), (1.4, 2.0), 0.5, -0.5306064499506558),
+    ((1.0, 1.0), (2.0, 1.4), 0.5, -0.5306064499506558),
+    ((1.0, 1.0, 1.0), (1.4, 2.0, 3.0), 0.5, -1.41642190646818),
+    ((1.0, 2.0), (1.4, 1.4), 0.5, -0.6117521774301337),
+    ((1.0, 2.0), (8.0, 8.0), 0.5, -7.177555723063502),  # theta* 1.1e-7 below theta_max
+    ((1.0, 2.0), (1.4, 1.4), 1.0, -0.29861943625238646),
+    ((1.0, 2.0), (1.5, 0.8), 1.0, -0.07221577531124),  # an interior optimum
+    # optima 3e-4 below the boundary down to theta's own rounding (d = 1: rate_slow's)
+    ((1.0,), (8.0,), 0.5, -6.36214894007122),
+    ((2.0,), (4.0,), 0.5, -3.177723630272948),
+    ((1.0, 2.0), (12.0, 12.0), 0.5, -11.177555666817291),
+    ((1.0, 2.0), (20.0, 20.0), 1.0, -13.040499279027852),
+]
+
+
+@pytest.mark.parametrize("mu, a, alpha, expected", MULTIVARIATE_CASES)
+def test_multivariate_rate_table(mu, a, alpha, expected):
+    mv = rate_multivariate(q(mu=mu, a=a, t=5.0, alpha=alpha))
+    assert mv.rate == pytest.approx(expected, abs=1e-12)
+    assert set(mv.diagnostics) == {"iterations", "projected_grad_norm", "corner"}
+    assert mv.diagnostics["corner"] == list(a)
+    assert mv.diagnostics["projected_grad_norm"] < 1e-6
+    assert np.all(mv.theta_star >= 0)
+    if alpha < 1 and len(set(mu)) == 1:
+        assert mv.rate == pytest.approx(rate_slow(q(mu=mu[0], a=max(a), t=5.0)).rate, abs=1e-12)
+    elif mv.theta_star[0] == 0:  # on the face theta_1 = 0: queue 2's own rate
+        uni = (rate_slow if alpha < 1 else rate_intermediate)(q(mu=2.0, a=a[1], t=5.0, alpha=alpha))
+        assert mv.rate == pytest.approx(uni.rate, abs=1e-12)
+
+
+def test_multivariate_slow_rate_with_a_numerically_singular_hessian():
+    # mu equal past the least-squares cutoff: near the largest a_i's own rate, as at equal mu
+    mv = rate_multivariate(q(mu=(1.0, 1.0 + 1e-9, 1.0 - 1e-9), a=(1.4, 2.0, 3.0), t=5.0))
+    assert mv.rate == pytest.approx(rate_slow(q(a=3.0, t=5.0)).rate, abs=1e-8)
+    assert mv.diagnostics["projected_grad_norm"] < 1e-6
+    assert mv.theta_star[:2].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e3])
+def test_multivariate_slow_rate_is_scale_invariant(r):
+    # L -> L/r, a -> a/r and theta -> r theta leave the slow rate as it is
+    mv = rate_multivariate(q(env=Exponential(r), mu=(1.0, 1.0), a=(1.4 / r, 1.4 / r), t=5.0))
+    assert mv.rate == pytest.approx(-0.12129938154128, abs=1e-12)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "env", [Exponential(1.0), Gamma(2.0, 0.5), DiscreteFinite([0.5, 2.0], [0.5, 0.5]), Deterministic(1.3)])
+def test_multivariate_derivatives_match_finite_differences(env, w):
+    # the Newton search's gradient and Hessian (w = 1/Delta, 0 in the slow regime)
+    # against central differences of its objective and gradient
+    limit, a, h = ldp._Limit(env, np.array([1.0, 2.0, 0.7]), 5.0, w), np.ones(3), 1e-6
+    theta = np.array([0.2, 0.15, 0.1])
+    grad, hess = limit.derivatives(theta, a)
+    for k, unit in enumerate(np.eye(3) * h):
+        fd = (limit.objective(theta + unit, a) - limit.objective(theta - unit, a)) / (2 * h)
+        assert grad[k] == pytest.approx(fd, abs=1e-8)
+        fd = (limit.derivatives(theta - unit, a)[0] - limit.derivatives(theta + unit, a)[0]) / (2 * h)
+        np.testing.assert_allclose(hess[k], fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 2.0])
+def test_multivariate_gap_to_the_domain_boundary_keeps_its_precision(w):
+    # theta_max - x(theta, s) at x(theta, 0) = theta_max - 1e-10, against 40 digits: its
+    # fall x(0) - x(s) to 1e-13 relative down to s = 1e-12, and the gap at 0 to rounding
+    limit = ldp._Limit(Exponential(1.0), np.array([1.0, 2.0, 0.7]), 5.0, w)
+    edge = math.log1p(w) / w if w else 1.0  # sum_i theta_i where x(theta, 0) = theta_max
+    theta = np.array([0.3, 0.2, edge - 0.5 - 1e-10])
+    s = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 5.0])
+    gap = limit.terms(theta, s)[3]
+    with mpmath.workdps(40):
+
+        def x(s):
+            e = [mpmath.exp(-mpmath.mpf(m) * mpmath.mpf(s)) for m in limit.mu]
+            if not w:
+                return mpmath.fsum(mpmath.mpf(th) * e_i for th, e_i in zip(theta, e))
+            c = [mpmath.expm1(mpmath.mpf(th) * w) for th in theta]
+            return (mpmath.fprod(1 + e_i * c_i for e_i, c_i in zip(e, c)) - 1) / w
+
+        assert gap[0] == pytest.approx(float(1 - x(0)), rel=0, abs=4e-16)
+        for s_k, gap_k in zip(s[1:], gap[1:]):
+            assert gap_k - gap[0] == pytest.approx(float(x(0) - x(s_k)), rel=1e-13)
+
+
+def test_multivariate_interior_optimum_near_the_domain_boundary():
+    # theta* = (0.397, 0.603), 4e-5 below theta_max: no probe of the objective beats it
+    mv = rate_multivariate(q(mu=(1.0, 3.0), a=(5.0, 4.0), t=5.0))
+    limit = ldp._Limit(Exponential(1.0), np.array([1.0, 3.0]), 5.0, 0.0)
+    assert np.all(mv.theta_star > 0) and 0 < 1 - mv.theta_star.sum() < 1e-4
+    for unit in np.eye(2) * 1e-6:
+        for probe in (mv.theta_star + unit, mv.theta_star - unit):
+            assert limit.objective(probe, np.array([5.0, 4.0])) <= -mv.rate + 1e-12
+
+
+def test_multivariate_refuses_a_corner_past_a_queue_ceiling():
+    # a two-atom env caps queue i's rate at u_i(t) = 2 (1 - e^(-mu_i t))/mu_i
+    env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
+    with pytest.raises(RegimeError, match=r"queue 0: u\(t\) = 1\.9865"):
+        rate_multivariate(q(env=env, mu=(1.0,), a=(1.995,), t=5.0))
+    with pytest.raises(RegimeError, match=r"queue 1: u\(t\) = 0\.9999"):
+        rate_multivariate(q(env=env, mu=(1.0, 2.0), a=(1.4, 1.0), t=5.0))
+    below = rate_multivariate(q(env=env, mu=(1.0, 2.0), a=(1.4, 0.99), t=5.0))
+    assert below.rate < 0
+    # an unbounded family has u(t) = inf: the same corner is a slow rate
+    assert rate_multivariate(q(mu=(1.0, 2.0), a=(1.4, 1.0), t=5.0)).rate < 0
+
+
 # -- importance sampling --------------------------------------------------------------
 
 
@@ -433,7 +549,7 @@ def test_is_q_mean_property():
     def tilted_mean(N):
         h = ScalingRegime(N, 0.5, 1.0).delta_n
         decay = np.exp(-np.arange(int(5.0 / h)) * h)
-        return h * sum(env.log_mgf_prime(theta * d) * d for d in decay)
+        return h * float(env.log_mgf_derivatives(theta * decay)[0] @ decay)
 
     gaps = [abs(tilted_mean(N) - 1.5) for N in (100, 1000, 10_000, 100_000)]
     assert gaps[-1] < 0.02 * 1.5

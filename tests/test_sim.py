@@ -372,11 +372,12 @@ def test_block_contract_any_replication_count_is_a_prefix():
 
 
 class _RecordingGenerator:
-    """A numpy Generator that records, by method name, the arguments of every
-    binomial(n, p) and poisson(lam) call and every standard exponential draw (the
-    rate layer of an exponential law), and delegates everything else.  With
-    per_queue it draws each binomial row by row instead, one call per queue as a
-    loop over queues would."""
+    """A numpy Generator that records, by method name, every binomial(n, p) call
+    with its draws, every poisson(lam) call, and the variates of every standard
+    exponential, standard gamma (with its shapes) and uniform draw (the rate layers
+    of the exponential, Gamma and one-slot discrete laws), and delegates everything
+    else.  With per_queue it draws each binomial row by row instead, one call per
+    queue as a loop over queues would."""
 
     def __init__(self, rng, calls, per_queue=False):
         self._rng, self._calls, self._per_queue = rng, calls, per_queue
@@ -385,10 +386,12 @@ class _RecordingGenerator:
         return getattr(self._rng, name)
 
     def binomial(self, n, p):
-        self._calls["binomial"].append((np.array(n), np.array(p, dtype=float)))
         if self._per_queue:
-            return np.stack([self._rng.binomial(n[i], p[i, 0]) for i in range(len(n))])
-        return self._rng.binomial(n, p)
+            out = np.stack([self._rng.binomial(n[i], p[i, 0]) for i in range(len(n))])
+        else:
+            out = self._rng.binomial(n, p)
+        self._calls["binomial"].append((np.array(n), np.array(p, dtype=float), out.copy()))
+        return out
 
     def poisson(self, lam):
         self._calls["poisson"].append(np.array(lam))
@@ -397,6 +400,16 @@ class _RecordingGenerator:
     def standard_exponential(self, size):
         out = self._rng.standard_exponential(size)
         self._calls["standard_exponential"].append(out.copy())  # its caller scales it in place
+        return out
+
+    def standard_gamma(self, shape, size):
+        out = self._rng.standard_gamma(shape, size=size)
+        self._calls["standard_gamma"].append((np.array(shape), out.copy()))
+        return out
+
+    def random(self, size=None, out=None):
+        out = self._rng.random(size, out=out)
+        self._calls["random"].append(out.copy())  # its caller overwrites it with the atoms
         return out
 
 
@@ -421,7 +434,7 @@ def test_thinning_is_one_binomial_per_grid_time_with_the_per_queue_loops_draws(m
     drawn = iter(calls["binomial"])
     for g, t in enumerate(config.grid):
         if t > prev:
-            n, p = next(drawn)
+            n, p, _ = next(drawn)
             np.testing.assert_array_equal(n, before.T)  # queue i's counts in row i
             np.testing.assert_allclose(p[:, 0], np.exp(-np.array(mu) * (t - prev)), rtol=4e-15, atol=0)
         prev, before = t, counts[:, g]
@@ -460,12 +473,70 @@ def test_poisson_intensities_are_per_slot_integrals_of_rate_times_pattern_surviv
         np.testing.assert_allclose(lam, expected, rtol=1e-11, atol=0)
 
 
+def _table(config):
+    return cell_table(config.queues.mu, config.scaling.delta_n, config.grid, config.block_tol)
+
+
+def _intensities(config, rates):
+    """The Poisson intensities N (rates[:, cells] @ weights) of each grid time on the
+    config's table, given every cell's average slot rate."""
+    table = _table(config)
+    return [config.scaling.N * (rates[:, cells] @ w) for cells, w in zip(table.cells, table.weights)]
+
+
+# blocked mode at d = 2: 86 cells of 8-21 slots, one block
+BLOCKED = dict(queues=QueueParams((1.0, 2.0)), scaling=ScalingRegime(400, 1.0, 1.0), grid=(1.0, 2.5),
+               initial_counts=(3, 1), block_tol=0.05, replications=20, seed=8)
+
+
+def test_blocked_gamma_rates_are_standard_gamma_draws_of_shape_k_slots_times_the_scale(monkeypatch):
+    config = make_config(env=Gamma(2.0, 0.5), **BLOCKED)
+    _, calls = _recorded_simulate(monkeypatch, config)
+    ((shapes, standard),) = calls["standard_gamma"]  # one block: one draw, a column per cell
+    slots = _table(config).slots
+    assert slots.min() > 1
+    np.testing.assert_array_equal(shapes, 2.0 * slots)  # k n_c
+    for lam, want in zip(calls["poisson"], _intensities(config, standard * 0.5 / slots)):
+        np.testing.assert_allclose(lam, want, rtol=1e-14, atol=0)
+
+
+def test_one_slot_discrete_rates_are_the_atoms_their_uniforms_pick(monkeypatch):
+    # exact mode: six one-slot cells; atom j is drawn where j normalised cumulative
+    # probabilities lie at or below the cell's uniform
+    env = DiscreteFinite([0.5, 2.0, 3.0], [0.2, 0.5, 0.3])
+    config = make_config(env=env, queues=QueueParams((1.0, 2.0)), scaling=ScalingRegime(16, 0.5, 1.0),
+                         grid=(0.5, 1.3), initial_counts=(1, 2), block_tol=0.0, replications=20, seed=6)
+    _, calls = _recorded_simulate(monkeypatch, config)
+    (uniforms,) = calls["random"]
+    assert np.all(_table(config).slots == 1)
+    cdf = np.cumsum(env.probs) / env.probs.sum()
+    atoms = env.values[np.searchsorted(cdf[:-1], uniforms, side="right")]
+    for lam, want in zip(calls["poisson"], _intensities(config, atoms)):
+        np.testing.assert_array_equal(lam, want)
+
+
+def test_multi_slot_discrete_occupations_are_a_binomial_chain(monkeypatch):
+    # atom j's binomial draws from the slots not yet placed with p = w_j / sum_(i>=j) w_i
+    env = DiscreteFinite([0.5, 2.0, 3.0], [0.2, 0.5, 0.3])
+    config = make_config(env=env, **BLOCKED)
+    _, calls = _recorded_simulate(monkeypatch, config)
+    slots = _table(config).slots
+    chain = calls["binomial"][: env.values.size - 1]  # drawn before the block's thinning
+    left, sums = np.broadcast_to(slots, (block_rows(slots.size), slots.size)), 0.0
+    for j, (n, p, drawn) in enumerate(chain):
+        np.testing.assert_array_equal(n, left)
+        assert p == pytest.approx(env.probs[j] / env.probs[j:].sum(), rel=1e-15)
+        left, sums = left - drawn, sums + env.values[j] * drawn
+    for lam, want in zip(calls["poisson"], _intensities(config, (sums + env.values[-1] * left) / slots)):
+        np.testing.assert_allclose(lam, want, rtol=1e-14, atol=0)
+
+
 # -- the block scheduler: threads change no byte ----------------------------------
 
 
 def _workers(config) -> int:
     """The threads simulate runs config's blocks on."""
-    n_cells = cell_table(config.queues.mu, config.scaling.delta_n, config.grid, config.block_tol).slots.size
+    n_cells = _table(config).slots.size
     rows = block_rows(n_cells)
     return sim.block_workers(-(-config.replications // rows), rows * n_cells)
 
