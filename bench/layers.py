@@ -7,15 +7,14 @@ way ``bench/ldp_screen.py`` reads it):
 
 * ``spawn_streams`` per stream, and ``cell_table`` per table;
 * ``sample_block_sums`` per block of rows, at the clt, corr and fclt tables;
-* the importance sampler's per-block draw (``EnvSpec.block_sampler``'s
-  draw, prepared once, outside the timing), with and without weights, at
-  the ldp_slow, ldp_slow_discrete and ldp_intermediate tables, each N;
-  beside it the one-call ``sample_block_sums_twisted`` per block and the
-  preparation per run.  The cell counts, the weights and the tilt are
-  ``ldp._tilt``'s;
-* ``special.log_poisson_tail`` at every tail call's (m, R): the count's tail of
-  each N's R rates (one rate for a constant layer), the stage that the
-  importance sampler's pipeline runs while the next N's blocks draw;
+* per tail call and N, the importance sampler's per-block draw of a random
+  rate layer (``EnvSpec.block_sampler``'s draw, prepared once, outside the
+  timing), with and without weights, beside the one-call
+  ``sample_block_sums_twisted`` per block and the preparation per run; and
+  ``special.log_poisson_tail`` at the call's (m, R): the count's tail of R
+  rates (one for a constant layer), the stage that the importance sampler's
+  pipeline runs while the next N's blocks draw.  The cell counts, the
+  weights and the tilt are ``ldp._tilt``'s;
 * ``estimate_moments`` on the transient ``simulate`` trajectory, per
   replication, and ``trajectory_to_csv`` of that trajectory to a file in a
   temporary directory, per CSV row (one row per replication, grid time and
@@ -47,15 +46,15 @@ shared one only from interleaved runs.
     PYTHONPATH=src python bench/layers.py [--repeats 7] [--out BENCH_layers.json]
 
 With ``--against PATH`` the script compares this checkout with the one at
-PATH instead, and writes ``BENCH_ab.json``.  Each of ``--pairs`` pairs runs
-this script's layers and the configs through ``coxq.harness.run`` (timings
-only: no peak RSS, no tier-1) once on each checkout's ``src``, each in a
-fresh process, the two in alternating order from pair to pair; every pair is
-run with one worker (the child pins itself to one CPU with
-``os.sched_setaffinity`` before it imports ``coxq``) and with every CPU.  Per
-setting and timing the file holds the per-pair ratios this/PATH, their
-median, in how many pairs this checkout was lower, and PATH's quartiles; it
-is stamped with both commits.
+PATH instead, and writes ``BENCH_ab.json``.  Each of ``--pairs`` pairs runs each
+checkout's own copy of this script on its own ``src`` (whose private names may
+differ): the layers and the configs through ``coxq.harness.run`` (timings only:
+no peak RSS, no tier-1), each in a fresh process, the two checkouts in
+alternating order from pair to pair; every pair is run with one worker (the
+child pins itself to one CPU with ``os.sched_setaffinity`` before it imports
+``coxq``) and with every CPU.  Per setting and timing the file holds the
+per-pair ratios this/PATH, their median, in how many pairs this checkout was
+lower, and PATH's quartiles; it is stamped with both commits.
 
     PYTHONPATH=src python bench/layers.py --against ../parent [--pairs 10] [--repeats 7]
 """
@@ -83,7 +82,7 @@ from coxq import sim
 from coxq.analytic import QueueParams, stationary_mean
 from coxq.env import ScalingRegime, env_from_json, spawn_streams
 from coxq.harness import ExperimentConfig, run
-from coxq.ldp import RateQuery, _tilt, classify_regime, estimate_log_tails, rate_intermediate, rate_slow
+from coxq.ldp import RateQuery, _tilt, estimate_log_tails, rate_intermediate, rate_slow
 from coxq.sim import WARM_DECADES, SimConfig, block_rows, cell_table, estimate_moments, simulate
 from coxq.special import log_poisson_tail
 
@@ -175,15 +174,12 @@ def warm_grid(doc: dict, N: int) -> tuple:
 
 
 def is_inputs(doc: dict, N: int):
-    """(query, counts, wk, etas, m, theta*) of the importance sampler's run at N:
-    counts, wk and the tilt scale c are ``ldp._tilt``'s, and etas = c wk; theta*
-    is 0 in the fast regime, which does not tilt."""
+    """(query, counts, wk, etas, m) of the importance sampler's run at N: counts,
+    wk and the tilt scale c are ``ldp._tilt``'s, and etas = c wk."""
     query = RateQuery(env=env_from_json(doc["env"]), mu=doc["queues"]["mu"][0], delta=doc["delta"],
                       alpha=doc["alpha"], t=doc["t"], a=doc["a"])
-    rate = {"slow_unbounded": rate_slow, "intermediate": rate_intermediate}.get(classify_regime(query))
-    theta = rate(query).theta_star if rate else 0.0
-    counts, wk, c, _ = _tilt(query, N, doc["replications"], theta, doc.get("block_tol", 0.01))
-    return query, counts, wk, c * wk, math.ceil(N * doc["a"] - 1e-9), theta
+    counts, wk, c, _ = _tilt(query, N, doc["replications"], doc.get("block_tol", 0.01))
+    return query, counts, wk, c * wk, math.ceil(N * doc["a"] - 1e-9)
 
 
 def layers(repeats: int) -> dict:
@@ -209,13 +205,13 @@ def layers(repeats: int) -> dict:
                 lambda: env.sample_block_sums(rng, table.slots, rows), repeats, 20)
             out[f"{key}.rows_x_cells"] = [rows, int(table.slots.size)]
 
-    # the importance sampler's twisted draw, per block of B rows
-    for name in ("ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
+    # per tail call and N: a random rate layer's twisted draw per block of B rows, and the count's tail
+    for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
         doc = calls[name]
         for N in doc["N_grid"]:
-            query, counts, wk, etas, *_ = is_inputs(doc, N)
+            query, counts, wk, etas, m = is_inputs(doc, N)
             env, rows, rng = query.env, block_rows(counts.size), spawn_streams(SEED, 1)[0]
-            for label, weights in (("weights", wk), ("no_weights", None)):
+            for label, weights in (("weights", wk), ("no_weights", None)) if env.variance else ():
                 key = f"twisted.{name}.N{N}.{label}"
                 draw = env.block_sampler(counts, etas, weights)
                 out[f"{key}.is_draw_us_per_block"] = 1e6 * median_s(
@@ -225,19 +221,11 @@ def layers(repeats: int) -> dict:
                     repeats, 20)
                 out[f"{key}.prepare_us_per_run"] = 1e6 * median_s(
                     lambda: env.block_sampler(counts, etas, weights), repeats, 20)
-            out[f"twisted.{name}.N{N}.rows_x_cells"] = [rows, int(counts.size)]
-
-    # the count's tail at each tail call's (m, R): R of its rates at each N, one
-    # for a constant rate layer, as the importance sampler weighs them
-    for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
-        doc = calls[name]
-        for N in doc["N_grid"]:
-            query, counts, wk, etas, m, _ = is_inputs(doc, N)
-            size = 1 if query.env.variance == 0 else doc["replications"]
-            draw = query.env.block_sampler(counts, etas, wk)
-            rows = block_rows(counts.size)
-            streams = spawn_streams(SEED, -(-size // rows))
-            lam = N * np.concatenate([draw(rng, rows) for rng in streams])[:size]
+            if env.variance:
+                out[f"twisted.{name}.N{N}.rows_x_cells"] = [rows, int(counts.size)]
+            size = doc["replications"] if env.variance else 1
+            draw = env.block_sampler(counts, etas, wk)
+            lam = N * np.concatenate([draw(r, rows) for r in spawn_streams(SEED, -(-size // rows))])[:size]
             out[f"log_poisson_tail.{name}.N{N}.ms"] = 1e3 * median_s(
                 lambda: log_poisson_tail(m, lam), repeats)
 
@@ -286,33 +274,22 @@ def layers(repeats: int) -> dict:
         engine(out, key, lambda: simulate(config), config.replications,
                -(-config.replications // rows), rows * table.slots.size, repeats)
 
-    # the importance sampler at each tail call's largest N alone
+    # the importance sampler at each tail call's largest N alone, and over its whole N
+    # grid per replication of every N (workers the most W of its N)
     for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
         doc = calls[name]
-        N, R = doc["N_grid"][-1], doc["replications"]
-        query, counts, *_, theta = is_inputs(doc, N)
-        rows = block_rows(counts.size)
-        blocks, size = (1, 1) if query.env.variance == 0 else (-(-R // rows), rows)
-        point = [(N, doc["seed"])]
-        engine(out, f"estimate_log_tails.{name}.N{N}",
-               lambda: estimate_log_tails(query, point, R, theta, doc.get("block_tol", 0.01)),
-               R, blocks, size * counts.size, repeats)
-
-    # the importance sampler over each tail call's whole N grid, per replication of
-    # every N; workers is the most W of its N
-    for name in ("ldp_fast", "ldp_slow", "ldp_slow_discrete", "ldp_intermediate"):
-        doc = calls[name]
-        R, tol = doc["replications"], doc.get("block_tol", 0.01)
-        points = [(N, 1000 + N) for N in doc["N_grid"]]
-        query, *_, theta = is_inputs(doc, points[0][0])
+        R, tol, grid = doc["replications"], doc.get("block_tol", 0.01), doc["N_grid"]
+        query = is_inputs(doc, grid[0])[0]
         shapes = []  # (blocks, rate draws per block) at each N
-        for N, _ in points:
+        for N in grid:
             cells = is_inputs(doc, N)[1].size
             rows = block_rows(cells)
             shapes.append((1, cells) if query.env.variance == 0 else (-(-R // rows), rows * cells))
-        blocks, entries = max(shapes, key=lambda shape: sim.block_workers(*shape))
-        engine(out, f"estimate_log_tails.{name}", lambda: estimate_log_tails(query, points, R, theta, tol),
-               R * len(points), blocks, entries, repeats)
+        point, points = [(grid[-1], doc["seed"])], [(N, 1000 + N) for N in grid]
+        engine(out, f"estimate_log_tails.{name}.N{grid[-1]}",
+               lambda: estimate_log_tails(query, point, R, tol), R, *shapes[-1], repeats)
+        engine(out, f"estimate_log_tails.{name}", lambda: estimate_log_tails(query, points, R, tol),
+               R * len(grid), *max(shapes, key=lambda shape: sim.block_workers(*shape)), repeats)
     return out
 
 
@@ -376,7 +353,7 @@ def timings(repeats: int) -> dict:
 
 # a fresh interpreter that pins itself to its first argv[1] CPUs (0: all of them)
 # before it imports coxq, so the block scheduler reads that many, then prints
-# timings() of this script against the src on its PYTHONPATH as JSON
+# timings() of the layers script in argv[2] against the src on its PYTHONPATH as JSON
 AB_CHILD = ("import json, os, sys; cpus = int(sys.argv[1]); "
             "cpus and os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus]); "
             "sys.path.insert(0, sys.argv[2]); import layers; "
@@ -384,10 +361,10 @@ AB_CHILD = ("import json, os, sys; cpus = int(sys.argv[1]); "
 AB_SETTINGS = {"one_worker": 1, "all_cpus": 0}
 
 
-def ab_child(root, cpus: int, repeats: int) -> dict:
+def ab_child(root: Path, cpus: int, repeats: int) -> dict:
     """timings() of the checkout at root, in a fresh process on cpus CPUs (0: all)."""
-    proc = subprocess.run([sys.executable, "-c", AB_CHILD, str(cpus), str(ROOT / "bench"), str(repeats)],
-                          env=dict(os.environ, PYTHONPATH=str(Path(root) / "src")),
+    proc = subprocess.run([sys.executable, "-c", AB_CHILD, str(cpus), str(root / "bench"), str(repeats)],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           capture_output=True, text=True, timeout=3600)
     if proc.returncode:
         raise RuntimeError(f"{root} exited {proc.returncode}: {proc.stderr[-2000:]}")

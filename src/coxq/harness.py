@@ -700,9 +700,7 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     xs, ys, ses = [], [], []
     warn = config.tol("rel_err_warn")
     points = [(N, seed) for N, _, seed, _ in _per_n(config)]
-    estimates = estimate_log_tails(
-        query, points, config.replications, rate_res.theta_star, config.block_tol
-    )
+    estimates = estimate_log_tails(query, points, config.replications, config.block_tol)
     for N, (log_p, rel_err) in zip(config.N_grid, estimates):
         x = speed_value(rate_res.speed, ScalingRegime(N, config.alpha, config.delta))
         row = {

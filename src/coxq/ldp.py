@@ -33,23 +33,23 @@ P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
 simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, from
 stream b alone.  Given the rate layer the count is Poisson(N kappa), with
 kappa = sum_c w_c S_c/n_c (w_c the cell's survival weight, n_c its slot
-count), so no count is drawn.  Every regime tilts by eta_c = c w_c/n_c, one
-scalar c per run: fast c = 0, slow c = theta*/r (r = (1 - e^(-mu Delta_N))/mu)
-and intermediate c = N (e^(theta*/Delta) - 1).  So sum_c eta_c S_c = c kappa,
-and one log likelihood ratio serves every regime, depending on the rate layer
-only through kappa: log_norm - c kappa + log P(Poisson(N kappa) >= m), with
-log_norm = sum_c n_c log M(eta_c).  The run prepares its draw once
-(``EnvSpec.block_sampler`` with the weights), and each block's draw returns
-its rows' kappa directly, not the (rows, cells) slot sums.  The tail term is
-exact (``special.log_poisson_tail``); the ``coxq.special`` docstring describes
-it and the quadrature rule.
+count), so no count is drawn.  Each cell is tilted by eta_c = c w_c/n_c, one
+scalar c per N from the cell table alone, in every regime: c = N expm1(s) at
+the count's finite-N saddle point K_N'(s) = m - 1/2 of its CGF
+K_N(s) = sum_c n_c log M(N expm1(s) w_c/n_c) (c = 0 for a constant rate layer).
+So sum_c eta_c S_c = c kappa, and the log likelihood ratio depends on the rate
+layer only through kappa: K_N(s) - c kappa + log P(Poisson(N kappa) >= m).  The
+run prepares its draw once (``EnvSpec.block_sampler`` with the weights), and
+each block's draw returns its rows' kappa directly, not the (rows, cells) slot
+sums.  The tail term is exact (``special.log_poisson_tail``); the
+``coxq.special`` docstring describes it and the quadrature rule.
 
 ``estimate_log_tails`` runs an N grid through three stages per N: prepare
 (every check and refusal, the cell table, the tilt, the streams and the
 prepared draw), draw (the blocks, one ``sim.run_blocks`` call per N) and
 weigh (the count's tail, the weights and their reduction).  The calling
 thread prepares N_1; then N_k's ``run_blocks`` call runs, alongside its
-draws, round 1's checks of every later N (``_tilt``, keeping nothing) or
+draws, round 1's checks of every later N (``_tilt``, keeping only its c) or
 round k's weighing of N_(k-1), and then the preparation of N_(k+1); N_K is
 weighed last.  So a prepare-stage refusal at any N is raised before any N is
 weighed, at most two N's prepared draws are alive at once, and each N's bits
@@ -378,22 +378,19 @@ def classify_regime(query: RateQuery) -> str:
 # Importance sampling.
 
 
-def estimate_log_tails(
-    query: RateQuery, points, replications: int, theta_star: float, block_tol: float
-) -> list[tuple[float, float]]:
+def estimate_log_tails(query: RateQuery, points, replications: int,
+                       block_tol: float) -> list[tuple[float, float]]:
     """[(log P(M^(N)(t) >= N a) from an empty queue, its relative SE) for (N,
     seed) in points], by IS, with the N pipelined as the module docstring says.
 
-    The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,);
-    ``theta_star`` is the optimizer of the query's rate function.  Each
+    The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,).  Each
     replication's weight holds the exact conditional tail given its rate
     layer, so it is finite unless that layer is all zero (kappa = 0); an N's
     estimate is -inf only when every one of its replications' is.  A count
     level N a past 2^53, which float64 cannot index, raises ResourceError, as
     does an N whose predicted draw work passes ``sim.check_work``'s budget
     or whose count tail needs more than ``special._CF_STEPS`` continued-fraction
-    steps (a rate near N a past about 3.7e11); the bounded slow branch, which
-    has no sampler, raises RegimeError.  Every refusal but the continued
+    steps (a rate near N a past about 3.7e11).  Every refusal but the continued
     fraction's is raised in its N's prepare stage, before any N is weighed;
     the continued-fraction refusal is raised when its N is weighed.  Of several
     errors the first in this serial order is raised: N_1's preparation, then
@@ -403,18 +400,18 @@ def estimate_log_tails(
     out = []
     if not points:
         return out
-    job = _prepare(query, *points[0], replications, theta_star, block_tol)
+    job = _prepare(query, *points[0], replications, block_tol)
     weigh = kappas = after = None  # N_(k-1)'s weighing and draws; N_(k+1)'s _Prepared
+    tilts = []  # round 1's c of every later N, so each N's saddle is solved once
 
     def alongside():  # on the calling thread, while N_k's blocks draw
         nonlocal after
-        if k == 0:  # every later N's refusals, nothing kept
-            for N, _ in points[1:]:
-                _tilt(query, N, replications, theta_star, block_tol)
+        if k == 0:  # every later N's refusals, only its c kept
+            tilts.extend(_tilt(query, N, replications, block_tol)[2] for N, _ in points[1:])
         else:
             out.append(_reduce(weigh(kappas), replications))
         if k + 1 < len(points):
-            after = _prepare(query, *points[k + 1], replications, theta_star, block_tol)
+            after = _prepare(query, *points[k + 1], replications, block_tol, tilts[k])
 
     for k in range(len(points)):
         kappas_k = run_blocks(job.block, job.streams, job.entries, alongside)
@@ -448,55 +445,60 @@ class _Prepared(NamedTuple):  # one N's prepare stage
     weigh: Callable  # weigh(every block's kappa): the (replications,) log weights, or one
 
 
-def _tilt(query, N, replications, theta_star, block_tol):
+def _saddle(env: EnvSpec, N: int, counts, wk, target: float) -> float:
+    """c = N expm1(s) at the root of K_N'(s) = target, K_N(s) = sum_c n_c log M(N expm1(s) wk_c)
+    (``twisted_log_norm``): Newton on log K_N' from s = 0 inside the bracket between 0 and
+    the Poisson tilt s0 = log(target/K_N'(0)), which holds the root as log M' rises from E[L]."""
+    nw = counts * wk
+    s0 = math.log(target / (N * env.mean * float(nw.sum())))
+    lo, hi = sorted((0.0, min(s0, math.log1p(env.theta_max / (N * float(wk.max()))))))
+    s = 0.0
+    for _ in range(100):
+        c = N * math.expm1(s)
+        k1, k2 = env.log_mgf_derivatives(c * wk)
+        first = float((nw * k1).sum())  # an elementwise sum, not a BLAS dot: its bits are fixed
+        g = math.log((N + c) * first / target)
+        lo, hi = (lo, s) if g > 0 else (s, hi)
+        after = s - g / (1.0 + (N + c) * float((nw * wk * k2).sum()) / first)
+        after = after if lo < after < hi else 0.5 * (lo + hi)
+        if abs(g) <= 1e-12 or after == s:  # solved, or to the float resolution of s
+            return c
+        s = after
+    raise ConvergenceError(f"no saddle point of the count's CGF in 100 steps at N = {N}")
+
+
+def _tilt(query, N, replications, block_tol, c=None):
     """One N's checks, where every refusal of its prepare stage is raised:
     (cells' slot counts, per-draw weights wk, tilt scale c, log_norm), the tilt
-    being eta = c wk (see the module docstring).  The work budget
-    (``sim.check_work``) counts the one row ``_prepare`` draws for a constant layer."""
-    env, mu, t, a, delta = query.env, query._scalar_mu, query.t, query._scalar_a, query.delta
+    being eta = c wk (see the module docstring; a given c skips its solve).  The
+    work budget (``sim.check_work``) counts the one row ``_prepare`` draws for a constant layer."""
+    env, a = query.env, query._scalar_a
     if not N * a <= _MAX_EXACT_INT:  # also refuses inf
-        raise ResourceError(
-            f"count level N a = {N * a:.3e} exceeds 2^53, the most that float64 can index"
-        )
-    regime = classify_regime(query)
-    h = ScalingRegime(N, query.alpha, delta).delta_n
-    table = cell_table((mu,), h, (t,), block_tol)
+        raise ResourceError(f"count level N a = {N * a:.3e} exceeds 2^53, the most that float64 can index")
+    h = ScalingRegime(N, query.alpha, query.delta).delta_n
+    table = cell_table((query._scalar_mu,), h, (query.t,), block_tol)
     counts = table.slots
     wk = table.weights[0][:, 0] / counts  # per-draw weight within each cell
-
-    # every regime tilts by eta = c wk, so eta . S = c kappa
-    if regime == "fast":
-        c = 0.0
-    elif regime == "slow_unbounded":
-        c = theta_star / (-math.expm1(-mu * h) / mu)
-    elif regime == "intermediate":
-        c = N * math.expm1(theta_star / delta)
-    else:
-        raise RegimeError(
-            "no importance sampler for the bounded slow branch; "
-            "rate_slow_bounded gives the closed-form rate"
-        )
+    if c is None:
+        c = _saddle(env, N, counts, wk, math.ceil(N * a - 1e-9) - 0.5) if env.variance else 0.0
     log_norm = env.twisted_log_norm(c * wk, counts)  # raises the tilt's domain and table refusals
-
     check_work(table, env, replications, N, one_row=env.variance == 0)
     return counts, wk, c, log_norm
 
 
-def _prepare(query, N, seed, replications, theta_star, block_tol) -> _Prepared:
+def _prepare(query, N, seed, replications, block_tol, c=None) -> _Prepared:
     """The prepare stage of one N: ``_tilt``, then the streams and the prepared draw.
 
     A constant rate layer (variance 0) is the same in every replication, and
     the tail is elementwise in kappa: one row is drawn from block 0's stream
     (``replication_blocks`` for one replication), and its one weight stands
-    for all R (``_reduce``).  A constant rate never reaches slow_unbounded,
-    which needs kappa per row."""
-    counts, wk, c, log_norm = _tilt(query, N, replications, theta_star, block_tol)
+    for all R (``_reduce``)."""
+    counts, wk, c, log_norm = _tilt(query, N, replications, block_tol, c)
     env, a = query.env, query._scalar_a
     m = math.ceil(N * a - 1e-9)
-    constant = env.variance == 0
     # every replication of a constant layer has the same row: block 0's stream draws it
-    rows, streams = replication_blocks(seed, 1 if constant else replications, counts.size)
-    size = 1 if constant else rows
+    rows, streams = replication_blocks(seed, replications if env.variance else 1, counts.size)
+    size = rows if env.variance else 1
     draw = env.block_sampler(counts, c * wk, wk)  # prepared once: each block only draws
 
     def weigh(kappas):

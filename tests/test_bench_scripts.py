@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 import coxq.sim
-from coxq.env import ScalingRegime
-from coxq.ldp import rate_slow
+from coxq import ldp
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # ldp_screen first: the others import it
@@ -44,19 +43,40 @@ def test_every_bench_script_imports(bench):
 
 def test_layers_takes_the_slow_tilt_from_the_sampler(bench):
     # the ldp_slow tail call at its smallest N: the simulator's cell table, and
-    # eta = c w with c = theta*/r, r = (1 - e^(-mu h))/mu
+    # eta = c w with c = N expm1(s) at the saddle point K_N'(s) = m - 1/2 of the
+    # count's CGF K_N(s) = twisted_log_norm(N expm1(s) w), by a central difference
     layers = bench["layers"]
     calls = bench["ldp_screen"].load_workloads().make_calls("tail", layers.SEED)
     doc = next(call.doc for call in calls if call.name == "ldp_slow")
-    N, mu = doc["N_grid"][0], doc["queues"]["mu"][0]
-    query, counts, wk, etas, m, theta = layers.is_inputs(doc, N)
+    N = doc["N_grid"][0]
+    query, counts, wk, etas, m = layers.is_inputs(doc, N)
     table, _ = layers.table_of(doc, N, (doc["t"],))
     np.testing.assert_array_equal(counts, table.slots)
     np.testing.assert_array_equal(wk, table.weights[0][:, 0] / counts)
-    assert theta == rate_slow(query).theta_star > 0
-    h = ScalingRegime(N, doc["alpha"], doc["delta"]).delta_n
-    np.testing.assert_allclose(etas, theta / (-math.expm1(-mu * h) / mu) * wk, rtol=1e-15)
+    c = ldp._tilt(query, N, doc["replications"], doc.get("block_tol", 0.01))[2]
+    np.testing.assert_array_equal(etas, c * wk)
     assert m == math.ceil(N * doc["a"] - 1e-9)
+    s, d = math.log1p(c / N), 1e-6
+    K = [query.env.twisted_log_norm(N * math.expm1(s + x) * wk, counts) for x in (d, -d)]
+    assert c > 0 and (K[0] - K[1]) / (2 * d) == pytest.approx(m - 0.5, rel=1e-7)
+
+
+def test_ldp_screen_prints_the_rel_err_median_and_largest_and_their_ratios(bench):
+    # rows of two seeds: median 0.006 and largest 0.012 here against 0.004 and
+    # 0.006 there; a constant rate layer's rel_errs are 0, so its ratios are nan
+    def runs(errors, rel_errs):  # {seed: screen(...)} at seeds 1, 2, ...
+        return {str(seed): {"exit": 0, "slope_error": e, "rel_err": r}
+                for seed, (e, r) in enumerate(zip(errors, rel_errs), 1)}
+
+    fast = runs([0.0], [[0.0]])
+    mine = {"ldp_slow": runs([0.02, 0.05], [[0.004, 0.006], [0.006, 0.012]]), "ldp_fast": fast}
+    theirs = {"ldp_slow": runs([0.01, 0.01], [[0.004, 0.004], [0.004, 0.006]]), "ldp_fast": fast}
+    summary = bench["ldp_screen"].summary
+    header, slow, constant = summary(mine, theirs)
+    assert "rel_err median" in header and header.endswith("x median  x max")
+    assert slow.split() == ["ldp_slow", "5.0000%", "2", "[0]", "0.006", "0.012", "0.04", "1.500", "2.000"]
+    assert constant.split()[-2:] == ["nan", "nan"]
+    assert summary(mine)[1].split() == slow.split()[:6]
 
 
 def test_layers_ab_summary_reads_each_pair_as_this_over_against(bench):

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import ks_2samp, multinomial
 
+from coxq import ldp
 from coxq.env import (
     Deterministic,
     DiscreteFinite,
@@ -19,8 +20,7 @@ from coxq.env import (
     spawn_streams,
 )
 from coxq.errors import DomainError
-from coxq.ldp import RateQuery, classify_regime, rate_intermediate, rate_slow
-from coxq.sim import cell_table
+from coxq.ldp import RateQuery
 
 FAMILIES = [
     Deterministic(2.0),
@@ -426,27 +426,14 @@ KAPPA_FAMILIES = [
 
 
 def ldp_tilts(env, one_slot):
-    """(regime, counts, wk, etas) of ldp-check's tilt eta = c wk on its cell
-    table at N = 10, mu = 1, t = 5, a = 1.5, for each regime env has an
-    importance sampler in: c = 0 (fast), theta*/r (slow) and
-    N expm1(theta*/delta) (intermediate).  one_slot turns blocking off (16 to
-    500 cells); at block_tol 0.5 the 7 or 8 cells hold 1 to 165 slots each."""
-    N, mu, t = 10, 1.0, 5.0
+    """(alpha, counts, wk, etas) of ldp-check's tilt eta = c wk (``ldp._tilt``) on
+    its cell table at N = 10, mu = 1, t = 5, a = 1.5, in the fast, slow and
+    intermediate regimes.  one_slot turns blocking off (16 to 500 cells); at
+    block_tol 0.5 the 7 or 8 cells hold 1 to 165 slots each."""
     for alpha in (2.0, 0.5, 1.0):
-        query = RateQuery(env=env, mu=mu, delta=1.0, alpha=alpha, t=t, a=1.5)
-        regime = classify_regime(query)
-        if regime == "slow_bounded":  # a constant rate layer: no slow sampler
-            continue
-        h = ScalingRegime(N, alpha, 1.0).delta_n
-        table = cell_table((mu,), h, (t,), 1e-9 if one_slot else 0.5)
-        wk = table.weights[0][:, 0] / table.slots
-        if regime == "fast":
-            c = 0.0
-        elif regime == "slow_unbounded":
-            c = rate_slow(query).theta_star / (-math.expm1(-mu * h) / mu)
-        else:
-            c = N * math.expm1(rate_intermediate(query).theta_star)
-        yield regime, table.slots, wk, c * wk
+        query = RateQuery(env=env, mu=1.0, delta=1.0, alpha=alpha, t=5.0, a=1.5)
+        counts, wk, c, _ = ldp._tilt(query, 10, 1, 1e-9 if one_slot else 0.5)
+        yield alpha, counts, wk, c * wk
 
 
 @pytest.mark.parametrize("one_slot", [True, False], ids=["one-slot", "multi-slot"])
@@ -457,9 +444,8 @@ def test_weighted_twisted_draw_is_the_draws_weighted_row_sum(env, one_slot):
     # from the stream is bit-identical, so the law is the unweighted draw's.
     # 1000 rows of 500 one-slot cells span 8 of the discrete draw's row blocks
     rows = 1000
-    seen = set()
     for regime, counts, wk, etas in ldp_tilts(env, one_slot):
-        seen.add(regime)
+        assert np.any(etas > 0) == (env.variance > 0), regime  # a random layer is tilted
         assert np.all(counts == 1) == one_slot
         r1, r2 = (spawn_streams(31, 1)[0] for _ in range(2))
         want = env.sample_block_sums_twisted(etas, r1, counts, rows) @ wk
@@ -468,8 +454,6 @@ def test_weighted_twisted_draw_is_the_draws_weighted_row_sum(env, one_slot):
         np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0, err_msg=regime)
         assert np.all(got >= 0), regime  # kappa >= 0: the count's tail takes its log
         assert r1.random() == r2.random(), regime
-    assert seen == ({"fast", "intermediate"} if env.variance == 0 else
-                    {"fast", "slow_unbounded", "intermediate"})
 
 
 def test_weighted_discrete_draw_is_exactly_0_where_every_cell_drew_0():

@@ -13,7 +13,7 @@ from scipy import stats
 
 import coxq.harness as harness_module
 import coxq.sim
-from coxq import Deterministic, Exponential, QueueParams
+from coxq import Deterministic, Exponential, QueueParams, ldp
 from coxq.cli import main as cli_main
 from coxq.errors import ConfigError
 from coxq.harness import (
@@ -334,20 +334,13 @@ def test_ldp_check_dual_route_checks_the_integral_the_rate_used(monkeypatch, alp
 def test_tail_estimators_unbiased_vs_plain_simulation():
     # all three IS routes against a plain count of P(M >= N a) from the
     # exact-law simulator, at a non-rare instance where plain MC is feasible
-    from coxq import Exponential, RateQuery, ScalingRegime, SimConfig, simulate
-    from coxq import estimate_log_tails, rate_fast, rate_intermediate, rate_slow
+    from coxq import Exponential, RateQuery, ScalingRegime, SimConfig, estimate_log_tails, simulate
 
     env, t, a, N = Exponential(1.0), 2.0, 1.2, 30
     m = math.ceil(N * a - 1e-9)
     for alpha, regime in ((2.0, "fast"), (1.0, "intermediate"), (0.5, "slow_unbounded")):
         query = RateQuery(env=env, mu=1.0, delta=1.0, alpha=alpha, t=t, a=a)
-        if regime == "fast":
-            theta = rate_fast(query.rho_t, a).theta_star
-        elif regime == "intermediate":
-            theta = rate_intermediate(query).theta_star
-        else:
-            theta = rate_slow(query).theta_star
-        log_p, rel = estimate_log_tails(query, [(N, 101)], 40_000, theta, 0.01)[0]
+        log_p, rel = estimate_log_tails(query, [(N, 101)], 40_000, 0.01)[0]
         p_is = math.exp(log_p)
 
         sim_cfg = SimConfig(
@@ -747,6 +740,11 @@ def test_cli_ldp_check_writes_rates_json(tmp_path, capsys):
     assert re.search(warn, capsys.readouterr().out, re.M)
 
 
+def strict_json(path: Path):
+    """The JSON document at path, refusing the tokens NaN and Infinity, which strict JSON lacks."""
+    return json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(f"non-finite token {token}"))
+
+
 def test_cli_ldp_check_report_is_strict_json_with_few_replications(tmp_path):
     # every replication's weight holds the exact conditional tail, so two
     # replications still give finite estimates and a finite slope
@@ -755,34 +753,26 @@ def test_cli_ldp_check_report_is_strict_json_with_few_replications(tmp_path):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     assert cli_main(["ldp-check", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
-
-    def refuse(token):
-        raise ValueError(f"non-finite JSON token {token}")
-
-    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    report = strict_json(out / "report.json")
     assert all(math.isfinite(row["log_prob"]) for row in report["results"][1:-1])
 
 
-def test_cli_ldp_check_report_is_strict_json_when_every_rate_layer_is_zero(tmp_path, capsys):
-    # with a zero atom both replications at N=1 draw a zero rate layer (kappa = 0):
-    # that row's log P is -inf, its rel_err inf and the one-point slope NaN, each
-    # written as null; the run still fails its slope criterion.  delta = 0.5 makes
-    # the slot at N = 1 as long as t, the longest that ldp-check accepts
-    doc = analytic_doc(
-        kind="ldp-check",
-        env={"family": "discrete", "values": [0.0, 2.0], "probs": [0.5, 0.5]},
-        delta=0.5, alpha=2.0, t=0.5, a=1.5, N_grid=[1, 2], replications=2, seed=1,
-    )
+def test_cli_ldp_check_report_is_strict_json_when_every_rate_layer_is_zero(tmp_path, monkeypatch, capsys):
+    # an N whose every replication drew a zero rate layer (kappa = 0) has only
+    # -inf log weights, which reduce to log P = -inf and rel_err inf; with one
+    # other N the slope is NaN.  Each is written as null, and the run fails its
+    # slope criterion
+    assert ldp._reduce(np.full(2, -np.inf), 2) == (-math.inf, math.inf)
+    monkeypatch.setattr(harness_module, "estimate_log_tails", lambda query, points, R, tol: [
+        ldp._reduce(np.full(R, -np.inf), R), ldp._reduce(np.full(R, -3.0), R)])
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "ldp_fast.json").read_text())
+    doc.update(N_grid=[50, 100], replications=2)
     out = tmp_path / "o"
     assert cli_main(["ldp-check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
     assert "FAIL ldp_slope_matches_rate: observed=nan" in capsys.readouterr().out
-
-    def refuse(token):
-        raise ValueError(f"non-finite JSON token {token}")
-
-    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    report = strict_json(out / "report.json")
     row, fit = report["results"][1], report["results"][-1]
-    assert row["N"] == 1 and row["log_prob"] is None and row["rel_err"] is None
+    assert row["N"] == 50 and row["log_prob"] is None and row["rel_err"] is None
     assert fit["slope"] is fit["slope_se"] is fit["raw_slope"] is None
     assert report["criteria"][0]["observed"] is None
 
@@ -797,11 +787,7 @@ def test_cli_ldp_check_rates_json_is_strict_json_when_theta_star_overflows(tmp_p
         warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning either
         code = cli_main(["ldp-check", "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert code == 0
-
-    def refuse(token):
-        raise ValueError(f"non-finite JSON token {token}")
-
-    rates = json.loads((out / "rates.json").read_text(), parse_constant=refuse)
+    rates = strict_json(out / "rates.json")
     assert rates["theta_star"] is None and math.isfinite(rates["rate"])
 
 

@@ -542,70 +542,33 @@ def test_multivariate_refuses_a_corner_past_a_queue_ceiling():
 
 
 def test_is_q_mean_property():
-    # under Q the drift of k_t targets a: E_Q k_t -> a as N grows
-    query = q(t=5.0, a=1.5)
-    theta = rate_slow(query).theta_star
-    env = Exponential(1.0)
-    def tilted_mean(N):
-        h = ScalingRegime(N, 0.5, 1.0).delta_n
-        decay = np.exp(-np.arange(int(5.0 / h)) * h)
-        return h * float(env.log_mgf_derivatives(theta * decay)[0] @ decay)
-
-    gaps = [abs(tilted_mean(N) - 1.5) for N in (100, 1000, 10_000, 100_000)]
-    assert gaps[-1] < 0.02 * 1.5
-    assert gaps[0] >= gaps[-1]
-    # sampled mean agrees with the finite-N construction
-    scaling = ScalingRegime(400, 0.5, 1.0)
-    rng = spawn_streams(5, 1)[0]
-    h = scaling.delta_n
-    J = int(5.0 / h)
-    decay = np.exp(-np.arange(J) * h)
-    lam = env.sample_block_sums_twisted(theta * decay, rng, np.ones(J, dtype=np.int64), 20_000)
-    k = h * (lam @ decay)
-    se = k.std(ddof=1) / math.sqrt(k.size)
-    assert abs(k.mean() - tilted_mean(400)) < 4 * se
+    # under Q, the rate layer tilted by eta = c wk and the count by s = log1p(c/N),
+    # the count's mean N e^s E_Q[kappa] is m - 1/2: 20,000 draws at the ldp_slow shape
+    N, query = 400, q(t=5.0, a=1.5)
+    counts, wk, c, _ = ldp._tilt(query, N, 1, 0.01)
+    kappa = query.env.sample_block_sums_twisted(c * wk, spawn_streams(5, 1)[0], counts, 20_000, weights=wk)
+    mean = (N + c) * kappa
+    assert abs(mean.mean() - (math.ceil(N * 1.5) - 0.5)) < 4 * mean.std(ddof=1) / math.sqrt(mean.size)
 
 
-def test_is_discrete_matches_exact_tail():
+@pytest.mark.parametrize("a, exact", [(1.5, 0.29436), (1.7, 0.19012)])
+def test_is_discrete_near_rate_ceiling_matches_exact_tail(a, exact):
     # N=4, alpha=0.5, delta=1, t=2: four one-slot cells, so 2^4 rate patterns;
     # given the pattern v, M(t) is Poisson with mean N sum_c v_c w_c exactly,
-    # w_c the survival integral of cell c
+    # w_c the survival integral of cell c.  u(t) = 1.73, so a = 1.7 sits just under
+    # the rate ceiling, where the weights are heavy-tailed unless c is the finite-N saddle's
     env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
-    query = q(env=env, t=2.0, a=1.5)
-    assert classify_regime(query) == "slow_unbounded"
+    query = q(env=env, t=2.0, a=a)
     N, h = 4, 0.5
     w = np.array([math.exp(-(2.0 - (c + 1) * h)) - math.exp(-(2.0 - c * h)) for c in range(4)])
-    m = math.ceil(N * 1.5)
-    exact = sum(
+    m = math.ceil(N * a)
+    want = sum(
         np.prod(env.probs[list(pat)]) * poisson.sf(m - 1, N * float(env.values[list(pat)] @ w))
         for pat in itertools.product(range(2), repeat=4)
     )
-    log_p, rel_se = estimate_log_tails(query, [(N, 8)], 200_000, rate_slow(query).theta_star, 0.01)[0]
-    assert abs(math.exp(log_p - math.log(exact)) - 1.0) < 4 * rel_se
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4: near the rate ceiling the slow-regime likelihood ratios are "
-    "heavy-tailed, so the estimate runs low and its rel_err understates the error",
-)
-def test_is_discrete_near_rate_ceiling_matches_exact_tail():
-    # the case above at a = 1.7, where exact P = 0.19012; one-slot cells, so
-    # the block_tol argument does not enter.  Fails on its z bound: z = -4.11
-    # at seed 7; RMS(P_hat/P - 1) = 0.121 passes its own bound 2 x 0.120
-    env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
-    query = q(env=env, t=2.0, a=1.7)
-    N, h = 4, 0.5
-    w = np.array([math.exp(-(2.0 - (c + 1) * h)) - math.exp(-(2.0 - c * h)) for c in range(4)])
-    m = math.ceil(N * 1.7)
-    exact = sum(
-        np.prod(env.probs[list(pat)]) * poisson.sf(m - 1, N * float(env.values[list(pat)] @ w))
-        for pat in itertools.product(range(2), repeat=4)
-    )
-    assert exact == pytest.approx(0.19012, abs=1e-5)
-    theta = rate_slow(query).theta_star
-    runs = estimate_log_tails(query, [(N, seed) for seed in range(1, 11)], 200_000, theta, 0.01)
-    err = np.array([math.exp(log_p - math.log(exact)) - 1.0 for log_p, _ in runs])
+    assert want == pytest.approx(exact, abs=1e-5)
+    runs = estimate_log_tails(query, [(N, seed) for seed in range(1, 11)], 200_000, 0.01)
+    err = np.array([math.exp(log_p - math.log(want)) - 1.0 for log_p, _ in runs])
     rel_se = np.array([rel for _, rel in runs])
     assert np.all(np.abs(err) <= 4 * rel_se)
     assert math.sqrt(np.mean(err**2)) <= 2 * np.median(rel_se)
@@ -613,12 +576,18 @@ def test_is_discrete_near_rate_ceiling_matches_exact_tail():
 
 def test_is_degenerate_query():
     with pytest.raises(DomainError):
-        estimate_log_tails(q(t=5.0, a=0.5), [(100, 0)], 10, 1.0, 0.01)
+        estimate_log_tails(q(t=5.0, a=0.5), [(100, 0)], 10, 0.01)
 
 
-def test_is_rejects_bounded_slow_branch():
-    with pytest.raises(RegimeError):
-        estimate_log_tails(q(env=Deterministic(1.0), t=5.0, a=1.5), [(100, 0)], 10, 1.0, 0.01)
+def test_is_bounded_slow_branch_is_the_exact_poisson_tail():
+    # a constant rate past its ceiling u(t) = 0.993 (the bounded slow branch):
+    # nothing to tilt, and the count's tail is exact
+    query = q(env=Deterministic(1.0), t=5.0, a=1.5)
+    assert classify_regime(query) == "slow_bounded"
+    log_p, rel_err = estimate_log_tails(query, [(100, 0)], 10, 0.01)[0]
+    weights = cell_table((1.0,), ScalingRegime(100, 0.5, 1.0).delta_n, (5.0,), 0.01).weights[0][:, 0]
+    assert log_p == pytest.approx(log_poisson_tail(150, np.array([100 * 1.0 * weights.sum()]))[0], rel=1e-12)
+    assert rel_err == 0.0
 
 
 def test_the_draw_budget_counts_the_one_row_of_a_constant_rate_layer():
@@ -627,25 +596,96 @@ def test_the_draw_budget_counts_the_one_row_of_a_constant_rate_layer():
     # 1e5 weights, not one row per block), a random one R rows in 10^4 blocks
     # (4e9, past the work budget); neither check draws
     R = 20_000
-    counts, *_ = ldp._tilt(q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0), 50, R, 0.0, 0.0)
+    counts, *_ = ldp._tilt(q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0), 50, R, 0.0)
     assert counts.size == 100_000 and block_rows(counts.size) == 2
     work = 10_000 * (2 * 200_000 + coxq.sim._PASS_COST)
     with pytest.raises(ResourceError, match=re.escape(f"predicted draw work {work:.3e} at N = 50 (")):
-        ldp._tilt(q(alpha=2.0, t=40.0, a=2.0), 50, R, 0.0, 0.0)
+        ldp._tilt(q(alpha=2.0, t=40.0, a=2.0), 50, R, 0.0)
+
+
+class _RecordingGenerator:
+    """A numpy Generator that records (method, copied arguments, copied result) of every
+    call, before its caller overwrites or scales the result in place."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def record(*args, **kwargs):
+            out = getattr(self._rng, name)(*args, **kwargs)
+            self.calls.append((name, [np.copy(x) for x in args], np.copy(out)))
+            return out
+
+        return record
+
+
+def _kappa_from_variates(env, calls, counts, wk, etas):
+    """Each row's kappa from a tilted draw's recorded variates, with the tilted law formed
+    here from etas: rate - eta, s/(1 - s eta), or the atoms' p_j e^(eta v_j)/M(eta)."""
+    (name, args, out), *rest = calls
+    if isinstance(env, Exponential):  # one standard exponential per one-slot cell
+        assert name == "standard_exponential" and not rest
+        return out @ (wk / (env.rate - etas))
+    if isinstance(env, Gamma):  # one standard gamma of shape k n_c per cell
+        assert name == "standard_gamma" and not rest
+        np.testing.assert_array_equal(args[0], env.shape * counts)
+        return out @ (wk * env.scale / (1.0 - env.scale * etas))
+    tilted = env.probs * np.exp(np.multiply.outer(etas, env.values))
+    tilted /= tilted.sum(axis=1, keepdims=True)
+    if name == "random":  # one uniform per one-slot cell against the tilted cumulative probabilities
+        assert not rest
+        cdf = np.cumsum(tilted, axis=1)
+        return env.values[(out[..., None] >= (cdf / cdf[:, -1:])[:, :-1]).sum(axis=-1)] @ wk
+    # a binomial chain per cell: atom j given none of atoms 0..j-1
+    left, S = np.broadcast_to(counts, out.shape), 0.0
+    for j, (name, (n, p), n_j) in enumerate(calls):
+        assert name == "binomial"
+        np.testing.assert_array_equal(n, left)
+        np.testing.assert_allclose(p, tilted[:, j] / tilted[:, j:].sum(axis=1), rtol=1e-12)
+        S, left = S + env.values[j] * n_j, left - n_j
+    return (S + env.values[-1] * left) @ wk
+
+
+THREE_ATOMS = DiscreteFinite([0.5, 2.0, 3.0], [0.5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize(
+    "env, block_tol", [(Exponential(2.0), 0), (Gamma(0.7, 1.5), 0.5), (THREE_ATOMS, 0), (THREE_ATOMS, 0.5)],
+    ids=["exponential", "gamma", "discrete-one-slot", "discrete-multi-slot"],
+)
+def test_is_draw_and_weights_follow_the_saddle_tilt(env, block_tol):
+    # one block of one N, drawn from a recording generator: c = N expm1(s) solves
+    # K_N'(s) = m - 1/2, K_N(s) = twisted_log_norm(N expm1(s) wk) by a central
+    # difference; each row's kappa follows from its variates under eta = c wk, and
+    # its log weight is log_norm - c kappa + log P(Poisson(N kappa) >= m)
+    N, R, a = 100, 6, 2.0 * env.mean * -math.expm1(-2.0)
+    query = q(env=env, t=2.0, a=a)
+    counts, wk, c, log_norm = ldp._tilt(query, N, R, block_tol)
+    assert np.all(counts == 1) == (block_tol == 0)
+    m, s, d = math.ceil(N * a - 1e-9), math.log1p(c / N), 1e-6
+    K = [env.twisted_log_norm(N * math.expm1(s + x) * wk, counts) for x in (0.0, d, -d)]
+    assert c > 0 and (K[1] - K[2]) / (2 * d) == pytest.approx(m - 0.5, rel=1e-7)
+    assert log_norm == pytest.approx(K[0], rel=1e-12)
+    job = ldp._prepare(query, N, 5, R, block_tol)
+    assert len(job.streams) == 1
+    rng = _RecordingGenerator(job.streams[0])
+    kappa = job.block(0, rng)[:R]
+    recomputed = _kappa_from_variates(env, rng.calls, counts, wk, c * wk)[:R]
+    np.testing.assert_allclose(recomputed, kappa, rtol=1e-13)
+    want = log_norm - c * kappa + log_poisson_tail(m, N * kappa)
+    np.testing.assert_allclose(job.weigh([kappa]), want, rtol=1e-14)
 
 
 def _is_shape(alpha, N):
-    """A slow (alpha < 1) or intermediate (alpha = 1) IS query, its theta*, and its block rows."""
-    query = q(alpha=alpha, t=5.0, a=1.5)
-    theta = (rate_slow if alpha < 1 else rate_intermediate)(query).theta_star
+    """An IS query at t = 5, a = 1.5, and its block rows at N."""
     h = ScalingRegime(N, alpha, 1.0).delta_n
-    return query, theta, block_rows(cell_table((1.0,), h, (5.0,), 0.01).slots.size)
+    return q(alpha=alpha, t=5.0, a=1.5), block_rows(cell_table((1.0,), h, (5.0,), 0.01).slots.size)
 
 
-def _replication_log_weights(query, N, R, seed, theta):
+def _replication_log_weights(query, N, R, seed):
     """(R,) log IS weights at one N (one for a constant rate layer), prepared,
     drawn and weighed in a row: what ``estimate_log_tails`` reduces at (N, seed)."""
-    job = ldp._prepare(query, N, seed, R, theta, 0.01)
+    job = ldp._prepare(query, N, seed, R, 0.01)
     return job.weigh(coxq.sim.run_blocks(job.block, job.streams, job.entries))
 
 
@@ -653,21 +693,21 @@ def _replication_log_weights(query, N, R, seed, theta):
 def test_is_replications_are_a_prefix_of_longer_runs(alpha):
     # replication r depends only on (seed, r): block b draws from stream b alone
     N = 100
-    query, theta, B = _is_shape(alpha, N)
-    full = _replication_log_weights(query, N, 2 * B + 3, 7, theta)
+    query, B = _is_shape(alpha, N)
+    full = _replication_log_weights(query, N, 2 * B + 3, 7)
     assert np.isfinite(full).sum() > 10
     for R in (B - 1, B + 1):
-        np.testing.assert_array_equal(_replication_log_weights(query, N, R, 7, theta), full[:R])
+        np.testing.assert_array_equal(_replication_log_weights(query, N, R, 7), full[:R])
 
 
 def test_is_memory_stays_at_one_block():
     # the ldp_slow N=1600 shape at R = 40,000 holds one block's rate draws
     # and a few floats per replication, never an (R, cells) array
     N = 1600
-    query, theta, _ = _is_shape(0.5, N)
+    query, _ = _is_shape(0.5, N)
     tracemalloc.start()
     try:
-        log_p, _ = estimate_log_tails(query, [(N, 3)], 40_000, theta, 0.01)[0]
+        log_p, _ = estimate_log_tails(query, [(N, 3)], 40_000, 0.01)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -675,43 +715,32 @@ def test_is_memory_stays_at_one_block():
     assert peak <= 8 * 2**20
 
 
-def _constant_log_weights_block_by_block(query, N, R, seed, theta, block_tol):
-    """The constant-rate weights drawn as a random layer's are: each block's
-    stream draws one row, whose weight is repeated over the block's rows."""
-    env, mu, delta = query.env, query.mu, query.delta
-    table = cell_table((mu,), ScalingRegime(N, query.alpha, delta).delta_n, (query.t,), block_tol)
-    counts = table.slots
-    wk = table.weights[0][:, 0] / counts
-    c = N * math.expm1(theta / delta) if query.alpha == 1 else 0.0
-    etas = c * wk
-    m = math.ceil(N * query.a - 1e-9)
-    B = block_rows(counts.size)
-    blocks = []
-    for rng in spawn_streams(seed, -(-R // B)):
-        kappa = env.sample_block_sums_twisted(etas, rng, counts, 1, weights=wk)
-        logw = (env.twisted_log_norm(etas, counts) - c * kappa) + log_poisson_tail(m, N * kappa)
-        blocks.append(np.repeat(logw, B))
-    return np.concatenate(blocks)[:R]
+def _constant_log_weights_block_by_block(query, N, R, seed, block_tol):
+    """The constant-rate weights drawn as a random layer's are, untilted (c = 0, log_norm 0):
+    each block's stream draws one row, whose weight is repeated over the block's rows."""
+    table = cell_table((query.mu,), ScalingRegime(N, query.alpha, query.delta).delta_n, (query.t,), block_tol)
+    counts, m = table.slots, math.ceil(N * query.a - 1e-9)
+    etas, wk, B = np.zeros(counts.size), table.weights[0][:, 0] / counts, block_rows(counts.size)
+    logw = [log_poisson_tail(m, N * query.env.sample_block_sums_twisted(etas, rng, counts, 1, weights=wk))
+            for rng in spawn_streams(seed, -(-R // B))]
+    return np.repeat(np.concatenate(logw), B)[:R]
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.0], ids=["fast", "intermediate"])
-@pytest.mark.parametrize(
-    "env", [Deterministic(1.0), DiscreteFinite([2.0], [1.0])], ids=["deterministic", "one-atom"]
-)
+@pytest.mark.parametrize("env", [Deterministic(1.0), DiscreteFinite([2.0], [1.0])], ids=["deterministic", "one-atom"])
 def test_is_constant_rate_draws_one_row_from_one_stream(monkeypatch, env, alpha):
     # a constant rate layer is drawn once, from block 0's stream, and its one
     # weight stands for all R: it is every block's weight when each block draws,
     # at an R that is no multiple of B, and it reduces as those R weights do
     query = q(env=env, alpha=alpha, t=5.0, a=3.0)
-    theta = (rate_fast(query.rho_t, 3.0) if alpha == 2 else rate_intermediate(query)).theta_star
     N = 100
     B = block_rows(cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size)
     R = 2 * B + 3
-    want = _constant_log_weights_block_by_block(query, N, R, 7, theta, 0.01)
+    want = _constant_log_weights_block_by_block(query, N, R, 7, 0.01)
     calls = []
     spawn = coxq.sim.spawn_streams
     monkeypatch.setattr(coxq.sim, "spawn_streams", lambda s, n: calls.append(n) or spawn(s, n))
-    got = _replication_log_weights(query, N, R, 7, theta)
+    got = _replication_log_weights(query, N, R, 7)
     assert calls == [1]
     assert np.isfinite(want).all()
     assert got.shape == (1,)
@@ -729,8 +758,8 @@ def test_is_spawns_one_stream_per_block(monkeypatch):
 
     monkeypatch.setattr(coxq.sim, "spawn_streams", spy)
     N, R = 100, 600
-    query, theta, B = _is_shape(1.0, N)
-    estimate_log_tails(query, [(N, 7)], R, theta, 0.01)
+    query, B = _is_shape(1.0, N)
+    estimate_log_tails(query, [(N, 7)], R, 0.01)
     assert calls == [-(-R // B)]
 
 
@@ -741,10 +770,10 @@ def test_is_spawns_one_stream_per_block(monkeypatch):
 )
 def test_is_prepares_its_draw_once_per_N_and_draws_once_per_drawn_block(monkeypatch, env, alpha):
     # the ldp_slow, ldp_slow_discrete and ldp_fast shapes at two N: each run
-    # prepares one draw, which a random rate layer calls once per block and a
-    # constant one once
-    prepared, drawn = [], []
-    prepare = EnvSpec.block_sampler
+    # prepares one draw and spawns one stream per drawn block; a random rate
+    # layer draws once per block and a constant one once
+    prepared, drawn, spawned = [], [], []
+    prepare, spawn = EnvSpec.block_sampler, coxq.sim.spawn_streams
 
     def spy(self, *args):
         draw = prepare(self, *args)
@@ -752,16 +781,16 @@ def test_is_prepares_its_draw_once_per_N_and_draws_once_per_drawn_block(monkeypa
         return lambda rng, size: drawn.append(size) or draw(rng, size)
 
     monkeypatch.setattr(EnvSpec, "block_sampler", spy)
+    monkeypatch.setattr(coxq.sim, "spawn_streams", lambda seed, n: spawned.append(n) or spawn(seed, n))
     R, a = 600, 1.5 if alpha < 1 else 2.0
     query = q(env=env, alpha=alpha, t=5.0, a=a)
-    theta = (rate_slow(query) if alpha < 1 else rate_fast(query.rho_t, a)).theta_star
-    blocks = 0
+    blocks = []
     for N in (200, 400):
         B = block_rows(cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size)
-        blocks += 1 if env.variance == 0 else -(-R // B)
-        assert math.isfinite(estimate_log_tails(query, [(N, 7)], R, theta, 0.01)[0][0])
-    assert len(prepared) == 2
-    assert len(drawn) == blocks and blocks > (2 if env.variance else 1)
+        blocks.append(1 if env.variance == 0 else -(-R // B))
+        assert math.isfinite(estimate_log_tails(query, [(N, 7)], R, 0.01)[0][0])
+    assert len(prepared) == 2 and spawned == blocks
+    assert len(drawn) == sum(blocks) > (2 if env.variance else 1)
 
 
 @pytest.mark.parametrize(
@@ -774,16 +803,15 @@ def test_is_weights_do_not_depend_on_the_thread_count(monkeypatch, env, alpha):
     # that ends inside the 5th block; a constant layer draws one block either way
     a = 1.5 if alpha < 1 else 2.0
     query = q(env=env, alpha=alpha, t=5.0, a=a)
-    theta = (rate_slow(query) if alpha < 1 else rate_fast(query.rho_t, a)).theta_star
     N = 1600
     cells = cell_table((1.0,), ScalingRegime(N, alpha, 1.0).delta_n, (5.0,), 0.01).slots.size
     B = block_rows(cells)
     R = 4 * B + 7
     monkeypatch.setattr(coxq.sim, "_CPUS", 1)
-    serial = _replication_log_weights(query, N, R, 7, theta)
+    serial = _replication_log_weights(query, N, R, 7)
     monkeypatch.setattr(coxq.sim, "_CPUS", 4)
     assert coxq.sim.block_workers(5, B * cells) == 4
-    np.testing.assert_array_equal(_replication_log_weights(query, N, R, 7, theta), serial)
+    np.testing.assert_array_equal(_replication_log_weights(query, N, R, 7), serial)
     assert np.isfinite(serial).any()
 
 
@@ -800,29 +828,26 @@ GRID_SHAPES = {
 
 def _grid_query(shape):
     env, alpha, a, grid = GRID_SHAPES[shape]
-    query = q(env=env, alpha=alpha, t=5.0, a=a)
-    rate = {2.0: lambda: rate_fast(query.rho_t, a), 1.0: lambda: rate_intermediate(query)}
-    theta = rate.get(alpha, lambda: rate_slow(query))().theta_star
-    return query, theta, [(N, 11 + N) for N in grid]
+    return q(env=env, alpha=alpha, t=5.0, a=a), [(N, 11 + N) for N in grid]
 
 
-def _serial_log_tails(query, points, R, theta):
+def _serial_log_tails(query, points, R):
     """The unpipelined loop: each N prepared, drawn and weighed before the next."""
-    return [ldp._reduce(_replication_log_weights(query, N, R, seed, theta), R) for N, seed in points]
+    return [ldp._reduce(_replication_log_weights(query, N, R, seed), R) for N, seed in points]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("shape", GRID_SHAPES)
 def test_pipelined_grid_is_the_serial_loop_bit_for_bit(monkeypatch, shape, cpus):
     # R = 1500 ends inside a block at every N; 8 CPUs take up to 8 threads
-    query, theta, points = _grid_query(shape)
+    query, points = _grid_query(shape)
     R = 1500
     monkeypatch.setattr(coxq.sim, "_CPUS", cpus)
     baseline = threading.active_count()
-    got = estimate_log_tails(query, iter(points), R, theta, 0.01)
+    got = estimate_log_tails(query, iter(points), R, 0.01)
     assert threading.active_count() == baseline
-    per_n = [estimate_log_tails(query, [point], R, theta, 0.01)[0] for point in points]
-    want = _serial_log_tails(query, points, R, theta)
+    per_n = [estimate_log_tails(query, [point], R, 0.01)[0] for point in points]
+    want = _serial_log_tails(query, points, R)
     assert all(math.isfinite(log_p) for log_p, _ in got)
     assert repr(got) == repr(per_n) == repr(want)
 
@@ -832,7 +857,7 @@ def test_a_refusal_at_a_later_N_is_raised_before_any_N_is_weighed(monkeypatch, r
     # the work budget admits the draws of every N before the refused one and
     # refuses its own; every N is prepared before any is weighed, so no count
     # tail is computed, and the first N's blocks are cancelled and joined
-    query, theta, points = _grid_query("slow-exponential")
+    query, points = _grid_query("slow-exponential")
     R = 2000
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
     works = [coxq.sim.check_work(cell_table((1.0,), ScalingRegime(N, 0.5, 1.0).delta_n, (5.0,), 0.01),
@@ -843,7 +868,7 @@ def test_a_refusal_at_a_later_N_is_raised_before_any_N_is_weighed(monkeypatch, r
     monkeypatch.setattr(ldp, "log_poisson_tail", lambda m, lam: tails.append(lam.size))
     baseline = threading.active_count()
     with pytest.raises(ResourceError, match=re.escape(f"at N = {points[refused][0]} (")):
-        estimate_log_tails(query, points, R, theta, 0.01)
+        estimate_log_tails(query, points, R, 0.01)
     assert threading.active_count() == baseline
     assert tails == []
 
@@ -852,7 +877,7 @@ def test_an_error_in_the_first_weighing_cancels_the_second_N_and_wins(monkeypatc
     # N = 400's blocks are held until N = 200's weighing raises, so they are
     # drawing then; the error is raised once their threads are joined, and no
     # thread takes another block of N = 400
-    query, theta, points = _grid_query("slow-exponential")
+    query, points = _grid_query("slow-exponential")
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
     prepare = ldp._prepare
     gate, drawn = threading.Event(), []
@@ -873,7 +898,7 @@ def test_an_error_in_the_first_weighing_cancels_the_second_N_and_wins(monkeypatc
     monkeypatch.setattr(ldp, "log_poisson_tail", injected)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="injected"):
-        estimate_log_tails(query, points, 2000, theta, 0.01)
+        estimate_log_tails(query, points, 2000, 0.01)
     assert "coxq-block" in alive  # N = 400's worker was drawing
     assert threading.active_count() == baseline
     assert len(drawn) <= 1  # at most the block the worker held at the gate
@@ -882,7 +907,7 @@ def test_an_error_in_the_first_weighing_cancels_the_second_N_and_wins(monkeypatc
 def test_a_refusal_at_the_second_N_wins_over_a_draw_error_at_the_first(monkeypatch):
     # N = 200's block 3 raises while N = 400's checks run; the refusal is raised
     # and N = 200's blocks are cancelled, so their error is never raised
-    query, theta, points = _grid_query("slow-exponential")
+    query, points = _grid_query("slow-exponential")
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
     prepare, tilt = ldp._prepare, ldp._tilt
     failed = threading.Event()
@@ -908,7 +933,7 @@ def test_a_refusal_at_the_second_N_wins_over_a_draw_error_at_the_first(monkeypat
     monkeypatch.setattr(ldp, "_prepare", spy)
     baseline = threading.active_count()
     with pytest.raises(ResourceError, match="refused at the second N"):
-        estimate_log_tails(query, points, 2000, theta, 0.01)
+        estimate_log_tails(query, points, 2000, 0.01)
     assert failed.is_set()
     assert threading.active_count() == baseline
 
@@ -917,7 +942,7 @@ def test_a_refusal_at_the_second_N_wins_over_a_draw_error_at_the_first(monkeypat
 def test_at_most_two_prepared_draws_are_alive_at_once(monkeypatch, cpus):
     # each N's prepared draw (its cell tables, up to 2^24 entries) is let go once
     # the N is weighed, so a long grid holds no more of them than a short one
-    query, theta, _ = _grid_query("slow-discrete")
+    query, _ = _grid_query("slow-discrete")
     points = [(N, 11 + N) for N in (200, 300, 400, 600, 800)]
     monkeypatch.setattr(coxq.sim, "_CPUS", cpus)
     prepare, alive, most = ldp._prepare, [], []
@@ -929,16 +954,16 @@ def test_at_most_two_prepared_draws_are_alive_at_once(monkeypatch, cpus):
         return job
 
     monkeypatch.setattr(ldp, "_prepare", spy)
-    got = estimate_log_tails(query, points, 1500, theta, 0.01)
+    got = estimate_log_tails(query, points, 1500, 0.01)
     assert len(most) == len(points) and max(most) == 2
-    assert repr(got) == repr(_serial_log_tails(query, points, 1500, theta))
+    assert repr(got) == repr(_serial_log_tails(query, points, 1500))
 
 
 @pytest.mark.parametrize("shape", ["slow-exponential", "slow-discrete"])
 def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
     # a spy around every block's draw counts the draws in flight, across N:
     # the next N's blocks start only once the last N's threads are joined
-    query, theta, points = _grid_query(shape)
+    query, points = _grid_query(shape)
     R = 3000
     monkeypatch.setattr(coxq.sim, "_CPUS", 8)
     prepare = ldp._prepare
@@ -962,7 +987,7 @@ def test_at_most_block_workers_draws_are_in_flight(monkeypatch, shape):
         return job._replace(block=counted)
 
     monkeypatch.setattr(ldp, "_prepare", spy)
-    estimate_log_tails(query, points, R, theta, 0.01)
+    estimate_log_tails(query, points, R, 0.01)
     assert min(workers) >= 2
     assert 2 <= state["most"] <= max(workers)
 
@@ -994,8 +1019,7 @@ def test_is_fast_constant_rate_is_the_exact_poisson_tail(N):
     # out: log P is log P(Poisson(N rho(t)) >= m) with no Monte Carlo error,
     # also where scipy's logsf underflows (N = 4000: -1549.9)
     query = q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0)
-    theta = rate_fast(query.rho_t, 2.0).theta_star
-    log_p, rel_err = estimate_log_tails(query, [(N, 7)], 2000, theta, 0.01)[0]
+    log_p, rel_err = estimate_log_tails(query, [(N, 7)], 2000, 0.01)[0]
     h = ScalingRegime(N, 2.0, 1.0).delta_n
     kappa = cell_table((1.0,), h, (40.0,), 0.01).weights[0][:, 0].sum()
     want = log_poisson_tail(math.ceil(N * 2.0 - 1e-9), np.array([N * kappa]))[0]
@@ -1014,9 +1038,8 @@ def test_is_count_integrated_out_keeps_rel_err_small(alpha, n_grid, R):
     # count drawn and masked instead, rel_err read 0.020-0.029 (intermediate)
     # and 0.015-0.026 (fast)
     query = q(alpha=alpha, t=5.0, a=1.5)
-    theta = (rate_intermediate(query) if alpha == 1 else rate_fast(query.rho_t, 1.5)).theta_star
     points = [(N, 7) for N in n_grid]
-    for N, (log_p, rel_err) in zip(n_grid, estimate_log_tails(query, points, R, theta, 0.01)):
+    for N, (log_p, rel_err) in zip(n_grid, estimate_log_tails(query, points, R, 0.01)):
         assert math.isfinite(log_p)
         assert rel_err < 0.01, (N, rel_err)
 
