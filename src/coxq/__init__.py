@@ -55,6 +55,7 @@ from .ldp import (
     rate_multivariate,
     rate_slow,
     rate_slow_bounded,
+    saddle_log_tail,
 )
 from .sim import (
     MomentReport,

@@ -59,7 +59,7 @@ from .ldp import (
     classify_regime,
     estimate_log_tails,
     integrated_log_mgf,
-    legendre_argument,
+    peak_argument,
     rate_fast,
     rate_intermediate,
     rate_slow,
@@ -683,25 +683,20 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
     criteria: list[Criterion] = []
     if regime in ("slow_unbounded", "intermediate"):
         res_tol = config.tol("stationarity_residual_max")
-        residual = rate_res.diagnostics["stationarity_residual"]
-        criteria.append(
-            Criterion("theta_star_stationarity", residual < res_tol, residual, 0.0, res_tol)
-        )
+        residual = rate_res.diagnostics["projected_grad_norm"]
+        criteria.append(Criterion("theta_star_stationarity", residual < res_tol, residual, 0.0, res_tol))
         qtol = config.tol("quad_route_tol")
         # both routes at the log-MGF argument the rate integrated
-        x, _ = legendre_argument(regime, query.delta, rate_res.theta_star)
-        mu = config.queues.mu[0]
-        gap = abs(
-            integrated_log_mgf(config.env, mu, query.t, x, route="time")
-            - integrated_log_mgf(config.env, mu, query.t, x, route="substitution")
-        )
+        x, mu = peak_argument(query, rate_res), config.queues.mu[0]
+        gap = abs(integrated_log_mgf(config.env, mu, query.t, x, route="time")
+                  - integrated_log_mgf(config.env, mu, query.t, x, route="substitution"))
         criteria.append(Criterion("quadrature_dual_route", gap <= qtol, gap, 0.0, qtol))
 
     xs, ys, ses = [], [], []
     warn = config.tol("rel_err_warn")
     points = [(N, seed) for N, _, seed, _ in _per_n(config)]
     estimates = estimate_log_tails(query, points, config.replications, config.block_tol)
-    for N, (log_p, rel_err) in zip(config.N_grid, estimates):
+    for N, (log_p, rel_err, saddle) in zip(config.N_grid, estimates):
         x = speed_value(rate_res.speed, ScalingRegime(N, config.alpha, config.delta))
         row = {
             "N": N,
@@ -710,6 +705,8 @@ def run_ldp_check(config: ExperimentConfig, out_dir=None) -> tuple[list, list]:
             "rel_err": rel_err,
             "speed_value": x,
             "rel_err_warning": bool(rel_err > warn),
+            "saddle_log_prob": saddle,  # z: the IS estimate's distance from it, in its SEs
+            "z": math.expm1(log_p - saddle) / rel_err if 0 < rel_err < math.inf else math.nan,
         }
         results.append(row)
         if math.isfinite(log_p):

@@ -15,17 +15,18 @@ level, each a_i of a rectangle against its own fluid value):
   argument Delta (e^(theta/Delta) - 1) e^(-mu s).
 
 The slow and intermediate rates are one Legendre transform that differs only
-in its argument map, x(theta) = theta or Delta (e^(theta/Delta) - 1)
-(``legendre_argument``); the fast and bounded-slow rates are one Poisson
-(Cramer) rate.  The integrated log-MGF I(x) = int_0^t log M(x e^(-mu s)) ds
-is evaluated two ways, direct in s and via u = x e^(-mu s), by one numpy
-rule (``special.quad``), and the dual-route gap is reported as a criterion.
-The same substitution gives the derivative in closed form, for every family,
-dI/dx = (log M(x) - log M(x e^(-mu t)))/(mu x), so the supremum (strict
-concavity) is the root of theta -> a - x'(theta) dI/dx, found by bisection
-inside a bracket with no quadrature per step; the stationarity residual is
-reported.  A rectangle over several queues takes a projected Newton search over
-the same quadrature rule (``rate_multivariate``).
+in its argument map, x(theta) = theta or Delta (e^(theta/Delta) - 1); the fast
+and bounded-slow rates are one Poisson (Cramer) rate.  One projected Newton
+search finds the transform at every d (``rate_multivariate``; ``rate_slow`` and
+``rate_intermediate`` are its d = 1 calls), each trial point's objective,
+gradient and Hessian from one vector quadrature (``special.quad``), and reports
+its projected gradient norm.  The integrated log-MGF I(x) = int_0^t log M(x
+e^(-mu s)) ds at the optimum's largest argument (``peak_argument``) is
+evaluated two ways, direct in s and via u = x e^(-mu s), and the dual-route
+gap is reported as a criterion.  The rate's independent check is
+``saddle_log_tail``, the count's saddlepoint tail on the cell table (K_N
+below) at any N, with no draw, whose slope against the speed tends to the
+rate; ldp-check reports it beside each IS estimate.
 
 The importance-sampling estimator ``estimate_log_tails`` targets
 P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
@@ -45,9 +46,9 @@ sums.  The tail term is exact (``special.log_poisson_tail``); the
 ``coxq.special`` docstring describes it and the quadrature rule.
 
 ``estimate_log_tails`` runs an N grid through three stages per N: prepare
-(every check and refusal, the cell table, the tilt, the streams and the
-prepared draw), draw (the blocks, one ``sim.run_blocks`` call per N) and
-weigh (the count's tail, the weights and their reduction).  The calling
+(every check and refusal, the cell table, the tilt, the saddlepoint log P,
+the streams and the prepared draw), draw (the blocks, one ``sim.run_blocks``
+call per N) and weigh (the count's tail, the weights and their reduction).  The calling
 thread prepares N_1; then N_k's ``run_blocks`` call runs, alongside its
 draws, round 1's checks of every later N (``_tilt``, keeping only its c) or
 round k's weighing of N_(k-1), and then the preparation of N_(k+1); N_K is
@@ -68,20 +69,21 @@ import numpy as np
 from .env import Deterministic, EnvSpec, ScalingRegime
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
 from .sim import _MAX_EXACT_INT, cell_table, check_work, replication_blocks, run_blocks
-from .special import log_poisson_tail, log_sum_exp, quad
+from .special import log_poisson_tail, log_sum_exp, normal_log_cdf_sf, quad
 
 __all__ = [
     "RateQuery",
     "RateResult",
     "integrated_log_mgf",
-    "legendre_argument",
     "rate_fast",
     "rate_slow",
     "rate_slow_bounded",
     "rate_intermediate",
     "classify_regime",
     "estimate_log_tails",
+    "saddle_log_tail",
     "rate_multivariate",
+    "peak_argument",
     "speed_value",
 ]
 
@@ -129,10 +131,11 @@ class RateQuery:
         return self._fluid(self._scalar_mu)
 
     @property
-    def u_t(self) -> float:
-        """Reachable rate ceiling y (1 - e^(-mu t))/mu, +inf for unbounded env."""
+    def u_t(self) -> float | np.ndarray:
+        """Reachable rate ceiling y (1 - e^(-mu t))/mu, +inf for unbounded env; per queue for a tuple mu."""
         y = self.env.essential_sup()
-        return y * (-math.expm1(-self._scalar_mu * self.t)) / self._scalar_mu
+        u = [y * (-math.expm1(-mu * self.t)) / mu for mu in np.atleast_1d(self.mu).tolist()]
+        return np.array(u) if np.ndim(self.mu) else u[0]
 
     @property
     def _scalar_mu(self) -> float:
@@ -186,38 +189,21 @@ def speed_value(speed: str, scaling: ScalingRegime) -> float:
 # Integrated log-MGF.
 
 
-def integrated_log_mgf(
-    env: EnvSpec, mu: float, t: float, theta: float, route: str = "time"
-) -> float:
+def integrated_log_mgf(env: EnvSpec, mu: float, t: float, theta: float, route: str = "time") -> float:
     """int_0^t log M(theta e^(-mu s)) ds by adaptive quadrature (``special.quad``).
 
     route="time" integrates in s directly; route="substitution" uses
     u = theta e^(-mu s), giving (1/mu) int_{theta e^(-mu t)}^{theta} log M(u)/u du.
     """
-    val, _ = _ilm_with_err(env, mu, t, theta, route)
-    return val
-
-
-def _ilm_with_err(env, mu, t, theta, route="time"):
     if theta == 0.0:
-        return 0.0, 0.0
+        return 0.0
     if theta > 0:
         env.log_mgf(theta)  # probe: raises DomainError outside the domain
     if route == "time":
         return quad(lambda s: env.log_mgf(theta * np.exp(-mu * s)), 0.0, t)
     if route == "substitution":
-        val, err = quad(lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta)
-        return val / mu, err / mu
+        return quad(lambda u: env.log_mgf(u) / u, theta * math.exp(-mu * t), theta) / mu
     raise ValueError(f"unknown route {route!r}")
-
-
-def _ilm_prime(env, mu, t, x) -> float:
-    """d/dx int_0^t log M(x e^(-mu s)) ds = (log M(x) - log M(x e^(-mu t)))/(mu x), x != 0.
-
-    Exact for every family: with u = x e^(-mu s) the integral is
-    (1/mu) int_{x e^(-mu t)}^x log M(u)/u du."""
-    top, bottom = env.log_mgf(np.array([x, x * math.exp(-mu * t)]))
-    return float(top - bottom) / (mu * x)
 
 
 # ---------------------------------------------------------------------------
@@ -242,108 +228,13 @@ def rate_fast(rho_t: float, a: float) -> RateResult:
     return _cramer(rho_t, a, "fast")
 
 
-def _bracketed_argmax(deriv, hi_domain: float):
-    """Argmax of a strictly concave objective with derivative ``deriv`` on (0, hi).
-
-    Returns (theta_star, iterations, jump).  A non-positive derivative at 0+
-    means the supremum sits at the boundary theta -> 0 (rate 0, jump 0).
-    Inside the bracket, bisection runs until no float lies strictly between
-    its ends (about 55 steps at microseconds each): near the MGF domain
-    boundary the derivative is steep, and an absolute tolerance would leave a
-    stationarity residual that grows as theta_max shrinks.  jump is the
-    derivative's fall across that last bracket, one ulp of theta: the least
-    residual that float resolution of theta allows."""
-    lo = 1e-12
-    d_lo = deriv(lo)
-    if d_lo <= 0:
-        return lo, 0, 0.0
-    if math.isfinite(hi_domain):
-        hi = None
-        pad = 1e-6
-        while pad >= 1e-11:
-            cand = hi_domain * (1.0 - pad)
-            d_hi = deriv(cand)
-            if d_hi < 0:
-                hi = cand
-                break
-            pad *= 0.1
-        if hi is None:
-            raise ConvergenceError(
-                "no interior stationary point resolvable before the MGF domain "
-                "boundary; the tail level is too deep for this family"
-            )
-    else:
-        hi = 1.0
-        for _ in range(200):
-            d_hi = deriv(hi)
-            if d_hi < 0:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError("derivative never changes sign; supremum diverges")
-    iterations = 0
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        d_mid = deriv(mid)
-        if d_mid > 0:
-            lo, d_lo = mid, d_mid
-        else:
-            hi, d_hi = mid, d_mid
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-    return mid, iterations, d_lo - d_hi
-
-
-def legendre_argument(regime: str, delta: float, theta: float) -> tuple[float, float]:
-    """(x, dx/dtheta): the Legendre rate at theta integrates log M(x e^(-mu s)).
-
-    x = theta in the slow regime and Delta (e^(theta/Delta) - 1) in the
-    intermediate one."""
-    if regime == "intermediate":
-        return delta * math.expm1(theta / delta), math.exp(theta / delta)
-    return theta, 1.0
-
-
-def _legendre(query: RateQuery, hi_domain: float, regime: str, speed: str) -> RateResult:
-    """-sup_{0<theta<hi} (theta a - int_0^t log M(x(theta) e^(-mu s)) ds), x by regime."""
-    mu, a, t, env = query._scalar_mu, query._scalar_a, query.t, query.env
-
-    def deriv(theta):
-        x, x_prime = legendre_argument(regime, query.delta, theta)
-        return a - x_prime * _ilm_prime(env, mu, t, x)
-
-    theta, iters, jump = _bracketed_argmax(deriv, hi_domain)
-    val, quad_err = _ilm_with_err(env, mu, t, legendre_argument(regime, query.delta, theta)[0])
-    # theta is one end of the last bracket, so a finite derivative leaves a
-    # residual within the jump across it; 1e-8 covers the boundary return
-    residual = abs(deriv(theta))
-    bound = max(1e-8, jump)
-    if not residual <= bound:
-        raise ConvergenceError(f"stationarity residual {residual:.2e} > {bound:.2e}")
-    return RateResult(
-        rate=min(0.0, -(theta * a - val)),
-        theta_star=theta,
-        regime=regime,
-        speed=speed,
-        diagnostics={
-            "stationarity_residual": residual,
-            "iterations": iters,
-            "quad_abserr": quad_err,
-        },
-    )
-
-
 def rate_slow(query: RateQuery) -> RateResult:
     """Slow regime (alpha < 1), rate-reachable branch: speed N^alpha/Delta.
 
-    rate = -sup_{theta>0} (theta a - int_0^t log M(theta e^(-mu s)) ds).
+    rate = -sup_{theta>0} (theta a - int_0^t log M(theta e^(-mu s)) ds), by
+    ``rate_multivariate``'s search at d = 1 (RegimeError past u(t): ``rate_slow_bounded``).
     """
-    if query.u_t < query._scalar_a:
-        raise RegimeError(
-            f"u(t) = {query.u_t} < a = {query._scalar_a}: the rate cannot reach a; "
-            "use rate_slow_bounded"
-        )
-    return _legendre(query, query.env.theta_max, "slow_unbounded", SPEED_SLOW)
+    return _search(query, "slow_unbounded")
 
 
 def rate_slow_bounded(query: RateQuery) -> RateResult:
@@ -358,20 +249,21 @@ def rate_slow_bounded(query: RateQuery) -> RateResult:
 def rate_intermediate(query: RateQuery) -> RateResult:
     """Intermediate regime (alpha = 1): speed N/Delta.
 
-    rate = -sup_{theta>0}(theta a - int_0^t log M(Delta (e^(theta/Delta)-1) e^(-mu s)) ds).
+    rate = -sup_{theta>0}(theta a - int_0^t log M(Delta (e^(theta/Delta)-1) e^(-mu s)) ds), by
+    ``rate_multivariate``'s search at d = 1.
     """
-    # Delta (e^(theta/Delta) - 1) < theta_max bounds the search box (inf stays inf).
-    hi_domain = query.delta * math.log1p(query.env.theta_max / query.delta)
-    return _legendre(query, hi_domain, "intermediate", SPEED_INTERMEDIATE)
+    return _search(query, "intermediate")
+
+
+def _alpha_regime(alpha: float) -> str:
+    """fast / intermediate / slow_unbounded by alpha alone; the slow branch is split by u(t)."""
+    return "fast" if alpha > 1 else "intermediate" if alpha == 1 else "slow_unbounded"
 
 
 def classify_regime(query: RateQuery) -> str:
     """fast / intermediate / slow_unbounded / slow_bounded per (alpha, u(t), a)."""
-    if query.alpha > 1:
-        return "fast"
-    if query.alpha == 1:
-        return "intermediate"
-    return "slow_unbounded" if query.u_t >= query._scalar_a else "slow_bounded"
+    regime = _alpha_regime(query.alpha)
+    return "slow_bounded" if regime == "slow_unbounded" and query.u_t < query._scalar_a else regime
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +271,10 @@ def classify_regime(query: RateQuery) -> str:
 
 
 def estimate_log_tails(query: RateQuery, points, replications: int,
-                       block_tol: float) -> list[tuple[float, float]]:
-    """[(log P(M^(N)(t) >= N a) from an empty queue, its relative SE) for (N,
-    seed) in points], by IS, with the N pipelined as the module docstring says.
+                       block_tol: float) -> list[tuple[float, float, float]]:
+    """[(log P(M^(N)(t) >= N a) from an empty queue by IS, its relative SE, and
+    ``saddle_log_tail``'s value) for (N, seed) in points], the N pipelined as the
+    module docstring says.
 
     The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,).  Each
     replication's weight holds the exact conditional tail given its rate
@@ -401,7 +294,7 @@ def estimate_log_tails(query: RateQuery, points, replications: int,
     if not points:
         return out
     job = _prepare(query, *points[0], replications, block_tol)
-    weigh = kappas = after = None  # N_(k-1)'s weighing and draws; N_(k+1)'s _Prepared
+    weigh = saddle = kappas = after = None  # N_(k-1)'s weighing, saddle and draws; N_(k+1)'s _Prepared
     tilts = []  # round 1's c of every later N, so each N's saddle is solved once
 
     def alongside():  # on the calling thread, while N_k's blocks draw
@@ -409,15 +302,15 @@ def estimate_log_tails(query: RateQuery, points, replications: int,
         if k == 0:  # every later N's refusals, only its c kept
             tilts.extend(_tilt(query, N, replications, block_tol)[2] for N, _ in points[1:])
         else:
-            out.append(_reduce(weigh(kappas), replications))
+            out.append((*_reduce(weigh(kappas), replications), saddle))
         if k + 1 < len(points):
             after = _prepare(query, *points[k + 1], replications, block_tol, tilts[k])
 
     for k in range(len(points)):
         kappas_k = run_blocks(job.block, job.streams, job.entries, alongside)
         # keep N_k's weigh and kappas, not its _Prepared: two prepared draws at most
-        weigh, kappas, job, after = job.weigh, kappas_k, after, None
-    out.append(_reduce(weigh(kappas), replications))
+        weigh, saddle, kappas, job, after = job.weigh, job.saddle, kappas_k, after, None
+    out.append((*_reduce(weigh(kappas), replications), saddle))
     return out
 
 
@@ -443,15 +336,18 @@ class _Prepared(NamedTuple):  # one N's prepare stage
     streams: list  # one per block
     entries: int  # the cell draws of one block
     weigh: Callable  # weigh(every block's kappa): the (replications,) log weights, or one
+    saddle: float  # the saddlepoint log P (``_saddle_log_tail``) at the tilt's saddle
 
 
 def _saddle(env: EnvSpec, N: int, counts, wk, target: float) -> float:
     """c = N expm1(s) at the root of K_N'(s) = target, K_N(s) = sum_c n_c log M(N expm1(s) wk_c)
     (``twisted_log_norm``): Newton on log K_N' from s = 0 inside the bracket between 0 and
-    the Poisson tilt s0 = log(target/K_N'(0)), which holds the root as log M' rises from E[L]."""
-    nw = counts * wk
+    the Poisson tilt s0 = log(target/K_N'(0)), which holds the root as log M' rises from E[L].
+    A step past the top toward a bounded domain's edge is retaken in log(theta_max - eta) of the
+    largest tilt, whose pole log K_N' follows there; one still outside bisects the bracket."""
+    nw, top = counts * wk, float(wk.max())
     s0 = math.log(target / (N * env.mean * float(nw.sum())))
-    lo, hi = sorted((0.0, min(s0, math.log1p(env.theta_max / (N * float(wk.max()))))))
+    lo, hi = sorted((0.0, min(s0, math.log1p(env.theta_max / (N * top)))))
     s = 0.0
     for _ in range(100):
         c = N * math.expm1(s)
@@ -460,6 +356,10 @@ def _saddle(env: EnvSpec, N: int, counts, wk, target: float) -> float:
         g = math.log((N + c) * first / target)
         lo, hi = (lo, s) if g > 0 else (s, hi)
         after = s - g / (1.0 + (N + c) * float((nw * wk * k2).sum()) / first)
+        if after >= hi and env.theta_max < math.inf:  # d log(gap)/ds = -(N + c) top/gap
+            gap = env.theta_max - c * top
+            gap *= math.exp((s - after) * (N + c) * top / gap)
+            after = math.log1p((env.theta_max - gap) / (N * top))
         after = after if lo < after < hi else 0.5 * (lo + hi)
         if abs(g) <= 1e-12 or after == s:  # solved, or to the float resolution of s
             return c
@@ -484,6 +384,47 @@ def _tilt(query, N, replications, block_tol, c=None):
     log_norm = env.twisted_log_norm(c * wk, counts)  # raises the tilt's domain and table refusals
     check_work(table, env, replications, N, one_row=env.variance == 0)
     return counts, wk, c, log_norm
+
+
+def saddle_log_tail(query: RateQuery, N: int, block_tol: float = 0.01) -> float:
+    """log P(M^(N)(t) >= N a) from an empty queue by the saddlepoint approximation to the count's
+    law on the cell table (``_saddle_log_tail``), with no draw, in every regime, at any N < 2^53/a."""
+    counts, wk, c, log_norm = _tilt(query, N, 1, block_tol)
+    return _saddle_log_tail(query.env, N, counts, wk, c, log_norm, math.ceil(N * query._scalar_a - 1e-9))
+
+
+def _saddle_log_tail(env: EnvSpec, N: int, counts, wk, c: float, log_norm: float, m: int) -> float:
+    """log P(count >= m) at the count's saddle c = N expm1(s), K_N'(s) = m - 1/2, K_N(s) = log_norm
+    (``_tilt``'s; in closed form for a constant layer, whose count is Poisson): log Phi(-r*),
+    r* = w + log(u/w)/w, w = sign(s) sqrt(2 (s (m - 1/2) - K_N(s))), u = 2 sinh(s/2) sqrt(K_N''(s))
+    (Barndorff-Nielsen's r*, Daniels' continuity correction: Butler, Saddlepoint Approximations, 2007).
+    Where w^2/2 is below 5e-4 s (m - 1/2), whose difference a discrete log M's 1e-16 error spoils,
+    w^2 = s (K_N'(s) - K_N'(0)) + s^2 (K_N''(s) - K_N''(0))/6, K_N'' quadratic on [0, s] (within 5e-8
+    in log P of the formula at 50 digits); at s = 0 exactly, short of K_N's third derivative, r* = 0."""
+    nw, x = counts * wk, m - 0.5
+    slope0 = N * env.mean * float(nw.sum())  # K_N'(0), the untilted count's mean
+    if env.variance:
+        s = math.log1p(c / N)
+        k1, k2 = env.log_mgf_derivatives(c * wk)
+        slope = (N + c) * float((nw * k1).sum())  # K_N'(s)
+        curv = slope + (N + c) ** 2 * float((nw * wk * k2).sum())  # K_N''(s)
+    else:  # a Poisson count of mean K_N'(0), drawn untilted (c = 0): its saddle in closed form
+        if not slope0:  # the count is 0
+            return -math.inf
+        s, slope, curv, log_norm = math.log(x / slope0), x, x, x - slope0
+    lift, half_w2 = s * x, s * x - log_norm  # s (m - 1/2), w^2/2
+    if s == 0:
+        r = 0.0
+    elif half_w2 < 5e-4 * abs(lift):
+        curv0 = slope0 + N * N * env.variance * float((nw * wk).sum())
+        # K_N'' quadratic through K_N''(0), K_N''(s) and its integral K_N'(s) - K_N'(0)
+        mean_curv = (slope - slope0) / s + (curv - curv0) / 6.0  # w^2/s^2
+        w = s * math.sqrt(mean_curv)
+        r = w + (math.log(2.0 * math.sinh(s / 2) / s) + 0.5 * math.log(curv / mean_curv)) / w
+    else:
+        w = math.copysign(math.sqrt(2.0 * half_w2), s)
+        r = w + math.log(2.0 * math.sinh(s / 2) * math.sqrt(curv) / w) / w
+    return float(normal_log_cdf_sf(np.array([r]))[1][0])
 
 
 def _prepare(query, N, seed, replications, block_tol, c=None) -> _Prepared:
@@ -511,7 +452,8 @@ def _prepare(query, N, seed, replications, block_tol, c=None) -> _Prepared:
         logw = (log_norm - c * kappa) + tail
         return logw[:replications]
 
-    return _Prepared(lambda b, rng: draw(rng, size), streams, size * counts.size, weigh)
+    saddle = _saddle_log_tail(env, N, counts, wk, c, log_norm, m)
+    return _Prepared(lambda b, rng: draw(rng, size), streams, size * counts.size, weigh, saddle)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +466,10 @@ class _Limit(NamedTuple):  # Gamma(theta) = int_0^t K(x(theta, s)) ds, as rate_m
     t: float
     w: float  # 1/Delta, and 0 in the slow regime
 
+    def peak(self, theta) -> float:
+        """x(theta, 0), the largest x on the path."""
+        return ((1.0 + np.expm1(theta * self.w)).prod() - 1.0) / self.w if self.w else theta.sum()
+
     def terms(self, theta, s):
         """x(theta, s), P and g with dx/dtheta_i = P g_i, and theta_max - x, at the points s.
 
@@ -533,39 +479,35 @@ class _Limit(NamedTuple):  # Gamma(theta) = int_0^t K(x(theta, s)) ds, as rate_m
         q_j(s) expm1(theta_i w) f_i prod_(j > i) q_j(0) / w, q_j = 1 + e^(-mu_j s) expm1(theta_j w)."""
         decay = -np.multiply.outer(s, self.mu)
         e, f = np.exp(decay), -np.expm1(decay)
+        gap = self.K.theta_max - self.peak(theta)
         if not self.w:
-            return e @ theta, np.ones(len(s)), e, (self.K.theta_max - theta.sum()) + f @ theta
+            return e @ theta, np.ones(len(s)), e, gap + f @ theta
         c = np.expm1(theta * self.w)
-        q = 1.0 + e * c
-        P = q.prod(axis=-1)
-        before = np.cumprod(np.concatenate([np.ones((len(s), 1)), q[:, :-1]], axis=1), axis=1)
-        after = np.append(np.cumprod(1.0 + c[:0:-1])[::-1], 1.0)
-        fall = (before * c * f * after).sum(axis=-1) / self.w
-        gap = (self.K.theta_max - (np.prod(1.0 + c) - 1.0) / self.w) + fall
-        return (P - 1.0) / self.w, P, e * np.exp(theta * self.w) / q, gap
+        q, q0 = 1.0 + e * c, 1.0 + c
+        upto = np.cumprod(q, axis=1)  # prod_(j <= i) q_j(s); P is its last column
+        after = np.cumprod(q0[::-1])[::-1] / q0
+        fall = (upto / q * c * after * f).sum(axis=-1) / self.w
+        return (upto[:, -1] - 1.0) / self.w, upto[:, -1], e * q0 / q, gap + fall
 
-    def objective(self, theta, a) -> float:
-        """theta . a - Gamma(theta); DomainError where x(theta, 0), its peak, leaves the domain."""
-        self.K.log_mgf(self.terms(theta, np.zeros(1))[0])
-        return float(theta @ a) - quad(lambda s: self.K.log_mgf(self.terms(theta, s)[0]), 0, self.t)[0]
+    def evaluate(self, theta, a):
+        """(theta . a - Gamma(theta), a - grad Gamma, Gamma's Hessian) from one quadrature of their
+        integrands, x_ij = w P (g_i g_j + [i = j] g_i (1 - g_i)); DomainError where x(theta, 0),
+        the peak, leaves the domain.  K' and K'' take ``terms``' precise gap to a bounded domain: in
+        x, its rounding costs 1e-16/gap relative, which no quadrature near the boundary resolves."""
+        self.K.log_mgf(self.peak(theta))
+        d = len(a)
 
-    def derivatives(self, theta, a):
-        """a - grad Gamma, and Gamma's Hessian: x_ij = w P (g_i g_j + [i = j] g_i (1 - g_i)).
-
-        K' and K'' take ``terms``' precise gap to a bounded domain: in x, its rounding costs
-        1e-16/gap relative, which no quadrature near the boundary resolves."""
-
-        def term(i, j, s):  # the gradient's integrand when j is None, else the Hessian's
+        def integrands(s):  # (1 + d + d^2, points): log M(x), the gradient's and the Hessian's
             x, P, g, gap = self.terms(theta, s)
             k1, k2 = self.K.log_mgf_derivatives(x, gap)
-            if j is None:
-                return k1 * P * g[:, i]
-            w = self.w * k1
-            return P * g[:, i] * ((k2 * P + w) * g[:, j] + (i == j) * w * (1.0 - g[:, i]))
+            g = g.T
+            dx, w = P * g, self.w * k1  # dx/dtheta_i, and w K'
+            hess = ((k2 + w / P) * dx[:, None] * dx).reshape(d * d, -1)
+            hess[:: d + 1] += w * dx * (1.0 - g)  # the diagonal
+            return np.concatenate([self.K.log_mgf(x)[None], k1 * dx, hess])
 
-        d = range(len(a))
-        grad = a - [quad(lambda s: term(i, None, s), 0, self.t)[0] for i in d]
-        return grad, np.array([[quad(lambda s: term(i, j, s), 0, self.t)[0] for j in d] for i in d])
+        total = quad(integrands, 0, self.t)
+        return float(theta @ a) - total[0], a - total[1 : d + 1], total[d + 1 :].reshape(d, d)
 
     def newton(self, a):
         """(theta*, objective, steps, projected gradient norm) of projected Newton from 0: least-
@@ -575,10 +517,10 @@ class _Limit(NamedTuple):  # Gamma(theta) = int_0^t K(x(theta, s)) ds, as rate_m
         objective is linear along the gradient's part that the Hessian does not see, which the step
         then walks onto the first face.  It stops when the predicted gain is below rounding and the
         gradient below 1e-9 max(a), or when the full step no longer moves theta and the gradient is
-        below 1e-6 (near the boundary the Hessian, about 1/gap, makes theta's own rounding the limit)."""
-        theta, value = np.zeros(len(a)), 0.0
+        below 1e-6 or its change across an ulp of theta (near the boundary theta's own rounding)."""
+        theta = np.zeros(len(a))
+        value, grad, hess = self.evaluate(theta, a)
         for steps in range(100):
-            grad, hess = self.derivatives(theta, a)
             free = (theta > 0) | (grad > 0)
             step = np.zeros(len(a))
             step[free] = np.linalg.lstsq(hess[np.ix_(free, free)], grad[free], rcond=None)[0]
@@ -589,17 +531,21 @@ class _Limit(NamedTuple):  # Gamma(theta) = int_0^t K(x(theta, s)) ds, as rate_m
             if grad @ step <= ulp and np.abs(unseen).max() > 1e-9 * a.max():
                 reach = theta[unseen < 0] / -unseen[unseen < 0] * (1.0 + 1e-12)  # past its rounding
                 step = unseen * (reach.min() if reach.size else 1.0)
-            if np.all(theta + step == theta) and norm <= 1e-6:
+            jump = float((np.abs(hess) @ np.spacing(theta))[free].max(initial=0.0))  # across an ulp
+            if np.all(theta + step == theta) and norm <= max(1e-6, jump):
                 return theta, value, steps, norm
             for _ in range(60):
                 trial = np.maximum(theta + step, 0.0)
                 with contextlib.suppress(DomainError):
-                    if np.any(trial != theta) and (trial_value := self.objective(trial, a)) >= value - ulp:
+                    if np.any(trial != theta) and (point := self.evaluate(trial, a))[0] >= value - ulp:
                         break
                 step /= 2
             else:
-                raise ConvergenceError(f"gradient {norm:.2e}, but no step from theta {theta} raises the rate")
-            theta, value = trial, trial_value
+                raise ConvergenceError(
+                    f"no interior stationary point resolvable: gradient {norm:.2e} at theta {theta}, "
+                    "and no step raises the rate (the tail level is too deep for this family)"
+                )
+            theta, (value, grad, hess) = trial, point
         raise ConvergenceError(f"no Newton convergence in 100 steps: gradient {norm:.2e} at theta {theta}")
 
 
@@ -614,15 +560,30 @@ def rate_multivariate(query: RateQuery) -> RateResult:
     A slow corner past a queue's rate ceiling u_i(t) raises RegimeError; ``_Limit.newton``
     searches for the rest.
     """
-    env, mu, a = query.env, np.atleast_1d(query.mu).astype(float), np.atleast_1d(query.a).astype(float)
-    queues = [RateQuery(env, mu_i, query.delta, query.alpha, query.t, a_i) for mu_i, a_i in zip(mu, a)]
-    for i, queue in enumerate(queues):
-        if classify_regime(queue) == "slow_bounded":
-            raise RegimeError(f"queue {i}: u(t) = {queue.u_t} < a = {queue.a}: the rate cannot reach it")
-    regime = classify_regime(queues[0])
-    speed = {"fast": SPEED_N, "intermediate": SPEED_INTERMEDIATE}.get(regime, SPEED_SLOW)
+    return _search(query, _alpha_regime(query.alpha))
+
+
+def _limit(query: RateQuery, regime: str) -> _Limit:
+    """The query's Gamma in the given regime (``rate_multivariate`` lists the three)."""
     w = {"fast": 1.0, "intermediate": 1 / query.delta}.get(regime, 0.0)
-    limit = _Limit(Deterministic(env.mean) if regime == "fast" else env, mu, query.t, w)
-    theta, value, steps, norm = limit.newton(a)
+    env = Deterministic(query.env.mean) if regime == "fast" else query.env
+    return _Limit(env, np.atleast_1d(query.mu).astype(float), query.t, w)
+
+
+def peak_argument(query: RateQuery, result: RateResult) -> float:
+    """x(theta*, 0), the largest log-MGF argument that the result's rate integrated."""
+    return float(_limit(query, result.regime).peak(np.atleast_1d(result.theta_star)))
+
+
+def _search(query: RateQuery, regime: str) -> RateResult:
+    """``_Limit.newton``'s rate of the rectangle at its corner in the given regime; a scalar
+    query's theta* is a float."""
+    a, ceiling = np.atleast_1d(query.a).astype(float), np.atleast_1d(query.u_t)
+    if regime == "slow_unbounded" and np.any(past := ceiling < a):
+        i = int(np.argmax(past))
+        raise RegimeError(f"queue {i}: u(t) = {ceiling[i]} < a = {a[i]}: the rate cannot reach it")
+    speed = {"fast": SPEED_N, "intermediate": SPEED_INTERMEDIATE}.get(regime, SPEED_SLOW)
+    theta, value, steps, norm = _limit(query, regime).newton(a)
     diagnostics = {"iterations": steps, "projected_grad_norm": norm, "corner": a.tolist()}
-    return RateResult(min(0.0, -value), theta, regime, speed, diagnostics)
+    theta = theta if np.ndim(query.mu) else float(theta[0])
+    return RateResult(min(0.0, -float(value)), theta, regime, speed, diagnostics)

@@ -10,7 +10,7 @@ import it without an import cycle.
   per point.
 * ``quad``: 10-point Gauss-Legendre panels, each bisected until its halves
   agree with it, every open panel's nodes evaluated in one array call of the
-  integrand (the rate layer's ``log_mgf``).
+  integrand (``log_mgf``, or the rate search's integrands as one vector).
 * ``log_poisson_tail``: log P(Poisson(lam) >= m), exact and in log space: the
   continued fractions of the incomplete gamma function, evaluated backward in
   numpy (within 2.2e-13 relative of 40-digit values, and refused with
@@ -51,9 +51,9 @@ def log_sum_exp(a) -> np.ndarray:
     a finite entry.
 
     The summation scipy.special.logsumexp does, bit for bit, without its
-    per-call overhead (the rate layer's bisection evaluates a discrete
-    log-MGF about 55 times): the largest terms are factored out, so large
-    entries cannot overflow, and the rest enter through log1p."""
+    per-call overhead (the rate search evaluates a discrete log-MGF once per
+    quadrature round): the largest terms are factored out, so large entries
+    cannot overflow, and the rest enter through log1p."""
     a = np.asarray(a)
     top = a.max(axis=-1)
     is_top = a == top[..., None]
@@ -104,40 +104,41 @@ _GL_WEIGHTS = np.array([
 ])
 
 
-def quad(f, lo: float, hi: float) -> tuple[float, float]:
-    """(int_lo^hi f, error estimate) by adaptive 10-point Gauss-Legendre.
+def quad(f, lo: float, hi: float) -> float | np.ndarray:
+    """int_lo^hi f by adaptive 10-point Gauss-Legendre.
 
-    f maps an array of points to an array of values.  Each round bisects
-    every open panel and evaluates all the halves in one call of f; a panel
-    closes when its halves' sum agrees with its own estimate (``_QUAD_RTOL``,
-    ``_QUAD_ATOL``), and the estimate sums the closed panels' halves.  The
-    error estimate sums the closed panels' disagreements, a bound on the
-    coarser of the two estimates."""
+    f maps an array of n points to n values, or to a (k, n) array: a vector
+    integrand, whose integral is then a (k,) array.  Each round bisects every
+    open panel and evaluates all the halves in one call of f; a panel closes
+    when its halves' sum agrees with its own estimate (``_QUAD_RTOL``,
+    ``_QUAD_ATOL``) in every component, and the estimate sums the closed
+    panels' halves."""
 
     def rule(a, b):  # the Gauss-Legendre estimate on each panel [a_i, b_i]
         half = 0.5 * (b - a)
         x = (a + half)[:, None] + half[:, None] * _GL_NODES
-        return half * (f(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
+        values = f(x.ravel())
+        return half * (values.reshape(values.shape[:-1] + x.shape) @ _GL_WEIGHTS)
 
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
     whole = rule(a, b)
-    parts, errs, panels = [], [], 1
+    parts, panels = [], 1
     while a.size:
         panels += 2 * a.size
         if panels > _QUAD_PANELS:
             raise ConvergenceError(f"quadrature unresolved after {_QUAD_PANELS} panels")
         m = 0.5 * (a + b)
         halves = rule(np.concatenate([a, m]), np.concatenate([m, b]))
-        left, right = halves[: a.size], halves[a.size :]
+        left, right = halves[..., : a.size], halves[..., a.size :]
         pair = left + right
         gap = np.abs(whole - pair)
-        done = gap <= np.maximum(_QUAD_RTOL * np.abs(pair), _QUAD_ATOL)
-        parts.append(pair[done])
-        errs.append(gap[done])
+        done = (gap <= np.maximum(_QUAD_RTOL * np.abs(pair), _QUAD_ATOL)).reshape(-1, a.size).all(axis=0)
+        parts.append(pair[..., done])
         more = ~done
         a, b = np.concatenate([a[more], m[more]]), np.concatenate([m[more], b[more]])
-        whole = np.concatenate([left[more], right[more]])
-    return math.fsum(np.concatenate(parts)), float(np.concatenate(errs).sum())
+        whole = np.concatenate([left[..., more], right[..., more]], axis=-1)
+    parts = np.concatenate(parts, axis=-1)
+    return math.fsum(parts) if parts.ndim == 1 else np.array([math.fsum(row) for row in parts])
 
 
 def log_poisson_tail(m: int, lam: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ per criterion.  All runs are seeded; reruns are bit-identical.
 import json
 import math
 
-import numpy as np
 import pytest
 
 from coxq import (
@@ -23,12 +22,14 @@ from coxq import (
     rate_multivariate,
     rate_slow,
     rate_slow_bounded,
+    saddle_log_tail,
     sample_stationary,
     stationary_pgf,
     stationary_variance,
 )
 from coxq.cli import main as cli_main
 from coxq.harness import ExperimentConfig, run
+from coxq.ldp import speed_value
 
 SEED = 20260809
 
@@ -303,6 +304,11 @@ def test_criterion_8_ldp_slow():
 # -- 9. Regime-consistency identities ----------------------------------------------------------------
 
 
+# alpha, and the relative gap of the saddlepoint pair slope to the rate measured at
+# Exp(1), mu 1, delta 1, t 5, a 1.5 (the bound is 1.1 times it plus 1e-5)
+SADDLE_SLOPE_TABLE = [(0.25, 3.5e-4), (0.5, 4e-6), (0.75, 3.8e-3), (1.0, 3e-6), (1.5, 4e-6), (2.0, 0.0)]
+
+
 def test_criterion_9_regime_identities():
     det = Deterministic(1.0)
     base = dict(env=det, mu=1.0, delta=0.7, t=12.0)
@@ -326,15 +332,35 @@ def test_criterion_9_regime_identities():
         )
         pairs.append(abs(mv.rate - uni))
     ok_mv = all(gap <= 1e-8 for gap in pairs)
+
+    # rate_slow, rate_intermediate and rate_multivariate are one search, so the rate's
+    # independent side is the count's finite-N CGF on the cell table: the saddlepoint
+    # log P's pair slope on the speed, detrended by log(speed)/2, and its speed exponent
+    slope_errs, exponents = [], []
+    for alpha, table_err in SADDLE_SLOPE_TABLE:
+        query = RateQuery(env=Exponential(1.0), mu=(1.0,), delta=1.0, t=5.0, alpha=alpha, a=(1.5,))
+        rate = rate_multivariate(query)
+        Ns = (10**6, 10**7) if alpha == 2 else (10**9, 10**10)  # N a past 2^53 slots at alpha 2
+        log_p = [saddle_log_tail(RateQuery(Exponential(1.0), 1.0, 1.0, alpha, 5.0, 1.5), N) for N in Ns]
+        xs = [speed_value(rate.speed, ScalingRegime(N, alpha, 1.0)) for N in Ns]
+        slope = (log_p[1] - log_p[0] + 0.5 * math.log(xs[1] / xs[0])) / (xs[1] - xs[0])
+        slope_errs.append((abs(slope / rate.rate - 1.0), 1.1 * table_err + 1e-5))
+        exponents.append((math.log(log_p[1] / log_p[0]) / math.log(Ns[1] / Ns[0]), min(alpha, 1.0)))
+    ok_slope = all(err <= bound for err, bound in slope_errs)
+    ok_speed = all(abs(fit - paper) <= 0.02 for fit, paper in exponents)
     report_line(
         "9 regime-identities",
-        ok_bounded and ok_mid and ok_mv,
+        ok_bounded and ok_mid and ok_mv and ok_slope and ok_speed,
         (
             f"bounded==fast: {ok_bounded}, intermediate/Delta vs fast gap="
-            f"{abs(mid.rate/0.7 - fast.rate):.2e}, max d=1 reduction gap={max(pairs):.2e}"
+            f"{abs(mid.rate/0.7 - fast.rate):.2e}, max d=1 reduction gap={max(pairs):.2e}, "
+            f"saddlepoint slope errors {[f'{err:.2e}' for err, _ in slope_errs]}, "
+            f"speed exponents {[f'{fit:.4f}' for fit, _ in exponents]}"
         ),
     )
     assert ok_bounded and ok_mid and ok_mv
+    assert ok_slope, slope_errs
+    assert ok_speed, exponents
 
 
 # -- 10. Determinism of every subcommand ----------------------------------------------------------------

@@ -21,7 +21,6 @@ from coxq.harness import (
     _wls_slope,
     anderson_darling_normal,
     run,
-    run_analytic,
 )
 
 
@@ -303,6 +302,22 @@ def test_run_ldp_check_small_intermediate():
     assert "quadrature_dual_route" in names
 
 
+def test_ldp_check_rows_report_the_saddlepoint_tail_and_the_is_z_score():
+    # each row's saddle_log_prob is saddle_log_tail at its N, from the tilt's own saddle,
+    # and z = (P_IS/P_saddle - 1)/rel_err; an exact constant-layer row (rel_err 0) has no z
+    cfg = make_config(kind="ldp-check", t=5.0, a=1.5, N_grid=(200, 400), replications=4000, seed=19)
+    query = ldp.RateQuery(cfg.env, 1.0, cfg.delta, cfg.alpha, cfg.t, cfg.a)
+    for row in run(cfg).results[1:-1]:
+        assert row["saddle_log_prob"] == ldp.saddle_log_tail(query, row["N"], cfg.block_tol)
+        assert row["z"] == math.expm1(row["log_prob"] - row["saddle_log_prob"]) / row["rel_err"]
+        assert abs(row["z"]) < 4
+    fast = make_config(kind="ldp-check", env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0,
+                       N_grid=(25, 50), replications=10)
+    for row in run(fast).results[1:-1]:
+        assert row["rel_err"] == 0 and math.isnan(row["z"])
+        assert 0 < row["saddle_log_prob"] - row["log_prob"] < 2e-3
+
+
 @pytest.mark.parametrize(
     "alpha, argument",
     [(0.5, lambda theta: theta), (1.0, lambda theta: 0.5 * math.expm1(theta / 0.5))],
@@ -340,7 +355,7 @@ def test_tail_estimators_unbiased_vs_plain_simulation():
     m = math.ceil(N * a - 1e-9)
     for alpha, regime in ((2.0, "fast"), (1.0, "intermediate"), (0.5, "slow_unbounded")):
         query = RateQuery(env=env, mu=1.0, delta=1.0, alpha=alpha, t=t, a=a)
-        log_p, rel = estimate_log_tails(query, [(N, 101)], 40_000, 0.01)[0]
+        log_p, rel, _ = estimate_log_tails(query, [(N, 101)], 40_000, 0.01)[0]
         p_is = math.exp(log_p)
 
         sim_cfg = SimConfig(
@@ -764,7 +779,7 @@ def test_cli_ldp_check_report_is_strict_json_when_every_rate_layer_is_zero(tmp_p
     # slope criterion
     assert ldp._reduce(np.full(2, -np.inf), 2) == (-math.inf, math.inf)
     monkeypatch.setattr(harness_module, "estimate_log_tails", lambda query, points, R, tol: [
-        ldp._reduce(np.full(R, -np.inf), R), ldp._reduce(np.full(R, -3.0), R)])
+        (*ldp._reduce(np.full(R, -np.inf), R), -40.0), (*ldp._reduce(np.full(R, -3.0), R), -3.0)])
     doc = json.loads((Path(__file__).parent.parent / "configs" / "ldp_fast.json").read_text())
     doc.update(N_grid=[50, 100], replications=2)
     out = tmp_path / "o"

@@ -74,6 +74,19 @@ def test_gauss_legendre_rule_is_leggauss_10_bit_for_bit():
     assert _GL_NODES.tobytes() == nodes.tobytes()
     assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
+
+def test_quad_vector_integrand_closes_a_panel_only_when_every_component_agrees():
+    # a smooth row beside one with a log singularity at 0: the vector rule refines
+    # both rows wherever either needs it, so each row is as exact as its own scalar rule
+    rows = (lambda x: np.exp(x), lambda x: np.log(x))
+    got = quad(lambda x: np.stack([f(x) for f in rows]), 0.0, 2.0)
+    assert got.shape == (2,)
+    np.testing.assert_allclose(got, [math.expm1(2.0), 2.0 * math.log(2.0) - 2.0], rtol=1e-13)
+    for f, value in zip(rows, got):
+        assert value == pytest.approx(quad(f, 0.0, 2.0), rel=1e-13)
+    assert type(quad(rows[0], 0.0, 2.0)) is float  # a scalar integrand's integral is a float
+
+
 def test_quad_refuses_an_integrand_it_cannot_resolve():
     # a NaN agrees with nothing, so no panel ever closes
     with pytest.raises(ConvergenceError, match="^quadrature unresolved after 4096 panels$"):
