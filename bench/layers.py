@@ -178,8 +178,8 @@ def is_inputs(doc: dict, N: int):
     wk and the tilt scale c are ``ldp._tilt``'s, and etas = c wk."""
     query = RateQuery(env=env_from_json(doc["env"]), mu=doc["queues"]["mu"][0], delta=doc["delta"],
                       alpha=doc["alpha"], t=doc["t"], a=doc["a"])
-    counts, wk, c, _ = _tilt(query, N, doc["replications"], doc.get("block_tol", 0.01))
-    return query, counts, wk, c * wk, math.ceil(N * doc["a"] - 1e-9)
+    tilt = _tilt(query, N, doc["replications"], doc.get("block_tol", 0.01))
+    return query, tilt.law.counts, tilt.law.wk, tilt.c * tilt.law.wk, math.ceil(N * doc["a"] - 1e-9)
 
 
 def layers(repeats: int) -> dict:

@@ -44,6 +44,7 @@ from .errors import (
     RegimeError,
     ResourceError,
 )
+from .exact import saddle_log_tail
 from .ldp import (
     RateQuery,
     RateResult,
@@ -55,7 +56,6 @@ from .ldp import (
     rate_multivariate,
     rate_slow,
     rate_slow_bounded,
-    saddle_log_tail,
 )
 from .sim import (
     MomentReport,

@@ -24,26 +24,21 @@ its projected gradient norm.  The integrated log-MGF I(x) = int_0^t log M(x
 e^(-mu s)) ds at the optimum's largest argument (``peak_argument``) is
 evaluated two ways, direct in s and via u = x e^(-mu s), and the dual-route
 gap is reported as a criterion.  The rate's independent check is
-``saddle_log_tail``, the count's saddlepoint tail on the cell table (K_N
-below) at any N, with no draw, whose slope against the speed tends to the
-rate; ldp-check reports it beside each IS estimate.
+``exact.saddle_log_tail``, whose slope against the speed tends to the rate.
 
 The importance-sampling estimator ``estimate_log_tails`` targets
 P(M^(N)(t) >= N a), m = ceil(N a), under the simulator's RNG contract
-(``sim.replication_blocks``): block b draws its rows' rate layers on the
-simulator's cell table, each cell's slot sum S_c tilted by its own eta_c, from
-stream b alone.  Given the rate layer the count is Poisson(N kappa), with
-kappa = sum_c w_c S_c/n_c (w_c the cell's survival weight, n_c its slot
-count), so no count is drawn.  Each cell is tilted by eta_c = c w_c/n_c, one
-scalar c per N from the cell table alone, in every regime: c = N expm1(s) at
-the count's finite-N saddle point K_N'(s) = m - 1/2 of its CGF
-K_N(s) = sum_c n_c log M(N expm1(s) w_c/n_c) (c = 0 for a constant rate layer).
-So sum_c eta_c S_c = c kappa, and the log likelihood ratio depends on the rate
-layer only through kappa: K_N(s) - c kappa + log P(Poisson(N kappa) >= m).  The
-run prepares its draw once (``EnvSpec.block_sampler`` with the weights), and
-each block's draw returns its rows' kappa directly, not the (rows, cells) slot
-sums.  The tail term is exact (``special.log_poisson_tail``); the
-``coxq.special`` docstring describes it and the quadrature rule.
+(``sim.replication_blocks``): block b draws its rows' rate layers on the cell
+table from stream b alone, each cell's slot sum S_c tilted by eta_c = c wk_c,
+c = N expm1(s) at the count's finite-N saddle point (``exact.ReadLaw.saddle``),
+one scalar per N in every regime.  The count, Poisson(N kappa) given the layer
+(``coxq.exact``), is not drawn: sum_c eta_c S_c = c kappa, so the log likelihood
+ratio depends on the layer only through kappa, K_N(s) - c kappa +
+log P(Poisson(N kappa) >= m).  The run prepares its draw once
+(``EnvSpec.block_sampler`` with the weights), and each block's draw returns its
+rows' kappa directly, not the (rows, cells) slot sums.  The tail term is exact
+(``special.log_poisson_tail``); the ``coxq.special`` docstring describes it and
+the quadrature rule.
 
 ``estimate_log_tails`` runs an N grid through three stages per N: prepare
 (every check and refusal, the cell table, the tilt, the saddlepoint log P,
@@ -68,8 +63,9 @@ import numpy as np
 
 from .env import Deterministic, EnvSpec, ScalingRegime
 from .errors import ConvergenceError, DomainError, RegimeError, ResourceError
-from .sim import _MAX_EXACT_INT, cell_table, check_work, replication_blocks, run_blocks
-from .special import log_poisson_tail, log_sum_exp, normal_log_cdf_sf, quad
+from .exact import ReadLaw
+from .sim import check_work, replication_blocks, run_blocks
+from .special import log_poisson_tail, log_sum_exp, quad
 
 __all__ = [
     "RateQuery",
@@ -81,7 +77,6 @@ __all__ = [
     "rate_intermediate",
     "classify_regime",
     "estimate_log_tails",
-    "saddle_log_tail",
     "rate_multivariate",
     "peak_argument",
     "speed_value",
@@ -273,21 +268,19 @@ def classify_regime(query: RateQuery) -> str:
 def estimate_log_tails(query: RateQuery, points, replications: int,
                        block_tol: float) -> list[tuple[float, float, float]]:
     """[(log P(M^(N)(t) >= N a) from an empty queue by IS, its relative SE, and
-    ``saddle_log_tail``'s value) for (N, seed) in points], the N pipelined as the
+    ``exact.saddle_log_tail``'s value) for (N, seed) in points], the N pipelined as the
     module docstring says.
 
-    The rate layer lives on ``sim.cell_table`` with d = 1 and grid (t,).  Each
-    replication's weight holds the exact conditional tail given its rate
-    layer, so it is finite unless that layer is all zero (kappa = 0); an N's
-    estimate is -inf only when every one of its replications' is.  A count
-    level N a past 2^53, which float64 cannot index, raises ResourceError, as
-    does an N whose predicted draw work passes ``sim.check_work``'s budget
-    or whose count tail needs more than ``special._CF_STEPS`` continued-fraction
-    steps (a rate near N a past about 3.7e11).  Every refusal but the continued
-    fraction's is raised in its N's prepare stage, before any N is weighed;
-    the continued-fraction refusal is raised when its N is weighed.  Of several
-    errors the first in this serial order is raised: N_1's preparation, then
-    per N_k its alongside work and its blocks in block order, then N_K's weighing.
+    Each replication's weight holds the exact conditional tail given its rate layer
+    (``exact.ReadLaw``'s), so it is finite unless that layer is all zero (kappa = 0);
+    an N's estimate is -inf only when every one of its replications' is.
+    ``ReadLaw.of``'s refusals raise ResourceError, as does an N whose predicted draw
+    work passes ``sim.check_work``'s budget or whose count tail needs more than
+    ``special._CF_STEPS`` continued-fraction steps (a rate near N a past about 3.7e11).
+    Every refusal but the continued fraction's is raised in its N's prepare stage,
+    before any N is weighed; the continued-fraction refusal is raised when its N is
+    weighed.  Of several errors the first in this serial order is raised: N_1's preparation,
+    then per N_k its alongside work and its blocks in block order, then N_K's weighing.
     """
     points = list(points)
     out = []
@@ -300,7 +293,7 @@ def estimate_log_tails(query: RateQuery, points, replications: int,
     def alongside():  # on the calling thread, while N_k's blocks draw
         nonlocal after
         if k == 0:  # every later N's refusals, only its c kept
-            tilts.extend(_tilt(query, N, replications, block_tol)[2] for N, _ in points[1:])
+            tilts.extend(_tilt(query, N, replications, block_tol).c for N, _ in points[1:])
         else:
             out.append((*_reduce(weigh(kappas), replications), saddle))
         if k + 1 < len(points):
@@ -336,95 +329,22 @@ class _Prepared(NamedTuple):  # one N's prepare stage
     streams: list  # one per block
     entries: int  # the cell draws of one block
     weigh: Callable  # weigh(every block's kappa): the (replications,) log weights, or one
-    saddle: float  # the saddlepoint log P (``_saddle_log_tail``) at the tilt's saddle
+    saddle: float  # the saddlepoint log P (``ReadLaw.log_tail``) at the tilt's saddle
 
 
-def _saddle(env: EnvSpec, N: int, counts, wk, target: float) -> float:
-    """c = N expm1(s) at the root of K_N'(s) = target, K_N(s) = sum_c n_c log M(N expm1(s) wk_c)
-    (``twisted_log_norm``): Newton on log K_N' from s = 0 inside the bracket between 0 and
-    the Poisson tilt s0 = log(target/K_N'(0)), which holds the root as log M' rises from E[L].
-    A step past the top toward a bounded domain's edge is retaken in log(theta_max - eta) of the
-    largest tilt, whose pole log K_N' follows there; one still outside bisects the bracket."""
-    nw, top = counts * wk, float(wk.max())
-    s0 = math.log(target / (N * env.mean * float(nw.sum())))
-    lo, hi = sorted((0.0, min(s0, math.log1p(env.theta_max / (N * top)))))
-    s = 0.0
-    for _ in range(100):
-        c = N * math.expm1(s)
-        k1, k2 = env.log_mgf_derivatives(c * wk)
-        first = float((nw * k1).sum())  # an elementwise sum, not a BLAS dot: its bits are fixed
-        g = math.log((N + c) * first / target)
-        lo, hi = (lo, s) if g > 0 else (s, hi)
-        after = s - g / (1.0 + (N + c) * float((nw * wk * k2).sum()) / first)
-        if after >= hi and env.theta_max < math.inf:  # d log(gap)/ds = -(N + c) top/gap
-            gap = env.theta_max - c * top
-            gap *= math.exp((s - after) * (N + c) * top / gap)
-            after = math.log1p((env.theta_max - gap) / (N * top))
-        after = after if lo < after < hi else 0.5 * (lo + hi)
-        if abs(g) <= 1e-12 or after == s:  # solved, or to the float resolution of s
-            return c
-        s = after
-    raise ConvergenceError(f"no saddle point of the count's CGF in 100 steps at N = {N}")
+class _Tilt(NamedTuple):  # one N's checked tilt
+    law: ReadLaw
+    c: float  # the tilt eta = c law.wk, c = N expm1(s) at ``ReadLaw.saddle``
+    log_norm: float  # K_N(s) there
 
 
-def _tilt(query, N, replications, block_tol, c=None):
-    """One N's checks, where every refusal of its prepare stage is raised:
-    (cells' slot counts, per-draw weights wk, tilt scale c, log_norm), the tilt
-    being eta = c wk (see the module docstring; a given c skips its solve).  The
-    work budget (``sim.check_work``) counts the one row ``_prepare`` draws for a constant layer."""
-    env, a = query.env, query._scalar_a
-    if not N * a <= _MAX_EXACT_INT:  # also refuses inf
-        raise ResourceError(f"count level N a = {N * a:.3e} exceeds 2^53, the most that float64 can index")
-    h = ScalingRegime(N, query.alpha, query.delta).delta_n
-    table = cell_table((query._scalar_mu,), h, (query.t,), block_tol)
-    counts = table.slots
-    wk = table.weights[0][:, 0] / counts  # per-draw weight within each cell
-    if c is None:
-        c = _saddle(env, N, counts, wk, math.ceil(N * a - 1e-9) - 0.5) if env.variance else 0.0
-    log_norm = env.twisted_log_norm(c * wk, counts)  # raises the tilt's domain and table refusals
-    check_work(table, env, replications, N, one_row=env.variance == 0)
-    return counts, wk, c, log_norm
-
-
-def saddle_log_tail(query: RateQuery, N: int, block_tol: float = 0.01) -> float:
-    """log P(M^(N)(t) >= N a) from an empty queue by the saddlepoint approximation to the count's
-    law on the cell table (``_saddle_log_tail``), with no draw, in every regime, at any N < 2^53/a."""
-    counts, wk, c, log_norm = _tilt(query, N, 1, block_tol)
-    return _saddle_log_tail(query.env, N, counts, wk, c, log_norm, math.ceil(N * query._scalar_a - 1e-9))
-
-
-def _saddle_log_tail(env: EnvSpec, N: int, counts, wk, c: float, log_norm: float, m: int) -> float:
-    """log P(count >= m) at the count's saddle c = N expm1(s), K_N'(s) = m - 1/2, K_N(s) = log_norm
-    (``_tilt``'s; in closed form for a constant layer, whose count is Poisson): log Phi(-r*),
-    r* = w + log(u/w)/w, w = sign(s) sqrt(2 (s (m - 1/2) - K_N(s))), u = 2 sinh(s/2) sqrt(K_N''(s))
-    (Barndorff-Nielsen's r*, Daniels' continuity correction: Butler, Saddlepoint Approximations, 2007).
-    Where w^2/2 is below 5e-4 s (m - 1/2), whose difference a discrete log M's 1e-16 error spoils,
-    w^2 = s (K_N'(s) - K_N'(0)) + s^2 (K_N''(s) - K_N''(0))/6, K_N'' quadratic on [0, s] (within 5e-8
-    in log P of the formula at 50 digits); at s = 0 exactly, short of K_N's third derivative, r* = 0."""
-    nw, x = counts * wk, m - 0.5
-    slope0 = N * env.mean * float(nw.sum())  # K_N'(0), the untilted count's mean
-    if env.variance:
-        s = math.log1p(c / N)
-        k1, k2 = env.log_mgf_derivatives(c * wk)
-        slope = (N + c) * float((nw * k1).sum())  # K_N'(s)
-        curv = slope + (N + c) ** 2 * float((nw * wk * k2).sum())  # K_N''(s)
-    else:  # a Poisson count of mean K_N'(0), drawn untilted (c = 0): its saddle in closed form
-        if not slope0:  # the count is 0
-            return -math.inf
-        s, slope, curv, log_norm = math.log(x / slope0), x, x, x - slope0
-    lift, half_w2 = s * x, s * x - log_norm  # s (m - 1/2), w^2/2
-    if s == 0:
-        r = 0.0
-    elif half_w2 < 5e-4 * abs(lift):
-        curv0 = slope0 + N * N * env.variance * float((nw * wk).sum())
-        # K_N'' quadratic through K_N''(0), K_N''(s) and its integral K_N'(s) - K_N'(0)
-        mean_curv = (slope - slope0) / s + (curv - curv0) / 6.0  # w^2/s^2
-        w = s * math.sqrt(mean_curv)
-        r = w + (math.log(2.0 * math.sinh(s / 2) / s) + 0.5 * math.log(curv / mean_curv)) / w
-    else:
-        w = math.copysign(math.sqrt(2.0 * half_w2), s)
-        r = w + math.log(2.0 * math.sinh(s / 2) * math.sqrt(curv) / w) / w
-    return float(normal_log_cdf_sf(np.array([r]))[1][0])
+def _tilt(query, N, replications, block_tol, c=None) -> _Tilt:
+    """One N's checks, where its prepare stage raises every refusal; a given c skips its solve."""
+    law = ReadLaw.of(query, N, block_tol)
+    c = law.saddle(math.ceil(N * query._scalar_a - 1e-9) - 0.5) if c is None else c
+    log_norm = query.env.twisted_log_norm(c * law.wk, law.counts)  # the tilt's domain and table refusals
+    check_work(law.table, query.env, replications, N, one_row=query.env.variance == 0)
+    return _Tilt(law, c, log_norm)
 
 
 def _prepare(query, N, seed, replications, block_tol, c=None) -> _Prepared:
@@ -434,8 +354,8 @@ def _prepare(query, N, seed, replications, block_tol, c=None) -> _Prepared:
     the tail is elementwise in kappa: one row is drawn from block 0's stream
     (``replication_blocks`` for one replication), and its one weight stands
     for all R (``_reduce``)."""
-    counts, wk, c, log_norm = _tilt(query, N, replications, block_tol, c)
-    env, a = query.env, query._scalar_a
+    law, c, log_norm = _tilt(query, N, replications, block_tol, c)
+    env, a, counts, wk = query.env, query._scalar_a, law.counts, law.wk
     m = math.ceil(N * a - 1e-9)
     # every replication of a constant layer has the same row: block 0's stream draws it
     rows, streams = replication_blocks(seed, replications if env.variance else 1, counts.size)
@@ -452,8 +372,8 @@ def _prepare(query, N, seed, replications, block_tol, c=None) -> _Prepared:
         logw = (log_norm - c * kappa) + tail
         return logw[:replications]
 
-    saddle = _saddle_log_tail(env, N, counts, wk, c, log_norm, m)
-    return _Prepared(lambda b, rng: draw(rng, size), streams, size * counts.size, weigh, saddle)
+    return _Prepared(lambda b, rng: draw(rng, size), streams, size * counts.size, weigh,
+                     law.log_tail(c, log_norm, m))
 
 
 # ---------------------------------------------------------------------------

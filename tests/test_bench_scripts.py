@@ -53,7 +53,7 @@ def test_layers_takes_the_slow_tilt_from_the_sampler(bench):
     table, _ = layers.table_of(doc, N, (doc["t"],))
     np.testing.assert_array_equal(counts, table.slots)
     np.testing.assert_array_equal(wk, table.weights[0][:, 0] / counts)
-    c = ldp._tilt(query, N, doc["replications"], doc.get("block_tol", 0.01))[2]
+    c = ldp._tilt(query, N, doc["replications"], doc.get("block_tol", 0.01)).c
     np.testing.assert_array_equal(etas, c * wk)
     assert m == math.ceil(N * doc["a"] - 1e-9)
     s, d = math.log1p(c / N), 1e-6

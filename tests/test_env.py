@@ -432,8 +432,8 @@ def ldp_tilts(env, one_slot):
     block_tol 0.5 the 7 or 8 cells hold 1 to 165 slots each."""
     for alpha in (2.0, 0.5, 1.0):
         query = RateQuery(env=env, mu=1.0, delta=1.0, alpha=alpha, t=5.0, a=1.5)
-        counts, wk, c, _ = ldp._tilt(query, 10, 1, 1e-9 if one_slot else 0.5)
-        yield alpha, counts, wk, c * wk
+        tilt = ldp._tilt(query, 10, 1, 1e-9 if one_slot else 0.5)
+        yield alpha, tilt.law.counts, tilt.law.wk, tilt.c * tilt.law.wk
 
 
 @pytest.mark.parametrize("one_slot", [True, False], ids=["one-slot", "multi-slot"])

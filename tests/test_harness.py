@@ -13,7 +13,7 @@ from scipy import stats
 
 import coxq.harness as harness_module
 import coxq.sim
-from coxq import Deterministic, Exponential, QueueParams, ldp
+from coxq import Deterministic, Exponential, QueueParams, exact, ldp
 from coxq.cli import main as cli_main
 from coxq.errors import ConfigError
 from coxq.harness import (
@@ -308,7 +308,7 @@ def test_ldp_check_rows_report_the_saddlepoint_tail_and_the_is_z_score():
     cfg = make_config(kind="ldp-check", t=5.0, a=1.5, N_grid=(200, 400), replications=4000, seed=19)
     query = ldp.RateQuery(cfg.env, 1.0, cfg.delta, cfg.alpha, cfg.t, cfg.a)
     for row in run(cfg).results[1:-1]:
-        assert row["saddle_log_prob"] == ldp.saddle_log_tail(query, row["N"], cfg.block_tol)
+        assert row["saddle_log_prob"] == exact.saddle_log_tail(query, row["N"], cfg.block_tol)
         assert row["z"] == math.expm1(row["log_prob"] - row["saddle_log_prob"]) / row["rel_err"]
         assert abs(row["z"]) < 4
     fast = make_config(kind="ldp-check", env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0,

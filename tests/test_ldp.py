@@ -19,7 +19,7 @@ from scipy.special import spence
 from scipy.stats import poisson
 
 import coxq.sim
-from coxq import ldp
+from coxq import exact, ldp
 from coxq.env import (
     Deterministic,
     DiscreteFinite,
@@ -575,28 +575,29 @@ def _constant_rate_tail(ratio, m):
     rho = q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0).rho_t
     query = q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=ratio * rho)
     N = round(m / query.a)
-    counts, wk, _, _ = ldp._tilt(query, N, 1, 0.01)
-    exact = log_poisson_tail(math.ceil(N * query.a - 1e-9), np.array([N * float((counts * wk).sum())]))[0]
-    return query, N, float(exact)
+    law = exact.ReadLaw.of(query, N, 0.01)
+    tail = log_poisson_tail(math.ceil(N * query.a - 1e-9), np.array([N * float((law.counts * law.wk).sum())]))
+    return query, N, float(tail[0])
 
 
 @pytest.mark.parametrize("ratio, m, measured", POISSON_SADDLE_ERRORS)
 def test_saddle_log_tail_of_a_constant_rate_is_the_poisson_tail_within_its_measured_error(ratio, m, measured):
-    query, N, exact = _constant_rate_tail(ratio, m)
-    assert 0 < ldp.saddle_log_tail(query, N) - exact <= 1.05 * measured
+    query, N, want = _constant_rate_tail(ratio, m)
+    assert 0 < exact.saddle_log_tail(query, N) - want <= 1.05 * measured
 
 
 def test_saddle_log_tail_error_falls_as_one_over_the_count_level():
     for m in (10, 30, 100, 1000, 10**4, 10**5, 10**6):
-        query, N, exact = _constant_rate_tail(2.0, m)
-        assert 0 < (ldp.saddle_log_tail(query, N) - exact) * m <= 0.018, m
+        query, N, want = _constant_rate_tail(2.0, m)
+        assert 0 < (exact.saddle_log_tail(query, N) - want) * m <= 0.018, m
 
 
-def _mp_saddle_log_tail(env, N, counts, wk, m):
-    """``_saddle_log_tail``'s formula at 50 digits for a discrete law, with its own saddle."""
+def _mp_saddle_log_tail(law, m):
+    """``ReadLaw.log_tail``'s formula at 50 digits for a discrete law, with its own saddle."""
+    env, N = law.env, law.N
     with mpmath.workdps(50):
         vals, probs = [mpmath.mpf(v) for v in env.values], [mpmath.mpf(p) for p in env.probs]
-        cells = [(int(n), mpmath.mpf(w)) for n, w in zip(counts, wk)]
+        cells = [(int(n), mpmath.mpf(w)) for n, w in zip(law.counts, law.wk)]
 
         def cgf(s):  # K_N, K_N', K_N''
             K = K1 = K2 = mpmath.mpf(0)
@@ -625,13 +626,13 @@ def test_saddle_log_tail_near_the_mean_is_its_formula_at_50_digits():
     # for w, to a level where the difference is exact: within 5e-8, 5e-9 from s = 5e-5 on
     env = DiscreteFinite([0.5, 2.0], [0.5, 0.5])
     for N in (200, 1600):
-        counts, wk, _, _ = ldp._tilt(q(env=env, t=5.0, a=1.5), N, 1, 0.01)
-        mean = N * env.mean * float((counts * wk).sum())
+        law = exact.ReadLaw.of(q(env=env, t=5.0, a=1.5), N, 0.01)
+        mean = N * env.mean * float((law.counts * law.wk).sum())
         for m in sorted({math.ceil(mean), math.ceil(mean) + 1, math.ceil(1.001 * mean),
                          math.ceil(1.05 * mean)}):
-            c = ldp._saddle(env, N, counts, wk, m - 0.5)
-            want, s = _mp_saddle_log_tail(env, N, counts, wk, m)
-            got = ldp._saddle_log_tail(env, N, counts, wk, c, env.twisted_log_norm(c * wk, counts), m)
+            c = law.saddle(m - 0.5)
+            want, s = _mp_saddle_log_tail(law, m)
+            got = law.log_tail(c, env.twisted_log_norm(c * law.wk, law.counts), m)
             assert got == pytest.approx(want, abs=5e-9 if s >= 5e-5 else 5e-8), (N, m, s)
 
 
@@ -648,14 +649,13 @@ def test_saddle_near_a_bounded_domain_edge_takes_few_newton_steps(monkeypatch, e
 
     monkeypatch.setattr(type(env), "log_mgf_derivatives", counted)
     for a in (5.0, 8.0, 12.0, 20.0):
-        table = cell_table((1.0,), ScalingRegime(N, 0.5, 1.0).delta_n, (5.0,), 0.01)
-        counts, wk = table.slots, table.weights[0][:, 0] / table.slots
+        law = exact.ReadLaw.of(q(env=env, t=5.0, a=a), N, 0.01)
         target = math.ceil(N * a - 1e-9) - 0.5
         calls.clear()
-        c = ldp._saddle(env, N, counts, wk, target)
+        c = law.saddle(target)
         assert len(calls) <= 10, (a, len(calls))
-        first = derivatives(env, c * wk)[0]
-        assert (N + c) * float((counts * wk * first).sum()) == pytest.approx(target, rel=1e-12)
+        first = derivatives(env, c * law.wk)[0]
+        assert (N + c) * float((law.counts * law.wk * first).sum()) == pytest.approx(target, rel=1e-12)
 
 
 # -- importance sampling --------------------------------------------------------------
@@ -665,8 +665,10 @@ def test_is_q_mean_property():
     # under Q, the rate layer tilted by eta = c wk and the count by s = log1p(c/N),
     # the count's mean N e^s E_Q[kappa] is m - 1/2: 20,000 draws at the ldp_slow shape
     N, query = 400, q(t=5.0, a=1.5)
-    counts, wk, c, _ = ldp._tilt(query, N, 1, 0.01)
-    kappa = query.env.sample_block_sums_twisted(c * wk, spawn_streams(5, 1)[0], counts, 20_000, weights=wk)
+    tilt = ldp._tilt(query, N, 1, 0.01)
+    c, law = tilt.c, tilt.law
+    kappa = query.env.sample_block_sums_twisted(c * law.wk, spawn_streams(5, 1)[0], law.counts, 20_000,
+                                                weights=law.wk)
     mean = (N + c) * kappa
     assert abs(mean.mean() - (math.ceil(N * 1.5) - 0.5)) < 4 * mean.std(ddof=1) / math.sqrt(mean.size)
 
@@ -716,7 +718,7 @@ def test_the_draw_budget_counts_the_one_row_of_a_constant_rate_layer():
     # 1e5 weights, not one row per block), a random one R rows in 10^4 blocks
     # (4e9, past the work budget); neither check draws
     R = 20_000
-    counts, *_ = ldp._tilt(q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0), 50, R, 0.0)
+    counts = ldp._tilt(q(env=Deterministic(1.0), alpha=2.0, t=40.0, a=2.0), 50, R, 0.0).law.counts
     assert counts.size == 100_000 and block_rows(counts.size) == 2
     work = 10_000 * (2 * 200_000 + coxq.sim._PASS_COST)
     with pytest.raises(ResourceError, match=re.escape(f"predicted draw work {work:.3e} at N = 50 (")):
@@ -780,7 +782,8 @@ def test_is_draw_and_weights_follow_the_saddle_tilt(env, block_tol):
     # its log weight is log_norm - c kappa + log P(Poisson(N kappa) >= m)
     N, R, a = 100, 6, 2.0 * env.mean * -math.expm1(-2.0)
     query = q(env=env, t=2.0, a=a)
-    counts, wk, c, log_norm = ldp._tilt(query, N, R, block_tol)
+    tilt = ldp._tilt(query, N, R, block_tol)
+    counts, wk, c, log_norm = tilt.law.counts, tilt.law.wk, tilt.c, tilt.log_norm
     assert np.all(counts == 1) == (block_tol == 0)
     m, s, d = math.ceil(N * a - 1e-9), math.log1p(c / N), 1e-6
     K = [env.twisted_log_norm(N * math.expm1(s + x) * wk, counts) for x in (0.0, d, -d)]
@@ -953,7 +956,7 @@ def _grid_query(shape):
 
 def _serial_log_tails(query, points, R):
     """The unpipelined loop: each N prepared, drawn and weighed before the next."""
-    return [(*ldp._reduce(_replication_log_weights(query, N, R, seed), R), ldp.saddle_log_tail(query, N))
+    return [(*ldp._reduce(_replication_log_weights(query, N, R, seed), R), exact.saddle_log_tail(query, N))
             for N, seed in points]
 
 
@@ -1119,7 +1122,7 @@ def test_ldp_check_calls_no_hooked_name_off_the_calling_thread(monkeypatch):
     # configs/ldp_slow.json at R = 3000 is 12 blocks per N on two threads
     monkeypatch.setattr(coxq.sim, "_CPUS", 2)
     calls = []
-    for module, name in ((coxq.sim, "spawn_streams"), (ldp, "cell_table"), (ldp, "log_poisson_tail")):
+    for module, name in ((coxq.sim, "spawn_streams"), (exact, "cell_table"), (ldp, "log_poisson_tail")):
         def spy(*args, _real=getattr(module, name), _name=name):
             calls.append((_name, threading.current_thread()))
             return _real(*args)
