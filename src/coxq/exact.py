@@ -50,11 +50,11 @@ class ReadLaw(NamedTuple):
         return float((nw * k1).sum()), float((nw * self.wk * k2).sum())
 
     def saddle(self, target: float) -> float:
-        """c = N expm1(s) at the root of K_N'(s) = target, 0 for a constant layer: Newton on
-        log K_N' from s = 0 inside the bracket between 0 and the Poisson tilt s0 =
-        log(target/K_N'(0)), which holds the root as log M' rises from E[L].  A step past the top
-        toward a bounded domain's edge is retaken in log(theta_max - eta) of the largest tilt,
-        whose pole log K_N' follows there; one still outside bisects the bracket."""
+        """c = N expm1(s) at the root of K_N'(s) = target, 0 for a constant layer: Newton on g =
+        log(K_N'/target) from s = 0 inside the bracket between 0 and the Poisson tilt s0 = log(target/
+        K_N'(0)), which holds the root as log M' rises from E[L], to |g| <= 1e-12 or two ulps of s in
+        g.  A step past the top toward a bounded domain's edge is retaken in log(theta_max - eta) of
+        the largest tilt, whose pole log K_N' follows there; one still outside bisects the bracket."""
         env, N, top = self.env, self.N, float(self.wk.max())
         if not env.variance:
             return 0.0
@@ -66,13 +66,13 @@ class ReadLaw(NamedTuple):
             first, second = self.kappa_moments(c)
             g = math.log((N + c) * first / target)
             lo, hi = (lo, s) if g > 0 else (s, hi)
-            after = s - g / (1.0 + (N + c) * second / first)
+            after = s - g / (slope := 1.0 + (N + c) * second / first)  # slope = dg/ds
             if after >= hi and env.theta_max < math.inf:  # d log(gap)/ds = -(N + c) top/gap
                 gap = env.theta_max - c * top
                 gap *= math.exp((s - after) * (N + c) * top / gap)
                 after = math.log1p((env.theta_max - gap) / (N * top))
             after = after if lo < after < hi else 0.5 * (lo + hi)
-            if abs(g) <= 1e-12 or after == s:  # solved, or to the float resolution of s
+            if abs(g) <= max(1e-12, 2.0 * slope * math.ulp(s)) or after == s:  # to s's resolution
                 return c
             s = after
         raise ConvergenceError(f"no saddle point of the count's CGF in 100 steps at N = {N}")
