@@ -53,6 +53,17 @@ def test_importing_the_cli_loads_no_scipy_submodule():
     assert loaded_scipy_modules("import coxq.cli") == set()
 
 
+def test_exact_imports_no_scipy_ldp_or_harness():
+    # the package's __init__ imports ldp, so coxq stands in as a bare namespace here: only
+    # exact's own imports (env, errors, special, sim and theirs) load
+    package = str(Path(coxq.__file__).parent)
+    statement = (f"import types\nsys.modules['coxq'] = types.ModuleType('coxq')\n"
+                 f"sys.modules['coxq'].__path__ = [{package!r}]\nimport coxq.exact\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'"
+                 " or m in ('coxq.ldp', 'coxq.harness'))))")
+    assert json.loads(run_fresh(statement).splitlines()[-1]) == []
+
+
 @pytest.mark.parametrize("kind, stem", [("analytic", "analytic"), ("simulate", "simulate")])
 def test_analytic_and_simulate_load_no_scipy_submodule(tmp_path, kind, stem):
     assert loaded_scipy_modules(cli_statement(kind, CONFIGS / f"{stem}.json", tmp_path)) == set()
