@@ -678,8 +678,8 @@ def test_is_q_mean_property():
     assert abs(mean.mean() - (math.ceil(N * 1.5) - 0.5)) < 4 * mean.std(ddof=1) / math.sqrt(mean.size)
 
 
-@pytest.mark.parametrize("a, exact", [(1.5, 0.29436), (1.7, 0.19012)])
-def test_is_discrete_near_rate_ceiling_matches_exact_tail(a, exact):
+@pytest.mark.parametrize("a, recorded", [(1.5, 0.29436), (1.7, 0.19012)])
+def test_is_discrete_near_rate_ceiling_matches_exact_tail(a, recorded):
     # N=4, alpha=0.5, delta=1, t=2: four one-slot cells, so 2^4 rate patterns;
     # given the pattern v, M(t) is Poisson with mean N sum_c v_c w_c exactly,
     # w_c the survival integral of cell c.  u(t) = 1.73, so a = 1.7 sits just under
@@ -693,7 +693,7 @@ def test_is_discrete_near_rate_ceiling_matches_exact_tail(a, exact):
         np.prod(env.probs[list(pat)]) * poisson.sf(m - 1, N * float(env.values[list(pat)] @ w))
         for pat in itertools.product(range(2), repeat=4)
     )
-    assert want == pytest.approx(exact, abs=1e-5)
+    assert want == pytest.approx(recorded, abs=1e-5)
     runs = estimate_log_tails(query, [(N, seed) for seed in range(1, 11)], 200_000, 0.01)
     err = np.array([math.exp(log_p - math.log(want)) - 1.0 for log_p, *_ in runs])
     rel_se = np.array([rel for _, rel, _ in runs])
